@@ -11,14 +11,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .blackwell import BlackwellMeasure, JointSource, blackwell_measure, pc_probability
 from .channels import deterministic_hom
 from .groups import Group, Subgroup, enumerate_subgroups
 
 MARGINAL_TOL = 1e-10
+# Entering threshold on reduced costs, relative to the largest potential.
+_PRICE_TOL = 1e-14
+_PRICE_BLOCK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +53,8 @@ def transport_plan(m1: BlackwellMeasure, m2: BlackwellMeasure) -> TransportPlan:
     """Exact solution of the transportation problem between two measures.
 
     The problem is symmetric in its arguments; to make the reported cost
-    bitwise symmetric the LP is always solved in a canonical orientation.
+    bitwise symmetric it is always solved in a canonical orientation, which
+    also puts the measure with fewer atoms on the rows.
     """
     if m1.group != m2.group:
         raise ValueError("measures live on different groups")
@@ -63,94 +65,166 @@ def transport_plan(m1: BlackwellMeasure, m2: BlackwellMeasure) -> TransportPlan:
         flipped = transport_plan(m2, m1)
         return TransportPlan(flipped.target_index, flipped.source_index, flipped.mass, flipped.cost)
     cost = _tv_cost_matrix(m1, m2)
-    k1, k2 = cost.shape
-    if k1 == 1 or k2 == 1:
-        # Product plan is forced when either side is a single atom.
-        mass = np.outer(m1.weights, m2.weights)
-        src, tgt = np.divmod(np.arange(k1 * k2), k2)
-        plan = TransportPlan(src, tgt, mass.ravel(), float((mass * cost).sum()))
-        _check_marginals(plan, m1, m2)
-        return plan
-    # The last column-marginal row is implied by the others; dropping it keeps
-    # the system solvable when the two weight totals differ by float dust.
-    col_marginals = sp.kron(np.ones((1, k1)), sp.eye(k2, format="csr"), format="csr")
-    a_eq = sp.vstack(
-        [
-            sp.kron(sp.eye(k1, format="csr"), np.ones((1, k2))),
-            col_marginals[:-1],
-        ],
-        format="csr",
-    )
-    b_eq = np.concatenate([m1.weights, m2.weights[:-1]])
-    res = linprog(
-        cost.ravel(),
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=(0, None),
-        method="highs",
-        options={
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-        },
-    )
-    if res.status != 0:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    flow = _repair_flow(res.x.reshape(k1, k2), m1.weights, m2.weights)
-    src, tgt = np.nonzero(flow > 0)
-    plan = TransportPlan(src, tgt, flow[src, tgt], max(float((flow * cost).sum()), 0.0))
+    if not np.isfinite(cost).all():
+        raise ValueError("transport costs must be finite")
+    src, tgt, mass = _network_simplex(cost, m1.weights, m2.weights)
+    plan = TransportPlan(src, tgt, mass, float(mass @ cost[src, tgt]))
     _check_marginals(plan, m1, m2)
     return plan
 
 
-def _repair_flow(flow: np.ndarray, supplies: np.ndarray, demands: np.ndarray) -> np.ndarray:
-    """Nudge an LP transport solution so its marginals match exactly.
+def _network_simplex(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray):
+    """Network simplex for the transportation problem rows -> columns.
 
-    The solver serves equality constraints only to its feasibility tolerance,
-    which can under-serve atoms whose weight is below it. Only residual-scale
-    mass is moved, so the cost perturbation is bounded by the solver residual.
+    Nodes 0..m-1 are the rows and m..m+n-1 the columns. The basis is a
+    spanning tree rooted at row 0 in which every non-root node v holds its
+    parent arc: `parent[v]`, with flow `flow[v]`. Flows are only ever added
+    and subtracted, and the leaving arc's flow is subtracted from itself, so
+    they stay exactly non-negative and match the marginals to rounding.
+
+    The tree is kept strongly feasible (every zero-flow arc points to the
+    root, i.e. hangs a row from a column) by taking as leaving arc the last
+    blocking arc of the cycle walked from its apex along the entering arc.
+    A degenerate pivot then cuts the subtree below the entering arc's row
+    and lowers its node potentials (u on rows, -v on columns, where the
+    reduced cost is c - u - v), so no basis repeats and the method
+    terminates under any pricing rule (Cunningham 1976; Ahuja, Magnanti and
+    Orlin, *Network Flows*, section 11.5). The pivot cap only guards against
+    a bug.
+
+    Returns the row indices, column indices and masses of the positive-flow
+    arcs, in row-major order.
     """
-    out = np.maximum(flow, 0.0)
-    row_need = supplies - out.sum(axis=1)
-    col_need = demands - out.sum(axis=0)
-    # Jointly under-served pairs: add mass directly.
+    m, n = cost.shape
+    size = m + n
+    # North-west corner over the columns sorted by cheapest row, then by how
+    # much cheaper the row before is than the row after. For two rows this
+    # is the fractional-knapsack order, which is optimal outright; for one
+    # row it is the product plan.
+    cheapest = cost.argmin(axis=0)
+    cols = np.arange(n)
+    lean = cost[np.maximum(cheapest - 1, 0), cols] - cost[np.minimum(cheapest + 1, m - 1), cols]
+    order = np.lexsort((lean, cheapest)).tolist()
+    s = supply.tolist()
+    d = demand.tolist()
+    parent = [-1] * size
+    flow = [0.0] * size
+    pot = [0.0] * size
+    depth = [0] * size
+    children = [set() for _ in range(size)]
+    i, k, j = 0, 0, order[0]
+    node, up = m + j, 0
     while True:
-        i = int(np.argmax(row_need))
-        j = int(np.argmax(col_need))
-        mass = min(row_need[i], col_need[j])
-        if mass <= 0.0:
+        parent[node] = up
+        children[up].add(node)
+        depth[node] = depth[up] + 1
+        pot[node] = cost.item(i, j) - pot[up]
+        # Once one side is down to its last node, each new node puts its whole
+        # weight on its arc, so float dust in the totals never leaves mass
+        # unplaced or makes an arc negative. One row gives the product plan.
+        if node >= m and i == m - 1:
+            x = d[j]
+        elif node < m and k == n - 1:
+            x = s[i]
+        else:
+            x = min(s[i], d[j])
+        flow[node] = x
+        s[i] -= x
+        d[j] -= x
+        if i == m - 1 and k == n - 1:
             break
-        out[i, j] += mass
-        row_need[i] -= mass
-        col_need[j] -= mass
-    # Column imbalances: shift mass between columns within a row.
-    for j in np.flatnonzero(col_need > 0.0):
-        for jp in np.argsort(col_need):
-            if col_need[j] <= 0.0 or col_need[jp] >= 0.0:
+        if k == n - 1 or (i < m - 1 and s[i] == 0.0):
+            # On a tie the row advances, so the zero-flow arc hangs a row
+            # from a column and points to the root: the start is strongly
+            # feasible.
+            i += 1
+            node, up = i, m + j
+        else:
+            k += 1
+            j = order[k]
+            node, up = m + j, i
+    pi = np.array(pot)
+    row_pi, col_pi = pi[:m, None], pi[m:]
+    # Block pricing: each pivot enters the most negative reduced cost of the
+    # first block of rows, in cyclic order from the last entering block, that
+    # has one. Problems of up to _PRICE_BLOCK cells are priced whole.
+    step = max(1, _PRICE_BLOCK // n)
+    starts = range(0, m, step)
+    first = 0
+    for _ in range(50 * m * n + 1000):
+        tol = -_PRICE_TOL * (1.0 + float(np.abs(pi).max()))
+        for r0 in (*starts[first:], *starts[:first]):
+            reduced = cost[r0 : r0 + step] - row_pi[r0 : r0 + step]
+            reduced -= col_pi
+            e = int(reduced.argmin())
+            delta = float(reduced.flat[e])
+            if delta < tol:
+                first = r0 // step
                 break
-            for i in np.flatnonzero(out[:, jp] > 0.0):
-                amt = min(col_need[j], -col_need[jp], out[i, jp])
-                if amt > 0.0:
-                    out[i, jp] -= amt
-                    out[i, j] += amt
-                    col_need[jp] += amt
-                    col_need[j] -= amt
-                if col_need[j] <= 0.0 or col_need[jp] >= 0.0:
-                    break
-    # Row imbalances: shift mass between rows within a column.
-    for i in np.flatnonzero(row_need > 0.0):
-        for ip in np.argsort(row_need):
-            if row_need[i] <= 0.0 or row_need[ip] >= 0.0:
+        else:
+            break
+        p, q = divmod(e, n)
+        p += r0
+        q += m
+        # Tree paths from p and q up to their common ancestor, the apex.
+        a, b = p, q
+        up_p, up_q = [], []
+        while depth[a] > depth[b]:
+            up_p.append(a)
+            a = parent[a]
+        while depth[b] > depth[a]:
+            up_q.append(b)
+            b = parent[b]
+        while a != b:
+            up_p.append(a)
+            a = parent[a]
+            up_q.append(b)
+            b = parent[b]
+        # Walking the cycle from the apex down to p, across to q and back up,
+        # an arc loses flow when it runs from a column to a row.
+        theta = float("inf")
+        out = -1
+        for v in reversed(up_p):
+            if v < m and flow[v] <= theta:
+                theta, out = flow[v], v
+        out_on_q = False
+        for v in up_q:
+            if v >= m and flow[v] <= theta:
+                theta, out, out_on_q = flow[v], v, True
+        if theta > 0.0:
+            for v in up_p:
+                flow[v] += -theta if v < m else theta
+            for v in up_q:
+                flow[v] += -theta if v >= m else theta
+        # Re-hang the subtree cut off by the leaving arc from the entering
+        # arc, reversing the tree path between the two.
+        top, hook = (q, p) if out_on_q else (p, q)
+        prev, v, carried = hook, top, theta
+        while True:
+            nxt, f = parent[v], flow[v]
+            children[nxt].discard(v)
+            parent[v], flow[v] = prev, carried
+            children[prev].add(v)
+            if v == out:
                 break
-            for j in np.flatnonzero(out[ip] > 0.0):
-                amt = min(row_need[i], -row_need[ip], out[ip, j])
-                if amt > 0.0:
-                    out[ip, j] -= amt
-                    out[i, j] += amt
-                    row_need[ip] += amt
-                    row_need[i] -= amt
-                if row_need[i] <= 0.0 or row_need[ip] >= 0.0:
-                    break
-    return out
+            prev, v, carried = v, nxt, f
+        depth[top] = depth[hook] + 1
+        moved = [top]
+        for v in moved:
+            below = depth[v] + 1
+            for w in children[v]:
+                depth[w] = below
+                moved.append(w)
+        moved = np.array(moved)
+        pi[moved] += np.where((moved >= m) == (top >= m), delta, -delta)
+    else:
+        raise RuntimeError("transport simplex exceeded its pivot cap")
+    arcs = [v for v in range(1, size) if flow[v] > 0.0]
+    rows = np.array([v if v < m else parent[v] for v in arcs], dtype=np.int64)
+    cols = np.array([parent[v] - m if v < m else v - m for v in arcs], dtype=np.int64)
+    mass = np.array([flow[v] for v in arcs])
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order], mass[order]
 
 
 def _canonical_key(m: BlackwellMeasure) -> tuple:

@@ -55,13 +55,6 @@ def bec_erasure_after(path: str, z0: float) -> float:
     return z
 
 
-def all_paths(depth: int) -> list[str]:
-    paths = [""]
-    for _ in range(depth):
-        paths = [p + s for p in paths for s in "-+"]
-    return paths
-
-
 def martingale_suite(count: int = 200) -> list[CheckResult]:
     worst_residual = 0.0
     worst_asymmetry = 0.0

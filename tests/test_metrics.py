@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from polarlab import (
+    BlackwellMeasure,
     Channel,
     blackwell_measure,
     capacity_gap,
@@ -14,7 +18,16 @@ from polarlab import (
     transport_plan,
     wasserstein,
 )
-from polarlab.presets import bsc_channel, identity_channel, random_channel, useless_channel
+from polarlab.metrics import MARGINAL_TOL, pol_set
+from polarlab.polar import polar_step
+from polarlab.presets import (
+    bsc_channel,
+    identity_channel,
+    random_channel,
+    useless_channel,
+    z4_multilevel_channel,
+)
+from polarlab.verify import random_corpus
 
 Z2 = make_group([2])
 Z4 = make_group([4])
@@ -62,6 +75,14 @@ def test_wasserstein_metric_axioms_random():
         dac, dbc = wasserstein(a, c), wasserstein(b, c)
         assert dab <= dac + dbc + 1e-9
         assert dab >= 0.0
+
+
+def test_wasserstein_rejects_non_finite_posteriors():
+    # an underflowed merge can leave a NaN posterior; it must not become a
+    # NaN distance in a report
+    bad = BlackwellMeasure(Z2, [0.5, 0.5], [[1.0, 0.0], [np.nan, np.nan]], merge_tau=0.0)
+    with pytest.raises(ValueError):
+        wasserstein(bad, blackwell_measure(bsc_channel(0.1)))
 
 
 def test_wasserstein_group_mismatch():
@@ -143,3 +164,121 @@ def test_perturbation_family_monotone():
     gaps, dists = zip(*results)
     assert gaps[0] > gaps[1] > gaps[2]
     assert dists[0] > dists[1] > dists[2]
+
+
+def _dense_lp_cost(cost, supply, demand):
+    """Reference transport cost from a dense HiGHS dual-simplex LP."""
+    k1, k2 = cost.shape
+    a_eq = np.zeros((k1 + k2, k1 * k2))
+    for i in range(k1):
+        a_eq[i, i * k2:(i + 1) * k2] = 1.0
+    for j in range(k2):
+        a_eq[k1 + j, j::k2] = 1.0
+    # the last column constraint is implied by the others
+    res = linprog(
+        cost.ravel(),
+        A_eq=a_eq[:-1],
+        b_eq=np.concatenate([supply, demand])[:-1],
+        bounds=(0, None),
+        method="highs-ds",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0, res.message
+    return res.fun
+
+
+def _reference_wasserstein(m1, m2):
+    if m1.identical(m2):
+        return 0.0
+    cost = 0.5 * np.abs(m1.posteriors[:, None, :] - m2.posteriors[None, :, :]).sum(axis=2)
+    return _dense_lp_cost(cost, m1.weights, m2.weights)
+
+
+def test_wasserstein_light_dirac_atoms_exact():
+    # A z4-multilevel:0.5 leaf with four Dirac atoms of weight w ~ 2.9e-11,
+    # below the 1e-10 feasibility tolerance of an LP solver. Against the {0}
+    # fixed point (four Diracs of weight 1/4) each light Dirac stays put and
+    # the other 1/4 - w of each target comes from a half-weight atom at TV
+    # cost 1/2, so the exact distance is 0.5 - 2w.
+    m = blackwell_measure(z4_multilevel_channel(0.5))
+    for sign in "--+-++---":
+        m = polar_step(m, sign)
+    light = m.weights[m.weights < 1e-10]
+    assert len(light) == 4 and np.all(light == light[0])
+    target = blackwell_measure(deterministic_hom(Z4, subgroup_from_members(Z4, [0])))
+    assert abs(wasserstein(m, target) - (0.5 - 2 * light[0])) <= 1e-14
+
+
+def test_transport_matches_dense_lp_on_corpus():
+    corpus = [blackwell_measure(w) for w in random_corpus()]
+    for t in range(len(corpus) - 5):
+        a, b = corpus[t], corpus[t + 5]
+        assert a.group == b.group
+        assert abs(wasserstein(a, b) - _reference_wasserstein(a, b)) <= 1e-12
+    for m in corpus:
+        ref = [(_reference_wasserstein(m, target), sub) for sub, target in pol_set(m.group)]
+        ref_dist, ref_sub = ref[0]
+        for d, sub in ref[1:]:
+            if d < ref_dist:
+                ref_dist, ref_sub = d, sub
+        dist, nearest = distance_to_pol(m)
+        assert abs(dist - ref_dist) <= 1e-12
+        assert nearest == ref_sub
+
+
+_GROUPS = [make_group(orders) for orders in ([2], [3], [4], [2, 2], [2, 4])]
+# Column scales: ordinary, far below any solver tolerance, and subnormal.
+_SCALES = (1.0, 1e-300, 1e-310, 5e-324)
+
+
+@st.composite
+def _kernels(draw, group, max_outputs):
+    """Channel kernels with integer-ratio columns, so posteriors repeat across
+    channels and coincide with coset-uniform ones; some columns are copies
+    perturbed at the 1e-13 level, some are scaled down to subnormal weight."""
+    n = draw(st.integers(1, max_outputs))
+    counts = draw(st.lists(st.lists(st.integers(0, 9), min_size=n, max_size=n),
+                           min_size=group.size, max_size=group.size))
+    kernel = np.array(counts, dtype=float)
+    kernel[kernel.sum(axis=1) == 0.0, 0] = 1.0
+    for j in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        if n > 1:
+            kernel[:, (j + 1) % n] = kernel[:, j] * (1.0 + 1e-13 * np.arange(1, group.size + 1))
+    for j in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        kernel[:, j] *= draw(st.sampled_from(_SCALES))
+    kernel[kernel.sum(axis=1) == 0.0, 0] = 1.0
+    return kernel / kernel.sum(axis=1, keepdims=True)
+
+
+def _measure(group, kernel):
+    return blackwell_measure(Channel(kernel, None, group), merge_tau=0.0)
+
+
+def _assert_plan_valid(m1, m2):
+    plan = transport_plan(m1, m2)
+    assert np.all(plan.mass >= 0.0)
+    row = np.zeros(m1.atom_count)
+    col = np.zeros(m2.atom_count)
+    np.add.at(row, plan.source_index, plan.mass)
+    np.add.at(col, plan.target_index, plan.mass)
+    assert np.abs(row - m1.weights).max() <= MARGINAL_TOL
+    assert np.abs(col - m2.weights).max() <= MARGINAL_TOL
+    assert plan.cost >= 0.0
+    assert wasserstein(m1, m2) == wasserstein(m2, m1)
+
+
+@given(data=st.data())
+def test_transport_degenerate_inputs(data):
+    group = data.draw(st.sampled_from(_GROUPS))
+    small = data.draw(_kernels(group, 8))
+    large = data.draw(_kernels(group, 64))
+    a, b = _measure(group, small), _measure(group, large)
+    assert wasserstein(a, _measure(group, small.copy())) == 0.0
+    _assert_plan_valid(a, b)
+    # merging two outputs keeps every other posterior bit for bit
+    if large.shape[1] > 1:
+        merged = np.column_stack([large[:, 0] + large[:, 1], large[:, 2:]])
+        _assert_plan_valid(b, _measure(group, merged))
+    for _, target in pol_set(group):
+        _assert_plan_valid(a, target)
+        _assert_plan_valid(b, target)
