@@ -44,12 +44,17 @@ def _aggregate(weights: np.ndarray, posteriors: np.ndarray, labels: np.ndarray, 
 
     Clusters whose member posteriors are bitwise identical keep that exact
     row, so duplicate outputs merge without introducing rounding noise.
+    The average is taken over weights scaled by the power of two that brings
+    each cluster's total weight into [0.5, 1): subnormal weights would
+    otherwise underflow w * q to zero and leave a 0/0 posterior. The scaling
+    is exact, so it changes no result that did not underflow.
     """
     w_new = np.zeros(k)
     np.add.at(w_new, labels, weights)
+    _, exponent = np.frexp(w_new)
     acc = np.zeros((k, posteriors.shape[1]))
-    np.add.at(acc, labels, weights[:, None] * posteriors)
-    q_new = acc / w_new[:, None]
+    np.add.at(acc, labels, np.ldexp(weights, -exponent[labels])[:, None] * posteriors)
+    q_new = acc / np.ldexp(w_new, -exponent)[:, None]
     first = np.full(k, len(labels), dtype=np.int64)
     np.minimum.at(first, labels, np.arange(len(labels)))
     rep_rows = posteriors[first[labels]]
@@ -60,12 +65,21 @@ def _aggregate(weights: np.ndarray, posteriors: np.ndarray, labels: np.ndarray, 
 
 
 def _bucket_labels(posteriors: np.ndarray, tau: float) -> np.ndarray | None:
-    """Cluster labels from a tau-wide grid (exact duplicates when tau is 0)."""
+    """Cluster labels from a tau-wide grid (exact duplicates when tau is 0).
+
+    Labels number the distinct keys in lexicographic order, as
+    np.unique(axis=0, return_inverse=True) would, from one stable sort.
+    """
     keys = np.floor(posteriors / tau).astype(np.int64) if tau > 0 else posteriors
-    _, labels = np.unique(keys, axis=0, return_inverse=True)
-    labels = labels.ravel()
-    if labels.max() + 1 == len(posteriors):
+    order = lex_order(keys)
+    sorted_keys = keys[order]
+    starts = np.empty(len(keys), dtype=bool)
+    starts[0] = True
+    np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1, out=starts[1:])
+    if starts.all():
         return None
+    labels = np.empty(len(keys), dtype=np.int64)
+    labels[order] = np.cumsum(starts) - 1
     return labels
 
 
@@ -74,12 +88,12 @@ def _sweep_labels(posteriors: np.ndarray, tau: float) -> np.ndarray | None:
     order = lex_order(posteriors)
     q = posteriors[order]
     k = len(q)
+    # ends[i]: one past the last atom whose first coordinate is within tau
+    ends = np.searchsorted(q[:, 0], q[:, 0] + tau, side="right")
     parent = list(range(k))
     changed = False
-    for i in range(k - 1):
-        hi = int(np.searchsorted(q[:, 0], q[i, 0] + tau, side="right"))
-        if hi <= i + 1:
-            continue
+    for i in np.flatnonzero(ends > np.arange(1, k + 1)).tolist():
+        hi = int(ends[i])
         close = np.abs(q[i + 1 : hi] - q[i]).max(axis=1) <= tau
         for off in np.flatnonzero(close):
             ri, rj = _find(parent, i), _find(parent, int(i + 1 + off))
@@ -156,6 +170,11 @@ class BlackwellMeasure:
     def __init__(self, group: Group, weights, posteriors, merge_tau: float = DEFAULT_MERGE_TAU):
         if merge_tau < 0:
             raise ValueError("merge_tau must be >= 0")
+        weights = np.asarray(weights, dtype=float)
+        posteriors = np.asarray(posteriors, dtype=float)
+        # NaN passes every later check and would become an INT64_MIN grid key
+        if not (np.isfinite(weights).all() and np.isfinite(posteriors).all()):
+            raise ValueError("atom weights and posteriors must be finite")
         weights, posteriors, _ = _canonical_atoms(weights, posteriors, merge_tau)
         if posteriors.shape[1] != group.size:
             raise ValueError("posterior length does not match group size")

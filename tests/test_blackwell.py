@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from polarlab import (
     BlackwellMeasure,
@@ -16,7 +20,10 @@ from polarlab import (
     subgroup_from_members,
     symmetric_capacity,
 )
+from polarlab import blackwell
+from polarlab.blackwell import _bucket_labels, _canonical_atoms, _sweep_labels
 from polarlab.presets import bsc_channel, identity_channel, random_channel, useless_channel
+from polarlab.process import sample_paths
 
 Z2 = make_group([2])
 Z4 = make_group([4])
@@ -170,3 +177,143 @@ def test_joint_source_validation():
         JointSource(np.array([[0.5, 0.4]]), Z2)
     with pytest.raises(ValueError, match="column"):
         JointSource(np.array([[0.5, 0.25, 0.25]]), Z2)
+
+
+def test_measure_rejects_non_finite_atoms():
+    with pytest.raises(ValueError, match="finite"):
+        BlackwellMeasure(Z2, [0.5, 0.5], [[1.0, 0.0], [np.nan, np.nan]], merge_tau=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        BlackwellMeasure(Z2, [0.5, np.inf], [[1.0, 0.0], [0.0, 1.0]])
+
+
+def test_spiky_channel_merge_does_not_underflow():
+    # Atom weights of this channel's minus descendants reach subnormals; an
+    # unscaled weighted average then made a 0/0 posterior and the whole run
+    # aborted on the NaN it left in the transport costs.
+    rng = np.random.default_rng(31)
+    n = int(rng.integers(2, 5))
+    kernel = rng.dirichlet(np.full(n, 0.05), size=4)
+    kernel[kernel < 1e-13] = 0.0
+    kernel /= kernel.sum(axis=1, keepdims=True)
+    w = Channel(kernel, None, make_group([2, 2]))
+    report = sample_paths(w, 10, 8, seed=31, merge_tau=1e-3)
+    assert "----------" in [r.path for r in report.evaluated]
+    for r in report.failed:
+        assert "exceeding the budget" in r.error
+    for r in report.evaluated:
+        assert np.isfinite(r.capacity) and 0.0 <= r.capacity <= 2.0
+        assert np.isfinite(r.distance_to_pol)
+
+
+# Reference grouping: np.unique over rows and the per-atom sweep loop that
+# _bucket_labels and _sweep_labels replaced, with the unscaled aggregate.
+
+
+def _reference_bucket_labels(posteriors, tau):
+    keys = np.floor(posteriors / tau).astype(np.int64) if tau > 0 else posteriors
+    _, labels = np.unique(keys, axis=0, return_inverse=True)
+    labels = labels.ravel()
+    if labels.max() + 1 == len(posteriors):
+        return None
+    return labels
+
+
+def _reference_sweep_labels(posteriors, tau):
+    def find(parent, i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    order = np.lexsort(posteriors.T[::-1])
+    q = posteriors[order]
+    k = len(q)
+    parent = list(range(k))
+    changed = False
+    for i in range(k - 1):
+        hi = int(np.searchsorted(q[:, 0], q[i, 0] + tau, side="right"))
+        if hi <= i + 1:
+            continue
+        close = np.abs(q[i + 1 : hi] - q[i]).max(axis=1) <= tau
+        for off in np.flatnonzero(close):
+            ri, rj = find(parent, i), find(parent, int(i + 1 + off))
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+                changed = True
+    if not changed:
+        return None
+    roots = np.array([find(parent, i) for i in range(k)])
+    _, labels_sorted = np.unique(roots, return_inverse=True)
+    labels = np.empty(k, dtype=np.int64)
+    labels[order] = labels_sorted.ravel()
+    return labels
+
+
+def _reference_aggregate(weights, posteriors, labels, k):
+    w_new = np.zeros(k)
+    np.add.at(w_new, labels, weights)
+    acc = np.zeros((k, posteriors.shape[1]))
+    np.add.at(acc, labels, weights[:, None] * posteriors)
+    q_new = acc / w_new[:, None]
+    first = np.full(k, len(labels), dtype=np.int64)
+    np.minimum.at(first, labels, np.arange(len(labels)))
+    rep_rows = posteriors[first[labels]]
+    exact = np.ones(k, dtype=bool)
+    np.logical_and.at(exact, labels, (posteriors == rep_rows).all(axis=1))
+    q_new[exact] = posteriors[first[exact]]
+    return w_new, q_new
+
+
+# Coordinates drawn from a small pool repeat often, giving exact duplicates
+# and ties in leading columns; the pool holds tau-grid points, their float
+# neighbours and values just inside and outside a tau window.
+_TAUS = (0.0, 1e-9, 1e-3)
+_POOL = sorted(
+    {0.0, 1.0, 0.5, 0.25, 0.1, 1 / 3}
+    | {m * t for t in _TAUS[1:] for m in (1, 2, 7, 500, 999)}
+    | {np.nextafter(m * 1e-3, s) for m in (2, 500) for s in (0.0, 1.0)}
+    | {0.5 + d for d in (1e-9, 2e-9, 5e-10, 1e-3, 2e-3, 9.99e-4)}
+)
+_coord = st.one_of(st.sampled_from(_POOL), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _atoms(draw):
+    width = draw(st.integers(2, 8))
+    base = draw(st.lists(st.lists(_coord, min_size=width, max_size=width), min_size=1, max_size=12))
+    pick = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=40))
+    posteriors = np.array([base[i] for i in pick], dtype=float)
+    weights = np.array(
+        draw(
+            st.lists(
+                st.one_of(st.sampled_from([0.0, 0.5, 0.125, 1e-3]), st.floats(1e-6, 1.0)),
+                min_size=len(pick),
+                max_size=len(pick),
+            )
+        )
+    )
+    return weights, posteriors
+
+
+@given(atoms=_atoms(), tau=st.sampled_from(_TAUS))
+def test_grouping_matches_reference(atoms, tau):
+    weights, posteriors = atoms
+    pairs = [(_bucket_labels, _reference_bucket_labels)]
+    if tau > 0:
+        pairs.append((_sweep_labels, _reference_sweep_labels))
+    for fast, ref in pairs:
+        got, want = fast(posteriors, tau), ref(posteriors, tau)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    assume(weights.max() > 0.0 and (posteriors.sum(axis=1) > 0.0).all())
+    got = _canonical_atoms(weights, posteriors, tau)
+    with mock.patch.multiple(
+        blackwell,
+        _bucket_labels=_reference_bucket_labels,
+        _sweep_labels=_reference_sweep_labels,
+        _aggregate=_reference_aggregate,
+    ):
+        want = _canonical_atoms(weights, posteriors, tau)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

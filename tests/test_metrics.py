@@ -78,9 +78,12 @@ def test_wasserstein_metric_axioms_random():
 
 
 def test_wasserstein_rejects_non_finite_posteriors():
-    # an underflowed merge can leave a NaN posterior; it must not become a
-    # NaN distance in a report
-    bad = BlackwellMeasure(Z2, [0.5, 0.5], [[1.0, 0.0], [np.nan, np.nan]], merge_tau=0.0)
+    # a NaN posterior must not become a NaN distance in a report; the
+    # constructor rejects one, so this measure is assembled around it
+    bad = object.__new__(BlackwellMeasure)
+    bad.group = Z2
+    bad.weights = np.array([0.5, 0.5])
+    bad.posteriors = np.array([[1.0, 0.0], [np.nan, np.nan]])
     with pytest.raises(ValueError):
         wasserstein(bad, blackwell_measure(bsc_channel(0.1)))
 
