@@ -64,11 +64,13 @@ def _aggregate(weights: np.ndarray, posteriors: np.ndarray, labels: np.ndarray, 
     return w_new, q_new
 
 
-def _bucket_labels(posteriors: np.ndarray, tau: float) -> np.ndarray | None:
+def _bucket_labels(posteriors: np.ndarray, tau: float) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Cluster labels from a tau-wide grid (exact duplicates when tau is 0).
 
     Labels number the distinct keys in lexicographic order, as
     np.unique(axis=0, return_inverse=True) would, from one stable sort.
+    Returns (labels, None), or (None, order) when the keys are distinct;
+    order is then the keys' lexicographic order (the rows' when tau is 0).
     """
     keys = np.floor(posteriors / tau).astype(np.int64) if tau > 0 else posteriors
     order = lex_order(keys)
@@ -77,14 +79,18 @@ def _bucket_labels(posteriors: np.ndarray, tau: float) -> np.ndarray | None:
     starts[0] = True
     np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1, out=starts[1:])
     if starts.all():
-        return None
+        return None, order
     labels = np.empty(len(keys), dtype=np.int64)
     labels[order] = np.cumsum(starts) - 1
-    return labels
+    return labels, None
 
 
-def _sweep_labels(posteriors: np.ndarray, tau: float) -> np.ndarray | None:
-    """Union-find labels joining every atom pair within tau in L-infinity."""
+def _sweep_labels(posteriors: np.ndarray, tau: float) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Union-find labels joining every atom pair within tau in L-infinity.
+
+    Returns (labels, None), or (None, order) when no pair joins; order is
+    then the rows' lexicographic order.
+    """
     order = lex_order(posteriors)
     q = posteriors[order]
     k = len(q)
@@ -101,12 +107,12 @@ def _sweep_labels(posteriors: np.ndarray, tau: float) -> np.ndarray | None:
                 parent[max(ri, rj)] = min(ri, rj)
                 changed = True
     if not changed:
-        return None
+        return None, order
     roots = np.array([_find(parent, i) for i in range(k)])
     _, labels_sorted = np.unique(roots, return_inverse=True)
     labels = np.empty(k, dtype=np.int64)
     labels[order] = labels_sorted.ravel()
-    return labels
+    return labels, None
 
 
 def _canonical_atoms(weights, posteriors, tau: float):
@@ -130,22 +136,30 @@ def _canonical_atoms(weights, posteriors, tau: float):
         live = origin >= 0
         origin[live] = labels[origin[live]]
 
-    while True:
-        labels = _bucket_labels(posteriors, tau)
-        merged_any = labels is not None
-        if labels is not None:
-            weights, posteriors = _aggregate(weights, posteriors, labels, labels.max() + 1)
-            apply(labels)
-        if tau > 0 and len(weights) > 1:
-            labels = _sweep_labels(posteriors, tau)
-            if labels is not None:
-                merged_any = True
-                weights, posteriors = _aggregate(weights, posteriors, labels, labels.max() + 1)
-                apply(labels)
-        if not merged_any:
-            break
+    def merge(labels: np.ndarray) -> None:
+        nonlocal weights, posteriors
+        weights, posteriors = _aggregate(weights, posteriors, labels, labels.max() + 1)
+        apply(labels)
 
-    order = lex_order(posteriors)
+    # Merge until a pass merges nothing; the order in which that pass sorted
+    # the rows orders the output, so they are not sorted again. A merging
+    # bucket pass ends the loop only at tau = 0, where the rows it leaves are
+    # the distinct rows numbered in lexicographic order, or on a single row.
+    while True:
+        labels, order = _bucket_labels(posteriors, tau)
+        bucketed = labels is not None
+        if bucketed:
+            merge(labels)
+        if tau == 0 or len(weights) == 1:
+            break
+        labels, order = _sweep_labels(posteriors, tau)
+        if labels is not None:
+            merge(labels)
+        elif not bucketed:
+            break
+    if order is None:
+        order = np.arange(len(weights))
+
     weights, posteriors = weights[order], posteriors[order]
     position = np.empty(len(order), dtype=np.int64)
     position[order] = np.arange(len(order))

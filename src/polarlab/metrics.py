@@ -36,8 +36,9 @@ class TransportPlan:
             raise ValueError("transport masses must be non-negative")
 
 
-def _tv_cost_matrix(m1: BlackwellMeasure, m2: BlackwellMeasure) -> np.ndarray:
-    return 0.5 * np.abs(m1.posteriors[:, None, :] - m2.posteriors[None, :, :]).sum(axis=2)
+def _tv_cost_matrix(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Total-variation distances between the rows of p and the rows of q."""
+    return 0.5 * np.abs(p[:, None, :] - q[None, :, :]).sum(axis=2)
 
 
 def _check_marginals(plan: TransportPlan, m1: BlackwellMeasure, m2: BlackwellMeasure) -> None:
@@ -64,7 +65,7 @@ def transport_plan(m1: BlackwellMeasure, m2: BlackwellMeasure) -> TransportPlan:
     if _canonical_key(m2) < _canonical_key(m1):
         flipped = transport_plan(m2, m1)
         return TransportPlan(flipped.target_index, flipped.source_index, flipped.mass, flipped.cost)
-    cost = _tv_cost_matrix(m1, m2)
+    cost = _tv_cost_matrix(m1.posteriors, m2.posteriors)
     if not np.isfinite(cost).all():
         raise ValueError("transport costs must be finite")
     src, tgt, mass = _network_simplex(cost, m1.weights, m2.weights)
@@ -292,14 +293,30 @@ def pol_set(group: Group) -> tuple[tuple[Subgroup, BlackwellMeasure], ...]:
 
 
 def distance_to_pol(m: BlackwellMeasure, group: Group | None = None) -> tuple[float, Subgroup]:
-    """Distance to the nearest quotient-projection measure, with its subgroup."""
+    """Distance to the nearest quotient-projection measure, with its subgroup.
+
+    Every plan moving weights w onto weights v costs at least
+    max(sum_i w_i min_j c_ij, sum_j v_j min_i c_ij), so the targets are
+    solved in ascending order of that lower bound, and a target whose bound
+    exceeds the best distance found so far by more than MARGINAL_TOL (which
+    absorbs rounding in the bound) is skipped: it can neither beat nor tie
+    the best. The value and subgroup
+    are those of the enumeration-order minimum, ties going to the first
+    subgroup in enumeration order.
+    """
     group = group or m.group
     if group != m.group:
         raise ValueError("measure group does not match")
-    best_dist = None
-    best_sub = None
-    for sub, target in pol_set(group):
-        d = wasserstein(m, target)
-        if best_dist is None or d < best_dist:
-            best_dist, best_sub = d, sub
-    return float(best_dist), best_sub
+    targets = pol_set(group)
+    bounds = []
+    for index, (_, target) in enumerate(targets):
+        cost = _tv_cost_matrix(m.posteriors, target.posteriors)
+        bound = max(m.weights @ cost.min(axis=1), cost.min(axis=0) @ target.weights)
+        bounds.append((bound, index))
+    best = (np.inf, -1)
+    for bound, index in sorted(bounds):
+        if bound > best[0] + MARGINAL_TOL:
+            break
+        best = min(best, (wasserstein(m, targets[index][1]), index))
+    dist, index = best
+    return float(dist), targets[index][0]

@@ -249,6 +249,26 @@ def _reference_sweep_labels(posteriors, tau):
     return labels
 
 
+def _with_order(reference, keys):
+    """A reference labelling returned as the helper it stands in for returns
+    it: (labels, None), or (None, the keys' lexicographic order)."""
+
+    def labels_and_order(posteriors, tau):
+        labels = reference(posteriors, tau)
+        if labels is not None:
+            return labels, None
+        return None, np.lexsort(keys(posteriors, tau).T[::-1])
+
+    return labels_and_order
+
+
+_reference_bucket = _with_order(
+    _reference_bucket_labels,
+    lambda q, tau: np.floor(q / tau).astype(np.int64) if tau > 0 else q,
+)
+_reference_sweep = _with_order(_reference_sweep_labels, lambda q, tau: q)
+
+
 def _reference_aggregate(weights, posteriors, labels, k):
     w_new = np.zeros(k)
     np.add.at(w_new, labels, weights)
@@ -298,22 +318,27 @@ def _atoms(draw):
 @given(atoms=_atoms(), tau=st.sampled_from(_TAUS))
 def test_grouping_matches_reference(atoms, tau):
     weights, posteriors = atoms
-    pairs = [(_bucket_labels, _reference_bucket_labels)]
+    pairs = [(_bucket_labels, _reference_bucket)]
     if tau > 0:
-        pairs.append((_sweep_labels, _reference_sweep_labels))
+        pairs.append((_sweep_labels, _reference_sweep))
     for fast, ref in pairs:
-        got, want = fast(posteriors, tau), ref(posteriors, tau)
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        for got, want in zip(fast(posteriors, tau), ref(posteriors, tau)):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.dtype == want.dtype and np.array_equal(got, want)
     assume(weights.max() > 0.0 and (posteriors.sum(axis=1) > 0.0).all())
     got = _canonical_atoms(weights, posteriors, tau)
     with mock.patch.multiple(
         blackwell,
-        _bucket_labels=_reference_bucket_labels,
-        _sweep_labels=_reference_sweep_labels,
+        _bucket_labels=_reference_bucket,
+        _sweep_labels=_reference_sweep,
         _aggregate=_reference_aggregate,
     ):
         want = _canonical_atoms(weights, posteriors, tau)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if tau == 0:
+        # exact merging: atom i lands on its row's rank among the distinct rows
+        keep = weights > 0.0
+        _, rank = np.unique(posteriors[keep] + 0.0, axis=0, return_inverse=True)
+        assert np.array_equal(got[2][keep], rank.ravel())

@@ -1,3 +1,6 @@
+from functools import lru_cache
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,10 +21,12 @@ from polarlab import (
     transport_plan,
     wasserstein,
 )
+from polarlab import metrics
 from polarlab.metrics import MARGINAL_TOL, pol_set
-from polarlab.polar import polar_step
+from polarlab.polar import MINUS, PLUS, polar_step
 from polarlab.presets import (
     bsc_channel,
+    dh_mix_channel,
     identity_channel,
     random_channel,
     useless_channel,
@@ -227,6 +232,72 @@ def test_transport_matches_dense_lp_on_corpus():
         dist, nearest = distance_to_pol(m)
         assert abs(dist - ref_dist) <= 1e-12
         assert nearest == ref_sub
+        assert (dist, nearest) == _enumeration_order_nearest(m)
+
+
+def _enumeration_order_nearest(m):
+    """The first target in enumeration order at the least transport distance."""
+    best = None
+    for sub, target in pol_set(m.group):
+        d = wasserstein(m, target)
+        if best is None or d < best[0]:
+            best = (d, sub)
+    return best
+
+
+_WALKS = {
+    "z4-multilevel:0.5 d7": (z4_multilevel_channel(0.5), 7),
+    "dh-mix:3 Z2xZ4 d5": (dh_mix_channel(make_group([2, 4]), 3), 5),
+}
+
+
+@lru_cache(maxsize=None)
+def _leaf_measures(walk):
+    channel, depth = _WALKS[walk]
+    level = [blackwell_measure(channel)]
+    for _ in range(depth):
+        level = [polar_step(m, sign) for m in level for sign in (MINUS, PLUS)]
+    return tuple(level)
+
+
+@pytest.mark.parametrize("walk", _WALKS)
+def test_distance_to_pol_matches_enumeration_order(walk):
+    for m in _leaf_measures(walk):
+        assert distance_to_pol(m) == _enumeration_order_nearest(m)
+
+
+@pytest.mark.parametrize("walk", _WALKS)
+def test_distance_to_pol_solves_once_per_leaf(walk):
+    # on these walks the transport lower bound is tight, so the first target
+    # solved is the nearest one and every other bound lies above it
+    leaves = _leaf_measures(walk)
+    with mock.patch.object(metrics, "wasserstein", side_effect=wasserstein) as solve:
+        for m in leaves:
+            distance_to_pol(m)
+    assert solve.call_count == len(leaves)
+
+
+@pytest.mark.parametrize(
+    "members, weights",
+    [
+        # the even mixture of the projections modulo {0,1} and {0,2} is at
+        # 1/4 from both
+        (((0, 1), (0, 2)), (0.5, 0.5)),
+        # this mixture is at 1/3 from the projections modulo {0} and {0,3},
+        # but the transport lower bound for {0} rounds one ulp above 1/3:
+        # only the search's margin keeps that target in the search
+        (((0,), (0, 1), (0, 2), (0, 3)), np.array([2, 1, 1, 2]) / 6),
+    ],
+)
+def test_distance_to_pol_tie_goes_to_first_subgroup(members, weights):
+    z2z2 = make_group([2, 2])
+    subs = [subgroup_from_members(z2z2, m) for m in members]
+    kernel = np.hstack([w * deterministic_hom(z2z2, sub).kernel for w, sub in zip(weights, subs)])
+    m = blackwell_measure(Channel(kernel, None, z2z2))
+    dist, nearest = _enumeration_order_nearest(m)
+    tied = [sub for sub, target in pol_set(z2z2) if wasserstein(m, target) == dist]
+    assert len(tied) == 2 and tied[0] == nearest == subs[0]
+    assert distance_to_pol(m) == (dist, nearest)
 
 
 _GROUPS = [make_group(orders) for orders in ([2], [3], [4], [2, 2], [2, 4])]
