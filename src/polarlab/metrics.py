@@ -300,9 +300,8 @@ def distance_to_pol(m: BlackwellMeasure, group: Group | None = None) -> tuple[fl
     solved in ascending order of that lower bound, and a target whose bound
     exceeds the best distance found so far by more than MARGINAL_TOL (which
     absorbs rounding in the bound) is skipped: it can neither beat nor tie
-    the best. The value and subgroup
-    are those of the enumeration-order minimum, ties going to the first
-    subgroup in enumeration order.
+    the best. The value and subgroup are those of the enumeration-order
+    minimum, ties going to the first subgroup in enumeration order.
     """
     group = group or m.group
     if group != m.group:
