@@ -42,25 +42,31 @@ def _find(parent: list[int], i: int) -> int:
 def _aggregate(weights: np.ndarray, posteriors: np.ndarray, labels: np.ndarray, k: int):
     """Merge atoms sharing a label: weights add, posteriors weight-average.
 
-    Clusters whose member posteriors are bitwise identical keep that exact
-    row, so duplicate outputs merge without introducing rounding noise.
-    The average is taken over weights scaled by the power of two that brings
-    each cluster's total weight into [0.5, 1): subnormal weights would
+    A cluster whose member posteriors are bitwise identical keeps that row
+    and is not averaged, so duplicate outputs merge without rounding noise.
+    The other clusters average over weights scaled by the power of two that
+    brings the cluster's total weight into [0.5, 1): subnormal weights would
     otherwise underflow w * q to zero and leave a 0/0 posterior. The scaling
     is exact, so it changes no result that did not underflow.
     """
-    w_new = np.zeros(k)
-    np.add.at(w_new, labels, weights)
-    _, exponent = np.frexp(w_new)
-    acc = np.zeros((k, posteriors.shape[1]))
-    np.add.at(acc, labels, np.ldexp(weights, -exponent[labels])[:, None] * posteriors)
-    q_new = acc / np.ldexp(w_new, -exponent)[:, None]
     first = np.full(k, len(labels), dtype=np.int64)
     np.minimum.at(first, labels, np.arange(len(labels)))
-    rep_rows = posteriors[first[labels]]
-    exact = np.ones(k, dtype=bool)
-    np.logical_and.at(exact, labels, (posteriors == rep_rows).all(axis=1))
-    q_new[exact] = posteriors[first[exact]]
+    averaged = np.zeros(k, dtype=bool)
+    averaged[labels[(posteriors != posteriors[first[labels]]).any(axis=1)]] = True
+    w_new = np.zeros(k)
+    np.add.at(w_new, labels, weights)
+    q_new = posteriors[first]
+    if averaged.any():
+        members = np.flatnonzero(averaged[labels])
+        member_labels = labels[members]
+        _, exponent = np.frexp(w_new)
+        acc = np.zeros((k, posteriors.shape[1]))
+        np.add.at(
+            acc,
+            member_labels,
+            np.ldexp(weights[members], -exponent[member_labels])[:, None] * posteriors[members],
+        )
+        q_new[averaged] = acc[averaged] / np.ldexp(w_new[averaged], -exponent[averaged])[:, None]
     return w_new, q_new
 
 
@@ -242,12 +248,15 @@ class BlackwellMeasure:
             and np.array_equal(self.posteriors, other.posteriors)
         )
 
-    def realize(self) -> Channel:
-        """Canonical channel realization: one output per atom, W(y_i|x) = |G| w_i q_i(x)."""
+    def realized_kernel(self) -> np.ndarray:
+        """Kernel W(y_i|x) = |G| w_i q_i(x), one column per atom, rows renormalized."""
         kernel = (self.posteriors * self.weights[:, None]).T * self.group.size
-        kernel = kernel / kernel.sum(axis=1, keepdims=True)
+        return kernel / kernel.sum(axis=1, keepdims=True)
+
+    def realize(self) -> Channel:
+        """Canonical channel realization: one output per atom, labeled a0, a1, ..."""
         outputs = tuple(f"a{i}" for i in range(self.atom_count))
-        return Channel(kernel, outputs, self.group)
+        return Channel(self.realized_kernel(), outputs, self.group)
 
     def to_json(self) -> dict:
         return {

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from ._util import row_entropies_bits
 from .groups import Group, Subgroup, enumerate_subgroups, make_group, quotient
@@ -126,13 +124,20 @@ def compose(v: Channel, w: Channel) -> Channel:
     return Channel(w.kernel @ v.kernel, v.outputs, w.group)
 
 
+def kernel_capacity(kernel: np.ndarray) -> float:
+    """Mutual information in bits between a uniform input and the output of a kernel."""
+    m = kernel.shape[0]
+    p_y = kernel.sum(axis=0) / m
+    live = p_y > 0.0
+    if not live.all():
+        kernel, p_y = kernel[:, live], p_y[live]
+    posteriors = (kernel / (m * p_y)).T
+    return float(np.log2(m) - p_y @ row_entropies_bits(posteriors))
+
+
 def symmetric_capacity(w: Channel) -> float:
     """Mutual information in bits between a uniform input and the output."""
-    m = w.n_inputs
-    p_y = w.kernel.sum(axis=0) / m
-    live = p_y > 0.0
-    posteriors = (w.kernel[:, live] / (m * p_y[live])).T
-    return float(np.log2(m) - p_y[live] @ row_entropies_bits(posteriors))
+    return kernel_capacity(w.kernel)
 
 
 def deterministic_hom(group: Group, sub: Subgroup) -> Channel:
@@ -160,6 +165,10 @@ def degradation_residual(w: Channel, other: Channel) -> float:
     Solved as a linear program: variables are the entries of V plus the
     residual bound t; zero residual means W is exactly a degradation of W'.
     """
+    # scipy is imported here, its only use, so importing polarlab stays light
+    import scipy.sparse as sp
+    from scipy.optimize import linprog
+
     if w.n_inputs != other.n_inputs:
         raise ValueError(
             f"input alphabet mismatch: {w.n_inputs} vs {other.n_inputs}"

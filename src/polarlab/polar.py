@@ -22,10 +22,9 @@ from .blackwell import (
     DEFAULT_MERGE_TAU,
     BlackwellMeasure,
     blackwell_measure,
-    capacity_of_measure,
     merge_outputs,
 )
-from .channels import Channel
+from .channels import Channel, kernel_capacity
 from .groups import Group
 
 DEFAULT_ATOM_BUDGET = 20000
@@ -66,14 +65,18 @@ def translate_dist(group: Group, p: np.ndarray, u: int) -> np.ndarray:
     return p[group.add_table[:, int(u)]]
 
 
+def _minus_kernel(group: Group, kern: np.ndarray) -> np.ndarray:
+    """W-(y1,y2|u1) as a (|G|, n*n) array, column y1*n + y2 for output pair (y1, y2)."""
+    shifted = kern[group.add_table]  # [u1, u2, y] = W(y | u1 + u2)
+    out = np.einsum("uvy,vz->uyz", shifted, kern) / group.size
+    return out.reshape(group.size, -1)
+
+
 def minus_transform(w: Channel, merge_tau: float | None = None) -> Channel:
     """First synthetic channel: guess u1 from the output pair (y1, y2)."""
     group = w.require_group()
-    kern = w.kernel
-    shifted = kern[group.add_table]  # [u1, u2, y] = W(y | u1 + u2)
-    out = np.einsum("uvy,vz->uyz", shifted, kern) / group.size
     labels = tuple(f"({a}|{b})" for a in w.outputs for b in w.outputs)
-    raw = Channel(out.reshape(group.size, -1), labels, group)
+    raw = Channel(_minus_kernel(group, w.kernel), labels, group)
     return raw if merge_tau is None else merge_outputs(raw, merge_tau)
 
 
@@ -137,7 +140,8 @@ def plus_on_measure(m: BlackwellMeasure, merge_tau: float = DEFAULT_MERGE_TAU) -
 class CapacityGap:
     """Capacity loss of the minus transform, computed two independent ways.
 
-    via_transform: I(M) - I(M-) through the measure-side minus transform.
+    via_transform: I(W) - I(W-) on the measure's realized kernel W, with W-
+        from the channel-side minus formula; no measure is built.
     via_pairs: pairwise-atom form sum_ij w_i w_j (H(p_i (*) p_j) - H(p_i)).
     """
 
@@ -152,13 +156,16 @@ class CapacityGap:
 def capacity_gap(m: BlackwellMeasure) -> CapacityGap:
     """I(M) - I(M-) via both routes; they must agree to 1e-8.
 
-    The internal minus transform merges exact duplicates only (tau = 0), so
-    both routes are exact functionals of the measure and can only disagree
-    through floating-point noise.
+    via_transform reads both capacities off kernels (the realized kernel and
+    its channel-side minus transform) and shares no code with the atom-pair
+    convolutions behind via_pairs, so a fault in either shows as a
+    disagreement. Both are exact functionals of the measure and otherwise
+    differ only by floating-point noise. The route through the canonical
+    measure minus_on_measure(m, 0.0) builds and sorts k^2 atoms; it moved
+    to verify.lemma_gap_suite, which checks it against .value.
     """
-    via_transform = capacity_of_measure(m) - capacity_of_measure(
-        minus_on_measure(m, merge_tau=0.0)
-    )
+    kern = m.realized_kernel()
+    via_transform = kernel_capacity(kern) - kernel_capacity(_minus_kernel(m.group, kern))
     conv = _pair_convolutions(m)
     h_conv = row_entropies_bits(conv.reshape(-1, m.group.size)).reshape(
         m.atom_count, m.atom_count

@@ -11,11 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blackwell import blackwell_measure
+from .blackwell import blackwell_measure, capacity_of_measure
 from .channels import Channel, conditional_channel, deterministic_hom, symmetric_capacity
 from .groups import enumerate_subgroups, make_group, subgroup_from_members
 from .metrics import distance_to_pol
-from .polar import capacity_gap, polar_step
+from .polar import capacity_gap, minus_on_measure, polar_step
 from .presets import bec_channel, random_channel, z4_multilevel_channel
 from .process import enumerate_paths, martingale_residual
 
@@ -72,14 +72,19 @@ def martingale_suite(count: int = 200) -> list[CheckResult]:
 
 def lemma_gap_suite(count: int = 200) -> list[CheckResult]:
     worst = 0.0
+    worst_canonical = 0.0
     failures = 0
     for w in random_corpus(count=count):
+        m = blackwell_measure(w)
         try:
-            gap = capacity_gap(blackwell_measure(w))
+            gap = capacity_gap(m)
         except RuntimeError:
             failures += 1
             continue
         worst = max(worst, abs(gap.via_transform - gap.via_pairs))
+        # the measure-side route: canonical minus transform, exact merging only
+        canonical = capacity_of_measure(m) - capacity_of_measure(minus_on_measure(m, 0.0))
+        worst_canonical = max(worst_canonical, abs(canonical - gap.value))
     return [
         CheckResult(
             "capacity-gap.route-agreement",
@@ -87,7 +92,14 @@ def lemma_gap_suite(count: int = 200) -> list[CheckResult]:
             worst,
             1e-8,
             f"{count} random channels, {failures} route failures",
-        )
+        ),
+        CheckResult(
+            "capacity-gap.canonical-route",
+            failures == 0 and worst_canonical <= 1e-8,
+            worst_canonical,
+            1e-8,
+            f"{count} random channels, I(M) - I(M-) with M- canonical at tau 0",
+        ),
     ]
 
 

@@ -21,6 +21,7 @@ from polarlab import (
     symmetric_capacity,
 )
 from polarlab import blackwell
+from polarlab._util import row_entropies_bits
 from polarlab.blackwell import _bucket_labels, _canonical_atoms, _sweep_labels
 from polarlab.presets import bsc_channel, identity_channel, random_channel, useless_channel
 from polarlab.process import sample_paths
@@ -36,6 +37,35 @@ def test_entropy_values():
     assert entropy(np.array([0.9, 0.1])) == pytest.approx(expected, abs=1e-12)
     with pytest.raises(ValueError):
         entropy(np.array([0.9, 0.3]))
+
+
+def _reference_row_entropies(rows):
+    # the gather/scatter form row_entropies_bits replaced
+    contrib = np.zeros_like(rows)
+    nz = rows > 0.0
+    contrib[nz] = rows[nz] * np.log2(rows[nz])
+    return -contrib.sum(axis=1)
+
+
+@given(
+    shape=st.tuples(st.integers(1, 60), st.integers(1, 12)),
+    data=st.data(),
+    layout=st.sampled_from(["C", "F", "strided"]),
+)
+def test_row_entropies_match_reference(shape, data, layout):
+    entry = st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, 1e-310, -1e-13, 0.5, 1.0]), st.floats(0.0, 1.0)
+    )
+    flat = data.draw(st.lists(entry, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    rows = np.array(flat).reshape(shape)
+    # the row sums' summation order depends on the memory layout of rows
+    rows = {
+        "C": rows,
+        "F": np.asfortranarray(rows),
+        "strided": np.repeat(rows, 2, axis=1)[:, ::2],
+    }[layout]
+    got = row_entropies_bits(rows)
+    assert got.tobytes() == _reference_row_entropies(rows).tobytes()
 
 
 def test_bsc_measure_atoms():
@@ -206,7 +236,8 @@ def test_spiky_channel_merge_does_not_underflow():
 
 
 # Reference grouping: np.unique over rows and the per-atom sweep loop that
-# _bucket_labels and _sweep_labels replaced, with the unscaled aggregate.
+# _bucket_labels and _sweep_labels replaced, with the aggregate that averaged
+# every cluster before putting back the rows of bitwise-exact ones.
 
 
 def _reference_bucket_labels(posteriors, tau):
@@ -272,9 +303,10 @@ _reference_sweep = _with_order(_reference_sweep_labels, lambda q, tau: q)
 def _reference_aggregate(weights, posteriors, labels, k):
     w_new = np.zeros(k)
     np.add.at(w_new, labels, weights)
+    _, exponent = np.frexp(w_new)
     acc = np.zeros((k, posteriors.shape[1]))
-    np.add.at(acc, labels, weights[:, None] * posteriors)
-    q_new = acc / w_new[:, None]
+    np.add.at(acc, labels, np.ldexp(weights, -exponent[labels])[:, None] * posteriors)
+    q_new = acc / np.ldexp(w_new, -exponent)[:, None]
     first = np.full(k, len(labels), dtype=np.int64)
     np.minimum.at(first, labels, np.arange(len(labels)))
     rep_rows = posteriors[first[labels]]
@@ -295,14 +327,21 @@ _POOL = sorted(
     | {0.5 + d for d in (1e-9, 2e-9, 5e-10, 1e-3, 2e-3, 9.99e-4)}
 )
 _coord = st.one_of(st.sampled_from(_POOL), st.floats(0.0, 1.0))
+# Whole-row shifts at and below the merge tolerances: rows picked from one
+# base row then differ but still merge, so their clusters are averaged.
+_SHIFTS = (0.0, 0.0, 5e-10, 1e-9, 4e-4, 1e-3)
+# Weight scales that make w * q underflow unless the average is scaled first.
+_WEIGHT_SCALES = (1.0, 1.0, 2.0**-1000, 2.0**-1060)
 
 
 @st.composite
 def _atoms(draw):
     width = draw(st.integers(2, 8))
     base = draw(st.lists(st.lists(_coord, min_size=width, max_size=width), min_size=1, max_size=12))
-    pick = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=40))
-    posteriors = np.array([base[i] for i in pick], dtype=float)
+    size = draw(st.integers(1, 40))
+    pick = draw(st.lists(st.integers(0, len(base) - 1), min_size=size, max_size=size))
+    shifts = draw(st.lists(st.sampled_from(_SHIFTS), min_size=len(pick), max_size=len(pick)))
+    posteriors = np.array([base[i] for i in pick], dtype=float) + np.array(shifts)[:, None]
     weights = np.array(
         draw(
             st.lists(
@@ -311,7 +350,7 @@ def _atoms(draw):
                 max_size=len(pick),
             )
         )
-    )
+    ) * draw(st.sampled_from(_WEIGHT_SCALES))
     return weights, posteriors
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polarlab
 from polarlab import channel_to_json, make_group
 from polarlab.cli import main
 from polarlab.presets import bsc_channel, parse_group_spec, parse_preset
@@ -11,6 +16,18 @@ def write_channel(tmp_path, channel, name="chan.json"):
     path = tmp_path / name
     path.write_text(json.dumps(channel_to_json(channel)))
     return str(path)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy serves only the degradation LP; a CLI start should not pay for it
+    src = str(Path(polarlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, polarlab.cli; print(polarlab.cli.__file__); print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert Path(out[0]).resolve().parent == Path(polarlab.__file__).resolve().parent
+    assert out[1] == "False"
 
 
 def test_parse_group_spec():

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,9 @@ from polarlab import (
     synthetic,
     translate_dist,
 )
+from polarlab import polar
 from polarlab.presets import bec_channel, bsc_channel, identity_channel, random_channel, useless_channel
+from polarlab.verify import random_corpus
 
 Z2 = make_group([2])
 Z4 = make_group([4])
@@ -157,6 +161,25 @@ def test_capacity_gap_examples():
     for sub in enumerate_subgroups(Z4):
         m = blackwell_measure(deterministic_hom(Z4, sub))
         assert abs(capacity_gap(m).value) <= 1e-10
+
+
+def _reflected_pair_convolutions(m):
+    """The wrong convolution p_i(u - v) p_j(v) in place of p_i(u + v) p_j(v)."""
+    g = m.group
+    shifted = m.posteriors[:, g.add_table[:, g.neg_table]]  # [i, u, v] = p_i(u - v)
+    return np.einsum("iuv,jv->iju", shifted, m.posteriors)
+
+
+def test_capacity_gap_catches_wrong_pair_convolution():
+    w = random_corpus(count=2)[1]
+    assert w.group.orders == (3,)
+    m = blackwell_measure(w)
+    capacity_gap(m)
+    # on Z3, u - v and u + v differ, and this channel's posteriors are not
+    # symmetric under x -> -x, so the wrong convolution changes via_pairs
+    with mock.patch.object(polar, "_pair_convolutions", _reflected_pair_convolutions):
+        with pytest.raises(RuntimeError, match="routes disagree"):
+            capacity_gap(m)
 
 
 def test_capacity_gap_nonnegative_random():
