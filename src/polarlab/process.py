@@ -1,17 +1,18 @@
 """The random polarization process: path enumeration, sampling, and traces.
 
-Exhaustive enumeration walks the binary transform tree depth-first so every
-child reuses its parent's merged measure. Per-path resource failures (atom
-budget) are recorded on the affected paths; the rest of the tree is still
-evaluated. All outputs are deterministic given the configuration, including
-across thread counts.
+Every mode walks the binary transform tree with one preorder generator,
+`_preorder`, so each child reuses its parent's merged measure and each
+measure is computed once. Per-path resource failures (atom budget) are
+recorded on the affected paths; the rest of the tree is still evaluated.
+Evaluation is sequential, and all outputs are deterministic given the
+configuration; the thread count is accepted and selects nothing.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Container, Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -222,17 +223,10 @@ def report_csv(report_dict: dict) -> str:
 
 
 def resolve_threads(threads: int | None) -> int:
+    """The thread count asked for, by argument or POLARLAB_THREADS (default 1)."""
     if threads is None:
         threads = int(os.environ.get(THREADS_ENV_VAR, "1"))
     return max(1, threads)
-
-
-@dataclass(frozen=True)
-class _Ctx:
-    depth: int
-    delta: float
-    merge_tau: float
-    atom_budget: int
 
 
 def _guarded_gap(m: BlackwellMeasure, atom_budget: int) -> float:
@@ -250,9 +244,55 @@ def _guarded_gap(m: BlackwellMeasure, atom_budget: int) -> float:
     return capacity_gap(m).value
 
 
-def _evaluate(m: BlackwellMeasure, path: str, gap: float, ctx: _Ctx) -> PathRecord:
+# A node of the transform tree: its merged measure, or the budget-refusal
+# message that stopped its path.
+Node = BlackwellMeasure | str
+
+
+def _preorder(
+    root: BlackwellMeasure,
+    depth: int,
+    merge_tau: float = DEFAULT_MERGE_TAU,
+    atom_budget: int = DEFAULT_ATOM_BUDGET,
+    wanted: Iterable[str] | None = None,
+    gap_depths: Container[int] = (),
+) -> Iterator[tuple[str, Node, float | None]]:
+    """Walk the transform tree below `root` to `depth`, in preorder, '-' first.
+
+    Yields (path, node, gap) for every prefix, or, given `wanted`, only for
+    the prefixes of the wanted paths. Each measure is stepped once from its
+    parent's, and only the parents of the nodes still to come are held, so
+    memory grows with the depth. At the depths in `gap_depths` the node's
+    guarded capacity gap is computed before its children are stepped;
+    elsewhere `gap` is None. A refused step or gap replaces the node by its
+    message, which stands in for every descendant; nothing below is computed.
+    """
+    prefixes = None if wanted is None else {p[:k] for p in wanted for k in range(len(p) + 1)}
+    stack: list[tuple[str, Node | None]] = [("", None)]
+    while stack:
+        path, parent = stack.pop()
+        node, gap = parent, None
+        try:
+            if parent is None:
+                node = root
+            elif not isinstance(parent, str):
+                node = polar_step(parent, path[-1], merge_tau, atom_budget)
+            if isinstance(node, BlackwellMeasure) and len(path) in gap_depths:
+                gap = _guarded_gap(node, atom_budget)
+        except AtomBudgetError as exc:
+            node = str(exc)
+        yield path, node, gap
+        if len(path) < depth:
+            for sign in (PLUS, MINUS):
+                if prefixes is None or path + sign in prefixes:
+                    stack.append((path + sign, node))
+
+
+def _evaluate(m: Node, path: str, gap: float | None, delta: float) -> PathRecord:
+    if isinstance(m, str):
+        return PathRecord(path=path, error=m)
     dist, nearest = distance_to_pol(m)
-    det = delta_determining_subgroup(m.realize(), ctx.delta)
+    det = delta_determining_subgroup(m.realize(), delta)
     return PathRecord(
         path=path,
         capacity=capacity_of_measure(m),
@@ -262,44 +302,6 @@ def _evaluate(m: BlackwellMeasure, path: str, gap: float, ctx: _Ctx) -> PathReco
         nearest_subgroup=nearest,
         atom_count=m.atom_count,
     )
-
-
-def _fail_subtree(path: str, remaining: int, message: str, records: list[PathRecord]) -> None:
-    if remaining == 0:
-        records.append(PathRecord(path=path, error=message))
-        return
-    for sign in (MINUS, PLUS):
-        _fail_subtree(path + sign, remaining - 1, message, records)
-
-
-def _walk(
-    m: BlackwellMeasure,
-    path: str,
-    ctx: _Ctx,
-    records: list[PathRecord],
-    level_gaps: dict[int, list[float]],
-) -> None:
-    try:
-        gap = _guarded_gap(m, ctx.atom_budget)
-    except AtomBudgetError as exc:
-        _fail_subtree(path, ctx.depth - len(path), str(exc), records)
-        return
-    level_gaps.setdefault(len(path), []).append(gap)
-    if len(path) == ctx.depth:
-        records.append(_evaluate(m, path, gap, ctx))
-        return
-    for sign in (MINUS, PLUS):
-        try:
-            child = polar_step(m, sign, ctx.merge_tau, ctx.atom_budget)
-        except AtomBudgetError as exc:
-            _fail_subtree(path + sign, ctx.depth - len(path) - 1, str(exc), records)
-            continue
-        _walk(child, path + sign, ctx, records, level_gaps)
-
-
-def _merge_levels(into: dict[int, list[float]], part: dict[int, list[float]]) -> None:
-    for depth, gaps in part.items():
-        into.setdefault(depth, []).extend(gaps)
 
 
 def enumerate_paths(
@@ -313,65 +315,27 @@ def enumerate_paths(
 ) -> PolarizationReport:
     """Evaluate every sign path of the given depth (2^depth records).
 
-    Records appear in path order with '-' before '+' at every position.
-    Subtrees past the split level run on a thread pool when threads > 1;
-    results do not depend on the thread count.
+    Records appear in path order with '-' before '+' at every position. The
+    capacity gap of every node is checked before its children are stepped,
+    so a node whose gap exceeds the atom budget fails its whole subtree.
+    `threads` is validated but selects nothing: evaluation is sequential.
     """
     if not 0 <= depth <= max_depth:
         raise ValueError(f"depth must be in [0, {max_depth}]")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    threads = resolve_threads(threads)
-    ctx = _Ctx(depth, delta, merge_tau, atom_budget)
-    config = _config_echo(w, depth, "exhaustive", None, None, ctx)
+    resolve_threads(threads)
+    config = _config_echo(w, depth, "exhaustive", None, None, delta, merge_tau, atom_budget)
 
-    root = blackwell_measure(w, merge_tau)
     records: list[PathRecord] = []
     level_gaps: dict[int, list[float]] = {}
-
-    split = 0
-    if threads > 1 and depth >= 2:
-        split = min(int(np.ceil(np.log2(threads))), depth - 1)
-    if split == 0:
-        _walk(root, "", ctx, records, level_gaps)
-        return PolarizationReport(config, records, level_gaps)
-
-    # Sequential prefix phase down to the split level, then parallel subtrees.
-    prefixes: list[tuple[str, BlackwellMeasure | str]] = [("", root)]
-    for level in range(split):
-        nxt: list[tuple[str, BlackwellMeasure | str]] = []
-        for path, node in prefixes:
-            if isinstance(node, str):
-                nxt.extend(((path + s, node) for s in (MINUS, PLUS)))
-                continue
-            try:
-                gap = _guarded_gap(node, ctx.atom_budget)
-            except AtomBudgetError as exc:
-                nxt.extend(((path + s, str(exc)) for s in (MINUS, PLUS)))
-                continue
-            level_gaps.setdefault(level, []).append(gap)
-            for sign in (MINUS, PLUS):
-                try:
-                    nxt.append((path + sign, polar_step(node, sign, ctx.merge_tau, ctx.atom_budget)))
-                except AtomBudgetError as exc:
-                    nxt.append((path + sign, str(exc)))
-        prefixes = nxt
-
-    def run_subtree(item):
-        path, node = item
-        recs: list[PathRecord] = []
-        gaps: dict[int, list[float]] = {}
-        if isinstance(node, str):
-            _fail_subtree(path, ctx.depth - len(path), node, recs)
-        else:
-            _walk(node, path, ctx, recs, gaps)
-        return recs, gaps
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(run_subtree, prefixes))
-    for recs, gaps in parts:
-        records.extend(recs)
-        _merge_levels(level_gaps, gaps)
+    root = blackwell_measure(w, merge_tau)
+    walk = _preorder(root, depth, merge_tau, atom_budget, gap_depths=range(depth + 1))
+    for path, node, gap in walk:
+        if gap is not None:
+            level_gaps.setdefault(len(path), []).append(gap)
+        if len(path) == depth:
+            records.append(_evaluate(node, path, gap, delta))
     return PolarizationReport(config, records, level_gaps)
 
 
@@ -389,7 +353,10 @@ def sample_paths(
     """Evaluate `count` uniform random paths; one record per sample.
 
     Path i is drawn from a generator seeded by (seed, i), so the sample set
-    is independent of evaluation order and thread count.
+    does not depend on evaluation order. Each distinct path is evaluated
+    once and its record repeated wherever it was drawn. Only the leaf's
+    capacity gap is checked, so a refusal names the first step or the leaf
+    gap that exceeded the budget. `threads` is validated but selects nothing.
     """
     if not 0 <= depth <= max_depth:
         raise ValueError(f"depth must be in [0, {max_depth}]")
@@ -397,9 +364,8 @@ def sample_paths(
         raise ValueError("sample count must be >= 1")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    threads = resolve_threads(threads)
-    ctx = _Ctx(depth, delta, merge_tau, atom_budget)
-    config = _config_echo(w, depth, "sample", count, seed, ctx)
+    resolve_threads(threads)
+    config = _config_echo(w, depth, "sample", count, seed, delta, merge_tau, atom_budget)
 
     paths = []
     for i in range(count):
@@ -407,43 +373,11 @@ def sample_paths(
         paths.append("".join(PLUS if b else MINUS for b in bits))
 
     root = blackwell_measure(w, merge_tau)
-    cache: dict[str, BlackwellMeasure | str] = {"": root}
-
-    def measure_at(path: str) -> BlackwellMeasure | str:
-        node = cache.get(path)
-        if node is not None:
-            return node
-        parent = measure_at(path[:-1])
-        if isinstance(parent, str):
-            node = parent
-        else:
-            try:
-                node = polar_step(parent, path[-1], ctx.merge_tau, ctx.atom_budget)
-            except AtomBudgetError as exc:
-                node = str(exc)
-        cache[path] = node
-        return node
-
-    def run_sample(path: str) -> PathRecord:
-        node = measure_at(path)
-        if isinstance(node, str):
-            return PathRecord(path=path, error=node)
-        try:
-            gap = _guarded_gap(node, ctx.atom_budget)
-        except AtomBudgetError as exc:
-            return PathRecord(path=path, error=str(exc))
-        return _evaluate(node, path, gap, ctx)
-
-    # Prefix measures are cached sequentially first so threading cannot
-    # change which objects get computed.
-    for path in paths:
-        measure_at(path)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(run_sample, paths))
-    else:
-        records = [run_sample(path) for path in paths]
-    return PolarizationReport(config, records, {})
+    walk = _preorder(root, depth, merge_tau, atom_budget, paths, gap_depths=(depth,))
+    leaves = {
+        path: _evaluate(node, path, gap, delta) for path, node, gap in walk if len(path) == depth
+    }
+    return PolarizationReport(config, [leaves[path] for path in paths], {})
 
 
 def convergence_trace(
@@ -453,35 +387,41 @@ def convergence_trace(
     merge_tau: float = DEFAULT_MERGE_TAU,
     atom_budget: int = DEFAULT_ATOM_BUDGET,
 ) -> list[TraceRecord]:
-    """Capacity, capacity gap and distance-to-fixed-points along path prefixes."""
+    """Capacity, capacity gap and distance-to-fixed-points along path prefixes.
+
+    Raises AtomBudgetError when a step or a prefix's capacity gap exceeds
+    the atom budget.
+    """
     steps = normalize_path(path)
-    m = blackwell_measure(w, merge_tau)
+    depth = len(steps)
+    root = blackwell_measure(w, merge_tau)
     out = []
-    for k in range(len(steps) + 1):
+    walk = _preorder(root, depth, merge_tau, atom_budget, [steps], gap_depths=range(depth + 1))
+    for prefix, m, gap in walk:
+        if isinstance(m, str):
+            raise AtomBudgetError(m)
         dist, nearest = distance_to_pol(m)
         out.append(
             TraceRecord(
-                depth=k,
-                prefix=steps[:k],
+                depth=len(prefix),
+                prefix=prefix,
                 capacity=capacity_of_measure(m),
-                capacity_gap=_guarded_gap(m, atom_budget),
+                capacity_gap=gap,
                 distance_to_pol=dist,
                 nearest_subgroup=nearest,
             )
         )
-        if k < len(steps):
-            m = polar_step(m, steps[k], merge_tau, atom_budget)
     return out
 
 
-def _config_echo(w: Channel, depth, mode, count, seed, ctx: _Ctx) -> dict:
+def _config_echo(w: Channel, depth, mode, count, seed, delta, merge_tau, atom_budget) -> dict:
     return {
         "group": w.require_group().to_json(),
         "depth": depth,
         "mode": mode,
         "samples": count,
         "seed": seed,
-        "delta": ctx.delta,
-        "merge_tau": ctx.merge_tau,
-        "atom_budget": ctx.atom_budget,
+        "delta": delta,
+        "merge_tau": merge_tau,
+        "atom_budget": atom_budget,
     }

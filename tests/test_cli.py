@@ -122,6 +122,18 @@ def test_polarize_resource_failures_exit_2(tmp_path):
     assert data["aggregates"]["failed"] > 0
 
 
+def test_internal_fault_exits_4(tmp_path, capsys, monkeypatch):
+    def fault(m):
+        raise RuntimeError("transport solver hit its pivot cap")
+
+    monkeypatch.setattr(polarlab.process, "distance_to_pol", fault)
+    out = tmp_path / "r.json"
+    code = main(["polarize", "--preset", "bec:0.5", "--depth", "2", "--output", str(out)])
+    assert code == 4
+    assert capsys.readouterr().err == "internal error: transport solver hit its pivot cap\n"
+    assert not out.exists()
+
+
 def test_polarize_invalid_inputs(tmp_path, capsys):
     assert main(["polarize", "--depth", "4"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from polarlab import (
+    AtomBudgetError,
     convergence_trace,
     deterministic_hom,
     enumerate_paths,
@@ -11,6 +14,7 @@ from polarlab import (
     subgroup_from_members,
     symmetric_capacity,
 )
+from polarlab import process
 from polarlab.process import report_csv, report_json
 from polarlab.presets import bec_channel, bsc_channel, dh_mix_channel, identity_channel, random_channel
 
@@ -156,6 +160,10 @@ def test_dh_mix_two_level_erasure_oracle():
         assert rec.capacity == pytest.approx(expected, abs=1e-9)
 
 
+def _refusal(what: str) -> str:
+    return f"{what}, exceeding the budget of 300"
+
+
 def test_failed_paths_recorded_not_fatal():
     w = random_channel(Z4, 4, seed=0)
     report = enumerate_paths(w, 3, atom_budget=300)
@@ -165,6 +173,63 @@ def test_failed_paths_recorded_not_fatal():
         assert "budget" in rec.error
     data = report.to_dict()
     assert data["aggregates"]["failed"] == len(report.failed)
+    # A node's capacity gap is checked before its children are stepped, and
+    # a refusal stands in for the whole subtree below the refused node.
+    gap_100 = _refusal("capacity-gap evaluation would materialize 10000 atom pairs")
+    plus_16 = _refusal("step '+' would materialize 1024 atoms from 16")
+    gap_58 = _refusal("capacity-gap evaluation would materialize 3364 atom pairs")
+    assert [(r.path, r.error) for r in report.records] == [
+        ("---", gap_100), ("--+", gap_100), ("-+-", plus_16), ("-++", plus_16),
+        ("+--", gap_58), ("+-+", gap_58), ("++-", gap_58), ("+++", gap_58),
+    ]
+    assert {d: len(gaps) for d, gaps in report.level_gaps.items()} == {0: 1, 1: 1}
+    # Sample mode checks the gap on the leaf only, so a step refusal on the
+    # way down names the path instead.
+    sampled = sample_paths(w, 3, 6, seed=0, atom_budget=300)
+    plus_58 = _refusal("step '+' would materialize 13456 atoms from 58")
+    minus_58 = _refusal("step '-' would materialize 3364 atoms from 58")
+    assert [(r.path, r.error) for r in sampled.records] == [
+        ("+++", plus_58), ("+++", plus_58), ("+--", minus_58),
+        ("+++", plus_58), ("-+-", plus_16), ("+-+", minus_58),
+    ]
+    assert sampled.level_gaps == {}
+
+
+def test_convergence_trace_refusal_names_the_gap():
+    w = random_channel(Z4, 4, seed=0)
+    message = _refusal("capacity-gap evaluation would materialize 3364 atom pairs")
+    with pytest.raises(AtomBudgetError) as info:
+        convergence_trace(w, "+++", atom_budget=300)
+    assert str(info.value) == message
+
+
+def test_each_node_is_stepped_once(monkeypatch):
+    counter = mock.Mock(wraps=process.polar_step)
+    monkeypatch.setattr(process, "polar_step", counter)
+    w = dh_mix_channel(Z4, seed=3)
+    report = enumerate_paths(w, 5)
+    assert not report.failed
+    assert counter.call_count == 2 ** 6 - 2
+    counter.reset_mock()
+    report = sample_paths(w, 5, 20, seed=2)
+    prefixes = {r.path[:k] for r in report.records for k in range(1, 6)}
+    assert len(prefixes) < 20 * 5
+    assert counter.call_count == len(prefixes)
+
+
+def test_repeated_sample_paths_evaluated_once(monkeypatch):
+    counter = mock.Mock(wraps=process.distance_to_pol)
+    monkeypatch.setattr(process, "distance_to_pol", counter)
+    report = sample_paths(bec_channel(0.5), 4, 40, seed=1)
+    paths = [r.path for r in report.records]
+    assert len(paths) == 40
+    assert counter.call_count == len(set(paths)) < 40
+    # repeated draws keep their place in sample order and equal records
+    drawn = [np.random.default_rng([1, i]).integers(0, 2, size=4) for i in range(40)]
+    assert paths == ["".join("+" if b else "-" for b in bits) for bits in drawn]
+    by_path = {}
+    for rec in report.records:
+        assert by_path.setdefault(rec.path, rec) == rec
 
 
 def test_report_schema_and_round_trip(tmp_path):
