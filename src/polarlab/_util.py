@@ -25,8 +25,3 @@ def row_entropies_bits(rows: np.ndarray) -> np.ndarray:
     np.log2(contrib, out=contrib)
     np.multiply(contrib, rows, out=contrib, where=nz)
     return -contrib.sum(axis=1)
-
-
-def lex_order(rows: np.ndarray) -> np.ndarray:
-    """Indices that sort the rows lexicographically (first column primary)."""
-    return np.lexsort(rows.T[::-1])

@@ -9,17 +9,24 @@ is the package's channel-equivalence test.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import entropy_bits, lex_order, row_entropies_bits
+from ._util import entropy_bits, row_entropies_bits
 from .channels import Channel
 from .groups import Group, make_group
 
 DEFAULT_MERGE_TAU = 1e-9
+# The least positive merge tolerance. The grid keys floor(q / tau) of
+# posterior entries up to 1 then stay below 1e18, well inside int64; at a
+# smaller tau they overflow, and far-apart atoms would share a key.
+MERGE_TAU_MIN = 1e-18
 BALANCE_TOL = 1e-9
 MASS_TOL = 1e-12
+# Candidate atom pairs tested at once by the merge sweep; bounds its memory.
+_PAIR_CHUNK = 1 << 13
 
 
 def entropy(p: np.ndarray) -> float:
@@ -32,13 +39,6 @@ def entropy(p: np.ndarray) -> float:
     return entropy_bits(p)
 
 
-def _find(parent: list[int], i: int) -> int:
-    while parent[i] != i:
-        parent[i] = parent[parent[i]]
-        i = parent[i]
-    return i
-
-
 def _aggregate(weights: np.ndarray, posteriors: np.ndarray, labels: np.ndarray, k: int):
     """Merge atoms sharing a label: weights add, posteriors weight-average.
 
@@ -47,100 +47,178 @@ def _aggregate(weights: np.ndarray, posteriors: np.ndarray, labels: np.ndarray, 
     The other clusters average over weights scaled by the power of two that
     brings the cluster's total weight into [0.5, 1): subnormal weights would
     otherwise underflow w * q to zero and leave a 0/0 posterior. The scaling
-    is exact, so it changes no result that did not underflow.
+    is exact, so it changes no result that did not underflow. Sums run in
+    atom order, one posterior column at a time; the merged posteriors come
+    back column-major.
     """
+    cols = posteriors.T
     first = np.full(k, len(labels), dtype=np.int64)
     np.minimum.at(first, labels, np.arange(len(labels)))
+    merged = cols.take(first, axis=1)
     averaged = np.zeros(k, dtype=bool)
-    averaged[labels[(posteriors != posteriors[first[labels]]).any(axis=1)]] = True
-    w_new = np.zeros(k)
-    np.add.at(w_new, labels, weights)
-    q_new = posteriors[first]
+    averaged[labels[(cols != merged.take(labels, axis=1)).any(axis=0)]] = True
+    w_new = np.bincount(labels, weights, minlength=k)
     if averaged.any():
         members = np.flatnonzero(averaged[labels])
         member_labels = labels[members]
         _, exponent = np.frexp(w_new)
-        acc = np.zeros((k, posteriors.shape[1]))
-        np.add.at(
-            acc,
-            member_labels,
-            np.ldexp(weights[members], -exponent[member_labels])[:, None] * posteriors[members],
-        )
-        q_new[averaged] = acc[averaged] / np.ldexp(w_new[averaged], -exponent[averaged])[:, None]
-    return w_new, q_new
+        scaled = np.ldexp(weights[members], -exponent[member_labels])
+        total = np.ldexp(w_new[averaged], -exponent[averaged])
+        for row, col in zip(merged, cols.take(members, axis=1)):
+            row[averaged] = np.bincount(member_labels, scaled * col, minlength=k)[averaged] / total
+    return w_new, merged.T
+
+
+def _grid_keys(cols: np.ndarray, tau: float) -> np.ndarray:
+    """Cells floor(q / tau) of the tau-wide grid as int64, for posterior columns `cols`."""
+    keys = np.divide(cols, tau, out=np.empty(cols.shape))
+    np.floor(keys, out=keys)
+    return keys.astype(np.int64)
+
+
+def _packed_keys(keys: np.ndarray) -> np.ndarray:
+    """uint64 key rows in the same lexicographic order as the int64 key rows.
+
+    Each row of keys, offset by its minimum, takes as many bits as its
+    largest offset needs; constant rows take none. Consecutive rows share
+    one packed row while their bits fit in 64, the earlier row in the higher
+    bits, so the packed columns compare as the columns of keys do. The
+    offsets overwrite keys.
+    """
+    offsets = keys.view(np.uint64)
+    # modular uint64 arithmetic gives the true offsets, all below 2**64
+    offsets -= keys.min(axis=1).view(np.uint64)[:, None]
+    packed: list[np.ndarray] = []
+    used = 0
+    for row, top in zip(offsets, offsets.max(axis=1).tolist()):
+        bits = top.bit_length()
+        if not packed or used + bits > 64:
+            packed.append(row)
+            used = bits
+        elif bits:
+            packed[-1] <<= np.uint64(bits)
+            packed[-1] |= row
+            used += bits
+    return np.array(packed)
 
 
 def _bucket_labels(posteriors: np.ndarray, tau: float) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Cluster labels from a tau-wide grid (exact duplicates when tau is 0).
 
     Labels number the distinct keys in lexicographic order, as
-    np.unique(axis=0, return_inverse=True) would, from one stable sort.
+    np.unique(axis=0, return_inverse=True) would, from one stable sort of
+    the packed grid keys (of the rows when tau is 0).
     Returns (labels, None), or (None, order) when the keys are distinct;
     order is then the keys' lexicographic order (the rows' when tau is 0).
     """
-    keys = np.floor(posteriors / tau).astype(np.int64) if tau > 0 else posteriors
-    order = lex_order(keys)
-    sorted_keys = keys[order]
-    starts = np.empty(len(keys), dtype=bool)
+    keys = _packed_keys(_grid_keys(posteriors.T, tau)) if tau > 0 else posteriors.T
+    order = np.lexsort(keys[::-1])
+    sorted_keys = keys.take(order, axis=1)
+    starts = np.empty(len(order), dtype=bool)
     starts[0] = True
-    np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1, out=starts[1:])
+    np.any(sorted_keys[:, 1:] != sorted_keys[:, :-1], axis=0, out=starts[1:])
     if starts.all():
         return None, order
-    labels = np.empty(len(keys), dtype=np.int64)
-    labels[order] = np.cumsum(starts) - 1
+    labels = np.empty(len(order), dtype=np.int64)
+    labels[order] = starts.cumsum() - 1
     return labels, None
+
+
+def _window_pairs(ends: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """All index pairs i < j < ends[i], in chunks of at most _PAIR_CHUNK.
+
+    Pairs come in order of i, then j.
+    """
+    counts = ends - np.arange(1, len(ends) + 1)
+    np.maximum(counts, 0, out=counts)
+    stop = counts.cumsum()
+    start = stop - counts
+    for lo in range(0, int(stop[-1]), _PAIR_CHUNK):
+        pair = np.arange(lo, min(lo + _PAIR_CHUNK, int(stop[-1])))
+        i = stop.searchsorted(pair, side="right")
+        yield i, pair - start[i] + i + 1
+
+
+def _roots(parent: np.ndarray) -> np.ndarray:
+    """Compress the forest `parent` in place until every entry is a root."""
+    while True:
+        grand = parent[parent]
+        if np.array_equal(grand, parent):
+            return parent
+        parent[:] = grand
+
+
+def _union(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Join the pairs (a, b) in the forest `parent`, rooting each tree at its least index."""
+    while True:
+        ra, rb = _roots(parent)[a], parent[b]
+        split = ra != rb
+        if not split.any():
+            return
+        ra, rb = ra[split], rb[split]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
 
 
 def _sweep_labels(posteriors: np.ndarray, tau: float) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Union-find labels joining every atom pair within tau in L-infinity.
+    """Connected-component labels joining every atom pair within tau in L-infinity.
 
-    Returns (labels, None), or (None, order) when no pair joins; order is
-    then the rows' lexicographic order.
+    Candidate pairs are the atoms within tau of each other in the first
+    coordinate of the lexicographic order; they are tested in chunks, and
+    only the close ones are joined. Components are numbered by their first
+    atom in that order. Returns (labels, None), or (None, order) when no
+    pair joins; order is then the rows' lexicographic order.
     """
-    order = lex_order(posteriors)
-    q = posteriors[order]
-    k = len(q)
+    cols = posteriors.T
+    order = np.lexsort(cols[::-1])
+    q = cols.take(order, axis=1)
     # ends[i]: one past the last atom whose first coordinate is within tau
-    ends = np.searchsorted(q[:, 0], q[:, 0] + tau, side="right")
-    parent = list(range(k))
-    changed = False
-    for i in np.flatnonzero(ends > np.arange(1, k + 1)).tolist():
-        hi = int(ends[i])
-        close = np.abs(q[i + 1 : hi] - q[i]).max(axis=1) <= tau
-        for off in np.flatnonzero(close):
-            ri, rj = _find(parent, i), _find(parent, int(i + 1 + off))
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-                changed = True
-    if not changed:
+    ends = q[0].searchsorted(q[0] + tau, side="right")
+    parent = np.arange(len(order))
+    joined = False
+    for i, j in _window_pairs(ends):
+        close = np.abs(q.take(j, axis=1) - q.take(i, axis=1)).max(axis=0) <= tau
+        if close.any():
+            _union(parent, i[close], j[close])
+            joined = True
+    if not joined:
         return None, order
-    roots = np.array([_find(parent, i) for i in range(k)])
-    _, labels_sorted = np.unique(roots, return_inverse=True)
-    labels = np.empty(k, dtype=np.int64)
-    labels[order] = labels_sorted.ravel()
+    roots = _roots(parent)
+    rank = (roots == np.arange(len(order))).cumsum() - 1
+    labels = np.empty(len(order), dtype=np.int64)
+    labels[order] = rank[roots]
     return labels, None
 
 
-def _canonical_atoms(weights, posteriors, tau: float):
+def _canonical_atoms(weights, posteriors, tau: float, track_origin: bool = True):
     """Prune, merge, lex-sort and normalize atoms.
 
     Returns (weights, posteriors, origin) where origin[i] is the final atom
-    index of input atom i, or -1 if it was pruned for non-positive weight.
+    index of input atom i, or -1 if it was pruned for non-positive weight;
+    origin is None unless track_origin.
     """
+    if not (tau == 0 or tau >= MERGE_TAU_MIN):
+        raise ValueError(f"merge_tau must be 0 or at least {MERGE_TAU_MIN!r}, got {tau!r}")
     weights = np.asarray(weights, dtype=float).ravel()
-    posteriors = np.asarray(posteriors, dtype=float) + 0.0  # normalizes -0.0
+    posteriors = np.asarray(posteriors, dtype=float)
     if posteriors.ndim != 2 or len(weights) != posteriors.shape[0]:
         raise ValueError("atom arrays have mismatched shapes")
-    origin = np.full(len(weights), -1, dtype=np.int64)
     keep = weights > 0.0
-    origin[keep] = np.arange(int(keep.sum()))
-    weights, posteriors = weights[keep], posteriors[keep]
+    if not keep.all():
+        weights, posteriors = weights[keep], posteriors.compress(keep, axis=0)
+    # A copy laid out column by column, as the passes below read the
+    # posteriors; adding 0.0 turns -0.0 into 0.0.
+    posteriors = np.add(posteriors.T, 0.0, out=np.empty(posteriors.shape[::-1])).T
     if len(weights) == 0:
         raise ValueError("measure has no atoms with positive weight")
+    origin = None
+    if track_origin:
+        origin = np.full(len(keep), -1, dtype=np.int64)
+        origin[keep] = np.arange(len(weights))
 
     def apply(labels: np.ndarray) -> None:
-        live = origin >= 0
-        origin[live] = labels[origin[live]]
+        if origin is not None:
+            live = origin >= 0
+            origin[live] = labels[origin[live]]
 
     def merge(labels: np.ndarray) -> None:
         nonlocal weights, posteriors
@@ -151,25 +229,36 @@ def _canonical_atoms(weights, posteriors, tau: float):
     # the rows orders the output, so they are not sorted again. A merging
     # bucket pass ends the loop only at tau = 0, where the rows it leaves are
     # the distinct rows numbered in lexicographic order, or on a single row.
+    # After a merging bucket pass and a sweep that joins nothing, another
+    # bucket pass could merge only if a merged row left its members' cell:
+    # the rows are otherwise one per distinct cell.
     while True:
         labels, order = _bucket_labels(posteriors, tau)
         bucketed = labels is not None
         if bucketed:
+            # one member's row for each merged atom, all in its grid cell
+            member = np.empty(labels.max() + 1, dtype=np.int64)
+            member[labels] = np.arange(len(labels))
+            cells = posteriors.T.take(member, axis=1)
             merge(labels)
         if tau == 0 or len(weights) == 1:
             break
         labels, order = _sweep_labels(posteriors, tau)
         if labels is not None:
             merge(labels)
-        elif not bucketed:
+        elif not bucketed or np.array_equal(
+            _grid_keys(posteriors.T, tau), _grid_keys(cells, tau)
+        ):
             break
     if order is None:
         order = np.arange(len(weights))
 
+    # row-major again, as the row sums below and every reader expect
     weights, posteriors = weights[order], posteriors[order]
-    position = np.empty(len(order), dtype=np.int64)
-    position[order] = np.arange(len(order))
-    apply(position)
+    if origin is not None:
+        position = np.empty(len(order), dtype=np.int64)
+        position[order] = np.arange(len(order))
+        apply(position)
     total = weights.sum()
     if total != 1.0:
         weights = weights / total
@@ -185,17 +274,17 @@ class BlackwellMeasure:
     Construction canonicalizes: zero-weight atoms are pruned, posteriors
     within merge_tau in L-infinity are merged (weights summed, posteriors
     weight-averaged), and atoms are sorted lexicographically by posterior.
+    merge_tau is 0, which merges exact duplicates only, or at least
+    MERGE_TAU_MIN.
     """
 
     def __init__(self, group: Group, weights, posteriors, merge_tau: float = DEFAULT_MERGE_TAU):
-        if merge_tau < 0:
-            raise ValueError("merge_tau must be >= 0")
         weights = np.asarray(weights, dtype=float)
         posteriors = np.asarray(posteriors, dtype=float)
         # NaN passes every later check and would become an INT64_MIN grid key
         if not (np.isfinite(weights).all() and np.isfinite(posteriors).all()):
             raise ValueError("atom weights and posteriors must be finite")
-        weights, posteriors, _ = _canonical_atoms(weights, posteriors, merge_tau)
+        weights, posteriors, _ = _canonical_atoms(weights, posteriors, merge_tau, track_origin=False)
         if posteriors.shape[1] != group.size:
             raise ValueError("posterior length does not match group size")
         if posteriors.min() < -MASS_TOL:

@@ -9,7 +9,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 
-from .blackwell import blackwell_measure
+from .blackwell import MERGE_TAU_MIN, blackwell_measure
 from .channels import Channel, channel_from_json, delta_determining_subgroup, symmetric_capacity
 from .groups import Group
 from .metrics import pc_gap_lower_bound, wasserstein
@@ -50,9 +50,10 @@ class ExperimentConfig:
             raise ValueError("sample mode needs --samples >= 1")
         if self.delta <= 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
-        if not 0.0 < self.merge_tau <= MERGE_TAU_MAX:
+        if not MERGE_TAU_MIN <= self.merge_tau <= MERGE_TAU_MAX:
             raise ValueError(
-                f"merge tolerance must be in (0, {MERGE_TAU_MAX}], got {self.merge_tau}"
+                f"merge tolerance must be in [{MERGE_TAU_MIN}, {MERGE_TAU_MAX}], "
+                f"got {self.merge_tau}"
             )
         if self.atom_budget < 1:
             raise ValueError("atom budget must be >= 1")
@@ -240,7 +241,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:
-        # an internal or numeric fault: a failed cross-check or solver
+        # an internal or numeric fault: a failed cross-check or solver; a
+        # PathFault's message starts with the tree node it stopped at
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
 

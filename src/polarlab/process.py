@@ -4,6 +4,8 @@ Every mode walks the binary transform tree with one preorder generator,
 `_preorder`, so each child reuses its parent's merged measure and each
 measure is computed once. Per-path resource failures (atom budget) are
 recorded on the affected paths; the rest of the tree is still evaluated.
+Any other error raised while a node is computed is an internal fault and
+stops the run as a PathFault that names the node.
 Evaluation is sequential, and all outputs are deterministic given the
 configuration; the thread count is accepted and selects nothing.
 """
@@ -48,6 +50,20 @@ MAX_DEPTH = 16
 DEFAULT_DELTA = 0.1
 CAPACITY_HIST_BINS = 16
 THREADS_ENV_VAR = "POLARLAB_THREADS"
+
+
+class PathFault(RuntimeError):
+    """An internal or numeric fault while computing one node of the transform tree.
+
+    The message names the node's sign path; the original error is the cause.
+    Inputs are validated before the walk starts, so a RuntimeError or
+    ValueError raised while a node is computed is the program's fault, not
+    the user's. Budget refusals are per-path results, not faults.
+    """
+
+    def __init__(self, path: str, error: Exception):
+        super().__init__(f"path '{path}': {error}")
+        self.path = path
 
 
 class MartingaleResidual(NamedTuple):
@@ -266,6 +282,7 @@ def _preorder(
     guarded capacity gap is computed before its children are stepped;
     elsewhere `gap` is None. A refused step or gap replaces the node by its
     message, which stands in for every descendant; nothing below is computed.
+    A step or gap that raises RuntimeError or ValueError raises PathFault.
     """
     prefixes = None if wanted is None else {p[:k] for p in wanted for k in range(len(p) + 1)}
     stack: list[tuple[str, Node | None]] = [("", None)]
@@ -281,6 +298,8 @@ def _preorder(
                 gap = _guarded_gap(node, atom_budget)
         except AtomBudgetError as exc:
             node = str(exc)
+        except (RuntimeError, ValueError) as exc:
+            raise PathFault(path, exc) from exc
         yield path, node, gap
         if len(path) < depth:
             for sign in (PLUS, MINUS):
@@ -291,11 +310,15 @@ def _preorder(
 def _evaluate(m: Node, path: str, gap: float | None, delta: float) -> PathRecord:
     if isinstance(m, str):
         return PathRecord(path=path, error=m)
-    dist, nearest = distance_to_pol(m)
-    det = delta_determining_subgroup(m.realize(), delta)
+    try:
+        dist, nearest = distance_to_pol(m)
+        det = delta_determining_subgroup(m.realize(), delta)
+        capacity = capacity_of_measure(m)
+    except (RuntimeError, ValueError) as exc:
+        raise PathFault(path, exc) from exc
     return PathRecord(
         path=path,
-        capacity=capacity_of_measure(m),
+        capacity=capacity,
         capacity_gap=gap,
         determinedness=det,
         distance_to_pol=dist,
@@ -390,7 +413,7 @@ def convergence_trace(
     """Capacity, capacity gap and distance-to-fixed-points along path prefixes.
 
     Raises AtomBudgetError when a step or a prefix's capacity gap exceeds
-    the atom budget.
+    the atom budget, and PathFault when computing a prefix fails otherwise.
     """
     steps = normalize_path(path)
     depth = len(steps)
@@ -400,12 +423,16 @@ def convergence_trace(
     for prefix, m, gap in walk:
         if isinstance(m, str):
             raise AtomBudgetError(m)
-        dist, nearest = distance_to_pol(m)
+        try:
+            dist, nearest = distance_to_pol(m)
+            capacity = capacity_of_measure(m)
+        except (RuntimeError, ValueError) as exc:
+            raise PathFault(prefix, exc) from exc
         out.append(
             TraceRecord(
                 depth=len(prefix),
                 prefix=prefix,
-                capacity=capacity_of_measure(m),
+                capacity=capacity,
                 capacity_gap=gap,
                 distance_to_pol=dist,
                 nearest_subgroup=nearest,

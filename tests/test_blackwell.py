@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -381,3 +382,168 @@ def test_grouping_matches_reference(atoms, tau):
         keep = weights > 0.0
         _, rank = np.unique(posteriors[keep] + 0.0, axis=0, return_inverse=True)
         assert np.array_equal(got[2][keep], rank.ravel())
+
+
+def test_tiny_merge_tau_is_rejected():
+    # floor(q / 1e-20) overflows int64, and the four atoms below fell into
+    # one grid cell: one atom of capacity 0 instead of four of 0.198
+    q = [[0.2, 0.8], [0.8, 0.2], [0.3, 0.7], [0.7, 0.3]]
+    with pytest.raises(ValueError, match="merge_tau"):
+        BlackwellMeasure(Z2, [0.25] * 4, q, merge_tau=1e-20)
+    with pytest.raises(ValueError, match="merge_tau"):
+        merge_outputs(bsc_channel(0.1), merge_tau=1e-20)
+    for tau in (0.0, blackwell.MERGE_TAU_MIN):
+        m = BlackwellMeasure(Z2, [0.25] * 4, q, merge_tau=tau)
+        assert m.atom_count == 4
+        assert capacity_of_measure(m) == pytest.approx(0.198, abs=1e-3)
+
+
+# The canonicalization loop this module replaced, kept verbatim apart from
+# its helpers, which are the references above: the new loop must give the
+# same bytes, origin included.
+
+
+def _reference_canonical_atoms(weights, posteriors, tau):
+    weights = np.asarray(weights, dtype=float).ravel()
+    posteriors = np.asarray(posteriors, dtype=float) + 0.0
+    origin = np.full(len(weights), -1, dtype=np.int64)
+    keep = weights > 0.0
+    origin[keep] = np.arange(int(keep.sum()))
+    weights, posteriors = weights[keep], posteriors[keep]
+
+    def apply(labels):
+        live = origin >= 0
+        origin[live] = labels[origin[live]]
+
+    def merge(labels):
+        nonlocal weights, posteriors
+        weights, posteriors = _reference_aggregate(weights, posteriors, labels, labels.max() + 1)
+        apply(labels)
+
+    while True:
+        labels, order = _reference_bucket(posteriors, tau)
+        bucketed = labels is not None
+        if bucketed:
+            merge(labels)
+        if tau == 0 or len(weights) == 1:
+            break
+        labels, order = _reference_sweep(posteriors, tau)
+        if labels is not None:
+            merge(labels)
+        elif not bucketed:
+            break
+    if order is None:
+        order = np.arange(len(weights))
+    weights, posteriors = weights[order], posteriors[order]
+    position = np.empty(len(order), dtype=np.int64)
+    position[order] = np.arange(len(order))
+    apply(position)
+    total = weights.sum()
+    if total != 1.0:
+        weights = weights / total
+    row_sums = posteriors.sum(axis=1)
+    if not np.all(row_sums == 1.0):
+        posteriors = posteriors / row_sums[:, None]
+    return weights, posteriors, origin
+
+
+def _assert_same_atoms(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    # readers sum the rows, and the summation order follows the layout
+    assert got[1].flags.c_contiguous
+
+
+@pytest.mark.parametrize("chunk", [blackwell._PAIR_CHUNK, 3])
+@given(atoms=_atoms(), tau=st.sampled_from(_TAUS))
+def test_canonical_atoms_match_reference_loop(chunk, atoms, tau):
+    weights, posteriors = atoms
+    assume(weights.max() > 0.0 and (posteriors.sum(axis=1) > 0.0).all())
+    with mock.patch.object(blackwell, "_PAIR_CHUNK", chunk):
+        got = _canonical_atoms(weights, posteriors, tau)
+    _assert_same_atoms(got, _reference_canonical_atoms(weights, posteriors, tau))
+
+
+def test_sweep_joins_atoms_through_a_common_neighbour():
+    # The first two atoms are 1.6 tau apart in the second coordinate and
+    # the third is within tau of both, so the three form one cluster. No two
+    # share a grid cell, so the sweep alone merges them.
+    posteriors = np.array(
+        [[0.1003, 0.2003, 0.5009], [0.1004, 0.2019, 0.5003], [0.1005, 0.2011, 0.5012]]
+    )
+    weights = np.full(3, 1 / 3)
+    assert _bucket_labels(posteriors, 1e-3)[0] is None
+    assert _sweep_labels(posteriors, 1e-3)[0].tolist() == [0, 0, 0]
+    got = _canonical_atoms(weights, posteriors, 1e-3)
+    assert len(got[0]) == 1
+    _assert_same_atoms(got, _reference_canonical_atoms(weights, posteriors, 1e-3))
+
+
+def test_merged_row_that_changes_cell_is_merged_again():
+    # At tau = 1e-18 a grid cell near 0.9 can hold two adjacent floats, 111
+    # tau apart. The first 14 atoms share one cell, and their average
+    # rounds below all of them, into the cell of the last atom. The sweep
+    # cannot join the two (they are more than tau apart); only a second
+    # bucket pass merges them.
+    a, b = 0.9000000000000193, 0.9000000000000195
+    first = [a, b, b, a, a, b, b, a, b, b, a, b, b, b]
+    weights = [
+        1.6087728450560708e-302, 7.686384125596033e-302, 5.914819763617264e-302, 2.4e-302,
+        3.680882732676975e-302, 7.092157707018503e-302, 5e-302, 8.173620831187037e-302,
+        1e-302, 1.7098209562511e-302, 1.5929685390537734e-303, 5e-308, 2e-303, 2e-308, 1e-301,
+    ]
+    posteriors = np.column_stack([first + [0.9000000000000186], np.full(15, 0.25)])
+    got = _canonical_atoms(weights, posteriors, 1e-18)
+    assert len(got[0]) == 1
+    _assert_same_atoms(got, _reference_canonical_atoms(weights, posteriors, 1e-18))
+
+
+@pytest.mark.parametrize("tau", [1e-9, 1e-3])
+def test_sweep_memory_is_bounded_by_the_chunk(tau):
+    # 3000 distinct atoms sharing their first coordinate put every pair in
+    # one sweep window: 4.5 million candidate pairs, 144 MB as one block of
+    # Z4 row differences. In chunks the whole call peaks near 1.3 MB.
+    rng = np.random.default_rng(7)
+    posteriors = np.zeros((3000, 4))
+    posteriors[:, 1:] = rng.dirichlet(np.ones(3), size=3000)
+    weights = np.full(3000, 1 / 3000)
+    tracemalloc.start()
+    try:
+        got = _canonical_atoms(weights, posteriors, tau)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    _assert_same_atoms(got, _reference_canonical_atoms(weights, posteriors, tau))
+
+
+_GROUPS = {"Z2": [2], "Z3": [3], "Z4": [4], "Z2xZ2": [2, 2], "Z2xZ4": [2, 4]}
+
+
+@st.composite
+def _merge_test_channels(draw):
+    """Spiky, sparse and near-duplicate channels, rows over the group."""
+    group = make_group(_GROUPS[draw(st.sampled_from(sorted(_GROUPS)))])
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alpha = draw(st.sampled_from([0.05, 0.3, 1.0]))  # 0.05 gives spiky rows
+    kernel = rng.dirichlet(np.full(n, alpha), size=group.size)
+    if draw(st.booleans()):  # sparse: drop small entries
+        # a row's largest entry is at least 1/12, so every row keeps one
+        kernel[kernel < draw(st.sampled_from([1e-13, 1e-3, 0.05]))] = 0.0
+    copies = draw(st.integers(0, 6))  # near duplicates of some outputs
+    if copies:
+        noise = draw(st.sampled_from([0.0, 1e-12, 1e-10, 1e-6, 1e-4]))
+        dup = kernel[:, rng.integers(0, n, size=copies)]
+        kernel = np.hstack([kernel, dup * (1.0 + noise * rng.random(dup.shape))])
+    kernel /= kernel.sum(axis=1, keepdims=True)
+    return Channel(kernel, None, group)
+
+
+@given(w=_merge_test_channels(), tau=st.sampled_from([1e-9, 1e-3]))
+def test_merging_never_raises_capacity(w, tau):
+    exact = blackwell_measure(w, merge_tau=0.0)
+    merged = canonicalize(exact, tau)
+    assert capacity_of_measure(merged) <= capacity_of_measure(exact) + 1e-12
+    mean = merged.weights @ merged.posteriors
+    assert np.abs(mean - 1.0 / w.group.size).max() <= blackwell.BALANCE_TOL

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import polarlab
-from polarlab import channel_to_json, make_group
+from polarlab import channel_to_json, distance_to_pol, make_group
 from polarlab.cli import main
 from polarlab.presets import bsc_channel, parse_group_spec, parse_preset
 
@@ -130,8 +130,38 @@ def test_internal_fault_exits_4(tmp_path, capsys, monkeypatch):
     out = tmp_path / "r.json"
     code = main(["polarize", "--preset", "bec:0.5", "--depth", "2", "--output", str(out)])
     assert code == 4
-    assert capsys.readouterr().err == "internal error: transport solver hit its pivot cap\n"
+    err = capsys.readouterr().err
+    assert err == "internal error: path '--': transport solver hit its pivot cap\n"
     assert not out.exists()
+
+
+def test_value_error_inside_the_walk_is_an_internal_fault(tmp_path, capsys, monkeypatch):
+    # the input was valid; a ValueError raised evaluating a node is the program's
+    calls = []
+
+    def fault(m):
+        calls.append(m)
+        if len(calls) == 2:  # the second leaf in path order
+            raise ValueError("transport costs must be finite")
+        return distance_to_pol(m)
+
+    monkeypatch.setattr(polarlab.process, "distance_to_pol", fault)
+    out = tmp_path / "r.json"
+    code = main(["polarize", "--preset", "bec:0.5", "--depth", "2", "--output", str(out)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: path '-+': transport costs must be finite\n"
+    assert not out.exists()
+
+
+def test_tiny_merge_tau_is_rejected(capsys):
+    # q / tau overflows int64 below the floor, and unrelated atoms then merge
+    argv = ["polarize", "--preset", "bsc:0.11", "--depth", "3", "--format", "csv"]
+    assert main(argv + ["--merge-tau", "1e-20"]) == 1
+    captured = capsys.readouterr()
+    assert "tolerance" in captured.err and captured.out == ""
+    assert main(argv + ["--merge-tau", "1e-18"]) == 0
+    assert "fraction_determined,0.25\n" in capsys.readouterr().out
 
 
 def test_polarize_invalid_inputs(tmp_path, capsys):

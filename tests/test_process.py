@@ -217,6 +217,36 @@ def test_each_node_is_stepped_once(monkeypatch):
     assert counter.call_count == len(prefixes)
 
 
+def test_faults_name_the_node(monkeypatch):
+    # a step, a gap or an evaluation that raises names its node's path;
+    # budget refusals stay per-path results
+    real_step = process.polar_step
+
+    def step(m, sign, *args):
+        if sign == "+":
+            raise ValueError("posterior entries must be non-negative")
+        return real_step(m, sign, *args)
+
+    monkeypatch.setattr(process, "polar_step", step)
+    # preorder visits '-' before '+', so '-+' is the first plus step
+    with pytest.raises(process.PathFault, match=r"^path '-\+': posterior entries") as info:
+        enumerate_paths(bec_channel(0.5), 2)
+    assert info.value.path == "-+" and isinstance(info.value.__cause__, ValueError)
+    with pytest.raises(process.PathFault, match=r"^path '--\+': "):
+        convergence_trace(bec_channel(0.5), "--+")
+    monkeypatch.setattr(process, "polar_step", real_step)
+
+    def gap(m, budget):
+        raise RuntimeError("capacity-gap routes disagree")
+
+    monkeypatch.setattr(process, "_guarded_gap", gap)
+    with pytest.raises(process.PathFault, match=r"^path '': capacity-gap routes disagree$"):
+        enumerate_paths(bec_channel(0.5), 1)
+    monkeypatch.undo()
+    report = enumerate_paths(random_channel(Z4, 5, seed=0), 3, atom_budget=300)
+    assert report.failed and all("budget" in r.error for r in report.failed)
+
+
 def test_repeated_sample_paths_evaluated_once(monkeypatch):
     counter = mock.Mock(wraps=process.distance_to_pol)
     monkeypatch.setattr(process, "distance_to_pol", counter)
