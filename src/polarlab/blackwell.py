@@ -25,6 +25,8 @@ DEFAULT_MERGE_TAU = 1e-9
 MERGE_TAU_MIN = 1e-18
 BALANCE_TOL = 1e-9
 MASS_TOL = 1e-12
+# How far an atom's posterior row, or a measure's weights, may sum from 1.
+SUM_TOL = 1e-9
 # Candidate atom pairs tested at once by the merge sweep; bounds its memory.
 _PAIR_CHUNK = 1 << 13
 
@@ -102,16 +104,24 @@ def _packed_keys(keys: np.ndarray) -> np.ndarray:
     return np.array(packed)
 
 
-def _bucket_labels(posteriors: np.ndarray, tau: float) -> tuple[np.ndarray | None, np.ndarray | None]:
+def _bucket_labels(
+    posteriors: np.ndarray, tau: float, seg: np.ndarray | None = None
+) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Cluster labels from a tau-wide grid (exact duplicates when tau is 0).
 
     Labels number the distinct keys in lexicographic order, as
     np.unique(axis=0, return_inverse=True) would, from one stable sort of
-    the packed grid keys (of the rows when tau is 0).
+    the packed grid keys (of the rows when tau is 0). Given `seg`, the rows'
+    non-decreasing segment ids, the id is the leading key, so no two
+    segments share a label and labels keep the segments in order.
     Returns (labels, None), or (None, order) when the keys are distinct;
     order is then the keys' lexicographic order (the rows' when tau is 0).
     """
-    keys = _packed_keys(_grid_keys(posteriors.T, tau)) if tau > 0 else posteriors.T
+    if tau > 0:
+        keys = _grid_keys(posteriors.T, tau)
+        keys = _packed_keys(keys if seg is None else np.vstack([seg, keys]))
+    else:
+        keys = posteriors.T if seg is None else np.vstack([seg, posteriors.T])
     order = np.lexsort(keys[::-1])
     sorted_keys = keys.take(order, axis=1)
     starts = np.empty(len(order), dtype=bool)
@@ -159,20 +169,41 @@ def _union(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
         np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
 
 
-def _sweep_labels(posteriors: np.ndarray, tau: float) -> tuple[np.ndarray | None, np.ndarray | None]:
+def _window_ends(first: np.ndarray, tau: float, seg: np.ndarray | None) -> np.ndarray:
+    """ends[i]: one past the last atom of i's segment whose first coordinate is within tau.
+
+    `first` is sorted within each segment. Across segments it is not, so
+    each value is replaced by its rank among all values: q <= t exactly
+    when fewer values lie below q than lie at or below t. The keys
+    seg * (n + 1) + rank then sort globally, and one search per atom finds
+    its window without leaving its segment.
+    """
+    limit = first + tau
+    if seg is None:
+        return first.searchsorted(limit, side="right")
+    values = np.sort(first)
+    stride = len(first) + 1
+    keys = seg * stride + values.searchsorted(first, side="left")
+    return keys.searchsorted(seg * stride + values.searchsorted(limit, side="right"))
+
+
+def _sweep_labels(
+    posteriors: np.ndarray, tau: float, seg: np.ndarray | None = None
+) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Connected-component labels joining every atom pair within tau in L-infinity.
 
     Candidate pairs are the atoms within tau of each other in the first
     coordinate of the lexicographic order; they are tested in chunks, and
-    only the close ones are joined. Components are numbered by their first
-    atom in that order. Returns (labels, None), or (None, order) when no
-    pair joins; order is then the rows' lexicographic order.
+    only the close ones are joined. Given `seg`, the rows' non-decreasing
+    segment ids, the id leads the order and windows end at segment ends.
+    Components are numbered by their first atom in that order. Returns
+    (labels, None), or (None, order) when no pair joins; order is then the
+    rows' lexicographic order.
     """
     cols = posteriors.T
-    order = np.lexsort(cols[::-1])
+    order = np.lexsort((cols if seg is None else np.vstack([seg, cols]))[::-1])
     q = cols.take(order, axis=1)
-    # ends[i]: one past the last atom whose first coordinate is within tau
-    ends = q[0].searchsorted(q[0] + tau, side="right")
+    ends = _window_ends(q[0], tau, seg)
     parent = np.arange(len(order))
     joined = False
     for i, j in _window_pairs(ends):
@@ -196,6 +227,22 @@ def _canonical_atoms(weights, posteriors, tau: float, track_origin: bool = True)
     index of input atom i, or -1 if it was pruned for non-positive weight;
     origin is None unless track_origin.
     """
+    return _canonical_segments(weights, posteriors, tau, track_origin=track_origin)[:3]
+
+
+def _canonical_segments(
+    weights, posteriors, tau: float, seg=None, count: int = 1,
+    track_origin: bool = False, check_rows: bool = False,
+):
+    """Canonicalize `count` atom sets laid end to end, segment ids in `seg`.
+
+    `seg` gives each row's segment, 0 to count - 1, non-decreasing; None
+    means one segment. Every pass keeps the segments apart and acts on each
+    as it would on that segment alone, so each segment's atoms come out
+    bitwise as _canonical_atoms makes them. With check_rows, a posterior
+    row of positive weight must sum to 1 within SUM_TOL.
+    Returns (weights, posteriors, origin, seg), segments in order.
+    """
     if not (tau == 0 or tau >= MERGE_TAU_MIN):
         raise ValueError(f"merge_tau must be 0 or at least {MERGE_TAU_MIN!r}, got {tau!r}")
     weights = np.asarray(weights, dtype=float).ravel()
@@ -205,10 +252,15 @@ def _canonical_atoms(weights, posteriors, tau: float, track_origin: bool = True)
     keep = weights > 0.0
     if not keep.all():
         weights, posteriors = weights[keep], posteriors.compress(keep, axis=0)
+        if seg is not None:
+            seg = seg[keep]
+    if check_rows and (np.abs(posteriors.sum(axis=1) - 1.0) > SUM_TOL).any():
+        raise ValueError("posterior rows must sum to 1")
     # A copy laid out column by column, as the passes below read the
     # posteriors; adding 0.0 turns -0.0 into 0.0.
     posteriors = np.add(posteriors.T, 0.0, out=np.empty(posteriors.shape[::-1])).T
-    if len(weights) == 0:
+    sizes = np.array([len(weights)]) if seg is None else np.bincount(seg, minlength=count)
+    if not sizes.all():
         raise ValueError("measure has no atoms with positive weight")
     origin = None
     if track_origin:
@@ -220,9 +272,18 @@ def _canonical_atoms(weights, posteriors, tau: float, track_origin: bool = True)
             live = origin >= 0
             origin[live] = labels[origin[live]]
 
+    def by_segment() -> tuple:
+        # the helpers take no segment ids when there is one segment
+        return () if seg is None else (seg,)
+
     def merge(labels: np.ndarray) -> None:
-        nonlocal weights, posteriors
-        weights, posteriors = _aggregate(weights, posteriors, labels, labels.max() + 1)
+        nonlocal weights, posteriors, seg
+        k = labels.max() + 1
+        weights, posteriors = _aggregate(weights, posteriors, labels, k)
+        if seg is not None:
+            merged = np.empty(k, dtype=seg.dtype)
+            merged[labels] = seg
+            seg = merged
         apply(labels)
 
     # Merge until a pass merges nothing; the order in which that pass sorted
@@ -231,9 +292,11 @@ def _canonical_atoms(weights, posteriors, tau: float, track_origin: bool = True)
     # the distinct rows numbered in lexicographic order, or on a single row.
     # After a merging bucket pass and a sweep that joins nothing, another
     # bucket pass could merge only if a merged row left its members' cell:
-    # the rows are otherwise one per distinct cell.
+    # the rows are otherwise one per distinct cell. A segment whose own loop
+    # would have stopped is one row per distinct cell with no pair within
+    # tau, so the passes that other segments still need leave it as it is.
     while True:
-        labels, order = _bucket_labels(posteriors, tau)
+        labels, order = _bucket_labels(posteriors, tau, *by_segment())
         bucketed = labels is not None
         if bucketed:
             # one member's row for each merged atom, all in its grid cell
@@ -241,9 +304,9 @@ def _canonical_atoms(weights, posteriors, tau: float, track_origin: bool = True)
             member[labels] = np.arange(len(labels))
             cells = posteriors.T.take(member, axis=1)
             merge(labels)
-        if tau == 0 or len(weights) == 1:
+        if tau == 0 or len(weights) == len(sizes):
             break
-        labels, order = _sweep_labels(posteriors, tau)
+        labels, order = _sweep_labels(posteriors, tau, *by_segment())
         if labels is not None:
             merge(labels)
         elif not bucketed or np.array_equal(
@@ -259,13 +322,18 @@ def _canonical_atoms(weights, posteriors, tau: float, track_origin: bool = True)
         position = np.empty(len(order), dtype=np.int64)
         position[order] = np.arange(len(order))
         apply(position)
-    total = weights.sum()
-    if total != 1.0:
-        weights = weights / total
-    row_sums = posteriors.sum(axis=1)
-    if not np.all(row_sums == 1.0):
-        posteriors = posteriors / row_sums[:, None]
-    return weights, posteriors, origin
+    # Dividing by a sum of exactly 1 changes nothing, so every segment is
+    # divided. Each total is summed on its own slice, in the order a
+    # segment alone would sum it.
+    if seg is None:
+        totals = weights.sum()
+    else:
+        bounds = np.searchsorted(seg, np.arange(count + 1)).tolist()
+        totals = np.array([weights[a:b].sum() for a, b in zip(bounds, bounds[1:])])
+        totals = np.repeat(totals, np.diff(bounds))
+    weights = weights / totals
+    posteriors = posteriors / posteriors.sum(axis=1)[:, None]
+    return weights, posteriors, origin, seg
 
 
 class BlackwellMeasure:
@@ -275,30 +343,32 @@ class BlackwellMeasure:
     within merge_tau in L-infinity are merged (weights summed, posteriors
     weight-averaged), and atoms are sorted lexicographically by posterior.
     merge_tau is 0, which merges exact duplicates only, or at least
-    MERGE_TAU_MIN.
+    MERGE_TAU_MIN. Every remaining posterior row must sum to 1 within
+    SUM_TOL: merging and sorting read the rows as given.
     """
 
     def __init__(self, group: Group, weights, posteriors, merge_tau: float = DEFAULT_MERGE_TAU):
-        weights = np.asarray(weights, dtype=float)
-        posteriors = np.asarray(posteriors, dtype=float)
-        # NaN passes every later check and would become an INT64_MIN grid key
-        if not (np.isfinite(weights).all() and np.isfinite(posteriors).all()):
-            raise ValueError("atom weights and posteriors must be finite")
-        weights, posteriors, _ = _canonical_atoms(weights, posteriors, merge_tau, track_origin=False)
-        if posteriors.shape[1] != group.size:
-            raise ValueError("posterior length does not match group size")
-        if posteriors.min() < -MASS_TOL:
-            raise ValueError("posterior entries must be non-negative")
-        if abs(weights.sum() - 1.0) > 1e-9:
-            raise ValueError("atom weights do not sum to 1")
-        mean = weights @ posteriors
-        if np.abs(mean - 1.0 / group.size).max() > BALANCE_TOL:
-            raise ValueError("measure is not balanced: mean posterior is not uniform")
-        weights.setflags(write=False)
-        posteriors.setflags(write=False)
+        ((weights, posteriors),) = _canonical_measures(group, weights, posteriors, merge_tau)
         self.group = group
         self.weights = weights
         self.posteriors = posteriors
+
+    @classmethod
+    def segmented(
+        cls, group: Group, weights, posteriors, seg: np.ndarray | None, count: int,
+        merge_tau: float = DEFAULT_MERGE_TAU,
+    ) -> list["BlackwellMeasure"]:
+        """The `count` measures whose atoms are laid end to end, segment ids in `seg`.
+
+        Each is bitwise the measure its segment alone would construct; any
+        segment's invalid input raises for the whole call.
+        """
+        out = []
+        for w, q in _canonical_measures(group, weights, posteriors, merge_tau, seg, count):
+            m = cls.__new__(cls)
+            m.group, m.weights, m.posteriors = group, w, q
+            out.append(m)
+        return out
 
     @property
     def atom_count(self) -> int:
@@ -365,6 +435,35 @@ class BlackwellMeasure:
 
     def __repr__(self) -> str:
         return f"BlackwellMeasure({self.atom_count} atoms on {self.group!r})"
+
+
+def _canonical_measures(group: Group, weights, posteriors, merge_tau: float, seg=None, count=1):
+    """Validated canonical (weights, posteriors) of each segment, read-only."""
+    weights = np.asarray(weights, dtype=float)
+    posteriors = np.asarray(posteriors, dtype=float)
+    # NaN passes every later check and would become an INT64_MIN grid key
+    if not (np.isfinite(weights).all() and np.isfinite(posteriors).all()):
+        raise ValueError("atom weights and posteriors must be finite")
+    weights, posteriors, _, seg = _canonical_segments(
+        weights, posteriors, merge_tau, seg, count, check_rows=True
+    )
+    if posteriors.shape[1] != group.size:
+        raise ValueError("posterior length does not match group size")
+    if posteriors.min() < -MASS_TOL:
+        raise ValueError("posterior entries must be non-negative")
+    bounds = [0, len(weights)] if seg is None else np.searchsorted(seg, np.arange(count + 1)).tolist()
+    out = []
+    for a, b in zip(bounds, bounds[1:]):
+        w, q = weights[a:b], posteriors[a:b]
+        if abs(w.sum() - 1.0) > SUM_TOL:
+            raise ValueError("atom weights do not sum to 1")
+        mean = w @ q
+        if np.abs(mean - 1.0 / group.size).max() > BALANCE_TOL:
+            raise ValueError("measure is not balanced: mean posterior is not uniform")
+        w.setflags(write=False)
+        q.setflags(write=False)
+        out.append((w, q))
+    return out
 
 
 def blackwell_measure(w: Channel, merge_tau: float = DEFAULT_MERGE_TAU) -> BlackwellMeasure:

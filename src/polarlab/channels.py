@@ -126,13 +126,35 @@ def compose(v: Channel, w: Channel) -> Channel:
 
 def kernel_capacity(kernel: np.ndarray) -> float:
     """Mutual information in bits between a uniform input and the output of a kernel."""
+    return kernel_capacities(kernel, (0, kernel.shape[1]))[0]
+
+
+def kernel_capacities(kernel: np.ndarray, bounds) -> list[float]:
+    """kernel_capacity of each block kernel[:, a:b] between consecutive bounds.
+
+    The blocks share one pass, which gives each the bits it gets alone: the
+    column sums and the row entropies of the posteriors do not depend on
+    the other columns. Only the final dot is per block.
+    """
     m = kernel.shape[0]
     p_y = kernel.sum(axis=0) / m
     live = p_y > 0.0
-    if not live.all():
+    if len(bounds) == 2 and not live.all():
         kernel, p_y = kernel[:, live], p_y[live]
-    posteriors = (kernel / (m * p_y)).T
-    return float(np.log2(m) - p_y @ row_entropies_bits(posteriors))
+        bounds = (0, len(p_y))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        entropies = row_entropies_bits((kernel / (m * p_y)).T)
+    top = np.log2(m)
+    dead = len(bounds) > 2 and not live.all()
+    out = []
+    for a, b in zip(bounds, bounds[1:]):
+        if len(bounds) > 2 and (b - a == 1 or dead and not live[a:b].all()):
+            # alone, this block would drop its dead outputs, or lay out its
+            # one column so that its row entropies sum in another order
+            out.append(kernel_capacity(kernel[:, a:b]))
+        else:
+            out.append(float(top - p_y[a:b] @ entropies[a:b]))
+    return out
 
 
 def symmetric_capacity(w: Channel) -> float:

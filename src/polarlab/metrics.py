@@ -292,28 +292,49 @@ def pol_set(group: Group) -> tuple[tuple[Subgroup, BlackwellMeasure], ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def _pol_stack(group: Group) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Pol targets' atoms stacked: posteriors, weights, and each target's first row."""
+    targets = [target for _, target in pol_set(group)]
+    sizes = [target.atom_count for target in targets]
+    return (
+        np.concatenate([target.posteriors for target in targets]),
+        np.concatenate([target.weights for target in targets]),
+        np.concatenate([[0], np.cumsum(sizes)[:-1]]),
+    )
+
+
+def _pol_bounds(m: BlackwellMeasure) -> np.ndarray:
+    """Lower bound on the transport cost from m to each Pol target, in enumeration order.
+
+    Every plan moving weights w onto weights v costs at least
+    max(sum_i w_i min_j c_ij, sum_j v_j min_i c_ij). One cost matrix against
+    all targets' atoms gives every target's bound.
+    """
+    posteriors, weights, firsts = _pol_stack(m.group)
+    cost = _tv_cost_matrix(m.posteriors, posteriors)
+    rows = m.weights @ np.minimum.reduceat(cost, firsts, axis=1)
+    cols = np.add.reduceat(cost.min(axis=0) * weights, firsts)
+    return np.maximum(rows, cols)
+
+
 def distance_to_pol(m: BlackwellMeasure, group: Group | None = None) -> tuple[float, Subgroup]:
     """Distance to the nearest quotient-projection measure, with its subgroup.
 
-    Every plan moving weights w onto weights v costs at least
-    max(sum_i w_i min_j c_ij, sum_j v_j min_i c_ij), so the targets are
-    solved in ascending order of that lower bound, and a target whose bound
-    exceeds the best distance found so far by more than MARGINAL_TOL (which
-    absorbs rounding in the bound) is skipped: it can neither beat nor tie
-    the best. The value and subgroup are those of the enumeration-order
-    minimum, ties going to the first subgroup in enumeration order.
+    The targets are solved in ascending order of their lower bounds
+    (_pol_bounds), and a target whose bound exceeds the best distance found
+    so far by more than MARGINAL_TOL (which absorbs rounding in the bound)
+    is skipped: it can neither beat nor tie the best. The value and
+    subgroup are those of the enumeration-order minimum, ties going to the
+    first subgroup in enumeration order.
     """
     group = group or m.group
     if group != m.group:
         raise ValueError("measure group does not match")
     targets = pol_set(group)
-    bounds = []
-    for index, (_, target) in enumerate(targets):
-        cost = _tv_cost_matrix(m.posteriors, target.posteriors)
-        bound = max(m.weights @ cost.min(axis=1), cost.min(axis=0) @ target.weights)
-        bounds.append((bound, index))
+    bounds = sorted(zip(_pol_bounds(m).tolist(), range(len(targets))))
     best = (np.inf, -1)
-    for bound, index in sorted(bounds):
+    for bound, index in bounds:
         if bound > best[0] + MARGINAL_TOL:
             break
         best = min(best, (wasserstein(m, targets[index][1]), index))

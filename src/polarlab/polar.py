@@ -13,7 +13,7 @@ recursions; the channel-side transforms double as their cross-check oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .blackwell import (
     blackwell_measure,
     merge_outputs,
 )
-from .channels import Channel, kernel_capacity
+from .channels import Channel, kernel_capacities
 from .groups import Group
 
 DEFAULT_ATOM_BUDGET = 20000
@@ -96,44 +96,169 @@ def plus_transform(w: Channel, merge_tau: float | None = None) -> Channel:
     return raw if merge_tau is None else merge_outputs(raw, merge_tau)
 
 
-def _pair_convolutions(m: BlackwellMeasure) -> np.ndarray:
-    """(k, k, |G|) array of posteriors p_i (*) p_j for all ordered atom pairs."""
-    q = m.posteriors
-    shifted = q[:, m.group.add_table]  # [i, u1, u2] = p_i(u1 + u2)
-    return np.einsum("iuv,jv->iju", shifted, q)
+class Chunk:
+    """Measures of one group laid end to end as one segmented atom set.
+
+    Atoms are rows and each measure is a segment; measures of equal atom
+    count k sit side by side, in a block, so a block's atom pairs (i, j)
+    form an (n, k, k) array and no pair is gathered by index. Pairs are
+    ordered by segment, then row-major. Every kernel below runs once per
+    block and gives each measure bitwise the result it gets alone: products
+    are elementwise, sums run per row or in the order a lone measure sums
+    them, and only the BLAS dots stay per measure. Results come back in the
+    order of `measures`.
+    """
+
+    def __init__(self, measures: Sequence[BlackwellMeasure]):
+        self.measures = list(measures)
+        self.group = self.measures[0].group
+        counts = [m.atom_count for m in self.measures]
+        self.order = sorted(range(len(counts)), key=counts.__getitem__)
+        self.by_size = [self.measures[i] for i in self.order]
+        self.weights = np.concatenate([m.weights for m in self.by_size])
+        self.posteriors = np.concatenate([m.posteriors for m in self.by_size])
+        k = np.array([counts[i] for i in self.order])
+        self.starts = np.concatenate([[0], k.cumsum()])
+        self.pair_starts = np.concatenate([[0], (k * k).cumsum()])
+        edges = [0, *(np.flatnonzero(np.diff(k)) + 1).tolist(), len(k)]
+        # (k, first segment, end segment) of each block
+        self.blocks = [(int(k[a]), a, b) for a, b in zip(edges, edges[1:])]
+        self._conv = None
+
+    def __len__(self) -> int:
+        return len(self.measures)
+
+    def block(self, rows: np.ndarray, k: int, a: int, b: int) -> np.ndarray:
+        """The rows of segments a to b, each of k atoms, as an (n, k, ...) array."""
+        return rows[self.starts[a] : self.starts[b]].reshape(b - a, k, *rows.shape[1:])
+
+    def unsort(self, results: list) -> list:
+        """Per-segment results back in the order of `measures`."""
+        out = [None] * len(results)
+        for position, index in enumerate(self.order):
+            out[index] = results[position]
+        return out
+
+    @property
+    def conv(self) -> np.ndarray:
+        """(P, |G|) pair convolutions, shared by the minus step and the gap."""
+        if self._conv is None:
+            self._conv = _pair_convolutions(self).reshape(-1, self.group.size)
+        return self._conv
+
+    def pair_weights(self) -> np.ndarray:
+        """w_i w_j of every atom pair."""
+        w = self.weights
+        return np.concatenate([
+            (self.block(w, k, a, b)[:, :, None] * self.block(w, k, a, b)[:, None, :]).ravel()
+            for k, a, b in self.blocks
+        ])
+
+    def children(self, weights, posteriors, merge_tau: float) -> list[BlackwellMeasure]:
+        """The measures of raw atoms laid out like the pairs, len(weights) / P atoms per pair."""
+        seg = None  # one measure needs no segment ids
+        if len(self) > 1:
+            per_pair = len(weights) // self.pair_starts[-1]
+            seg = np.repeat(np.arange(len(self)), np.diff(self.pair_starts) * per_pair)
+        measures = BlackwellMeasure.segmented(self.group, weights, posteriors, seg, len(self), merge_tau)
+        return self.unsort(measures)
+
+    def minus(self, merge_tau: float = DEFAULT_MERGE_TAU) -> list[BlackwellMeasure]:
+        """Minus transform on atoms: weight w_i w_j at posterior p_i (*) p_j."""
+        return self.children(self.pair_weights(), self.conv, merge_tau)
+
+    def plus(self, merge_tau: float = DEFAULT_MERGE_TAU) -> list[BlackwellMeasure]:
+        """Plus transform on atoms.
+
+        For each atom pair (i, j) and each revealed first input u1, the atom
+        has weight w_i w_j (p_i (*) p_j)(u1) and posterior
+        x -> p_i(u1 + x) p_j(x) / (p_i (*) p_j)(u1); zero-probability u1 are
+        skipped.
+        """
+        size = self.group.size
+        numer = np.empty((self.pair_starts[-1], size, size))
+        for k, a, b in self.blocks:
+            q = self.block(self.posteriors, k, a, b)
+            # [n, i, j, u1, x] = p_i(u1 + x) p_j(x)
+            out = numer[self.pair_starts[a] : self.pair_starts[b]].reshape(b - a, k, k, size, size)
+            np.multiply(q[:, :, None, self.group.add_table], q[:, None, :, None, :], out=out)
+        # summed in order of x, as the einsum layout of a measure alone sums
+        # it; a one-atom measure's layout sums its rows contiguously
+        conv = numer[:, :, 0].copy()
+        for x in range(1, size):
+            conv += numer[:, :, x]
+        for k, a, b in self.blocks:
+            if k == 1:
+                lone = slice(self.pair_starts[a], self.pair_starts[b])
+                conv[lone] = numer[lone].sum(axis=2)
+        weights = self.pair_weights()[:, None] * conv
+        posteriors = np.divide(
+            numer, conv[..., None], out=np.zeros_like(numer), where=conv[..., None] > 0.0
+        )
+        return self.children(weights.ravel(), posteriors.reshape(-1, size), merge_tau)
+
+    def gaps(self) -> list["CapacityGap"]:
+        """I(M) - I(M-) of every measure via both routes; see capacity_gap."""
+        size = self.group.size
+        # the realized kernels side by side, and their channel-side minus
+        # kernels, one column per atom pair
+        columns = np.concatenate([m.realized_kernel().T for m in self.by_size])
+        minus = np.ascontiguousarray((_convolve_pairs(self, columns) / size).T)
+        capacities = kernel_capacities(columns.T, self.starts.tolist())
+        minus_capacities = kernel_capacities(minus, self.pair_starts.tolist())
+        h_conv = row_entropies_bits(self.conv)
+        h_atoms = row_entropies_bits(self.posteriors)
+        out = []
+        for s, m in enumerate(self.by_size):
+            a, b = self.pair_starts[s], self.pair_starts[s + 1]
+            k = m.atom_count
+            via_transform = capacities[s] - minus_capacities[s]
+            w = m.weights
+            h = h_atoms[self.starts[s] : self.starts[s + 1]]
+            via_pairs = float(w @ h_conv[a:b].reshape(k, k) @ w - w @ h)
+            if abs(via_transform - via_pairs) > GAP_ROUTE_TOL:
+                raise RuntimeError(
+                    "capacity-gap routes disagree "
+                    f"({via_transform!r} vs {via_pairs!r}): implementation fault"
+                )
+            out.append(CapacityGap(via_transform, via_pairs))
+        return self.unsort(out)
+
+
+def _convolve_pairs(chunk: Chunk, rows: np.ndarray) -> np.ndarray:
+    """out[p, u] = sum_v rows[i, u + v] rows[j, v] over the chunk's atom pairs p = (i, j).
+
+    One einsum per block. For two or more atoms it sums in order of v,
+    whether it runs on one measure or on a stack of them; a one-atom
+    measure's einsum sums in another order, so each runs alone.
+    """
+    table = chunk.group.add_table
+    out = np.empty((chunk.pair_starts[-1], chunk.group.size))
+    for k, a, b in chunk.blocks:
+        r = chunk.block(rows, k, a, b)
+        block = out[chunk.pair_starts[a] : chunk.pair_starts[b]]
+        if k == 1:
+            for s, row in enumerate(r):
+                block[s] = np.einsum("iuv,jv->iju", row[:, table], row).ravel()
+        else:
+            # [n, i, u, v] = rows[i, u + v]
+            block.reshape(b - a, k, k, -1)[...] = np.einsum("niuv,njv->niju", r[:, :, table], r)
+    return out
+
+
+def _pair_convolutions(chunk: Chunk) -> np.ndarray:
+    """(P, |G|) posteriors p_i (*) p_j of every measure's ordered atom pairs."""
+    return _convolve_pairs(chunk, chunk.posteriors)
 
 
 def minus_on_measure(m: BlackwellMeasure, merge_tau: float = DEFAULT_MERGE_TAU) -> BlackwellMeasure:
     """Minus transform on atoms: weight w_i w_j at posterior p_i (*) p_j."""
-    conv = _pair_convolutions(m)
-    weights = np.outer(m.weights, m.weights).ravel()
-    return BlackwellMeasure(
-        m.group, weights, conv.reshape(-1, m.group.size), merge_tau
-    )
+    return Chunk([m]).minus(merge_tau)[0]
 
 
 def plus_on_measure(m: BlackwellMeasure, merge_tau: float = DEFAULT_MERGE_TAU) -> BlackwellMeasure:
-    """Plus transform on atoms.
-
-    For each atom pair (i, j) and each revealed first input u1, the atom has
-    weight w_i w_j (p_i (*) p_j)(u1) and posterior
-    x -> p_i(u1 + x) p_j(x) / (p_i (*) p_j)(u1); zero-probability u1 are skipped.
-    """
-    q = m.posteriors
-    group = m.group
-    shifted = q[:, group.add_table]  # [i, u1, x] = p_i(u1 + x)
-    numer = np.einsum("iux,jx->ijux", shifted, q)
-    conv = numer.sum(axis=3)
-    weights = (m.weights[:, None, None] * m.weights[None, :, None]) * conv
-    posteriors = np.divide(
-        numer,
-        conv[..., None],
-        out=np.zeros_like(numer),
-        where=conv[..., None] > 0.0,
-    )
-    return BlackwellMeasure(
-        group, weights.ravel(), posteriors.reshape(-1, group.size), merge_tau
-    )
+    """Plus transform on atoms; see Chunk.plus."""
+    return Chunk([m]).plus(merge_tau)[0]
 
 
 @dataclass(frozen=True)
@@ -158,26 +283,30 @@ def capacity_gap(m: BlackwellMeasure) -> CapacityGap:
 
     via_transform reads both capacities off kernels (the realized kernel and
     its channel-side minus transform) and shares no code with the atom-pair
-    convolutions behind via_pairs, so a fault in either shows as a
-    disagreement. Both are exact functionals of the measure and otherwise
-    differ only by floating-point noise. The route through the canonical
-    measure minus_on_measure(m, 0.0) builds and sorts k^2 atoms; it moved
-    to verify.lemma_gap_suite, which checks it against .value.
+    convolutions behind via_pairs but their summation kernel, so a fault in
+    either shows as a disagreement. Both are exact functionals of the
+    measure and otherwise differ only by floating-point noise. The route
+    through the canonical measure minus_on_measure(m, 0.0) builds and sorts
+    k^2 atoms; it moved to verify.lemma_gap_suite, which checks it against
+    .value.
     """
-    kern = m.realized_kernel()
-    via_transform = kernel_capacity(kern) - kernel_capacity(_minus_kernel(m.group, kern))
-    conv = _pair_convolutions(m)
-    h_conv = row_entropies_bits(conv.reshape(-1, m.group.size)).reshape(
-        m.atom_count, m.atom_count
-    )
-    h_atoms = row_entropies_bits(m.posteriors)
-    via_pairs = float(m.weights @ h_conv @ m.weights - m.weights @ h_atoms)
-    if abs(via_transform - via_pairs) > GAP_ROUTE_TOL:
-        raise RuntimeError(
-            "capacity-gap routes disagree "
-            f"({via_transform!r} vs {via_pairs!r}): implementation fault"
+    return Chunk([m]).gaps()[0]
+
+
+def step_refusal(m: BlackwellMeasure, sign: str, atom_budget: int) -> str | None:
+    """Why the budget refuses a step of `m`, or None.
+
+    The budget caps the materialized (pre-merge) atom set: k^2 for a minus
+    step and k^2 |G| for a plus step.
+    """
+    k = m.atom_count
+    raw = k * k if sign == MINUS else k * k * m.group.size
+    if raw > atom_budget:
+        return (
+            f"step '{sign}' would materialize {raw} atoms from {k}, "
+            f"exceeding the budget of {atom_budget}"
         )
-    return CapacityGap(via_transform, via_pairs)
+    return None
 
 
 def polar_step(
@@ -188,20 +317,15 @@ def polar_step(
 ) -> BlackwellMeasure:
     """One minus/plus step on a measure, guarded by the atom budget.
 
-    The budget caps the materialized (pre-merge) atom set: k^2 for a minus
-    step and k^2 |G| for a plus step. Exceeding it raises; nothing is ever
+    A step the budget refuses (see step_refusal) raises; nothing is ever
     silently truncated.
     """
     sign = normalize_path(sign)
     if len(sign) != 1:
         raise ValueError("polar_step takes a single step")
-    k = m.atom_count
-    raw = k * k if sign == MINUS else k * k * m.group.size
-    if raw > atom_budget:
-        raise AtomBudgetError(
-            f"step '{sign}' would materialize {raw} atoms from {k}, "
-            f"exceeding the budget of {atom_budget}"
-        )
+    refusal = step_refusal(m, sign, atom_budget)
+    if refusal is not None:
+        raise AtomBudgetError(refusal)
     if sign == MINUS:
         return minus_on_measure(m, merge_tau)
     return plus_on_measure(m, merge_tau)

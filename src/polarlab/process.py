@@ -1,11 +1,16 @@
 """The random polarization process: path enumeration, sampling, and traces.
 
-Every mode walks the binary transform tree with one preorder generator,
-`_preorder`, so each child reuses its parent's merged measure and each
-measure is computed once. Per-path resource failures (atom budget) are
-recorded on the affected paths; the rest of the tree is still evaluated.
-Any other error raised while a node is computed is an internal fault and
-stops the run as a PathFault that names the node.
+Every mode walks the binary transform tree with one generator,
+`_walk_chunks`, so each child reuses its parent's merged measure and each
+measure is computed once. The walk takes consecutive nodes of one depth
+together, as a chunk of at most _CHUNK_ATOMS raw atoms: a chunk's
+transforms, merging and capacity gaps run once for all its nodes
+(polar.Chunk), and each node gets bitwise the result it gets alone, so
+the chunking never shows in a report. Per-path resource failures (atom
+budget) are recorded on the affected paths; the rest of the tree is still
+evaluated. Any other error raised while a node is computed is an internal
+fault and stops the run as a PathFault that names the node: the first one
+a preorder walk would meet.
 Evaluation is sequential, and all outputs are deterministic given the
 configuration; the thread count is accepted and selects nothing.
 """
@@ -39,11 +44,11 @@ from .polar import (
     MINUS,
     PLUS,
     AtomBudgetError,
-    capacity_gap,
+    Chunk,
     minus_transform,
     normalize_path,
     plus_transform,
-    polar_step,
+    step_refusal,
 )
 
 MAX_DEPTH = 16
@@ -245,27 +250,73 @@ def resolve_threads(threads: int | None) -> int:
     return max(1, threads)
 
 
-def _guarded_gap(m: BlackwellMeasure, atom_budget: int) -> float:
-    """Capacity gap of a node, treated as budgeted work like a transform step.
+def _gap_refusal(m: BlackwellMeasure, atom_budget: int) -> str | None:
+    """Why the budget refuses a node's capacity gap, or None.
 
     The gap diagnostic materializes all atom pairs, so a node whose pair set
     exceeds the budget cannot be evaluated, like a blocked minus step.
     """
     k = m.atom_count
     if k * k > atom_budget:
-        raise AtomBudgetError(
+        return (
             f"capacity-gap evaluation would materialize {k * k} atom pairs, "
             f"exceeding the budget of {atom_budget}"
         )
-    return capacity_gap(m).value
+    return None
 
 
-# A node of the transform tree: its merged measure, or the budget-refusal
-# message that stopped its path.
-Node = BlackwellMeasure | str
+# Raw atoms stepped together: a node with k atoms counts k^2 (1 + |G|), the
+# pairs of its minus step and gap plus the atoms of its plus step. Children
+# are chunked up to this cap, so a larger node steps alone, and the walk
+# holds O(depth) chunks.
+_CHUNK_ATOMS = 1 << 14
+
+# A node of the transform tree: its merged measure, the budget-refusal
+# message that stopped its path, or the fault that stopped the walk there.
+Node = BlackwellMeasure | str | PathFault
 
 
-def _preorder(
+def _fault(path: str, exc: Exception) -> PathFault:
+    fault = PathFault(path, exc)
+    fault.__cause__ = exc
+    return fault
+
+
+def _per_chunk(kernel, chunk: Chunk, paths: list[str]) -> list:
+    """kernel(chunk), one result per measure; if that raises, node by node.
+
+    Run alone, a node whose kernel raises RuntimeError or ValueError gets a
+    PathFault naming it in place of its result.
+    """
+    try:
+        return kernel(chunk)
+    except (RuntimeError, ValueError):
+        out = []
+        for m, path in zip(chunk.measures, paths):
+            try:
+                out.extend(kernel(Chunk([m])))
+            except (RuntimeError, ValueError) as exc:
+                out.append(_fault(path, exc))
+        return out
+
+
+def _split(children: list[tuple[str, Node]]) -> list[list[tuple[str, Node]]]:
+    """Consecutive runs of children of at most _CHUNK_ATOMS raw atoms each."""
+    chunks: list[list[tuple[str, Node]]] = [[]]
+    load = 0
+    for path, node in children:
+        cost = 0
+        if isinstance(node, BlackwellMeasure):
+            cost = node.atom_count ** 2 * (1 + node.group.size)
+        if chunks[-1] and load + cost > _CHUNK_ATOMS:
+            chunks.append([])
+            load = 0
+        chunks[-1].append((path, node))
+        load += cost
+    return chunks
+
+
+def _walk_chunks(
     root: BlackwellMeasure,
     depth: int,
     merge_tau: float = DEFAULT_MERGE_TAU,
@@ -273,38 +324,84 @@ def _preorder(
     wanted: Iterable[str] | None = None,
     gap_depths: Container[int] = (),
 ) -> Iterator[tuple[str, Node, float | None]]:
-    """Walk the transform tree below `root` to `depth`, in preorder, '-' first.
+    """Walk the transform tree below `root` to `depth`, a chunk of a level at a time.
 
     Yields (path, node, gap) for every prefix, or, given `wanted`, only for
-    the prefixes of the wanted paths. Each measure is stepped once from its
-    parent's, and only the parents of the nodes still to come are held, so
-    memory grows with the depth. At the depths in `gap_depths` the node's
-    guarded capacity gap is computed before its children are stepped;
-    elsewhere `gap` is None. A refused step or gap replaces the node by its
-    message, which stands in for every descendant; nothing below is computed.
-    A step or gap that raises RuntimeError or ValueError raises PathFault.
+    the prefixes of the wanted paths; the nodes of each depth, and so the
+    leaves, come in path order, '-' first. A chunk is a run of consecutive
+    nodes of one depth: its gaps and steps each run once for all its
+    measures (polar.Chunk). Its children are split into chunks again
+    (_split) and walked depth first. Each measure is stepped once from its
+    parent's. At the depths in `gap_depths` a node's guarded capacity gap
+    is computed before its children are stepped; elsewhere `gap` is None. A
+    refused step or gap replaces the node by its message, which stands in
+    for every descendant; nothing below is computed. A step or gap that
+    raises RuntimeError or ValueError replaces the node by a PathFault that
+    names it and likewise stands in for its descendants. The walk raises it
+    at the first leaf it covers: in path order, so the first fault a
+    preorder walk would meet is the one raised.
     """
     prefixes = None if wanted is None else {p[:k] for p in wanted for k in range(len(p) + 1)}
-    stack: list[tuple[str, Node | None]] = [("", None)]
+    stack: list[list[tuple[str, Node]]] = [[("", root)]]
     while stack:
-        path, parent = stack.pop()
-        node, gap = parent, None
-        try:
-            if parent is None:
-                node = root
-            elif not isinstance(parent, str):
-                node = polar_step(parent, path[-1], merge_tau, atom_budget)
-            if isinstance(node, BlackwellMeasure) and len(path) in gap_depths:
-                gap = _guarded_gap(node, atom_budget)
-        except AtomBudgetError as exc:
-            node = str(exc)
-        except (RuntimeError, ValueError) as exc:
-            raise PathFault(path, exc) from exc
-        yield path, node, gap
-        if len(path) < depth:
-            for sign in (PLUS, MINUS):
-                if prefixes is None or path + sign in prefixes:
-                    stack.append((path + sign, node))
+        paths, nodes = map(list, zip(*stack.pop()))
+        level = len(paths[0])
+        chunks: dict[tuple[int, ...], Chunk] = {}
+
+        def run(kernel, todo: list[int], sign: str = "") -> list:
+            # a fault is named after the node computed: the node's own path
+            # for its gap, its child's for a step
+            key = tuple(todo)
+            if key not in chunks:
+                chunks[key] = Chunk([nodes[i] for i in todo])
+            return _per_chunk(kernel, chunks[key], [paths[i] + sign for i in todo])
+
+        gaps: list[float | None] = [None] * len(nodes)
+        if level in gap_depths:
+            todo = []
+            for i, node in enumerate(nodes):
+                if isinstance(node, BlackwellMeasure):
+                    refusal = _gap_refusal(node, atom_budget)
+                    if refusal is None:
+                        todo.append(i)
+                    else:
+                        nodes[i] = refusal
+            if todo:
+                for i, gap in zip(todo, run(Chunk.gaps, todo)):
+                    if isinstance(gap, PathFault):
+                        nodes[i] = gap
+                    else:
+                        gaps[i] = gap.value
+        for path, node, gap in zip(paths, nodes, gaps):
+            if level == depth and isinstance(node, PathFault):
+                raise node
+            yield path, node, gap
+        if level == depth:
+            continue
+        children: dict[str, Node] = {}
+        for sign, kernel in ((MINUS, Chunk.minus), (PLUS, Chunk.plus)):
+            todo = []
+            for i, (path, node) in enumerate(zip(paths, nodes)):
+                if prefixes is not None and path + sign not in prefixes:
+                    continue
+                children[path + sign] = node
+                if isinstance(node, BlackwellMeasure):
+                    refusal = step_refusal(node, sign, atom_budget)
+                    if refusal is None:
+                        todo.append(i)
+                    else:
+                        children[path + sign] = refusal
+            if todo:
+                stepped = run(lambda chunk: kernel(chunk, merge_tau), todo, sign)
+                for i, child in zip(todo, stepped):
+                    children[paths[i] + sign] = child
+        ordered = [
+            (path + sign, children[path + sign])
+            for path in paths
+            for sign in (MINUS, PLUS)
+            if path + sign in children
+        ]
+        stack.extend(reversed(_split(ordered)))
 
 
 def _evaluate(m: Node, path: str, gap: float | None, delta: float) -> PathRecord:
@@ -353,7 +450,7 @@ def enumerate_paths(
     records: list[PathRecord] = []
     level_gaps: dict[int, list[float]] = {}
     root = blackwell_measure(w, merge_tau)
-    walk = _preorder(root, depth, merge_tau, atom_budget, gap_depths=range(depth + 1))
+    walk = _walk_chunks(root, depth, merge_tau, atom_budget, gap_depths=range(depth + 1))
     for path, node, gap in walk:
         if gap is not None:
             level_gaps.setdefault(len(path), []).append(gap)
@@ -396,7 +493,7 @@ def sample_paths(
         paths.append("".join(PLUS if b else MINUS for b in bits))
 
     root = blackwell_measure(w, merge_tau)
-    walk = _preorder(root, depth, merge_tau, atom_budget, paths, gap_depths=(depth,))
+    walk = _walk_chunks(root, depth, merge_tau, atom_budget, paths, gap_depths=(depth,))
     leaves = {
         path: _evaluate(node, path, gap, delta) for path, node, gap in walk if len(path) == depth
     }
@@ -419,10 +516,12 @@ def convergence_trace(
     depth = len(steps)
     root = blackwell_measure(w, merge_tau)
     out = []
-    walk = _preorder(root, depth, merge_tau, atom_budget, [steps], gap_depths=range(depth + 1))
+    walk = _walk_chunks(root, depth, merge_tau, atom_budget, [steps], gap_depths=range(depth + 1))
     for prefix, m, gap in walk:
         if isinstance(m, str):
             raise AtomBudgetError(m)
+        if isinstance(m, PathFault):
+            raise m
         try:
             dist, nearest = distance_to_pol(m)
             capacity = capacity_of_measure(m)

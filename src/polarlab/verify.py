@@ -17,7 +17,7 @@ from .groups import enumerate_subgroups, make_group, subgroup_from_members
 from .metrics import distance_to_pol
 from .polar import AtomBudgetError, capacity_gap, minus_on_measure
 from .presets import bec_channel, random_channel, z4_multilevel_channel
-from .process import _preorder, enumerate_paths, martingale_residual
+from .process import PathFault, _walk_chunks, enumerate_paths, martingale_residual
 
 CORPUS_SEED = 20240810
 CORPUS_GROUP_ORDERS = ([2], [3], [4], [2, 2], [6])
@@ -148,9 +148,11 @@ def multilevel_quotient_floor(depth: int = 12, erasure: float = 0.5) -> float:
     sub = subgroup_from_members(group, [0, 2])
     floor = symmetric_capacity(conditional_channel(w, sub))
 
-    for path, m, _ in _preorder(blackwell_measure(w), depth):
+    for path, m, _ in _walk_chunks(blackwell_measure(w), depth):
         if isinstance(m, str):
             raise AtomBudgetError(m)
+        if isinstance(m, PathFault):
+            raise m
         if path:
             floor = min(floor, symmetric_capacity(conditional_channel(m.realize(), sub)))
     return floor

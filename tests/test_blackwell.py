@@ -1,9 +1,10 @@
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polarlab import (
@@ -23,7 +24,7 @@ from polarlab import (
 )
 from polarlab import blackwell
 from polarlab._util import row_entropies_bits
-from polarlab.blackwell import _bucket_labels, _canonical_atoms, _sweep_labels
+from polarlab.blackwell import _bucket_labels, _canonical_atoms, _canonical_segments, _sweep_labels
 from polarlab.presets import bsc_channel, identity_channel, random_channel, useless_channel
 from polarlab.process import sample_paths
 
@@ -462,6 +463,50 @@ def test_canonical_atoms_match_reference_loop(chunk, atoms, tau):
     with mock.patch.object(blackwell, "_PAIR_CHUNK", chunk):
         got = _canonical_atoms(weights, posteriors, tau)
     _assert_same_atoms(got, _reference_canonical_atoms(weights, posteriors, tau))
+
+
+@pytest.mark.parametrize("chunk", [blackwell._PAIR_CHUNK, 3])
+@settings(max_examples=50)
+@given(parts=st.lists(_atoms(), min_size=1, max_size=3), tau=st.sampled_from(_TAUS))
+def test_segments_canonicalize_as_alone(chunk, parts, tau):
+    # atom sets laid end to end come out, segment by segment, bitwise as
+    # each comes out alone; their near-equal rows must not merge across
+    width = min(q.shape[1] for _, q in parts)
+    parts = [(w, q[:, :width]) for w, q in parts]
+    for w, q in parts:
+        assume(w.max() > 0.0 and (q.sum(axis=1) > 0.0).all())
+    seg = np.repeat(np.arange(len(parts)), [len(w) for w, _ in parts])
+    weights = np.concatenate([w for w, _ in parts])
+    posteriors = np.concatenate([q for _, q in parts])
+    with mock.patch.object(blackwell, "_PAIR_CHUNK", chunk):
+        got_w, got_q, got_origin, got_seg = _canonical_segments(
+            weights, posteriors, tau, seg, len(parts), track_origin=True
+        )
+    assert np.all(np.diff(got_seg) >= 0)
+    first, offset = 0, 0
+    for i, (w, q) in enumerate(parts):
+        want = _canonical_atoms(w, q, tau)
+        out = got_seg == i
+        origin = got_origin[first : first + len(w)]
+        origin = np.where(origin >= 0, origin - offset, origin)
+        _assert_same_atoms((got_w[out], np.ascontiguousarray(got_q[out]), origin), want)
+        first += len(w)
+        offset += int(out.sum())
+
+
+def test_rows_that_do_not_sum_to_one_are_rejected():
+    # Merging and sorting read the rows as given and divided them by their
+    # sums only at the end: an unnormalized twin of an atom stayed a second
+    # atom, and a huge row overflowed its grid keys and broke the order.
+    with pytest.raises(ValueError, match="rows must sum to 1"):
+        BlackwellMeasure(Z2, [0.25, 0.25, 0.5], [[0.2, 0.8], [0.4, 1.6], [0.8, 0.2]], 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="rows must sum to 1"):
+            BlackwellMeasure(Z2, [0.5, 0.5], [[2e10, 8e10], [0.8, 0.2]], 1e-9)
+    # a pruned atom's row is not checked
+    m = BlackwellMeasure(Z2, [0.5, 0.5, 0.0], [[0.2, 0.8], [0.8, 0.2], [5.0, 5.0]])
+    assert m.atom_count == 2
 
 
 def test_sweep_joins_atoms_through_a_common_neighbour():

@@ -277,6 +277,21 @@ def test_distance_to_pol_solves_once_per_leaf(walk):
     assert solve.call_count == len(leaves)
 
 
+def _per_target_bounds(m):
+    bounds = []
+    for _, target in pol_set(m.group):
+        cost = metrics._tv_cost_matrix(m.posteriors, target.posteriors)
+        bounds.append(max(m.weights @ cost.min(axis=1), cost.min(axis=0) @ target.weights))
+    return np.array(bounds)
+
+
+def test_stacked_pol_bounds_match_per_target_bounds():
+    measures = [blackwell_measure(w) for w in random_corpus(count=60)]
+    measures += [m for walk in _WALKS for m in _leaf_measures(walk)[:32]]
+    for m in measures:
+        assert np.abs(metrics._pol_bounds(m) - _per_target_bounds(m)).max() <= 1e-12
+
+
 @pytest.mark.parametrize(
     "members, weights",
     [

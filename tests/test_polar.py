@@ -2,9 +2,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarlab import (
     AtomBudgetError,
+    BlackwellMeasure,
     Channel,
     blackwell_measure,
     capacity_gap,
@@ -23,6 +26,7 @@ from polarlab import (
     translate_dist,
 )
 from polarlab import polar
+from polarlab._util import row_entropies_bits
 from polarlab.presets import bec_channel, bsc_channel, identity_channel, random_channel, useless_channel
 from polarlab.verify import random_corpus
 
@@ -255,3 +259,100 @@ def test_equivalence_respected_by_transforms():
         a = blackwell_measure(transform(w))
         b = blackwell_measure(transform(split))
         assert a.equals(b, w_tol=1e-12, q_tol=1e-12)
+
+
+# The per-measure transforms and capacity gap that polar.Chunk replaced,
+# kept verbatim apart from canonicalization, which has its own reference:
+# a chunk must reproduce their bits.
+
+
+def _reference_minus(m, tau):
+    conv = np.einsum("iuv,jv->iju", m.posteriors[:, m.group.add_table], m.posteriors)
+    weights = np.outer(m.weights, m.weights).ravel()
+    return BlackwellMeasure(m.group, weights, conv.reshape(-1, m.group.size), tau)
+
+
+def _reference_plus(m, tau):
+    q = m.posteriors
+    shifted = q[:, m.group.add_table]  # [i, u1, x] = p_i(u1 + x)
+    numer = np.einsum("iux,jx->ijux", shifted, q)
+    conv = numer.sum(axis=3)
+    weights = (m.weights[:, None, None] * m.weights[None, :, None]) * conv
+    posteriors = np.divide(numer, conv[..., None], out=np.zeros_like(numer), where=conv[..., None] > 0.0)
+    return BlackwellMeasure(m.group, weights.ravel(), posteriors.reshape(-1, m.group.size), tau)
+
+
+def _reference_kernel_capacity(kernel):
+    m = kernel.shape[0]
+    p_y = kernel.sum(axis=0) / m
+    live = p_y > 0.0
+    if not live.all():
+        kernel, p_y = kernel[:, live], p_y[live]
+    posteriors = (kernel / (m * p_y)).T
+    return float(np.log2(m) - p_y @ row_entropies_bits(posteriors))
+
+
+def _reference_gap(m):
+    kern = m.realized_kernel()
+    size = m.group.size
+    minus = np.einsum("uvy,vz->uyz", kern[m.group.add_table], kern) / size
+    via_transform = _reference_kernel_capacity(kern) - _reference_kernel_capacity(minus.reshape(size, -1))
+    conv = np.einsum("iuv,jv->iju", m.posteriors[:, m.group.add_table], m.posteriors)
+    h_conv = row_entropies_bits(conv.reshape(-1, size)).reshape(m.atom_count, m.atom_count)
+    h_atoms = row_entropies_bits(m.posteriors)
+    return polar.CapacityGap(via_transform, float(m.weights @ h_conv @ m.weights - m.weights @ h_atoms))
+
+
+# Groups of every size class the summation kernels treat differently: rows
+# shorter than 8 entries, exactly 8, longer, and the size cap of 64. On Z11
+# and Z17 the row entropies of a one-atom measure's kernels sum to other
+# bits in a chunk's layout than alone.
+_CHUNK_GROUPS = ([2], [3], [4], [2, 2], [5], [6], [2, 4], [8], [3, 3], [11], [2, 2, 2, 2], [17], [4, 4, 4])
+
+
+@st.composite
+def _measure_chunks(draw):
+    """Measures of mixed atom counts on one group, one-atom measures included."""
+    group = make_group(draw(st.sampled_from(_CHUNK_GROUPS)))
+    tau = draw(st.sampled_from([0.0, 1e-9, 1e-3]))
+    measures = []
+    for _ in range(draw(st.integers(1, 6))):
+        # one output gives the one-atom measure
+        n = draw(st.integers(1, 4 if group.size <= 16 else 2))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        kernel = rng.dirichlet(np.full(n, draw(st.sampled_from([0.05, 0.5, 1.0]))), size=group.size)
+        if draw(st.booleans()):  # split an output into two exact duplicates
+            kernel = np.hstack([kernel, kernel[:, :1]])
+            kernel[:, [0, -1]] /= 2.0
+        m = blackwell_measure(Channel(kernel, None, group), tau)
+        for sign in draw(st.text("-+", max_size=2 if group.size <= 8 else 0)):
+            if m.atom_count ** 2 * group.size > 400:
+                break
+            m = polar.polar_step(m, sign, tau)
+        measures.append(m)
+    return measures, tau
+
+
+@settings(max_examples=30)
+@given(case=_measure_chunks())
+def test_chunk_kernels_match_each_measure_alone(case):
+    measures, tau = case
+    chunk = polar.Chunk(measures)
+    for got, m in zip(chunk.minus(tau), measures):
+        assert got.identical(minus_on_measure(m, tau))
+        assert got.identical(_reference_minus(m, tau))
+        assert got.weights.flags.c_contiguous and got.posteriors.flags.c_contiguous
+    for got, m in zip(chunk.plus(tau), measures):
+        assert got.identical(plus_on_measure(m, tau))
+        assert got.identical(_reference_plus(m, tau))
+    gaps = chunk.gaps()
+    assert gaps == [capacity_gap(m) for m in measures]
+    assert gaps == [_reference_gap(m) for m in measures]
+
+
+def test_one_atom_measure_keeps_its_gap_in_a_chunk():
+    # Z11: beside other measures, the one-atom measure's kernel columns
+    # would sum their row entropies in another order than alone
+    z11 = make_group([11])
+    measures = [blackwell_measure(useless_channel(z11)), blackwell_measure(random_channel(z11, 3, seed=1))]
+    assert polar.Chunk(measures).gaps() == [_reference_gap(m) for m in measures]

@@ -203,9 +203,22 @@ def test_convergence_trace_refusal_names_the_gap():
     assert str(info.value) == message
 
 
+def _count_stepped_nodes(monkeypatch, counter):
+    # the walker steps a chunk of nodes per call; count the nodes
+    for name in ("minus", "plus"):
+        real = getattr(process.Chunk, name)
+
+        def step(chunk, *args, real=real):
+            for _ in chunk.measures:
+                counter()
+            return real(chunk, *args)
+
+        monkeypatch.setattr(process.Chunk, name, step)
+
+
 def test_each_node_is_stepped_once(monkeypatch):
-    counter = mock.Mock(wraps=process.polar_step)
-    monkeypatch.setattr(process, "polar_step", counter)
+    counter = mock.Mock()
+    _count_stepped_nodes(monkeypatch, counter)
     w = dh_mix_channel(Z4, seed=3)
     report = enumerate_paths(w, 5)
     assert not report.failed
@@ -220,31 +233,58 @@ def test_each_node_is_stepped_once(monkeypatch):
 def test_faults_name_the_node(monkeypatch):
     # a step, a gap or an evaluation that raises names its node's path;
     # budget refusals stay per-path results
-    real_step = process.polar_step
+    real_plus = process.Chunk.plus
 
-    def step(m, sign, *args):
-        if sign == "+":
-            raise ValueError("posterior entries must be non-negative")
-        return real_step(m, sign, *args)
+    def plus(chunk, *args):
+        raise ValueError("posterior entries must be non-negative")
 
-    monkeypatch.setattr(process, "polar_step", step)
+    monkeypatch.setattr(process.Chunk, "plus", plus)
     # preorder visits '-' before '+', so '-+' is the first plus step
     with pytest.raises(process.PathFault, match=r"^path '-\+': posterior entries") as info:
         enumerate_paths(bec_channel(0.5), 2)
     assert info.value.path == "-+" and isinstance(info.value.__cause__, ValueError)
     with pytest.raises(process.PathFault, match=r"^path '--\+': "):
         convergence_trace(bec_channel(0.5), "--+")
-    monkeypatch.setattr(process, "polar_step", real_step)
+    monkeypatch.setattr(process.Chunk, "plus", real_plus)
 
-    def gap(m, budget):
+    def gap(chunk):
         raise RuntimeError("capacity-gap routes disagree")
 
-    monkeypatch.setattr(process, "_guarded_gap", gap)
+    monkeypatch.setattr(process.Chunk, "gaps", gap)
     with pytest.raises(process.PathFault, match=r"^path '': capacity-gap routes disagree$"):
         enumerate_paths(bec_channel(0.5), 1)
     monkeypatch.undo()
     report = enumerate_paths(random_channel(Z4, 5, seed=0), 3, atom_budget=300)
     assert report.failed and all("budget" in r.error for r in report.failed)
+
+
+def _chunking_cases():
+    z2z2 = make_group([2, 2])
+    return [
+        (dh_mix_channel(Z4, seed=3), 5, {}),
+        (random_channel(z2z2, 3, seed=3), 4, {"merge_tau": 1e-3}),
+        (bsc_channel(0.11), 6, {"merge_tau": 1e-3}),
+        (random_channel(Z4, 4, seed=0), 3, {"atom_budget": 300}),
+        (identity_channel(Z4), 3, {"merge_tau": 0.0}),
+    ]
+
+
+def _chunking_reports():
+    out = []
+    for w, depth, kw in _chunking_cases():
+        out.append(report_json(enumerate_paths(w, depth, **kw).to_dict()))
+        out.append(report_json(sample_paths(w, depth, 12, seed=5, **kw).to_dict()))
+        out.append([r.to_dict() for r in convergence_trace(bec_channel(0.5), "-+--+", **kw)]
+                   if "atom_budget" not in kw else None)
+    return out
+
+
+@pytest.mark.parametrize("cap", [1, 200])
+def test_chunk_size_does_not_change_reports(monkeypatch, cap):
+    # cap 1 steps every node alone; 200 cuts levels into uneven chunks
+    want = _chunking_reports()
+    monkeypatch.setattr(process, "_CHUNK_ATOMS", cap)
+    assert _chunking_reports() == want
 
 
 def test_repeated_sample_paths_evaluated_once(monkeypatch):

@@ -1,0 +1,124 @@
+#!/usr/bin/env python3
+"""Check that polarlab's reports at a git revision and in the working tree are byte-identical.
+
+    python3 tools/compare_reports.py REV
+
+REV is checked out with `git worktree` into a temporary directory, which is
+removed afterwards. Each command of COMMANDS then runs once against REV's
+`src/` and once against the working tree's, in a fresh interpreter with one
+BLAS thread, and the two runs' stdout bytes, exit codes and stderr are
+compared. Prints one line per command and exits 0 when every command
+matches, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def polarize(*args: str) -> list[str]:
+    return ["-m", "polarlab.cli", "polarize", "--delta", "0.1", *args]
+
+
+def library(code: str) -> list[str]:
+    return ["-c", "import json, polarlab as pl\nfrom polarlab import presets, verify\n" + code]
+
+
+def trace(preset: str, group: str | None, path: str, merge_tau: float) -> list[str]:
+    channel = f"presets.parse_preset({preset!r}, {group_expr(group)})"
+    return library(
+        f"records = pl.convergence_trace({channel}, {path!r}, merge_tau={merge_tau!r})\n"
+        "print(json.dumps([r.to_dict() for r in records], indent=1))"
+    )
+
+
+def group_expr(group: str | None) -> str:
+    return "None" if group is None else f"presets.parse_group_spec({group!r})"
+
+
+# (name, interpreter arguments). The three benchmark workloads first.
+COMMANDS: list[tuple[str, list[str]]] = [
+    ("multilevel-exh", polarize("--preset", "z4-multilevel:0.5", "--depth", "7")),
+    ("dhmix-z2z4 seed 11", polarize("--preset", "dh-mix:11", "--group", "[2,4]", "--depth", "5")),
+    ("dhmix-z2z4 seed 31", polarize("--preset", "dh-mix:31", "--group", "[2,4]", "--depth", "5")),
+    *[
+        (f"bsc-merge-sample seed {seed}", polarize(
+            "--preset", "bsc:0.11", "--depth", "8", "--mode", "sample", "--samples", "4",
+            "--seed", str(seed), "--merge-tau", "1e-3", "--atom-budget", "1000000"))
+        for seed in (1, 2)
+    ],
+    *[
+        (f"z4-multilevel d{depth}", polarize("--preset", "z4-multilevel:0.5", "--depth", str(depth)))
+        for depth in (9, 12)
+    ],
+    ("bec d8", polarize("--preset", "bec:0.5", "--depth", "8")),
+    ("bec d10 sample", polarize(
+        "--preset", "bec:0.5", "--depth", "10", "--mode", "sample", "--samples", "1000",
+        "--seed", "7")),
+    *[
+        (f"dh-mix:3 Z4 d{depth}", polarize("--preset", "dh-mix:3", "--group", "Z4", "--depth", str(depth)))
+        for depth in (4, 6, 8)
+    ],
+    ("dh-mix:3 Z4 d6 csv", polarize(
+        "--preset", "dh-mix:3", "--group", "Z4", "--depth", "6", "--format", "csv")),
+    ("random:0 Z4 budget 300", polarize(
+        "--preset", "random:0", "--group", "Z4", "--depth", "3", "--atom-budget", "300")),
+    ("random:0 Z4 budget 300 sample", polarize(
+        "--preset", "random:0", "--group", "Z4", "--depth", "3", "--atom-budget", "300",
+        "--mode", "sample", "--samples", "6", "--seed", "0")),
+    ("bsc d7", polarize("--preset", "bsc:0.11", "--depth", "7")),
+    ("bsc d7 sample", polarize(
+        "--preset", "bsc:0.11", "--depth", "7", "--mode", "sample", "--samples", "16",
+        "--seed", "3")),
+    ("bsc d6 tau 1e-3", polarize("--preset", "bsc:0.11", "--depth", "6", "--merge-tau", "1e-3")),
+    ("random:3 Z2xZ2 tau 1e-3", polarize(
+        "--preset", "random:3", "--group", "[2,2]", "--depth", "4", "--merge-tau", "1e-3")),
+    ("trace z4-multilevel", trace("z4-multilevel:0.5", None, "-+-+-+-+-+", 1e-9)),
+    ("trace dh-mix:3 Z4", trace("dh-mix:3", "Z4", "--++-+-", 1e-9)),
+    ("trace bsc tau 1e-3", trace("bsc:0.11", None, "+-+--+", 1e-3)),
+    ("quotient floor d10", library("print(repr(verify.multilevel_quotient_floor(10)))")),
+    ("verify all", ["-m", "polarlab.cli", "verify", "--suite", "all"]),
+]
+
+
+def run(src: Path, args: list[str], cwd: str) -> tuple[bytes, int, bytes]:
+    env = dict(os.environ, PYTHONPATH=str(src), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", POLARLAB_THREADS="1")
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True)
+    return proc.stdout, proc.returncode, proc.stderr
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rev", help="git revision to compare the working tree with")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="polarlab-compare-") as tmp:
+        base = Path(tmp) / "base"
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
+                        str(base), args.rev], check=True)
+        try:
+            differ = []
+            for name, command in COMMANDS:
+                want = run(base / "src", command, tmp)
+                got = run(ROOT / "src", command, tmp)
+                fields = [f for f, a, b in zip(("stdout", "exit code", "stderr"), want, got) if a != b]
+                print(f"{'DIFF' if fields else 'same'} {name}"
+                      + (f": {', '.join(fields)}" if fields else f" (exit {got[1]})"), flush=True)
+                if fields:
+                    differ.append(name)
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(base)],
+                           check=True)
+    print(f"{len(COMMANDS) - len(differ)} of {len(COMMANDS)} commands identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
