@@ -360,7 +360,8 @@ class BlackwellMeasure:
     ) -> list["BlackwellMeasure"]:
         """The `count` measures whose atoms are laid end to end, segment ids in `seg`.
 
-        Each is bitwise the measure its segment alone would construct; any
+        `seg` is as in _canonical_segments; None means one measure. Each is
+        bitwise the measure its segment alone would construct; any
         segment's invalid input raises for the whole call.
         """
         out = []
