@@ -31,6 +31,10 @@ class Channel:
         kernel = np.array(kernel, dtype=float)
         if kernel.ndim != 2 or kernel.size == 0:
             raise ValueError("kernel must be a non-empty 2-D matrix")
+        # NaN fails every range and row-sum comparison below, so it would pass
+        if not np.isfinite(kernel).all():
+            bad = np.unravel_index(int(np.argmin(np.isfinite(kernel))), kernel.shape)
+            raise ValueError(f"kernel entry at row {bad[0]}, column {bad[1]} is not finite")
         if kernel.min() < -ROW_SUM_TOL or kernel.max() > 1.0 + 1e-9:
             bad = np.unravel_index(
                 int(np.argmax(np.maximum(-kernel, kernel - 1.0))), kernel.shape
@@ -107,13 +111,6 @@ class DeterminednessResult:
     def best(self) -> DeterminednessWitness | None:
         return self.witnesses[0] if self.witnesses else None
 
-    def to_dict(self) -> dict:
-        return {
-            "determined": self.determined,
-            "delta": self.delta,
-            "witnesses": [w.to_dict() for w in self.witnesses],
-        }
-
 
 def compose(v: Channel, w: Channel) -> Channel:
     """Channel (V o W)(z|x) = sum_y V(z|y) W(y|x); W feeds into V."""
@@ -171,14 +168,18 @@ def deterministic_hom(group: Group, sub: Subgroup) -> Channel:
     return Channel(kernel, outputs, group)
 
 
+def _coset_average(group: Group, kernel: np.ndarray, sub: Subgroup) -> np.ndarray:
+    """Kernel rows averaged over each coset of the subgroup, one row per coset."""
+    q = quotient(group, sub)
+    out = np.zeros((q.count, kernel.shape[1]))
+    np.add.at(out, q.coset_of, kernel)
+    out /= sub.size
+    return out
+
+
 def conditional_channel(w: Channel, sub: Subgroup) -> Channel:
     """Coset-input channel: rows of W averaged over each coset of the subgroup."""
-    group = w.require_group()
-    q = quotient(group, sub)
-    kernel = np.zeros((q.count, w.n_outputs))
-    np.add.at(kernel, q.coset_of, w.kernel)
-    kernel /= sub.size
-    return Channel(kernel, w.outputs)
+    return Channel(_coset_average(w.require_group(), w.kernel, sub), w.outputs)
 
 
 def degradation_residual(w: Channel, other: Channel) -> float:
@@ -222,23 +223,30 @@ def is_degraded(w: Channel, other: Channel, tol: float = DEGRADATION_TOL) -> boo
     return degradation_residual(w, other) <= tol
 
 
-def delta_determining_subgroup(w: Channel, delta: float) -> DeterminednessResult:
-    """Find all subgroups whose quotient structure explains the channel at level delta."""
+def _classify(group: Group, kernel: np.ndarray, delta: float) -> DeterminednessResult:
+    """delta-determining subgroups of the channel with this kernel over the group.
+
+    The kernel is taken as valid: a Channel's, or a measure's realized one.
+    """
     if delta <= 0:
-        raise ValueError("delta must be positive")
-    group = w.require_group()
-    capacity = symmetric_capacity(w)
+        raise ValueError(f"delta must be positive, got {delta}")
+    capacity = kernel_capacity(kernel)
     witnesses = []
     for sub in enumerate_subgroups(group):
         target = float(np.log2(group.size // sub.size))
         gap_capacity = abs(capacity - target)
         if gap_capacity >= delta:
             continue
-        gap_quotient = abs(symmetric_capacity(conditional_channel(w, sub)) - target)
+        gap_quotient = abs(kernel_capacity(_coset_average(group, kernel, sub)) - target)
         if gap_quotient < delta:
             witnesses.append(DeterminednessWitness(sub, gap_capacity, gap_quotient))
     witnesses.sort(key=lambda wit: (max(wit.gap_capacity, wit.gap_quotient), wit.subgroup.members))
     return DeterminednessResult(bool(witnesses), float(delta), tuple(witnesses))
+
+
+def delta_determining_subgroup(w: Channel, delta: float) -> DeterminednessResult:
+    """Find all subgroups whose quotient structure explains the channel at level delta."""
+    return _classify(w.require_group(), w.kernel, delta)
 
 
 def channel_to_json(w: Channel) -> dict:
@@ -255,6 +263,8 @@ def channel_from_json(obj: dict) -> Channel:
     for key in ("outputs", "rows"):
         if key not in obj:
             raise ValueError(f"channel JSON missing field {key!r}")
+    if not isinstance(obj["outputs"], list):
+        raise ValueError("field 'outputs' must be a list of labels")
     group = None
     if obj.get("group") is not None:
         if not isinstance(obj["group"], list):

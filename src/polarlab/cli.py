@@ -7,68 +7,29 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 from .blackwell import MERGE_TAU_MIN, blackwell_measure
 from .channels import Channel, channel_from_json, delta_determining_subgroup, symmetric_capacity
 from .groups import Group
 from .metrics import pc_gap_lower_bound, wasserstein
 from .presets import parse_group_spec, parse_preset
-from .process import (
-    DEFAULT_DELTA,
-    MAX_DEPTH,
-    enumerate_paths,
-    report_csv,
-    report_json,
-    sample_paths,
-)
+from .process import DEFAULT_DELTA, enumerate_paths, report_csv, report_json, sample_paths
 from .polar import DEFAULT_ATOM_BUDGET
 from .verify import run_suites
 
 MERGE_TAU_MAX = 1e-3
 
 
-@dataclass
-class ExperimentConfig:
-    source: str
-    depth: int
-    mode: str
-    samples: int
-    seed: int
-    delta: float
-    merge_tau: float
-    atom_budget: int
-    output: str | None
-    out_format: str
-
-    def validate(self) -> None:
-        if not 0 <= self.depth <= MAX_DEPTH:
-            raise ValueError(f"depth must be in [0, {MAX_DEPTH}], got {self.depth}")
-        if self.mode not in ("exhaustive", "sample"):
-            raise ValueError(f"mode must be 'exhaustive' or 'sample', got {self.mode!r}")
-        if self.mode == "sample" and self.samples < 1:
-            raise ValueError("sample mode needs --samples >= 1")
-        if self.delta <= 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if not MERGE_TAU_MIN <= self.merge_tau <= MERGE_TAU_MAX:
-            raise ValueError(
-                f"merge tolerance must be in [{MERGE_TAU_MIN}, {MERGE_TAU_MAX}], "
-                f"got {self.merge_tau}"
-            )
-        if self.atom_budget < 1:
-            raise ValueError("atom budget must be >= 1")
-        if self.out_format not in ("json", "csv"):
-            raise ValueError(f"format must be 'json' or 'csv', got {self.out_format!r}")
-
-
 def _load_channel_file(path: str) -> Channel:
     if not os.path.exists(path):
         raise ValueError(f"channel file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed JSON in {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed JSON in {path}: {exc}") from exc
+    except OSError as exc:
+        raise ValueError(f"cannot read channel file {path}: {exc.strerror or exc}") from exc
     return channel_from_json(obj)
 
 
@@ -88,58 +49,39 @@ def _resolve_channel(args, flag_value: str | None, preset_value: str | None) -> 
 
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".polarlab-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".polarlab-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ValueError(f"cannot write report {path}: {exc.strerror or exc}") from exc
 
 
 def cmd_polarize(args) -> int:
     channel, source = _resolve_channel(args, args.channel, args.preset)
-    config = ExperimentConfig(
-        source=source,
-        depth=args.depth,
-        mode=args.mode,
-        samples=args.samples,
-        seed=args.seed,
-        delta=args.delta,
-        merge_tau=args.merge_tau,
-        atom_budget=args.atom_budget,
-        output=args.output,
-        out_format=args.format,
-    )
-    config.validate()
-    channel.require_group()
-    if config.mode == "exhaustive":
-        report = enumerate_paths(
-            channel,
-            config.depth,
-            delta=config.delta,
-            merge_tau=config.merge_tau,
-            atom_budget=config.atom_budget,
-            threads=args.threads,
+    if not MERGE_TAU_MIN <= args.merge_tau <= MERGE_TAU_MAX:
+        raise ValueError(
+            f"merge tolerance must be in [{MERGE_TAU_MIN}, {MERGE_TAU_MAX}], got {args.merge_tau}"
         )
+    if args.atom_budget < 1:
+        raise ValueError(f"atom budget must be >= 1, got {args.atom_budget}")
+    kw = dict(delta=args.delta, merge_tau=args.merge_tau, atom_budget=args.atom_budget,
+              threads=args.threads)
+    if args.mode == "exhaustive":
+        report = enumerate_paths(channel, args.depth, **kw)
     else:
-        report = sample_paths(
-            channel,
-            config.depth,
-            config.samples,
-            config.seed,
-            delta=config.delta,
-            merge_tau=config.merge_tau,
-            atom_budget=config.atom_budget,
-            threads=args.threads,
-        )
-    report.config["source"] = config.source
+        report = sample_paths(channel, args.depth, args.samples, args.seed, **kw)
+    report.config["source"] = source
     data = report.to_dict()
-    text = report_json(data) if config.out_format == "json" else report_csv(data)
-    if config.output:
-        _write_atomic(config.output, text)
+    text = report_json(data) if args.format == "json" else report_csv(data)
+    if args.output:
+        _write_atomic(args.output, text)
     else:
         sys.stdout.write(text)
     return 2 if report.failed else 0

@@ -8,13 +8,14 @@ their enumeration index, so channel matrix rows stay stable across runs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
-DEFAULT_SIZE_CAP = 64
+SIZE_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -80,17 +81,20 @@ class Group:
         return "Group(" + "x".join(f"Z{d}" for d in self.orders) + ")"
 
 
-def make_group(orders: Sequence[int], size_cap: int = DEFAULT_SIZE_CAP) -> Group:
+def make_group(orders: Sequence[int]) -> Group:
     """Build a group from cyclic factor orders, e.g. [2, 4] for Z2 x Z4."""
-    orders = tuple(int(d) for d in orders)
+    try:
+        orders = tuple(operator.index(d) for d in orders)
+    except TypeError:
+        raise ValueError(f"cyclic factor orders must be integers, got {orders!r}") from None
     if not orders:
         raise ValueError("group needs at least one cyclic factor")
     for d in orders:
         if d < 2:
             raise ValueError(f"cyclic factor order must be >= 2, got {d}")
     size = math.prod(orders)
-    if size > size_cap:
-        raise ValueError(f"group size {size} exceeds cap {size_cap}")
+    if size > SIZE_CAP:
+        raise ValueError(f"group size {size} exceeds cap {SIZE_CAP}")
     return Group(orders)
 
 
@@ -230,8 +234,9 @@ def _check_subgroup(group: Group, sub: Subgroup) -> None:
         raise ValueError("subgroup size does not divide group size")
 
 
+@lru_cache(maxsize=None)
 def quotient(group: Group, sub: Subgroup) -> QuotientMap:
-    """Coset partition of the group by a verified subgroup."""
+    """Coset partition of the group by a verified subgroup; cached per pair."""
     _check_subgroup(group, sub)
     member_arr = np.array(sub.members, dtype=np.int64)
     rep_per_element = group.add_table[:, member_arr].min(axis=1)

@@ -318,7 +318,7 @@ def _pol_bounds(m: BlackwellMeasure) -> np.ndarray:
     return np.maximum(rows, cols)
 
 
-def distance_to_pol(m: BlackwellMeasure, group: Group | None = None) -> tuple[float, Subgroup]:
+def distance_to_pol(m: BlackwellMeasure) -> tuple[float, Subgroup]:
     """Distance to the nearest quotient-projection measure, with its subgroup.
 
     The targets are solved in ascending order of their lower bounds
@@ -328,10 +328,7 @@ def distance_to_pol(m: BlackwellMeasure, group: Group | None = None) -> tuple[fl
     subgroup are those of the enumeration-order minimum, ties going to the
     first subgroup in enumeration order.
     """
-    group = group or m.group
-    if group != m.group:
-        raise ValueError("measure group does not match")
-    targets = pol_set(group)
+    targets = pol_set(m.group)
     bounds = sorted(zip(_pol_bounds(m).tolist(), range(len(targets))))
     best = (np.inf, -1)
     for bound, index in bounds:

@@ -31,12 +31,7 @@ from .blackwell import (
     blackwell_measure,
     capacity_of_measure,
 )
-from .channels import (
-    Channel,
-    DeterminednessResult,
-    delta_determining_subgroup,
-    symmetric_capacity,
-)
+from .channels import Channel, DeterminednessResult, _classify, symmetric_capacity
 from .groups import Subgroup
 from .metrics import distance_to_pol
 from .polar import (
@@ -409,7 +404,7 @@ def _evaluate(m: Node, path: str, gap: float | None, delta: float) -> PathRecord
         return PathRecord(path=path, error=m)
     try:
         dist, nearest = distance_to_pol(m)
-        det = delta_determining_subgroup(m.realize(), delta)
+        det = _classify(m.group, m.realized_kernel(), delta)
         capacity = capacity_of_measure(m)
     except (RuntimeError, ValueError) as exc:
         raise PathFault(path, exc) from exc
@@ -431,7 +426,6 @@ def enumerate_paths(
     merge_tau: float = DEFAULT_MERGE_TAU,
     atom_budget: int = DEFAULT_ATOM_BUDGET,
     threads: int | None = None,
-    max_depth: int = MAX_DEPTH,
 ) -> PolarizationReport:
     """Evaluate every sign path of the given depth (2^depth records).
 
@@ -440,10 +434,10 @@ def enumerate_paths(
     so a node whose gap exceeds the atom budget fails its whole subtree.
     `threads` is validated but selects nothing: evaluation is sequential.
     """
-    if not 0 <= depth <= max_depth:
-        raise ValueError(f"depth must be in [0, {max_depth}]")
+    if not 0 <= depth <= MAX_DEPTH:
+        raise ValueError(f"depth must be in [0, {MAX_DEPTH}], got {depth}")
     if delta <= 0:
-        raise ValueError("delta must be positive")
+        raise ValueError(f"delta must be positive, got {delta}")
     resolve_threads(threads)
     config = _config_echo(w, depth, "exhaustive", None, None, delta, merge_tau, atom_budget)
 
@@ -468,7 +462,6 @@ def sample_paths(
     merge_tau: float = DEFAULT_MERGE_TAU,
     atom_budget: int = DEFAULT_ATOM_BUDGET,
     threads: int | None = None,
-    max_depth: int = MAX_DEPTH,
 ) -> PolarizationReport:
     """Evaluate `count` uniform random paths; one record per sample.
 
@@ -478,12 +471,12 @@ def sample_paths(
     capacity gap is checked, so a refusal names the first step or the leaf
     gap that exceeded the budget. `threads` is validated but selects nothing.
     """
-    if not 0 <= depth <= max_depth:
-        raise ValueError(f"depth must be in [0, {max_depth}]")
+    if not 0 <= depth <= MAX_DEPTH:
+        raise ValueError(f"depth must be in [0, {MAX_DEPTH}], got {depth}")
     if count < 1:
-        raise ValueError("sample count must be >= 1")
+        raise ValueError(f"sample count must be >= 1, got {count}")
     if delta <= 0:
-        raise ValueError("delta must be positive")
+        raise ValueError(f"delta must be positive, got {delta}")
     resolve_threads(threads)
     config = _config_echo(w, depth, "sample", count, seed, delta, merge_tau, atom_budget)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blackwell import blackwell_measure, capacity_of_measure
-from .channels import Channel, conditional_channel, deterministic_hom, symmetric_capacity
+from .channels import Channel, _coset_average, deterministic_hom, kernel_capacity
 from .groups import enumerate_subgroups, make_group, subgroup_from_members
 from .metrics import distance_to_pol
 from .polar import AtomBudgetError, capacity_gap, minus_on_measure
@@ -146,7 +146,7 @@ def multilevel_quotient_floor(depth: int = 12, erasure: float = 0.5) -> float:
     w = z4_multilevel_channel(erasure)
     group = w.require_group()
     sub = subgroup_from_members(group, [0, 2])
-    floor = symmetric_capacity(conditional_channel(w, sub))
+    floor = kernel_capacity(_coset_average(group, w.kernel, sub))
 
     for path, m, _ in _walk_chunks(blackwell_measure(w), depth):
         if isinstance(m, str):
@@ -154,7 +154,7 @@ def multilevel_quotient_floor(depth: int = 12, erasure: float = 0.5) -> float:
         if isinstance(m, PathFault):
             raise m
         if path:
-            floor = min(floor, symmetric_capacity(conditional_channel(m.realize(), sub)))
+            floor = min(floor, kernel_capacity(_coset_average(group, m.realized_kernel(), sub)))
     return floor
 
 

@@ -35,6 +35,13 @@ def test_channel_validation():
         Channel(np.eye(3), group=Z2)
     with pytest.raises(ValueError):
         Channel([[1.2, -0.2]])
+    # NaN fails the range and row-sum comparisons, so it needs its own check
+    with pytest.raises(ValueError, match="row 0, column 0 is not finite"):
+        Channel([[np.nan, 1.0], [0.0, 1.0]], group=Z2)
+    with pytest.raises(ValueError, match="row 1, column 1 is not finite"):
+        Channel([[0.0, 1.0], [0.0, np.inf]])
+    with pytest.raises(ValueError, match="not finite"):
+        channel_from_json({"group": [2], "outputs": ["a", "b"], "rows": [[None, 1], [0, 1]]})
 
 
 def test_compose_identity_and_collapse():
@@ -180,3 +187,7 @@ def test_channel_json_errors():
         channel_from_json({"group": [2], "outputs": ["a", "b"], "rows": [[1.0, 0.0], [1.0]]})
     with pytest.raises(ValueError, match="group"):
         channel_from_json({"group": 2, "outputs": ["a"], "rows": [[1.0], [1.0]]})
+    with pytest.raises(ValueError, match="outputs"):
+        channel_from_json({"group": [2], "outputs": 5, "rows": [[1.0], [1.0]]})
+    with pytest.raises(ValueError, match="integers"):
+        channel_from_json({"group": [2.5], "outputs": ["a"], "rows": [[1.0], [1.0]]})

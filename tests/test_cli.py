@@ -190,6 +190,41 @@ def test_polarize_invalid_inputs(tmp_path, capsys):
                  "--merge-tau", "0.1"]) == 1
     assert "tolerance" in capsys.readouterr().err
 
+    # each of these exits 1 with a one-line error and writes no report
+    report = tmp_path / "report.json"
+    nan = tmp_path / "nan.json"
+    nan.write_text('{"group": [2], "outputs": ["a", "b"], "rows": [[null, 1], [0, 1]]}')
+    scalar_outputs = tmp_path / "outputs.json"
+    scalar_outputs.write_text(json.dumps({"group": [2], "outputs": 5, "rows": [[1, 0], [0, 1]]}))
+    fractional = tmp_path / "fractional.json"
+    fractional.write_text(json.dumps({"group": [2.5], "outputs": ["a", "b"],
+                                      "rows": [[1, 0], [0, 1]]}))
+    bsc = ["--preset", "bsc:0.1", "--depth", "2"]
+    cases = [
+        (["--channel", str(nan), "--depth", "2"], "not finite"),
+        (["--channel", str(tmp_path), "--depth", "2"], str(tmp_path)),
+        (["--channel", str(scalar_outputs), "--depth", "2"], "outputs"),
+        (["--channel", str(fractional), "--depth", "2"], "integers"),
+        (bsc + ["--group", "[2.5]"], "integers"),
+        (["--preset", "bsc:0.1", "--depth", "17"], "depth"),
+        (bsc + ["--delta", "0"], "delta"),
+        (bsc + ["--mode", "sample", "--samples", "0"], "sample count"),
+        (bsc + ["--atom-budget", "0"], "atom budget"),
+    ]
+    for args, message in cases:
+        assert main(["polarize", *args, "--output", str(report)]) == 1, args
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and message in captured.err, args
+        assert captured.out == "" and not report.exists(), args
+    missing = tmp_path / "missing" / "report.json"
+    assert main(["polarize", *bsc, "--output", str(missing)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and str(missing) in captured.err
+    assert captured.out == "" and not missing.parent.exists()
+    assert main(["classify", "--channel", str(nan)]) == 1
+    captured = capsys.readouterr()
+    assert "not finite" in captured.err and captured.out == ""
+
 
 def test_classify_exit_codes(tmp_path, capsys):
     assert main(["classify", "--preset", "dh:Z4:{0,2}", "--delta", "0.01"]) == 0

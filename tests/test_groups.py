@@ -41,7 +41,13 @@ def test_make_group_rejects_bad_orders():
     with pytest.raises(ValueError):
         make_group([65])
     with pytest.raises(ValueError):
-        make_group([8, 16])  # 128 > default cap
+        make_group([8, 16])  # 128 > the size cap
+    # int() would truncate these to Z2 and Z4
+    with pytest.raises(ValueError, match="integers"):
+        make_group([2.5])
+    with pytest.raises(ValueError, match="integers"):
+        make_group([2, 4.0])
+    assert make_group(np.array([2, 4])).orders == (2, 4)
 
 
 def test_addition_tables():

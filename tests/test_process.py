@@ -5,7 +5,10 @@ import pytest
 
 from polarlab import (
     AtomBudgetError,
+    Channel,
+    blackwell_measure,
     convergence_trace,
+    delta_determining_subgroup,
     deterministic_hom,
     enumerate_paths,
     make_group,
@@ -14,9 +17,16 @@ from polarlab import (
     subgroup_from_members,
     symmetric_capacity,
 )
-from polarlab import process
+from polarlab import process, verify
 from polarlab.process import report_csv, report_json
-from polarlab.presets import bec_channel, bsc_channel, dh_mix_channel, identity_channel, random_channel
+from polarlab.presets import (
+    bec_channel,
+    bsc_channel,
+    dh_mix_channel,
+    identity_channel,
+    random_channel,
+    z4_multilevel_channel,
+)
 
 Z2 = make_group([2])
 Z4 = make_group([4])
@@ -347,3 +357,36 @@ def test_depth_validation():
         sample_paths(w, 4, 0, seed=0)
     with pytest.raises(ValueError):
         enumerate_paths(w, 4, delta=0.0)
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.5, 2.0])
+def test_leaf_classification_matches_the_channel_route(delta):
+    # the walk classifies each leaf on its measure's realized kernel; the
+    # labeled, validated channel that realize() builds must give every bit
+    for w, depth in ((z4_multilevel_channel(0.5), 7), (dh_mix_channel(make_group([2, 4]), 3), 5)):
+        leaves = [m for path, m, _ in process._walk_chunks(blackwell_measure(w), depth)
+                  if len(path) == depth]
+        records = enumerate_paths(w, depth, delta=delta).records
+        assert len(leaves) == len(records) == 2 ** depth
+        for rec, m in zip(records, leaves):
+            assert rec.determinedness == delta_determining_subgroup(m.realize(), delta)
+    for w in verify.random_corpus():
+        m = blackwell_measure(w)
+        kernel_route = process._classify(m.group, m.realized_kernel(), delta)
+        assert kernel_route == delta_determining_subgroup(m.realize(), delta)
+
+
+def test_the_walk_builds_no_channel():
+    w = z4_multilevel_channel(0.5)
+    with mock.patch.object(Channel, "__init__", autospec=True,
+                           side_effect=Channel.__init__) as init:
+        enumerate_paths(w, 5)
+        sample_paths(w, 6, 8, seed=1)
+        convergence_trace(w, "-+-+-+")
+        assert init.call_count == 0
+        z4_multilevel_channel(0.5)
+        built_for_input = init.call_count
+        init.reset_mock()
+        verify.multilevel_quotient_floor(6)
+        # the floor builds its input channel and nothing else
+        assert init.call_count == built_for_input

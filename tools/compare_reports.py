@@ -23,8 +23,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def cli(*args: str) -> list[str]:
+    return ["-m", "polarlab.cli", *args]
+
+
 def polarize(*args: str) -> list[str]:
-    return ["-m", "polarlab.cli", "polarize", "--delta", "0.1", *args]
+    return cli("polarize", "--delta", "0.1", *args)
 
 
 def library(code: str) -> list[str]:
@@ -84,7 +88,15 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ("trace dh-mix:3 Z4", trace("dh-mix:3", "Z4", "--++-+-", 1e-9)),
     ("trace bsc tau 1e-3", trace("bsc:0.11", None, "+-+--+", 1e-3)),
     ("quotient floor d10", library("print(repr(verify.multilevel_quotient_floor(10)))")),
-    ("verify all", ["-m", "polarlab.cli", "verify", "--suite", "all"]),
+    ("classify dh:Z4:{0,2}", cli("classify", "--preset", "dh:Z4:{0,2}", "--delta", "0.01")),
+    ("classify bsc delta 2", cli("classify", "--preset", "bsc:0.1", "--delta", "2")),
+    ("classify random:5 Z2xZ4", cli(
+        "classify", "--preset", "random:5", "--group", "[2,4]", "--outputs", "6",
+        "--delta", "0.5")),
+    ("distance pc-bound", cli(
+        "distance", "--channel-a", "preset:bsc:0.11", "--channel-b", "preset:bec:0.3",
+        "--metric", "pc-bound", "--trials", "32", "--seed", "5")),
+    ("verify all", cli("verify", "--suite", "all")),
 ]
 
 
