@@ -220,14 +220,13 @@ def _sweep_labels(
     return labels, None
 
 
-def _canonical_atoms(weights, posteriors, tau: float, track_origin: bool = True):
+def _canonical_atoms(weights, posteriors, tau: float):
     """Prune, merge, lex-sort and normalize atoms.
 
     Returns (weights, posteriors, origin) where origin[i] is the final atom
-    index of input atom i, or -1 if it was pruned for non-positive weight;
-    origin is None unless track_origin.
+    index of input atom i, or -1 if it was pruned for non-positive weight.
     """
-    return _canonical_segments(weights, posteriors, tau, track_origin=track_origin)[:3]
+    return _canonical_segments(weights, posteriors, tau, track_origin=True)[:3]
 
 
 def _canonical_segments(
@@ -428,11 +427,11 @@ class BlackwellMeasure:
         }
 
     @classmethod
-    def from_json(cls, obj: dict, merge_tau: float = DEFAULT_MERGE_TAU) -> "BlackwellMeasure":
+    def from_json(cls, obj: dict) -> "BlackwellMeasure":
         group = make_group(obj["group"])
         weights = [a["w"] for a in obj["atoms"]]
         posteriors = [a["q"] for a in obj["atoms"]]
-        return cls(group, np.array(weights), np.array(posteriors), merge_tau)
+        return cls(group, np.array(weights), np.array(posteriors))
 
     def __repr__(self) -> str:
         return f"BlackwellMeasure({self.atom_count} atoms on {self.group!r})"

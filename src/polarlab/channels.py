@@ -218,18 +218,23 @@ def degradation_residual(w: Channel, other: Channel) -> float:
     return float(res.fun)
 
 
-def is_degraded(w: Channel, other: Channel, tol: float = DEGRADATION_TOL) -> bool:
-    """Whether W equals V o W' for some channel V, up to the residual tolerance."""
-    return degradation_residual(w, other) <= tol
+def is_degraded(w: Channel, other: Channel) -> bool:
+    """Whether W equals V o W' for some channel V, up to DEGRADATION_TOL."""
+    return degradation_residual(w, other) <= DEGRADATION_TOL
+
+
+def _check_delta(delta: float) -> None:
+    # NaN fails every comparison, and an infinite delta would admit every subgroup
+    if not 0.0 < delta < np.inf:
+        raise ValueError(f"delta must be finite and positive, got {delta}")
 
 
 def _classify(group: Group, kernel: np.ndarray, delta: float) -> DeterminednessResult:
     """delta-determining subgroups of the channel with this kernel over the group.
 
-    The kernel is taken as valid: a Channel's, or a measure's realized one.
+    The kernel is taken as valid: a Channel's, or a measure's realized one;
+    and delta as checked (_check_delta).
     """
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
     capacity = kernel_capacity(kernel)
     witnesses = []
     for sub in enumerate_subgroups(group):
@@ -246,6 +251,7 @@ def _classify(group: Group, kernel: np.ndarray, delta: float) -> DeterminednessR
 
 def delta_determining_subgroup(w: Channel, delta: float) -> DeterminednessResult:
     """Find all subgroups whose quotient structure explains the channel at level delta."""
+    _check_delta(delta)
     return _classify(w.require_group(), w.kernel, delta)
 
 

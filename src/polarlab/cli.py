@@ -71,8 +71,7 @@ def cmd_polarize(args) -> int:
         )
     if args.atom_budget < 1:
         raise ValueError(f"atom budget must be >= 1, got {args.atom_budget}")
-    kw = dict(delta=args.delta, merge_tau=args.merge_tau, atom_budget=args.atom_budget,
-              threads=args.threads)
+    kw = dict(delta=args.delta, merge_tau=args.merge_tau, atom_budget=args.atom_budget)
     if args.mode == "exhaustive":
         report = enumerate_paths(channel, args.depth, **kw)
     else:
@@ -123,18 +122,24 @@ def cmd_distance(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: main reports it as `error: …` and exits 1."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polarlab",
         description="Polarization experiments on channels over finite Abelian groups",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_channel_args(p, with_preset_flag=True):
+    def add_channel_args(p):
         p.add_argument("--channel", help="channel JSON file (or 'preset:SPEC')")
-        if with_preset_flag:
-            p.add_argument("--preset", help="built-in channel, e.g. bec:0.5, bsc:0.1, "
-                                            "dh:Z4:{0,2}, z4-multilevel:0.5, random:7, dh-mix:3")
+        p.add_argument("--preset", help="built-in channel, e.g. bec:0.5, bsc:0.1, "
+                                        "dh:Z4:{0,2}, z4-multilevel:0.5, random:7, dh-mix:3")
         p.add_argument("--group", help="group spec for presets, e.g. Z4 or [2,4]")
         p.add_argument("--outputs", type=int, help="output count for the random preset")
 
@@ -149,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     pol.add_argument("--atom-budget", type=int, default=DEFAULT_ATOM_BUDGET)
     pol.add_argument("--output", help="report file (stdout when omitted)")
     pol.add_argument("--format", choices=("json", "csv"), default="json")
-    pol.add_argument("--threads", type=int, default=None,
-                     help="overrides the POLARLAB_THREADS environment variable")
+    pol.add_argument("--threads", type=int,
+                     help="ignored: evaluation runs on one thread; kept for existing scripts")
     pol.set_defaults(func=cmd_polarize)
 
     ver = sub.add_parser("verify", help="run built-in oracle verification suites")
@@ -176,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -62,13 +62,14 @@ def transport_plan(m1: BlackwellMeasure, m2: BlackwellMeasure) -> TransportPlan:
     if m1.identical(m2):
         idx = np.arange(m1.atom_count)
         return TransportPlan(idx, idx, m1.weights.copy(), 0.0)
-    if _canonical_key(m2) < _canonical_key(m1):
-        flipped = transport_plan(m2, m1)
-        return TransportPlan(flipped.target_index, flipped.source_index, flipped.mass, flipped.cost)
-    cost = _tv_cost_matrix(m1.posteriors, m2.posteriors)
+    flip = _canonical_key(m2) < _canonical_key(m1)
+    rows, cols = (m2, m1) if flip else (m1, m2)
+    cost = _tv_cost_matrix(rows.posteriors, cols.posteriors)
     if not np.isfinite(cost).all():
         raise ValueError("transport costs must be finite")
-    src, tgt, mass = _network_simplex(cost, m1.weights, m2.weights)
+    src, tgt, mass = _network_simplex(cost, rows.weights, cols.weights)
+    if flip:
+        src, tgt, cost = tgt, src, cost.T
     plan = TransportPlan(src, tgt, mass, float(mass @ cost[src, tgt]))
     _check_marginals(plan, m1, m2)
     return plan
@@ -237,9 +238,12 @@ def wasserstein(m1: BlackwellMeasure, m2: BlackwellMeasure) -> float:
     return transport_plan(m1, m2).cost
 
 
-def _atom_source(m: BlackwellMeasure, m_max: int) -> JointSource:
-    """Atom-identification source: U is the atom index, X drawn from its posterior."""
-    order = np.lexsort((np.arange(m.atom_count), -m.weights))[:m_max]
+def _atom_source(m: BlackwellMeasure) -> JointSource:
+    """Atom-identification source: U is the atom index, X drawn from its posterior.
+
+    U ranges over the |G| heaviest atoms, ties going to the first.
+    """
+    order = np.lexsort((np.arange(m.atom_count), -m.weights))[: m.group.size]
     probs = m.weights[order, None] * m.posteriors[order]
     return JointSource(probs / probs.sum(), m.group)
 
@@ -249,34 +253,27 @@ def pc_gap_lower_bound(
     m2: BlackwellMeasure,
     trials: int = 64,
     seed: int = 0,
-    m_max: int | None = None,
 ) -> float:
     """Certified lower bound on the noisiness distance between two measures.
 
     Runs structured sources (each measure's own atom-identification source
-    and the diagonal source u = x) plus Dirichlet-random joint sources, and
-    returns the largest observed guessing-probability gap. The bound is
-    monotone in `trials` for a fixed seed.
+    and the diagonal source u = x) plus Dirichlet-random joint sources with
+    1 to |G| values of u, and returns the largest observed
+    guessing-probability gap. The bound is monotone in `trials` for a fixed
+    seed.
     """
     if m1.group != m2.group:
         raise ValueError("measures live on different groups")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     size = m1.group.size
-    if m_max is None:
-        m_max = size
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
-
-    sources = [_atom_source(m1, m_max), _atom_source(m2, m_max)]
-    if m_max >= size:
-        sources.append(JointSource(np.eye(size) / size, m1.group))
+    sources = [_atom_source(m1), _atom_source(m2), JointSource(np.eye(size) / size, m1.group)]
     best = 0.0
     for src in sources:
         best = max(best, abs(pc_probability(src, m1) - pc_probability(src, m2)))
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
-        m_u = int(rng.integers(1, m_max + 1))
+        m_u = int(rng.integers(1, size + 1))
         probs = rng.dirichlet(np.ones(m_u * size)).reshape(m_u, size)
         src = JointSource(probs, m1.group)
         best = max(best, abs(pc_probability(src, m1) - pc_probability(src, m2)))

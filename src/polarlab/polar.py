@@ -18,12 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._util import row_entropies_bits
-from .blackwell import (
-    DEFAULT_MERGE_TAU,
-    BlackwellMeasure,
-    blackwell_measure,
-    merge_outputs,
-)
+from .blackwell import DEFAULT_MERGE_TAU, BlackwellMeasure, blackwell_measure
 from .channels import Channel, kernel_capacities
 from .groups import Group
 
@@ -72,15 +67,14 @@ def _minus_kernel(group: Group, kern: np.ndarray) -> np.ndarray:
     return out.reshape(group.size, -1)
 
 
-def minus_transform(w: Channel, merge_tau: float | None = None) -> Channel:
+def minus_transform(w: Channel) -> Channel:
     """First synthetic channel: guess u1 from the output pair (y1, y2)."""
     group = w.require_group()
     labels = tuple(f"({a}|{b})" for a in w.outputs for b in w.outputs)
-    raw = Channel(_minus_kernel(group, w.kernel), labels, group)
-    return raw if merge_tau is None else merge_outputs(raw, merge_tau)
+    return Channel(_minus_kernel(group, w.kernel), labels, group)
 
 
-def plus_transform(w: Channel, merge_tau: float | None = None) -> Channel:
+def plus_transform(w: Channel) -> Channel:
     """Second synthetic channel: guess u2 from (y1, y2) plus the revealed u1."""
     group = w.require_group()
     kern = w.kernel
@@ -92,8 +86,7 @@ def plus_transform(w: Channel, merge_tau: float | None = None) -> Channel:
         for b in w.outputs
         for g in range(group.size)
     )
-    raw = Channel(out.reshape(group.size, -1), labels, group)
-    return raw if merge_tau is None else merge_outputs(raw, merge_tau)
+    return Channel(out.reshape(group.size, -1), labels, group)
 
 
 class Chunk:
@@ -332,10 +325,7 @@ def polar_step(
 
 
 def synthetic(
-    w: Channel,
-    path: str | Iterable[str],
-    merge_tau: float = DEFAULT_MERGE_TAU,
-    atom_budget: int = DEFAULT_ATOM_BUDGET,
+    w: Channel, path: str | Iterable[str], atom_budget: int = DEFAULT_ATOM_BUDGET
 ) -> Channel:
     """Iterated transforms along a path, canonically merged after each step.
 
@@ -346,7 +336,7 @@ def synthetic(
     steps = normalize_path(path)
     if not steps:
         return w
-    m = blackwell_measure(w, merge_tau)
+    m = blackwell_measure(w)
     for sign in steps:
-        m = polar_step(m, sign, merge_tau, atom_budget)
+        m = polar_step(m, sign, atom_budget=atom_budget)
     return m.realize()

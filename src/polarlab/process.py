@@ -12,13 +12,12 @@ evaluated. Any other error raised while a node is computed is an internal
 fault and stops the run as a PathFault that names the node: the first one
 a preorder walk would meet.
 Evaluation is sequential, and all outputs are deterministic given the
-configuration; the thread count is accepted and selects nothing.
+configuration.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from collections.abc import Container, Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -31,7 +30,7 @@ from .blackwell import (
     blackwell_measure,
     capacity_of_measure,
 )
-from .channels import Channel, DeterminednessResult, _classify, symmetric_capacity
+from .channels import Channel, DeterminednessResult, _check_delta, _classify, symmetric_capacity
 from .groups import Subgroup
 from .metrics import distance_to_pol
 from .polar import (
@@ -49,7 +48,6 @@ from .polar import (
 MAX_DEPTH = 16
 DEFAULT_DELTA = 0.1
 CAPACITY_HIST_BINS = 16
-THREADS_ENV_VAR = "POLARLAB_THREADS"
 
 
 class PathFault(RuntimeError):
@@ -238,13 +236,6 @@ def report_csv(report_dict: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def resolve_threads(threads: int | None) -> int:
-    """The thread count asked for, by argument or POLARLAB_THREADS (default 1)."""
-    if threads is None:
-        threads = int(os.environ.get(THREADS_ENV_VAR, "1"))
-    return max(1, threads)
-
-
 def _gap_refusal(m: BlackwellMeasure, atom_budget: int) -> str | None:
     """Why the budget refuses a node's capacity gap, or None.
 
@@ -425,20 +416,16 @@ def enumerate_paths(
     delta: float = DEFAULT_DELTA,
     merge_tau: float = DEFAULT_MERGE_TAU,
     atom_budget: int = DEFAULT_ATOM_BUDGET,
-    threads: int | None = None,
 ) -> PolarizationReport:
     """Evaluate every sign path of the given depth (2^depth records).
 
     Records appear in path order with '-' before '+' at every position. The
     capacity gap of every node is checked before its children are stepped,
     so a node whose gap exceeds the atom budget fails its whole subtree.
-    `threads` is validated but selects nothing: evaluation is sequential.
     """
     if not 0 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must be in [0, {MAX_DEPTH}], got {depth}")
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    resolve_threads(threads)
+    _check_delta(delta)
     config = _config_echo(w, depth, "exhaustive", None, None, delta, merge_tau, atom_budget)
 
     records: list[PathRecord] = []
@@ -461,7 +448,6 @@ def sample_paths(
     delta: float = DEFAULT_DELTA,
     merge_tau: float = DEFAULT_MERGE_TAU,
     atom_budget: int = DEFAULT_ATOM_BUDGET,
-    threads: int | None = None,
 ) -> PolarizationReport:
     """Evaluate `count` uniform random paths; one record per sample.
 
@@ -469,15 +455,13 @@ def sample_paths(
     does not depend on evaluation order. Each distinct path is evaluated
     once and its record repeated wherever it was drawn. Only the leaf's
     capacity gap is checked, so a refusal names the first step or the leaf
-    gap that exceeded the budget. `threads` is validated but selects nothing.
+    gap that exceeded the budget.
     """
     if not 0 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must be in [0, {MAX_DEPTH}], got {depth}")
     if count < 1:
         raise ValueError(f"sample count must be >= 1, got {count}")
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    resolve_threads(threads)
+    _check_delta(delta)
     config = _config_echo(w, depth, "sample", count, seed, delta, merge_tau, atom_budget)
 
     paths = []
@@ -496,7 +480,6 @@ def sample_paths(
 def convergence_trace(
     w: Channel,
     path: str,
-    delta: float = DEFAULT_DELTA,
     merge_tau: float = DEFAULT_MERGE_TAU,
     atom_budget: int = DEFAULT_ATOM_BUDGET,
 ) -> list[TraceRecord]:

@@ -37,13 +37,13 @@ class CheckResult:
         return f"{status} {self.name}: measured={self.measured:.3e} tolerance={self.tolerance:.3e}{extra}"
 
 
-def random_corpus(seed: int = CORPUS_SEED, count: int = 200) -> list[Channel]:
-    """Seeded random channels cycling over the small test groups, 2-6 outputs."""
+def random_corpus(count: int = 200) -> list[Channel]:
+    """Random channels seeded by CORPUS_SEED, cycling over the small test groups, 2-6 outputs."""
     channels = []
     for i in range(count):
         group = make_group(CORPUS_GROUP_ORDERS[i % len(CORPUS_GROUP_ORDERS)])
-        n_out = int(np.random.default_rng([seed, i]).integers(2, 7))
-        channels.append(random_channel(group, n_out, seed + i))
+        n_out = int(np.random.default_rng([CORPUS_SEED, i]).integers(2, 7))
+        channels.append(random_channel(group, n_out, CORPUS_SEED + i))
     return channels
 
 
@@ -55,26 +55,28 @@ def bec_erasure_after(path: str, z0: float) -> float:
     return z
 
 
-def martingale_suite(count: int = 200) -> list[CheckResult]:
+def martingale_suite() -> list[CheckResult]:
+    corpus = random_corpus()
     worst_residual = 0.0
     worst_asymmetry = 0.0
-    for w in random_corpus(count=count):
+    for w in corpus:
         r = martingale_residual(w)
         worst_residual = max(worst_residual, r.residual)
         worst_asymmetry = max(worst_asymmetry, r.asymmetry)
     return [
         CheckResult("martingale.identity", worst_residual <= 1e-8, worst_residual, 1e-8,
-                    f"{count} random channels"),
+                    f"{len(corpus)} random channels"),
         CheckResult("martingale.gap-symmetry", worst_asymmetry <= 1e-8, worst_asymmetry, 1e-8,
-                    f"{count} random channels"),
+                    f"{len(corpus)} random channels"),
     ]
 
 
-def lemma_gap_suite(count: int = 200) -> list[CheckResult]:
+def lemma_gap_suite() -> list[CheckResult]:
+    corpus = random_corpus()
     worst = 0.0
     worst_canonical = 0.0
     failures = 0
-    for w in random_corpus(count=count):
+    for w in corpus:
         m = blackwell_measure(w)
         try:
             gap = capacity_gap(m)
@@ -91,14 +93,14 @@ def lemma_gap_suite(count: int = 200) -> list[CheckResult]:
             failures == 0 and worst <= 1e-8,
             worst,
             1e-8,
-            f"{count} random channels, {failures} route failures",
+            f"{len(corpus)} random channels, {failures} route failures",
         ),
         CheckResult(
             "capacity-gap.canonical-route",
             failures == 0 and worst_canonical <= 1e-8,
             worst_canonical,
             1e-8,
-            f"{count} random channels, I(M) - I(M-) with M- canonical at tau 0",
+            f"{len(corpus)} random channels, I(M) - I(M-) with M- canonical at tau 0",
         ),
     ]
 
@@ -125,9 +127,9 @@ def pol_set_suite() -> list[CheckResult]:
     return results
 
 
-def bec_oracle_suite(depth: int = 8, erasure: float = 0.5) -> list[CheckResult]:
-    w = bec_channel(erasure)
-    report = enumerate_paths(w, depth)
+def bec_oracle_suite() -> list[CheckResult]:
+    depth, erasure = 8, 0.5
+    report = enumerate_paths(bec_channel(erasure), depth)
     worst = 0.0
     max_atoms = 0
     for rec in report.records:
@@ -141,9 +143,9 @@ def bec_oracle_suite(depth: int = 8, erasure: float = 0.5) -> list[CheckResult]:
     ]
 
 
-def multilevel_quotient_floor(depth: int = 12, erasure: float = 0.5) -> float:
-    """Min of I(W_s[H]) over every node of the transform tree, H = {0,2}."""
-    w = z4_multilevel_channel(erasure)
+def multilevel_quotient_floor(depth: int = 12) -> float:
+    """Min of I(W_s[H]) over every node of the z4-multilevel:0.5 transform tree, H = {0,2}."""
+    w = z4_multilevel_channel(0.5)
     group = w.require_group()
     sub = subgroup_from_members(group, [0, 2])
     floor = kernel_capacity(_coset_average(group, w.kernel, sub))
@@ -172,7 +174,8 @@ def multilevel_oracle_class(z: float, delta: float) -> tuple[int, ...] | None:
     return None
 
 
-def multilevel_suite(depth: int = 12, erasure: float = 0.5, delta: float = 0.1) -> list[CheckResult]:
+def multilevel_suite() -> list[CheckResult]:
+    depth, erasure, delta = 12, 0.5, 0.1
     report = enumerate_paths(z4_multilevel_channel(erasure), depth, delta=delta)
     mismatches = 0
     oracle_counts: dict[tuple[int, ...] | None, int] = {}
@@ -192,7 +195,7 @@ def multilevel_suite(depth: int = 12, erasure: float = 0.5, delta: float = 0.1) 
         hist.get((0,), 0) == oracle_counts.get((0,), 0)
         and hist.get((0, 2), 0) == oracle_counts.get((0, 2), 0)
     )
-    floor = multilevel_quotient_floor(depth, erasure)
+    floor = multilevel_quotient_floor(depth)
     return [
         CheckResult(
             f"multilevel.classification[depth={depth}]",

@@ -5,7 +5,6 @@ recursions, brute-force subset closures, and hand-solved transport values
 are defined here or recomputed inline.
 """
 
-import os
 import time
 
 import numpy as np
@@ -36,6 +35,7 @@ from polarlab.presets import (
     useless_channel,
     z4_multilevel_channel,
 )
+from polarlab import process
 from polarlab.process import report_json
 from polarlab.verify import multilevel_quotient_floor, random_corpus
 
@@ -66,17 +66,6 @@ def accept(num: int, name: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def corpus():
     return random_corpus(count=200)
-
-
-@pytest.fixture(scope="module", autouse=True)
-def single_thread_env():
-    old = os.environ.get("POLARLAB_THREADS")
-    os.environ["POLARLAB_THREADS"] = "1"
-    yield
-    if old is None:
-        os.environ.pop("POLARLAB_THREADS", None)
-    else:
-        os.environ["POLARLAB_THREADS"] = old
 
 
 @pytest.fixture(scope="module")
@@ -222,7 +211,7 @@ def test_criterion_06_multilevel_z4(multilevel_report_bytes):
         hist.get((0,), 0) == oracle_counts[(0,)]
         and hist.get((0, 2), 0) == oracle_counts[(0, 2)]
     )
-    floor = multilevel_quotient_floor(depth=12, erasure=0.5)
+    floor = multilevel_quotient_floor(depth=12)
     elapsed = pipeline_elapsed + (time.time() - start)
     ok = (
         len(report.records) == 4096
@@ -330,21 +319,17 @@ def test_criterion_09_metric_sanity(corpus):
     )
 
 
-def test_criterion_10_thread_determinism(
-    bec_report_bytes, multilevel_report_bytes, trend_reports_bytes
+def test_criterion_10_evaluation_order_determinism(
+    bec_report_bytes, multilevel_report_bytes, trend_reports_bytes, monkeypatch
 ):
-    os.environ["POLARLAB_THREADS"] = "4"
-    try:
-        bec_again = report_json(enumerate_paths(bec_channel(0.5), 8, delta=0.1).to_dict())
-        ml_again = report_json(
-            enumerate_paths(z4_multilevel_channel(0.5), 12, delta=0.1).to_dict()
-        )
-        w = dh_mix_channel(Z4, seed=TREND_SEED)
-        trend_again = {
-            d: report_json(enumerate_paths(w, d, delta=0.1).to_dict()) for d in TREND_DEPTHS
-        }
-    finally:
-        os.environ["POLARLAB_THREADS"] = "1"
+    # a chunk cap of one atom steps, merges and gaps every node alone
+    monkeypatch.setattr(process, "_CHUNK_ATOMS", 1)
+    bec_again = report_json(enumerate_paths(bec_channel(0.5), 8, delta=0.1).to_dict())
+    ml_again = report_json(enumerate_paths(z4_multilevel_channel(0.5), 12, delta=0.1).to_dict())
+    w = dh_mix_channel(Z4, seed=TREND_SEED)
+    trend_again = {
+        d: report_json(enumerate_paths(w, d, delta=0.1).to_dict()) for d in TREND_DEPTHS
+    }
     ok = (
         bec_again == bec_report_bytes[1]
         and ml_again == multilevel_report_bytes[1]
@@ -352,7 +337,7 @@ def test_criterion_10_thread_determinism(
     )
     accept(
         10,
-        "thread-determinism",
+        "evaluation-order-determinism",
         ok,
-        "criteria 5-7 reports byte-identical with POLARLAB_THREADS in {1, 4}",
+        "criteria 5-7 reports byte-identical with every node stepped alone",
     )

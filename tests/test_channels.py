@@ -158,8 +158,9 @@ def test_delta_determining_examples():
     assert res.determined
     assert [w.subgroup.members for w in res.witnesses] == [(0,)]
 
-    with pytest.raises(ValueError):
-        delta_determining_subgroup(bsc_channel(0.1), 0.0)
+    for delta in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="delta"):
+            delta_determining_subgroup(bsc_channel(0.1), delta)
 
 
 def test_delta_determining_reports_all_witnesses_at_large_delta():

@@ -72,7 +72,8 @@ def test_polarize_reports_are_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     args = ["polarize", "--preset", "bec:0.5", "--depth", "6", "--output"]
     assert main(args + [str(out1)]) == 0
-    assert main(args + [str(out2)]) == 0
+    # --threads, which scripts still pass, is accepted and changes nothing
+    assert main(args + [str(out2), "--threads", "3"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -208,6 +209,15 @@ def test_polarize_invalid_inputs(tmp_path, capsys):
         (bsc + ["--group", "[2.5]"], "integers"),
         (["--preset", "bsc:0.1", "--depth", "17"], "depth"),
         (bsc + ["--delta", "0"], "delta"),
+        *[
+            (bsc + mode + ["--delta", delta], "delta")
+            for mode in ([], ["--mode", "sample", "--samples", "4"])
+            for delta in ("nan", "inf")
+        ],
+        # usage errors: argparse's own rejections are input errors too
+        (["--preset", "bsc:0.1"], "--depth"),
+        (["--preset", "bsc:0.1", "--depth", "x"], "--depth"),
+        (bsc + ["--mode", "foo"], "--mode"),
         (bsc + ["--mode", "sample", "--samples", "0"], "sample count"),
         (bsc + ["--atom-budget", "0"], "atom budget"),
     ]
@@ -224,6 +234,12 @@ def test_polarize_invalid_inputs(tmp_path, capsys):
     assert main(["classify", "--channel", str(nan)]) == 1
     captured = capsys.readouterr()
     assert "not finite" in captured.err and captured.out == ""
+    assert main(["foo"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "foo" in captured.err and captured.out == ""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["polarize", "--help"])
+    assert exit_info.value.code == 0
 
 
 def test_classify_exit_codes(tmp_path, capsys):
@@ -238,6 +254,12 @@ def test_classify_exit_codes(tmp_path, capsys):
     assert main(["classify", "--preset", "identity", "--group", "Z4",
                  "--delta", "0.01"]) == 0
     assert "subgroup={0}" in capsys.readouterr().out
+
+    for delta in ("nan", "inf"):
+        assert main(["classify", "--preset", "bsc:0.1", "--delta", delta]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "delta" in captured.err
+        assert captured.out == ""
 
 
 def test_distance_identical_and_relabeled(tmp_path, capsys):

@@ -16,6 +16,7 @@ from polarlab import (
     difference_span,
     enumerate_subgroups,
     make_group,
+    merge_outputs,
     minus_on_measure,
     minus_transform,
     plus_on_measure,
@@ -143,12 +144,12 @@ def test_plus_on_measure_weights_sum_to_one():
 
 def test_transforms_with_inline_merge():
     w = bec_channel(0.5)
-    merged = minus_transform(w, merge_tau=1e-9)
+    merged = merge_outputs(minus_transform(w), 1e-9)
     raw = minus_transform(w)
     assert merged.n_outputs == 3  # erasure family: 9 raw outputs collapse
     assert raw.n_outputs == 9
     assert blackwell_measure(merged).identical(blackwell_measure(raw))
-    merged_plus = plus_transform(w, merge_tau=1e-9)
+    merged_plus = merge_outputs(plus_transform(w), 1e-9)
     assert merged_plus.n_outputs <= 3
     assert blackwell_measure(merged_plus).identical(blackwell_measure(plus_transform(w)))
 

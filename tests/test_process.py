@@ -337,16 +337,6 @@ def test_histogram_masses_sum_to_fraction_determined():
     assert total == pytest.approx(report.fraction_determined(), abs=1e-12)
 
 
-def test_threads_do_not_change_report():
-    w = dh_mix_channel(Z4, seed=3)
-    a = report_json(enumerate_paths(w, 5, threads=1).to_dict())
-    b = report_json(enumerate_paths(w, 5, threads=4).to_dict())
-    assert a == b
-    a = report_json(sample_paths(w, 5, 20, seed=2, threads=1).to_dict())
-    b = report_json(sample_paths(w, 5, 20, seed=2, threads=4).to_dict())
-    assert a == b
-
-
 def test_depth_validation():
     w = bec_channel(0.5)
     with pytest.raises(ValueError):

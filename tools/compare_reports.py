@@ -50,6 +50,8 @@ def group_expr(group: str | None) -> str:
 # (name, interpreter arguments). The three benchmark workloads first.
 COMMANDS: list[tuple[str, list[str]]] = [
     ("multilevel-exh", polarize("--preset", "z4-multilevel:0.5", "--depth", "7")),
+    ("multilevel-exh --threads 2", polarize(
+        "--preset", "z4-multilevel:0.5", "--depth", "7", "--threads", "2")),
     ("dhmix-z2z4 seed 11", polarize("--preset", "dh-mix:11", "--group", "[2,4]", "--depth", "5")),
     ("dhmix-z2z4 seed 31", polarize("--preset", "dh-mix:31", "--group", "[2,4]", "--depth", "5")),
     *[
@@ -102,7 +104,7 @@ COMMANDS: list[tuple[str, list[str]]] = [
 
 def run(src: Path, args: list[str], cwd: str) -> tuple[bytes, int, bytes]:
     env = dict(os.environ, PYTHONPATH=str(src), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-               MKL_NUM_THREADS="1", POLARLAB_THREADS="1")
+               MKL_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True)
     return proc.stdout, proc.returncode, proc.stderr
 
