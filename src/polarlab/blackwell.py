@@ -409,8 +409,7 @@ class BlackwellMeasure:
 
     def realized_kernel(self) -> np.ndarray:
         """Kernel W(y_i|x) = |G| w_i q_i(x), one column per atom, rows renormalized."""
-        kernel = (self.posteriors * self.weights[:, None]).T * self.group.size
-        return kernel / kernel.sum(axis=1, keepdims=True)
+        return _realized_columns(self.group.size, self.weights, self.posteriors, self.atom_count).T
 
     def realize(self) -> Channel:
         """Canonical channel realization: one output per atom, labeled a0, a1, ..."""
@@ -483,7 +482,29 @@ def canonicalize(m: BlackwellMeasure, merge_tau: float = DEFAULT_MERGE_TAU) -> B
 
 def capacity_of_measure(m: BlackwellMeasure) -> float:
     """Symmetric capacity in bits: log2|G| minus the mean posterior entropy."""
-    return float(np.log2(m.group.size) - m.weights @ row_entropies_bits(m.posteriors))
+    return _capacities(m.group.size, m.weights, m.posteriors, (0, m.atom_count))[0]
+
+
+def _capacities(size: int, weights: np.ndarray, posteriors: np.ndarray, bounds) -> list[float]:
+    """capacity_of_measure of each measure whose atoms lie between consecutive bounds.
+
+    The row entropies do not depend on the other rows, so each measure gets
+    the bits it gets alone; only the final dot is per measure.
+    """
+    entropies = row_entropies_bits(posteriors)
+    top = np.log2(size)
+    return [float(top - weights[a:b] @ entropies[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _realized_columns(size: int, weights: np.ndarray, posteriors: np.ndarray, k: int) -> np.ndarray:
+    """Realized kernels of measures of k atoms each laid end to end, transposed.
+
+    Row i is the column |G| w_i q_i of its measure's kernel, divided by the
+    kernel's row sums. Each measure's rows are summed per input in atom
+    order, as a measure alone sums them.
+    """
+    columns = (posteriors * weights[:, None] * size).reshape(-1, k, size)
+    return (columns / columns.sum(axis=1, keepdims=True)).reshape(-1, size)
 
 
 def merge_outputs(w: Channel, merge_tau: float = DEFAULT_MERGE_TAU) -> Channel:

@@ -169,10 +169,15 @@ def deterministic_hom(group: Group, sub: Subgroup) -> Channel:
 
 
 def _coset_average(group: Group, kernel: np.ndarray, sub: Subgroup) -> np.ndarray:
-    """Kernel rows averaged over each coset of the subgroup, one row per coset."""
-    q = quotient(group, sub)
-    out = np.zeros((q.count, kernel.shape[1]))
-    np.add.at(out, q.coset_of, kernel)
+    """Kernel rows averaged over each coset of the subgroup, one row per coset.
+
+    Each coset's rows are added to zero in element order, one member of
+    every coset at a time.
+    """
+    members = quotient(group, sub).members
+    out = np.zeros((len(members), kernel.shape[1]))
+    for column in members.T:
+        out += kernel[column]
     out /= sub.size
     return out
 
@@ -229,30 +234,42 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"delta must be finite and positive, got {delta}")
 
 
-def _classify(group: Group, kernel: np.ndarray, delta: float) -> DeterminednessResult:
-    """delta-determining subgroups of the channel with this kernel over the group.
+def _classify(
+    group: Group, kernel: np.ndarray, bounds, capacities, delta: float
+) -> list[DeterminednessResult]:
+    """delta-determining subgroups of each channel whose kernel is a column block of `kernel`.
 
-    The kernel is taken as valid: a Channel's, or a measure's realized one;
-    and delta as checked (_check_delta).
+    Channel s has the kernel kernel[:, bounds[s]:bounds[s + 1]] over the
+    group and capacity capacities[s]. The kernels are taken as valid (a
+    Channel's, or a measure's realized one) and delta as checked
+    (_check_delta). Each subgroup's coset averages and their capacities run
+    once for all blocks (kernel_capacities), which gives each channel the
+    bits it gets alone.
     """
-    capacity = kernel_capacity(kernel)
-    witnesses = []
+    witnesses = [[] for _ in capacities]
     for sub in enumerate_subgroups(group):
         target = float(np.log2(group.size // sub.size))
-        gap_capacity = abs(capacity - target)
-        if gap_capacity >= delta:
+        gaps = [abs(capacity - target) for capacity in capacities]
+        near = [s for s, gap in enumerate(gaps) if gap < delta]
+        if not near:
             continue
-        gap_quotient = abs(kernel_capacity(_coset_average(group, kernel, sub)) - target)
-        if gap_quotient < delta:
-            witnesses.append(DeterminednessWitness(sub, gap_capacity, gap_quotient))
-    witnesses.sort(key=lambda wit: (max(wit.gap_capacity, wit.gap_quotient), wit.subgroup.members))
-    return DeterminednessResult(bool(witnesses), float(delta), tuple(witnesses))
+        quotient_capacities = kernel_capacities(_coset_average(group, kernel, sub), bounds)
+        for s in near:
+            gap_quotient = abs(quotient_capacities[s] - target)
+            if gap_quotient < delta:
+                witnesses[s].append(DeterminednessWitness(sub, gaps[s], gap_quotient))
+    out = []
+    for found in witnesses:
+        found.sort(key=lambda wit: (max(wit.gap_capacity, wit.gap_quotient), wit.subgroup.members))
+        out.append(DeterminednessResult(bool(found), float(delta), tuple(found)))
+    return out
 
 
 def delta_determining_subgroup(w: Channel, delta: float) -> DeterminednessResult:
     """Find all subgroups whose quotient structure explains the channel at level delta."""
     _check_delta(delta)
-    return _classify(w.require_group(), w.kernel, delta)
+    bounds = (0, w.n_outputs)
+    return _classify(w.require_group(), w.kernel, bounds, [symmetric_capacity(w)], delta)[0]
 
 
 def channel_to_json(w: Channel) -> dict:

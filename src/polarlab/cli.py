@@ -73,9 +73,13 @@ def cmd_polarize(args) -> int:
         raise ValueError(f"atom budget must be >= 1, got {args.atom_budget}")
     kw = dict(delta=args.delta, merge_tau=args.merge_tau, atom_budget=args.atom_budget)
     if args.mode == "exhaustive":
+        if args.samples is not None or args.seed is not None:
+            raise ValueError("--samples and --seed apply only with --mode sample")
         report = enumerate_paths(channel, args.depth, **kw)
     else:
-        report = sample_paths(channel, args.depth, args.samples, args.seed, **kw)
+        samples = 1 if args.samples is None else args.samples
+        seed = 0 if args.seed is None else args.seed
+        report = sample_paths(channel, args.depth, samples, seed, **kw)
     report.config["source"] = source
     data = report.to_dict()
     text = report_json(data) if args.format == "json" else report_csv(data)
@@ -137,9 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_channel_args(p):
-        p.add_argument("--channel", help="channel JSON file (or 'preset:SPEC')")
-        p.add_argument("--preset", help="built-in channel, e.g. bec:0.5, bsc:0.1, "
-                                        "dh:Z4:{0,2}, z4-multilevel:0.5, random:7, dh-mix:3")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--channel", help="channel JSON file (or 'preset:SPEC')")
+        source.add_argument("--preset", help="built-in channel, e.g. bec:0.5, bsc:0.1, "
+                                             "dh:Z4:{0,2}, z4-multilevel:0.5, random:7, dh-mix:3")
         p.add_argument("--group", help="group spec for presets, e.g. Z4 or [2,4]")
         p.add_argument("--outputs", type=int, help="output count for the random preset")
 
@@ -147,8 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_channel_args(pol)
     pol.add_argument("--depth", type=int, required=True)
     pol.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
-    pol.add_argument("--samples", type=int, default=1)
-    pol.add_argument("--seed", type=int, default=0)
+    pol.add_argument("--samples", type=int, help="sample mode: paths drawn (default 1)")
+    pol.add_argument("--seed", type=int, help="sample mode: seed of the draws (default 0)")
     pol.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     pol.add_argument("--merge-tau", type=float, default=1e-9)
     pol.add_argument("--atom-budget", type=int, default=DEFAULT_ATOM_BUDGET)

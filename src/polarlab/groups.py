@@ -141,8 +141,15 @@ class QuotientMap:
     def count(self) -> int:
         return len(self.representatives)
 
+    @cached_property
+    def members(self) -> np.ndarray:
+        """(cosets, |H|) element indices: row j lists coset j's members in ascending order."""
+        members = np.argsort(self.coset_of, kind="stable").reshape(self.count, -1)
+        members.setflags(write=False)
+        return members
+
     def coset_members(self, j: int) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.flatnonzero(self.coset_of == j))
+        return tuple(int(i) for i in self.members[j])
 
     def coset_label(self, j: int) -> str:
         return "{" + ",".join(str(i) for i in self.coset_members(j)) + "}"

@@ -15,8 +15,12 @@ import numpy as np
 from .blackwell import BlackwellMeasure, JointSource, blackwell_measure, pc_probability
 from .channels import deterministic_hom
 from .groups import Group, Subgroup, enumerate_subgroups
+from .polar import Chunk
 
 MARGINAL_TOL = 1e-10
+# The largest L1 error of a nearest-coset plan's marginals that certifies
+# its cost as a Pol distance (see _pol_bounds): rounding level, 2**-48.
+_CERTIFY_EPS = 2.0 ** -48
 # Entering threshold on reduced costs, relative to the largest potential.
 _PRICE_TOL = 1e-14
 _PRICE_BLOCK = 4096
@@ -301,36 +305,93 @@ def _pol_stack(group: Group) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def _pol_bounds(m: BlackwellMeasure) -> np.ndarray:
-    """Lower bound on the transport cost from m to each Pol target, in enumeration order.
+def _pol_bounds(chunk: Chunk) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per measure of a chunk and per Pol target, in enumeration order: the
+    row term, the transport lower bound, and the nearest-coset plan's error.
 
-    Every plan moving weights w onto weights v costs at least
-    max(sum_i w_i min_j c_ij, sum_j v_j min_i c_ij). One cost matrix against
-    all targets' atoms gives every target's bound.
+    A target Pol(H) has one atom per coset c of H, the uniform coset
+    posterior u_c, of weight v_c = 1/|G:H|. Every plan moving the weights w
+    onto v costs at least the bound max(rows, cols), where
+    rows = sum_i w_i min_c TV(q_i, u_c) and cols = sum_c v_c min_i TV(q_i, u_c).
+    The plan that sends each atom to its nearest cosets, exact ties split
+    evenly, costs exactly `rows`; its error is the L1 distance
+    eps = sum_c |marginal_c - v_c| of its coset marginals from v. Rerouting
+    its surplus, eps / 2, costs at most TV <= 1 per unit, so the optimum
+    lies in [rows, rows + eps / 2].
+
+    One cost matrix against all targets' atoms serves every measure and
+    target. Minima are exact, and the sums over a measure's atoms run per
+    block of equal atom count, in atom order, so each measure gets the bits
+    it gets alone; the row term's dot runs on the measure's own slice.
     """
-    posteriors, weights, firsts = _pol_stack(m.group)
-    cost = _tv_cost_matrix(m.posteriors, posteriors)
-    rows = m.weights @ np.minimum.reduceat(cost, firsts, axis=1)
-    cols = np.add.reduceat(cost.min(axis=0) * weights, firsts)
-    return np.maximum(rows, cols)
+    posteriors, weights, firsts = _pol_stack(chunk.group)
+    sizes = np.diff(np.append(firsts, len(weights)))
+    cost = _tv_cost_matrix(chunk.posteriors, posteriors)
+    if not np.isfinite(cost).all():
+        raise ValueError("transport costs must be finite")
+    row_min = np.minimum.reduceat(cost, firsts, axis=1)
+    nearest = cost == np.repeat(row_min, sizes, axis=1)
+    ties = np.add.reduceat(nearest, firsts, axis=1, dtype=np.int64)
+    share = np.where(nearest, np.repeat(chunk.weights[:, None] / ties, sizes, axis=1), 0.0)
+    out = []
+    for k, a, b in chunk.blocks:
+        col_min = chunk.block(cost, k, a, b).min(axis=1)
+        cols = np.add.reduceat(col_min * weights, firsts, axis=1)
+        marginal = chunk.block(share, k, a, b).sum(axis=1)
+        eps = np.add.reduceat(np.abs(marginal - weights), firsts, axis=1)
+        for s in range(a, b):
+            lo, hi = chunk.starts[s], chunk.starts[s + 1]
+            rows = chunk.weights[lo:hi] @ row_min[lo:hi]
+            out.append((rows, np.maximum(rows, cols[s - a]), eps[s - a]))
+    return out
+
+
+def _nearest_pol(chunk: Chunk) -> list[tuple[float, Subgroup, int]]:
+    """Distance to the nearest quotient-projection measure of each measure of
+    a chunk: (distance, subgroup, transport solves).
+
+    The targets are visited in ascending order of their lower bounds
+    (_pol_bounds), and a target whose bound exceeds the best distance found
+    so far by more than MARGINAL_TOL (which absorbs rounding in the bound)
+    is skipped: it can neither beat nor tie the best. A visited target's
+    distance is its row term when the nearest-coset plan certifies it, that
+    is, when the plan's error eps is at most _CERTIFY_EPS; the reported
+    value is then within eps / 2 <= 2**-49 of the optimum. The one-atom
+    target Pol(G) admits no other plan, so its eps is only the rounding of
+    the measure's weight sum, and its row term is always its distance.
+    Other targets are solved exactly (wasserstein). The value and subgroup
+    are those of the enumeration-order minimum over the visited targets,
+    ties going to the first subgroup in enumeration order. Results come
+    back in the order of chunk.measures, each bitwise the one its measure
+    gets alone.
+    """
+    targets = pol_set(chunk.group)
+    lone = np.array([target.atom_count == 1 for _, target in targets])
+    out = []
+    for m, (rows, bounds, eps) in zip(chunk.by_size, _pol_bounds(chunk)):
+        rows = rows.tolist()
+        certified = (lone | (eps <= _CERTIFY_EPS)).tolist()
+        best, solves = (np.inf, -1), 0
+        for bound, index in sorted(zip(bounds.tolist(), range(len(targets)))):
+            if bound > best[0] + MARGINAL_TOL:
+                break
+            if certified[index]:
+                value = rows[index]
+            else:
+                value = wasserstein(m, targets[index][1])
+                solves += 1
+            best = min(best, (value, index))
+        dist, index = best
+        out.append((float(dist), targets[index][0], solves))
+    return chunk.unsort(out)
 
 
 def distance_to_pol(m: BlackwellMeasure) -> tuple[float, Subgroup]:
     """Distance to the nearest quotient-projection measure, with its subgroup.
 
-    The targets are solved in ascending order of their lower bounds
-    (_pol_bounds), and a target whose bound exceeds the best distance found
-    so far by more than MARGINAL_TOL (which absorbs rounding in the bound)
-    is skipped: it can neither beat nor tie the best. The value and
-    subgroup are those of the enumeration-order minimum, ties going to the
-    first subgroup in enumeration order.
+    The chunk kernel _nearest_pol on a chunk of one measure: a certified
+    nearest-coset plan where one exists, the exact transport solve
+    otherwise; ties go to the first subgroup in enumeration order.
     """
-    targets = pol_set(m.group)
-    bounds = sorted(zip(_pol_bounds(m).tolist(), range(len(targets))))
-    best = (np.inf, -1)
-    for bound, index in bounds:
-        if bound > best[0] + MARGINAL_TOL:
-            break
-        best = min(best, (wasserstein(m, targets[index][1]), index))
-    dist, index = best
-    return float(dist), targets[index][0]
+    dist, nearest, _ = _nearest_pol(Chunk([m]))[0]
+    return dist, nearest

@@ -18,7 +18,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._util import row_entropies_bits
-from .blackwell import DEFAULT_MERGE_TAU, BlackwellMeasure, blackwell_measure
+from .blackwell import (
+    DEFAULT_MERGE_TAU,
+    BlackwellMeasure,
+    _capacities,
+    _realized_columns,
+    blackwell_measure,
+)
 from .channels import Channel, kernel_capacities
 from .groups import Group
 
@@ -139,6 +145,23 @@ class Chunk:
             self._conv = _pair_convolutions(self).reshape(-1, self.group.size)
         return self._conv
 
+    def capacities(self) -> list[float]:
+        """capacity_of_measure of every measure."""
+        bounds = self.starts.tolist()
+        return self.unsort(_capacities(self.group.size, self.weights, self.posteriors, bounds))
+
+    def realized_columns(self) -> np.ndarray:
+        """The columns of the realized kernels as rows, laid out like the atoms.
+
+        Each measure's rows are bitwise its realized_kernel().T.
+        """
+        out = []
+        for k, a, b in self.blocks:
+            lo, hi = self.starts[a], self.starts[b]
+            weights, posteriors = self.weights[lo:hi], self.posteriors[lo:hi]
+            out.append(_realized_columns(self.group.size, weights, posteriors, k))
+        return np.concatenate(out)
+
     def pair_weights(self) -> np.ndarray:
         """w_i w_j of every atom pair."""
         w = self.weights
@@ -195,7 +218,7 @@ class Chunk:
         size = self.group.size
         # the realized kernels side by side, and their channel-side minus
         # kernels, one column per atom pair
-        columns = np.concatenate([m.realized_kernel().T for m in self.by_size])
+        columns = self.realized_columns()
         minus = np.ascontiguousarray((_convolve_pairs(self, columns) / size).T)
         capacities = kernel_capacities(columns.T, self.starts.tolist())
         minus_capacities = kernel_capacities(minus, self.pair_starts.tolist())

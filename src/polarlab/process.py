@@ -4,13 +4,13 @@ Every mode walks the binary transform tree with one generator,
 `_walk_chunks`, so each child reuses its parent's merged measure and each
 measure is computed once. The walk takes consecutive nodes of one depth
 together, as a chunk of at most _CHUNK_ATOMS raw atoms: a chunk's
-transforms, merging and capacity gaps run once for all its nodes
-(polar.Chunk), and each node gets bitwise the result it gets alone, so
-the chunking never shows in a report. Per-path resource failures (atom
-budget) are recorded on the affected paths; the rest of the tree is still
-evaluated. Any other error raised while a node is computed is an internal
-fault and stops the run as a PathFault that names the node: the first one
-a preorder walk would meet.
+transforms, merging, capacity gaps and leaf evaluation run once for all
+its nodes (polar.Chunk, _evaluate), and each node gets bitwise the result
+it gets alone, so the chunking never shows in a report. Per-path resource
+failures (atom budget) are recorded on the affected paths; the rest of the
+tree is still evaluated. Any other error raised while a node is computed
+is an internal fault and stops the run as a PathFault that names the node:
+the first one a preorder walk would meet.
 Evaluation is sequential, and all outputs are deterministic given the
 configuration.
 """
@@ -24,15 +24,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blackwell import (
-    DEFAULT_MERGE_TAU,
-    BlackwellMeasure,
-    blackwell_measure,
-    capacity_of_measure,
-)
+from .blackwell import DEFAULT_MERGE_TAU, BlackwellMeasure, blackwell_measure
 from .channels import Channel, DeterminednessResult, _check_delta, _classify, symmetric_capacity
 from .groups import Subgroup
-from .metrics import distance_to_pol
+from .metrics import _nearest_pol
 from .polar import (
     DEFAULT_ATOM_BUDGET,
     MINUS,
@@ -309,23 +304,22 @@ def _walk_chunks(
     atom_budget: int = DEFAULT_ATOM_BUDGET,
     wanted: Iterable[str] | None = None,
     gap_depths: Container[int] = (),
-) -> Iterator[tuple[str, Node, float | None]]:
+) -> Iterator[tuple[list[str], list[Node], list[float | None]]]:
     """Walk the transform tree below `root` to `depth`, a chunk of a level at a time.
 
-    Yields (path, node, gap) for every prefix, or, given `wanted`, only for
-    the prefixes of the wanted paths; the nodes of each depth, and so the
-    leaves, come in path order, '-' first. A chunk is a run of consecutive
-    nodes of one depth: its gaps and steps each run once for all its
-    measures (polar.Chunk). Its children are split into chunks again
-    (_split) and walked depth first. Each measure is stepped once from its
-    parent's. At the depths in `gap_depths` a node's guarded capacity gap
-    is computed before its children are stepped; elsewhere `gap` is None. A
-    refused step or gap replaces the node by its message, which stands in
-    for every descendant; nothing below is computed. A step or gap that
-    raises RuntimeError or ValueError replaces the node by a PathFault that
-    names it and likewise stands in for its descendants. The walk raises it
-    at the first leaf it covers: in path order, so the first fault a
-    preorder walk would meet is the one raised.
+    Yields the (paths, nodes, gaps) of each chunk: every prefix, or, given
+    `wanted`, only the prefixes of the wanted paths. The chunks of each
+    depth, and so the leaves, come in path order, '-' first. A chunk is a
+    run of consecutive nodes of one depth: its gaps and steps each run once
+    for all its measures (polar.Chunk). Its children are split into chunks
+    again (_split) and walked depth first. Each measure is stepped once from
+    its parent's. At the depths in `gap_depths` a node's guarded capacity
+    gap is computed before its children are stepped; elsewhere its gap is
+    None. A refused step or gap replaces the node by its message, which
+    stands in for every descendant; nothing below is computed. A step or
+    gap that raises RuntimeError or ValueError replaces the node by a
+    PathFault that names it and likewise stands in for its descendants;
+    the reader raises the first one it meets among the nodes it uses.
     """
     prefixes = None if wanted is None else {p[:k] for p in wanted for k in range(len(p) + 1)}
     stack: list[list[tuple[str, Node]]] = [[("", root)]]
@@ -358,10 +352,7 @@ def _walk_chunks(
                         nodes[i] = gap
                     else:
                         gaps[i] = gap.value
-        for path, node, gap in zip(paths, nodes, gaps):
-            if level == depth and isinstance(node, PathFault):
-                raise node
-            yield path, node, gap
+        yield paths, nodes, gaps
         if level == depth:
             continue
         children: dict[str, Node] = {}
@@ -390,24 +381,73 @@ def _walk_chunks(
         stack.extend(reversed(_split(ordered)))
 
 
-def _evaluate(m: Node, path: str, gap: float | None, delta: float) -> PathRecord:
-    if isinstance(m, str):
-        return PathRecord(path=path, error=m)
-    try:
-        dist, nearest = distance_to_pol(m)
-        det = _classify(m.group, m.realized_kernel(), delta)
-        capacity = capacity_of_measure(m)
-    except (RuntimeError, ValueError) as exc:
-        raise PathFault(path, exc) from exc
-    return PathRecord(
-        path=path,
-        capacity=capacity,
-        capacity_gap=gap,
-        determinedness=det,
-        distance_to_pol=dist,
-        nearest_subgroup=nearest,
-        atom_count=m.atom_count,
-    )
+class Evaluation(NamedTuple):
+    """What a report says about one measure; determinedness is None when unclassified."""
+
+    distance_to_pol: float
+    nearest_subgroup: Subgroup
+    solves: int
+    capacity: float
+    determinedness: DeterminednessResult | None
+
+
+def _evaluate_chunk(chunk: Chunk, delta: float | None) -> list[Evaluation]:
+    """Evaluate every measure of a chunk, classifying at delta unless it is None.
+
+    One batched kernel: the Pol distances (metrics._nearest_pol), the
+    capacities, and the classification of the realized kernels on those
+    capacities (channels._classify). Each measure gets bitwise the result
+    it gets alone, in the order of chunk.measures.
+    """
+    nearest = _nearest_pol(chunk)
+    capacities = chunk.capacities()
+    classes = [None] * len(chunk)
+    if delta is not None:
+        kernel = chunk.realized_columns().T
+        by_size = [capacities[i] for i in chunk.order]
+        bounds = chunk.starts.tolist()
+        classes = chunk.unsort(_classify(chunk.group, kernel, bounds, by_size, delta))
+    return [Evaluation(*pol, cap, det) for pol, cap, det in zip(nearest, capacities, classes)]
+
+
+def _evaluate(paths: list[str], nodes: list[Node], delta: float | None) -> list:
+    """A walker chunk's nodes with each measure replaced by its Evaluation.
+
+    The measures are evaluated together (_evaluate_chunk); budget messages
+    and faults pass through. If the batch raises, each measure is evaluated
+    alone, and one whose evaluation raises gets a PathFault naming it.
+    """
+    out = list(nodes)
+    todo = [i for i, node in enumerate(nodes) if isinstance(node, BlackwellMeasure)]
+    if todo:
+        chunk = Chunk([nodes[i] for i in todo])
+        results = _per_chunk(lambda c: _evaluate_chunk(c, delta), chunk, [paths[i] for i in todo])
+        for i, result in zip(todo, results):
+            out[i] = result
+    return out
+
+
+def _leaf_records(
+    paths: list[str], nodes: list[Node], gaps: list[float | None], delta: float
+) -> list[PathRecord]:
+    """The records of a walker chunk of leaves; raises its first fault in path order."""
+    records = []
+    for path, node, gap, result in zip(paths, nodes, gaps, _evaluate(paths, nodes, delta)):
+        if isinstance(result, PathFault):
+            raise result
+        if isinstance(result, str):
+            records.append(PathRecord(path=path, error=result))
+            continue
+        records.append(PathRecord(
+            path=path,
+            capacity=result.capacity,
+            capacity_gap=gap,
+            determinedness=result.determinedness,
+            distance_to_pol=result.distance_to_pol,
+            nearest_subgroup=result.nearest_subgroup,
+            atom_count=node.atom_count,
+        ))
+    return records
 
 
 def enumerate_paths(
@@ -432,11 +472,12 @@ def enumerate_paths(
     level_gaps: dict[int, list[float]] = {}
     root = blackwell_measure(w, merge_tau)
     walk = _walk_chunks(root, depth, merge_tau, atom_budget, gap_depths=range(depth + 1))
-    for path, node, gap in walk:
-        if gap is not None:
-            level_gaps.setdefault(len(path), []).append(gap)
-        if len(path) == depth:
-            records.append(_evaluate(node, path, gap, delta))
+    for paths, nodes, gaps in walk:
+        for path, gap in zip(paths, gaps):
+            if gap is not None:
+                level_gaps.setdefault(len(path), []).append(gap)
+        if len(paths[0]) == depth:
+            records.extend(_leaf_records(paths, nodes, gaps, delta))
     return PolarizationReport(config, records, level_gaps)
 
 
@@ -471,9 +512,10 @@ def sample_paths(
 
     root = blackwell_measure(w, merge_tau)
     walk = _walk_chunks(root, depth, merge_tau, atom_budget, paths, gap_depths=(depth,))
-    leaves = {
-        path: _evaluate(node, path, gap, delta) for path, node, gap in walk if len(path) == depth
-    }
+    leaves = {}
+    for chunk_paths, nodes, gaps in walk:
+        if len(chunk_paths[0]) == depth:
+            leaves.update((r.path, r) for r in _leaf_records(chunk_paths, nodes, gaps, delta))
     return PolarizationReport(config, [leaves[path] for path in paths], {})
 
 
@@ -493,26 +535,22 @@ def convergence_trace(
     root = blackwell_measure(w, merge_tau)
     out = []
     walk = _walk_chunks(root, depth, merge_tau, atom_budget, [steps], gap_depths=range(depth + 1))
-    for prefix, m, gap in walk:
-        if isinstance(m, str):
-            raise AtomBudgetError(m)
-        if isinstance(m, PathFault):
-            raise m
-        try:
-            dist, nearest = distance_to_pol(m)
-            capacity = capacity_of_measure(m)
-        except (RuntimeError, ValueError) as exc:
-            raise PathFault(prefix, exc) from exc
-        out.append(
-            TraceRecord(
-                depth=len(prefix),
-                prefix=prefix,
-                capacity=capacity,
-                capacity_gap=gap,
-                distance_to_pol=dist,
-                nearest_subgroup=nearest,
+    for paths, nodes, gaps in walk:
+        for prefix, gap, result in zip(paths, gaps, _evaluate(paths, nodes, None)):
+            if isinstance(result, str):
+                raise AtomBudgetError(result)
+            if isinstance(result, PathFault):
+                raise result
+            out.append(
+                TraceRecord(
+                    depth=len(prefix),
+                    prefix=prefix,
+                    capacity=result.capacity,
+                    capacity_gap=gap,
+                    distance_to_pol=result.distance_to_pol,
+                    nearest_subgroup=result.nearest_subgroup,
+                )
             )
-        )
     return out
 
 

@@ -12,12 +12,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blackwell import blackwell_measure, capacity_of_measure
-from .channels import Channel, _coset_average, deterministic_hom, kernel_capacity
+from .channels import (
+    Channel,
+    _coset_average,
+    delta_determining_subgroup,
+    deterministic_hom,
+    kernel_capacity,
+)
 from .groups import enumerate_subgroups, make_group, subgroup_from_members
-from .metrics import distance_to_pol
-from .polar import AtomBudgetError, capacity_gap, minus_on_measure
-from .presets import bec_channel, random_channel, z4_multilevel_channel
-from .process import PathFault, _walk_chunks, enumerate_paths, martingale_residual
+from .metrics import distance_to_pol, pol_set, wasserstein
+from .polar import AtomBudgetError, Chunk, capacity_gap, minus_on_measure
+from .presets import bec_channel, dh_mix_channel, random_channel, z4_multilevel_channel
+from .process import (
+    PathFault,
+    _evaluate_chunk,
+    _walk_chunks,
+    enumerate_paths,
+    martingale_residual,
+)
 
 CORPUS_SEED = 20240810
 CORPUS_GROUP_ORDERS = ([2], [3], [4], [2, 2], [6])
@@ -124,7 +136,59 @@ def pol_set_suite() -> list[CheckResult]:
         results.append(
             CheckResult(f"pol-set.fixed-point[{name}]", fixed, 0.0 if fixed else 1.0, 0.0)
         )
+    results.append(pol_certificate_check())
     return results
+
+
+def pol_certificate_check() -> CheckResult:
+    """Leaf evaluation against the transport simplex and the channel route, on every leaf.
+
+    The walks are those of acceptance criteria 5-7 and dh-mix:3 on Z2xZ4 at
+    depth 5. Each leaf's distance must be within 1e-12 of the
+    enumeration-order minimum of exact transport solves, with the same
+    subgroup, and its classification must name the same subgroups as that
+    of the channel its measure realizes.
+    """
+    delta = 0.1
+    z4 = make_group([4])
+    walks = [
+        (bec_channel(0.5), 8),
+        (z4_multilevel_channel(0.5), 12),
+        *[(dh_mix_channel(z4, 3), depth) for depth in (4, 6, 8)],
+        (dh_mix_channel(make_group([2, 4]), 3), 5),
+    ]
+    leaves = solved = mismatches = 0
+    worst = 0.0
+    for w, depth in walks:
+        targets = pol_set(w.require_group())
+        for paths, nodes, _ in _walk_chunks(blackwell_measure(w), depth):
+            if len(paths[0]) < depth:
+                continue
+            for m in nodes:
+                if isinstance(m, str):
+                    raise AtomBudgetError(m)
+                if isinstance(m, PathFault):
+                    raise m
+            for m, got in zip(nodes, _evaluate_chunk(Chunk(nodes), delta)):
+                dist, index = min((wasserstein(m, t), i) for i, (_, t) in enumerate(targets))
+                channel = delta_determining_subgroup(m.realize(), delta)
+                worst = max(worst, abs(got.distance_to_pol - dist))
+                leaves += 1
+                solved += got.solves > 0
+                mismatches += (
+                    got.nearest_subgroup != targets[index][0]
+                    or got.determinedness.determined != channel.determined
+                    or [x.subgroup for x in got.determinedness.witnesses]
+                    != [x.subgroup for x in channel.witnesses]
+                )
+    return CheckResult(
+        "pol-set.certificate",
+        worst <= 1e-12 and mismatches == 0,
+        worst,
+        1e-12,
+        f"{leaves} leaves of {len(walks)} walks: {leaves - solved} certified, {solved} solved, "
+        f"{mismatches} subgroup or class mismatches",
+    )
 
 
 def bec_oracle_suite() -> list[CheckResult]:
@@ -150,13 +214,14 @@ def multilevel_quotient_floor(depth: int = 12) -> float:
     sub = subgroup_from_members(group, [0, 2])
     floor = kernel_capacity(_coset_average(group, w.kernel, sub))
 
-    for path, m, _ in _walk_chunks(blackwell_measure(w), depth):
-        if isinstance(m, str):
-            raise AtomBudgetError(m)
-        if isinstance(m, PathFault):
-            raise m
-        if path:
-            floor = min(floor, kernel_capacity(_coset_average(group, m.realized_kernel(), sub)))
+    for paths, nodes, _ in _walk_chunks(blackwell_measure(w), depth):
+        for path, m in zip(paths, nodes):
+            if isinstance(m, str):
+                raise AtomBudgetError(m)
+            if isinstance(m, PathFault):
+                raise m
+            if path:
+                floor = min(floor, kernel_capacity(_coset_average(group, m.realized_kernel(), sub)))
     return floor
 
 

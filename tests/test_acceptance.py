@@ -263,6 +263,20 @@ def test_criterion_07_convergence_trend(trend_reports_bytes):
     )
 
 
+def test_gap_capacity_is_the_record_capacity_gap(multilevel_report_bytes, trend_reports_bytes):
+    # a leaf's capacity is computed once: its witnesses' capacity gaps are
+    # |capacity - log2|G/H|| of the record's own capacity, bit for bit
+    reports = [multilevel_report_bytes[0], *trend_reports_bytes[0].values()]
+    witnesses = 0
+    for report in reports:
+        for rec in report.evaluated:
+            for wit in rec.determinedness.witnesses:
+                target = float(np.log2(Z4.size // wit.subgroup.size))
+                assert wit.gap_capacity == abs(rec.capacity - target), rec.path
+                witnesses += 1
+    assert witnesses > 2000
+
+
 def test_criterion_08_equivalence_invariance(corpus):
     ok = True
     detail = ""

@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import polarlab
-from polarlab import channel_to_json, distance_to_pol, make_group
+from polarlab import blackwell_measure, channel_to_json, make_group, polar_step
 from polarlab.cli import main
+from polarlab.metrics import _nearest_pol
 from polarlab.presets import bsc_channel, parse_group_spec, parse_preset
 
 
@@ -124,10 +125,10 @@ def test_polarize_resource_failures_exit_2(tmp_path):
 
 
 def test_internal_fault_exits_4(tmp_path, capsys, monkeypatch):
-    def fault(m):
+    def fault(chunk):
         raise RuntimeError("transport solver hit its pivot cap")
 
-    monkeypatch.setattr(polarlab.process, "distance_to_pol", fault)
+    monkeypatch.setattr(polarlab.process, "_nearest_pol", fault)
     out = tmp_path / "r.json"
     code = main(["polarize", "--preset", "bec:0.5", "--depth", "2", "--output", str(out)])
     assert code == 4
@@ -137,16 +138,17 @@ def test_internal_fault_exits_4(tmp_path, capsys, monkeypatch):
 
 
 def test_value_error_inside_the_walk_is_an_internal_fault(tmp_path, capsys, monkeypatch):
-    # the input was valid; a ValueError raised evaluating a node is the program's
-    calls = []
+    # the input was valid; a ValueError raised evaluating a node is the
+    # program's. The leaves are evaluated together, and when that raises,
+    # one at a time, so the fault names the first failing leaf in path order.
+    second = polar_step(polar_step(blackwell_measure(parse_preset("bec:0.5")), "-"), "+")
 
-    def fault(m):
-        calls.append(m)
-        if len(calls) == 2:  # the second leaf in path order
+    def fault(chunk):
+        if any(m.identical(second) for m in chunk.measures):
             raise ValueError("transport costs must be finite")
-        return distance_to_pol(m)
+        return _nearest_pol(chunk)
 
-    monkeypatch.setattr(polarlab.process, "distance_to_pol", fault)
+    monkeypatch.setattr(polarlab.process, "_nearest_pol", fault)
     out = tmp_path / "r.json"
     code = main(["polarize", "--preset", "bec:0.5", "--depth", "2", "--output", str(out)])
     assert code == 4
@@ -240,6 +242,35 @@ def test_polarize_invalid_inputs(tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["polarize", "--help"])
     assert exit_info.value.code == 0
+
+
+def test_channel_and_preset_are_exclusive(tmp_path, capsys):
+    # given both, neither silently wins
+    report = tmp_path / "r.json"
+    for command in (["classify"], ["polarize", "--depth", "2", "--output", str(report)]):
+        assert main([*command, "--channel", "preset:bec:0.5", "--preset", "bsc:0.1"]) == 1, command
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:"), command
+        assert "--preset: not allowed with argument --channel" in captured.err, command
+        assert captured.out == "" and not report.exists(), command
+
+
+def test_sample_flags_need_sample_mode(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    base = ["polarize", "--preset", "bec:0.5", "--depth", "2", "--output", str(report)]
+    for extra in (["--samples", "5"], ["--seed", "3"], ["--samples", "5", "--seed", "3"],
+                  ["--mode", "exhaustive", "--seed", "0"]):
+        assert main(base + extra) == 1, extra
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "--mode sample" in captured.err, extra
+        assert captured.out == "" and not report.exists(), extra
+    # sample mode keeps its defaults: one path, seed 0
+    assert main(base + ["--mode", "sample"]) == 0
+    implicit = report.read_bytes()
+    assert main(base + ["--mode", "sample", "--samples", "1", "--seed", "0"]) == 0
+    assert report.read_bytes() == implicit
+    config = json.loads(implicit)["config"]
+    assert (config["samples"], config["seed"]) == (1, 0)
 
 
 def test_classify_exit_codes(tmp_path, capsys):

@@ -23,11 +23,12 @@ from polarlab import (
 )
 from polarlab import metrics
 from polarlab.metrics import MARGINAL_TOL, pol_set
-from polarlab.polar import MINUS, PLUS, polar_step
+from polarlab.polar import MINUS, PLUS, Chunk, polar_step
 from polarlab.presets import (
     bsc_channel,
     dh_mix_channel,
     identity_channel,
+    parse_preset,
     random_channel,
     useless_channel,
     z4_multilevel_channel,
@@ -232,7 +233,8 @@ def test_transport_matches_dense_lp_on_corpus():
         dist, nearest = distance_to_pol(m)
         assert abs(dist - ref_dist) <= 1e-12
         assert nearest == ref_sub
-        assert (dist, nearest) == _enumeration_order_nearest(m)
+        simplex_dist, simplex_sub = _enumeration_order_nearest(m)
+        assert abs(dist - simplex_dist) <= 1e-12 and nearest == simplex_sub
 
 
 def _enumeration_order_nearest(m):
@@ -262,19 +264,81 @@ def _leaf_measures(walk):
 
 @pytest.mark.parametrize("walk", _WALKS)
 def test_distance_to_pol_matches_enumeration_order(walk):
+    # the certified row term may differ from the simplex's cost by rounding
     for m in _leaf_measures(walk):
-        assert distance_to_pol(m) == _enumeration_order_nearest(m)
+        dist, nearest = distance_to_pol(m)
+        simplex_dist, simplex_sub = _enumeration_order_nearest(m)
+        assert abs(dist - simplex_dist) <= 1e-12 and nearest == simplex_sub
 
 
 @pytest.mark.parametrize("walk", _WALKS)
-def test_distance_to_pol_solves_once_per_leaf(walk):
-    # on these walks the transport lower bound is tight, so the first target
-    # solved is the nearest one and every other bound lies above it
+def test_distance_to_pol_solves_no_leaf(walk):
+    # on these walks the nearest-coset plan certifies every target the
+    # search visits, so no leaf needs the transport simplex
     leaves = _leaf_measures(walk)
     with mock.patch.object(metrics, "wasserstein", side_effect=wasserstein) as solve:
         for m in leaves:
             distance_to_pol(m)
-    assert solve.call_count == len(leaves)
+        assert [s for _, _, s in metrics._nearest_pol(Chunk(leaves))] == [0] * len(leaves)
+    assert solve.call_count == 0
+
+
+def test_uncertified_leaf_falls_back_to_the_simplex():
+    # random:3 on Z4 at depth 2: on leaf '++' the nearest-coset plan for the
+    # nearest target, {0}, misses its marginals by about 9e-3, so that leaf,
+    # and only that one, is solved
+    level = [blackwell_measure(parse_preset("random:3", Z4))]
+    for _ in range(2):
+        level = [polar_step(m, sign) for m in level for sign in (MINUS, PLUS)]
+    with mock.patch.object(metrics, "wasserstein", side_effect=wasserstein) as solve:
+        results = metrics._nearest_pol(Chunk(level))
+    uncertified = [i for i, (_, _, solves) in enumerate(results) if solves]
+    assert uncertified == [3]
+    assert all(call.args[0] is level[3] for call in solve.call_args_list)
+    _, _, eps = metrics._pol_bounds(Chunk([level[3]]))[0]
+    assert 5e-3 < eps[0] < 1.5e-2
+    for m, (dist, nearest, _) in zip(level, results):
+        simplex_dist, simplex_sub = _enumeration_order_nearest(m)
+        assert abs(dist - simplex_dist) <= 1e-12 and nearest == simplex_sub
+
+
+_CORPUS = random_corpus()
+
+
+@given(index=st.integers(0, len(_CORPUS) - 1), path=st.text("-+", max_size=2))
+def test_certified_distance_is_the_row_term(index, path):
+    # the nearest-coset plan costs the row term and misses the target
+    # weights by eps in L1, so the optimum lies in [row term, row term + eps/2]
+    m = blackwell_measure(_CORPUS[index])
+    for sign in path:
+        if m.atom_count ** 2 * m.group.size > 2000:
+            break
+        m = polar_step(m, sign)
+    rows, _, eps = metrics._pol_bounds(Chunk([m]))[0]
+    targets = pol_set(m.group)
+    for (_, target), row, e in zip(targets, rows.tolist(), eps.tolist()):
+        excess = wasserstein(m, target) - row
+        assert -1e-15 <= excess <= e / 2 + 1e-15
+    dist, nearest, _ = metrics._nearest_pol(Chunk([m]))[0]
+    best = [sub for sub, _ in targets].index(nearest)
+    if eps[best] <= metrics._CERTIFY_EPS or targets[best][1].atom_count == 1:
+        assert dist == rows[best]
+    assert abs(dist - _enumeration_order_nearest(m)[0]) <= 1e-12
+
+
+def test_one_atom_target_needs_no_solve():
+    # the only plan onto Pol(G) is certified however far the measure's
+    # weights sum from 1 by rounding; this one's sum is 1e-13 off
+    m = object.__new__(BlackwellMeasure)
+    m.group = Z2
+    m.weights = np.array([0.5 + 1e-13, 0.5])
+    m.posteriors = np.array([[0.49, 0.51], [0.51, 0.49]])
+    _, _, eps = metrics._pol_bounds(Chunk([m]))[0]
+    assert eps[-1] > metrics._CERTIFY_EPS
+    with mock.patch.object(metrics, "wasserstein", side_effect=wasserstein) as solve:
+        dist, nearest, solves = metrics._nearest_pol(Chunk([m]))[0]
+    assert solve.call_count == solves == 0
+    assert nearest.members == (0, 1) and abs(dist - 0.01) <= 1e-14
 
 
 def _per_target_bounds(m):
@@ -289,7 +353,8 @@ def test_stacked_pol_bounds_match_per_target_bounds():
     measures = [blackwell_measure(w) for w in random_corpus(count=60)]
     measures += [m for walk in _WALKS for m in _leaf_measures(walk)[:32]]
     for m in measures:
-        assert np.abs(metrics._pol_bounds(m) - _per_target_bounds(m)).max() <= 1e-12
+        _, bounds, _ = metrics._pol_bounds(Chunk([m]))[0]
+        assert np.abs(bounds - _per_target_bounds(m)).max() <= 1e-12
 
 
 @pytest.mark.parametrize(

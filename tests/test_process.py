@@ -2,14 +2,19 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_polar import _measure_chunks
 
 from polarlab import (
     AtomBudgetError,
     Channel,
     blackwell_measure,
+    capacity_of_measure,
     convergence_trace,
     delta_determining_subgroup,
     deterministic_hom,
+    distance_to_pol,
     enumerate_paths,
     make_group,
     martingale_residual,
@@ -18,6 +23,8 @@ from polarlab import (
     symmetric_capacity,
 )
 from polarlab import process, verify
+from polarlab.channels import kernel_capacity
+from polarlab.polar import Chunk
 from polarlab.process import report_csv, report_json
 from polarlab.presets import (
     bec_channel,
@@ -298,8 +305,16 @@ def test_chunk_size_does_not_change_reports(monkeypatch, cap):
 
 
 def test_repeated_sample_paths_evaluated_once(monkeypatch):
-    counter = mock.Mock(wraps=process.distance_to_pol)
-    monkeypatch.setattr(process, "distance_to_pol", counter)
+    # leaves are evaluated a chunk at a time; count the measures
+    counter = mock.Mock()
+    real = process._evaluate_chunk
+
+    def evaluate(chunk, delta):
+        for _ in chunk.measures:
+            counter()
+        return real(chunk, delta)
+
+    monkeypatch.setattr(process, "_evaluate_chunk", evaluate)
     report = sample_paths(bec_channel(0.5), 4, 40, seed=1)
     paths = [r.path for r in report.records]
     assert len(paths) == 40
@@ -351,19 +366,44 @@ def test_depth_validation():
 
 @pytest.mark.parametrize("delta", [0.1, 0.5, 2.0])
 def test_leaf_classification_matches_the_channel_route(delta):
-    # the walk classifies each leaf on its measure's realized kernel; the
-    # labeled, validated channel that realize() builds must give every bit
+    # the walk classifies each leaf on its measure's realized kernel and the
+    # record's capacity; the labeled, validated channel that realize() builds
+    # gives the same subgroups and quotient gaps, and capacity gaps that
+    # differ by the rounding of its own capacity at most
     for w, depth in ((z4_multilevel_channel(0.5), 7), (dh_mix_channel(make_group([2, 4]), 3), 5)):
-        leaves = [m for path, m, _ in process._walk_chunks(blackwell_measure(w), depth)
-                  if len(path) == depth]
+        leaves = [m for paths, nodes, _ in process._walk_chunks(blackwell_measure(w), depth)
+                  if len(paths[0]) == depth for m in nodes]
         records = enumerate_paths(w, depth, delta=delta).records
         assert len(leaves) == len(records) == 2 ** depth
         for rec, m in zip(records, leaves):
-            assert rec.determinedness == delta_determining_subgroup(m.realize(), delta)
+            channel = delta_determining_subgroup(m.realize(), delta)
+            assert rec.determinedness.determined == channel.determined
+            ours, theirs = rec.determinedness.witnesses, channel.witnesses
+            assert [(x.subgroup, x.gap_quotient) for x in ours] == [
+                (x.subgroup, x.gap_quotient) for x in theirs
+            ]
+            for x, y in zip(ours, theirs):
+                assert abs(x.gap_capacity - y.gap_capacity) <= 1e-15
     for w in verify.random_corpus():
         m = blackwell_measure(w)
-        kernel_route = process._classify(m.group, m.realized_kernel(), delta)
-        assert kernel_route == delta_determining_subgroup(m.realize(), delta)
+        kernel = m.realized_kernel()
+        bounds = (0, m.atom_count)
+        kernel_route = process._classify(m.group, kernel, bounds, [kernel_capacity(kernel)], delta)
+        assert kernel_route == [delta_determining_subgroup(m.realize(), delta)]
+
+
+@settings(max_examples=30)
+@given(case=_measure_chunks(), delta=st.sampled_from([0.1, 0.5, 2.0]))
+def test_chunk_evaluation_matches_each_measure_alone(case, delta):
+    measures, _ = case
+    together = process._evaluate_chunk(Chunk(measures), delta)
+    assert together == [process._evaluate_chunk(Chunk([m]), delta)[0] for m in measures]
+    for got, m in zip(together, measures):
+        assert got.capacity == capacity_of_measure(m)
+        assert (got.distance_to_pol, got.nearest_subgroup) == distance_to_pol(m)
+        for wit in got.determinedness.witnesses:
+            size = m.group.size // wit.subgroup.size
+            assert wit.gap_capacity == abs(got.capacity - np.log2(size))
 
 
 def test_the_walk_builds_no_channel():

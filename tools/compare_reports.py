@@ -8,12 +8,15 @@ removed afterwards. Each command of COMMANDS then runs once against REV's
 `src/` and once against the working tree's, in a fresh interpreter with one
 BLAS thread, and the two runs' stdout bytes, exit codes and stderr are
 compared. Prints one line per command and exits 0 when every command
-matches, 1 otherwise.
+matches, 1 otherwise. When a command's stdout differs and parses as JSON on
+both sides, the line is followed by the key paths that differ, list indices
+collapsed to [*], each with the largest absolute difference of its numbers.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -109,6 +112,48 @@ def run(src: Path, args: list[str], cwd: str) -> tuple[bytes, int, bytes]:
     return proc.stdout, proc.returncode, proc.stderr
 
 
+def json_diff(a, b, path: str = "", out: dict | None = None) -> dict[str, float | None]:
+    """Differing key paths of two parsed JSON values, list indices collapsed to [*].
+
+    Maps each path to the largest absolute difference of the numbers found
+    there, or to None where a value that is not a number differs, or the
+    shapes do.
+    """
+    out = {} if out is None else out
+
+    def number(x) -> bool:
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            child = f"{path}.{key}" if path else key
+            if key in a and key in b:
+                json_diff(a[key], b[key], child, out)
+            else:
+                out[child] = None
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            out[f"{path}[*]"] = None
+        for x, y in zip(a, b):
+            json_diff(x, y, f"{path}[*]", out)
+    elif number(a) and number(b):
+        if a != b and out.get(path, 0.0) is not None:
+            out[path] = max(out.get(path, 0.0), abs(a - b))
+    elif a != b:
+        out[path] = None
+    return out
+
+
+def describe(want: bytes, got: bytes) -> list[str]:
+    """One line per differing key path of two JSON stdouts; none if either is not JSON."""
+    try:
+        diff = json_diff(json.loads(want), json.loads(got))
+    except ValueError:
+        return []
+    return [f"    {path or '(root)'}: " + ("differs" if size is None else f"max |diff| {size:.3g}")
+            for path, size in sorted(diff.items())]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision to compare the working tree with")
@@ -127,6 +172,9 @@ def main(argv=None) -> int:
                       + (f": {', '.join(fields)}" if fields else f" (exit {got[1]})"), flush=True)
                 if fields:
                     differ.append(name)
+                if "stdout" in fields:
+                    for line in describe(want[0], got[0]):
+                        print(line, flush=True)
         finally:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(base)],
                            check=True)
