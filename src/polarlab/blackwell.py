@@ -347,10 +347,17 @@ class BlackwellMeasure:
     """
 
     def __init__(self, group: Group, weights, posteriors, merge_tau: float = DEFAULT_MERGE_TAU):
-        ((weights, posteriors),) = _canonical_measures(group, weights, posteriors, merge_tau)
+        ((weights, posteriors),), _ = _canonical_measures(group, weights, posteriors, merge_tau)
         self.group = group
         self.weights = weights
         self.posteriors = posteriors
+
+    @classmethod
+    def _canonical(cls, group: Group, weights: np.ndarray, posteriors: np.ndarray) -> "BlackwellMeasure":
+        """The measure of atoms that are already canonical, validated and read-only."""
+        m = cls.__new__(cls)
+        m.group, m.weights, m.posteriors = group, weights, posteriors
+        return m
 
     @classmethod
     def segmented(
@@ -363,12 +370,8 @@ class BlackwellMeasure:
         bitwise the measure its segment alone would construct; any
         segment's invalid input raises for the whole call.
         """
-        out = []
-        for w, q in _canonical_measures(group, weights, posteriors, merge_tau, seg, count):
-            m = cls.__new__(cls)
-            m.group, m.weights, m.posteriors = group, w, q
-            out.append(m)
-        return out
+        out, _ = _canonical_measures(group, weights, posteriors, merge_tau, seg, count)
+        return [cls._canonical(group, w, q) for w, q in out]
 
     @property
     def atom_count(self) -> int:
@@ -436,15 +439,20 @@ class BlackwellMeasure:
         return f"BlackwellMeasure({self.atom_count} atoms on {self.group!r})"
 
 
-def _canonical_measures(group: Group, weights, posteriors, merge_tau: float, seg=None, count=1):
-    """Validated canonical (weights, posteriors) of each segment, read-only."""
+def _canonical_measures(
+    group: Group, weights, posteriors, merge_tau: float, seg=None, count=1, track_origin=False
+):
+    """Validated canonical (weights, posteriors) of each segment, read-only, and the origin.
+
+    The origin is as _canonical_segments gives it with track_origin, else None.
+    """
     weights = np.asarray(weights, dtype=float)
     posteriors = np.asarray(posteriors, dtype=float)
     # NaN passes every later check and would become an INT64_MIN grid key
     if not (np.isfinite(weights).all() and np.isfinite(posteriors).all()):
         raise ValueError("atom weights and posteriors must be finite")
-    weights, posteriors, _, seg = _canonical_segments(
-        weights, posteriors, merge_tau, seg, count, check_rows=True
+    weights, posteriors, origin, seg = _canonical_segments(
+        weights, posteriors, merge_tau, seg, count, track_origin, check_rows=True
     )
     if posteriors.shape[1] != group.size:
         raise ValueError("posterior length does not match group size")
@@ -454,14 +462,64 @@ def _canonical_measures(group: Group, weights, posteriors, merge_tau: float, seg
     out = []
     for a, b in zip(bounds, bounds[1:]):
         w, q = weights[a:b], posteriors[a:b]
-        if abs(w.sum() - 1.0) > SUM_TOL:
-            raise ValueError("atom weights do not sum to 1")
-        mean = w @ q
-        if np.abs(mean - 1.0 / group.size).max() > BALANCE_TOL:
-            raise ValueError("measure is not balanced: mean posterior is not uniform")
+        _check_weights(w, q, group.size)
         w.setflags(write=False)
         q.setflags(write=False)
         out.append((w, q))
+    return out, origin
+
+
+def _check_weights(weights: np.ndarray, posteriors: np.ndarray, size: int) -> None:
+    """Canonical weights must sum to 1 and put the mean posterior at uniform."""
+    if abs(weights.sum() - 1.0) > SUM_TOL:
+        raise ValueError("atom weights do not sum to 1")
+    mean = weights @ posteriors
+    if np.abs(mean - 1.0 / size).max() > BALANCE_TOL:
+        raise ValueError("measure is not balanced: mean posterior is not uniform")
+
+
+def _exact_merge(posteriors: np.ndarray, origin: np.ndarray) -> bool:
+    """Whether each canonical atom in `origin` gathered bitwise-equal posterior rows only.
+
+    `origin` records the canonicalization of atoms with these posterior
+    rows (_canonical_segments with track_origin). Equal rows share a grid
+    cell, so such a run merged in its first bucket pass alone: each atom's
+    weight is its members' sum in atom order, no posterior was averaged,
+    and the sweep joined nothing. Atoms of other weights on the same rows,
+    pruned alike, merge into the same canonical atoms with the same sums
+    (_replayed_measures).
+    """
+    keep = origin >= 0
+    target = origin[keep]
+    first = np.full(target.max() + 1, len(target), dtype=np.int64)
+    np.minimum.at(first, target, np.arange(len(target)))
+    kept = posteriors[keep]
+    return bool((kept == kept[first[target]]).all())
+
+
+def _replayed_measures(
+    group: Group, raw: np.ndarray, target: np.ndarray, posteriors: np.ndarray
+) -> list["BlackwellMeasure"]:
+    """The measures of atom sets that merge as a recorded exact canonicalization did.
+
+    Row r of `raw` holds one set's atom weights, all positive, on the rows
+    that the record canonicalized (_exact_merge): atom a joins canonical
+    atom target[a], and `posteriors` are the canonical posteriors. Each
+    measure is bitwise the one its atoms construct: its weights are the
+    same per-atom sums in atom order, divided by their own total, and it
+    passes the same weight checks.
+    """
+    if not np.isfinite(raw).all():
+        raise ValueError("atom weights and posteriors must be finite")
+    count = len(posteriors)
+    labels = (target + count * np.arange(len(raw))[:, None]).ravel()
+    sums = np.bincount(labels, raw.ravel(), minlength=count * len(raw)).reshape(len(raw), count)
+    out = []
+    for row in sums:
+        weights = row / row.sum()
+        _check_weights(weights, posteriors, group.size)
+        weights.setflags(write=False)
+        out.append(BlackwellMeasure._canonical(group, weights, posteriors))
     return out
 
 

@@ -165,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run built-in oracle verification suites")
     ver.add_argument("--suite", default="all",
-                     choices=("all", "martingale", "lemma-gap", "pol-set", "bec-oracle", "multilevel"))
+                     choices=("all", "martingale", "lemma-gap", "pol-set", "bec-oracle", "multilevel",
+                              "steps"))
     ver.set_defaults(func=cmd_verify)
 
     cls = sub.add_parser("classify", help="report the delta-determining subgroups")

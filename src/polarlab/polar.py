@@ -13,7 +13,7 @@ recursions; the channel-side transforms double as their cross-check oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,8 +21,11 @@ from ._util import row_entropies_bits
 from .blackwell import (
     DEFAULT_MERGE_TAU,
     BlackwellMeasure,
+    _canonical_measures,
     _capacities,
+    _exact_merge,
     _realized_columns,
+    _replayed_measures,
     blackwell_measure,
 )
 from .channels import Channel, kernel_capacities
@@ -106,11 +109,18 @@ class Chunk:
     are elementwise, sums run per row or in the order a lone measure sums
     them, and only the BLAS dots stay per measure. Results come back in the
     order of `measures`.
+
+    What a posterior matrix alone decides is computed once for the
+    measures that share it, and kept in the table `plans` (see _step and
+    _pair_entropies); chunks given one table share what it keeps.
     """
 
-    def __init__(self, measures: Sequence[BlackwellMeasure]):
+    def __init__(self, measures: Sequence[BlackwellMeasure], plans: dict | None = None):
         self.measures = list(measures)
         self.group = self.measures[0].group
+        self.plans = {} if plans is None else plans
+        # measure steps replayed from a plan
+        self.replayed = 0
         counts = [m.atom_count for m in self.measures]
         self.order = sorted(range(len(counts)), key=counts.__getitem__)
         self.by_size = [self.measures[i] for i in self.order]
@@ -123,6 +133,7 @@ class Chunk:
         # (k, first segment, end segment) of each block
         self.blocks = [(int(k[a]), a, b) for a, b in zip(edges, edges[1:])]
         self._conv = None
+        self._supports = None
 
     def __len__(self) -> int:
         return len(self.measures)
@@ -144,6 +155,15 @@ class Chunk:
         if self._conv is None:
             self._conv = _pair_convolutions(self).reshape(-1, self.group.size)
         return self._conv
+
+    @property
+    def supports(self) -> dict[bytes, list[int]]:
+        """The measures of each distinct posterior matrix, by its bytes, in order of `measures`."""
+        if self._supports is None:
+            self._supports = {}
+            for i, m in enumerate(self.measures):
+                self._supports.setdefault(m.posteriors.tobytes(), []).append(i)
+        return self._supports
 
     def capacities(self) -> list[float]:
         """capacity_of_measure of every measure."""
@@ -181,7 +201,7 @@ class Chunk:
 
     def minus(self, merge_tau: float = DEFAULT_MERGE_TAU) -> list[BlackwellMeasure]:
         """Minus transform on atoms: weight w_i w_j at posterior p_i (*) p_j."""
-        return self.children(self.pair_weights(), self.conv, merge_tau)
+        return self._step(MINUS, merge_tau)
 
     def plus(self, merge_tau: float = DEFAULT_MERGE_TAU) -> list[BlackwellMeasure]:
         """Plus transform on atoms.
@@ -191,6 +211,18 @@ class Chunk:
         x -> p_i(u1 + x) p_j(x) / (p_i (*) p_j)(u1); zero-probability u1 are
         skipped.
         """
+        return self._step(PLUS, merge_tau)
+
+    def raw(self, sign: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """(weights, posteriors, factor) of the raw children, laid out like the pairs.
+
+        A minus step gives pair p = (i, j) one child, of weight w_i w_j; a
+        plus step gives it |G|, the child u1 of weight w_i w_j factor[p, u1].
+        factor is None for the minus step.
+        """
+        pair_weights = self.pair_weights()
+        if sign == MINUS:
+            return pair_weights, self.conv, None
         size = self.group.size
         numer = np.empty((self.pair_starts[-1], size, size))
         for k, a, b in self.blocks:
@@ -198,20 +230,63 @@ class Chunk:
             # [n, i, j, u1, x] = p_i(u1 + x) p_j(x)
             out = numer[self.pair_starts[a] : self.pair_starts[b]].reshape(b - a, k, k, size, size)
             np.multiply(q[:, :, None, self.group.add_table], q[:, None, :, None, :], out=out)
-        # summed in order of x, as the einsum layout of a measure alone sums
-        # it; a one-atom measure's layout sums its rows contiguously
-        conv = numer[:, :, 0].copy()
-        for x in range(1, size):
-            conv += numer[:, :, x]
-        for k, a, b in self.blocks:
-            if k == 1:
-                lone = slice(self.pair_starts[a], self.pair_starts[b])
-                conv[lone] = numer[lone].sum(axis=2)
-        weights = self.pair_weights()[:, None] * conv
-        posteriors = np.divide(
-            numer, conv[..., None], out=np.zeros_like(numer), where=conv[..., None] > 0.0
-        )
-        return self.children(weights.ravel(), posteriors.reshape(-1, size), merge_tau)
+        # the pair convolutions sum numer in order of x, as the einsum layout
+        # of a measure alone does; a one-atom measure's layout sums its rows
+        # pairwise instead
+        conv = self.conv
+        lone = [slice(self.pair_starts[a], self.pair_starts[b]) for k, a, b in self.blocks if k == 1]
+        if lone:
+            conv = conv.copy()
+            for rows in lone:
+                conv[rows] = numer[rows].sum(axis=2)
+        # a row of zero convolution is zero and divides by 1; a NaN row stays
+        # NaN, for the finite check
+        numer /= np.where(conv > 0.0, conv, 1.0)[..., None]
+        return (pair_weights[:, None] * conv).ravel(), numer.reshape(-1, size), conv
+
+    def _step(self, sign: str, merge_tau: float) -> list[BlackwellMeasure]:
+        """The children of every measure for one sign.
+
+        Merging and sorting read only the raw posteriors, which a measure's
+        posterior matrix alone decides; weights are summed over each merged
+        atom's members. So when a step merges only bitwise-equal raw
+        posteriors and prunes only atoms no weights can keep, a plan
+        recorded from one measure (_record) gives every measure on the same
+        posterior matrix its children by summing its own raw weights
+        (_replay), bitwise as its own step would. Plans are recorded for a
+        matrix that two measures of the chunk share, and kept in the table
+        under ((sign, merge_tau), the matrix's bytes), with None where no
+        plan is valid. The other measures, and any whose raw weight underflows
+        to zero, take the general path together.
+        """
+        out: list = [None] * len(self)
+        rest = []
+        for support, members in self.supports.items():
+            key = ((sign, merge_tau), support)
+            if key not in self.plans and len(members) > 1:
+                first, *members = members
+                out[first], self.plans[key] = _record(self.measures[first], sign, merge_tau)
+            plan = self.plans.get(key)
+            if plan is None:
+                rest += members
+                continue
+            for i, child in zip(members, _replay(plan, [self.measures[i] for i in members])):
+                if child is None:
+                    rest.append(i)
+                else:
+                    out[i] = child
+                    self.replayed += 1
+        if rest:
+            rest.sort()
+            chunk = self if len(rest) == len(self) else Chunk([self.measures[i] for i in rest])
+            for i, child in zip(rest, chunk._general(sign, merge_tau)):
+                out[i] = child
+        return out
+
+    def _general(self, sign: str, merge_tau: float) -> list[BlackwellMeasure]:
+        """The children of every measure, canonicalized from their raw atoms."""
+        weights, posteriors, _ = self.raw(sign)
+        return self.children(weights, posteriors, merge_tau)
 
     def gaps(self) -> list["CapacityGap"]:
         """I(M) - I(M-) of every measure via both routes; see capacity_gap."""
@@ -222,16 +297,13 @@ class Chunk:
         minus = np.ascontiguousarray((_convolve_pairs(self, columns) / size).T)
         capacities = kernel_capacities(columns.T, self.starts.tolist())
         minus_capacities = kernel_capacities(minus, self.pair_starts.tolist())
-        h_conv = row_entropies_bits(self.conv)
-        h_atoms = row_entropies_bits(self.posteriors)
+        entropies = self._pair_entropies()
         out = []
         for s, m in enumerate(self.by_size):
-            a, b = self.pair_starts[s], self.pair_starts[s + 1]
-            k = m.atom_count
             via_transform = capacities[s] - minus_capacities[s]
             w = m.weights
-            h = h_atoms[self.starts[s] : self.starts[s + 1]]
-            via_pairs = float(w @ h_conv[a:b].reshape(k, k) @ w - w @ h)
+            h_conv, h = entropies[self.order[s]]
+            via_pairs = float(w @ h_conv @ w - w @ h)
             if abs(via_transform - via_pairs) > GAP_ROUTE_TOL:
                 raise RuntimeError(
                     "capacity-gap routes disagree "
@@ -239,6 +311,92 @@ class Chunk:
                 )
             out.append(CapacityGap(via_transform, via_pairs))
         return self.unsort(out)
+
+    def _pair_entropies(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(H(p_i (*) p_j) as a k x k array, H(p_i)) of every measure, in order of `measures`.
+
+        They read the posteriors alone, so they are computed once per
+        distinct posterior matrix, and kept in the table, under ("gap", the
+        matrix's bytes), for a matrix that two measures of the chunk share.
+        """
+        supports = [(("gap", support), members) for support, members in self.supports.items()]
+        todo = [members[0] for key, members in supports if key not in self.plans]
+        fresh = {}
+        if todo:
+            chunk = self if len(todo) == len(self) else Chunk([self.measures[i] for i in todo])
+            h_conv = row_entropies_bits(chunk.conv)
+            h_atoms = row_entropies_bits(chunk.posteriors)
+            for s, index in enumerate(chunk.order):
+                k = chunk.by_size[s].atom_count
+                pairs = h_conv[chunk.pair_starts[s] : chunk.pair_starts[s + 1]].reshape(k, k)
+                fresh[todo[index]] = (pairs, h_atoms[chunk.starts[s] : chunk.starts[s + 1]])
+        out: list = [None] * len(self)
+        for key, members in supports:
+            entry = self.plans.get(key) or fresh[members[0]]
+            if len(members) > 1:
+                self.plans[key] = entry
+            for i in members:
+                out[i] = entry
+        return out
+
+
+class _Plan(NamedTuple):
+    """How the raw children of any measure on one posterior matrix canonicalize.
+
+    Kept raw child a has weight w_i w_j factor[a] for its atom pair
+    pairs[a] = i k + j (factor is None for the minus step, whose weights
+    are the pair weights) and joins child atom target[a]; `posteriors` are
+    the children's canonical posteriors. Every other raw child has weight 0
+    whatever the weights.
+    """
+
+    pairs: np.ndarray
+    factor: np.ndarray | None
+    target: np.ndarray
+    posteriors: np.ndarray
+
+
+def _record(m: BlackwellMeasure, sign: str, merge_tau: float) -> tuple[BlackwellMeasure, _Plan | None]:
+    """m's child by the general path, and the plan its canonicalization leaves, or None.
+
+    A plan is valid when m's run pruned exactly the raw children of zero
+    factor, so no weight of m underflowed, and merged only bitwise-equal
+    posteriors (blackwell._exact_merge).
+    """
+    weights, posteriors, factor = Chunk([m]).raw(sign)
+    ((w, q),), origin = _canonical_measures(m.group, weights, posteriors, merge_tau, track_origin=True)
+    child = BlackwellMeasure._canonical(m.group, w, q)
+    kept = np.flatnonzero(origin >= 0)
+    if factor is None:
+        valid = len(kept) == len(weights)
+        pairs = kept
+    else:
+        factor = factor.ravel()
+        valid = np.array_equal(origin >= 0, factor > 0.0)
+        pairs, factor = kept // m.group.size, factor[kept]
+    if not (valid and _exact_merge(posteriors, origin)):
+        return child, None
+    return child, _Plan(pairs, factor, origin[kept], q)
+
+
+def _replay(plan: _Plan, measures: list[BlackwellMeasure]) -> list[BlackwellMeasure | None]:
+    """The children of measures on the plan's posterior matrix; None where a kept raw weight is 0.
+
+    Raw weights are the same products the general path forms. A NaN
+    weight is not positive either, and the general path rejects it.
+    """
+    w = np.stack([m.weights for m in measures])
+    raw = (w[:, :, None] * w[:, None, :]).reshape(len(w), -1)[:, plan.pairs]
+    if plan.factor is not None:
+        raw *= plan.factor
+    live = (raw > 0.0).all(axis=1)
+    out: list = [None] * len(measures)
+    if live.any():
+        group = measures[0].group
+        children = _replayed_measures(group, raw[live], plan.target, plan.posteriors)
+        for i, child in zip(np.flatnonzero(live), children):
+            out[i] = child
+    return out
 
 
 def _convolve_pairs(chunk: Chunk, rows: np.ndarray) -> np.ndarray:

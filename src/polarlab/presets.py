@@ -91,8 +91,12 @@ def dh_mix_channel(group: Group, seed: int) -> Channel:
     With a seeded Dirichlet weight per subgroup, the output reveals the
     input's coset modulo a randomly drawn subgroup. The Blackwell measure
     stays inside the finite family of coset-uniform posteriors under both
-    polar transforms, so arbitrarily deep recursions stay exact and cheap
-    while still polarizing to every subgroup with positive probability.
+    polar transforms, and the nodes of one depth of the transform tree
+    share their posterior matrix (bitwise, up to merges that average
+    rounding-level differences): only the weights differ. The walk steps
+    such nodes by replaying one canonicalization plan (polar.Chunk), so
+    deep recursions stay exact and cheap while still polarizing to every
+    subgroup with positive probability.
     """
     subs = enumerate_subgroups(group)
     rng = np.random.default_rng([seed, group.size, len(subs)])

@@ -6,7 +6,10 @@ measure is computed once. The walk takes consecutive nodes of one depth
 together, as a chunk of at most _CHUNK_ATOMS raw atoms: a chunk's
 transforms, merging, capacity gaps and leaf evaluation run once for all
 its nodes (polar.Chunk, _evaluate), and each node gets bitwise the result
-it gets alone, so the chunking never shows in a report. Per-path resource
+it gets alone, so the chunking never shows in a report. Nodes that share
+a posterior matrix are stepped by replaying a plan that the first of
+them records, again bitwise as alone; each walk keeps its own table of
+plans, which ends with the walk. Per-path resource
 failures (atom budget) are recorded on the affected paths; the rest of the
 tree is still evaluated. Any other error raised while a node is computed
 is an internal fault and stops the run as a PathFault that names the node:
@@ -322,6 +325,8 @@ def _walk_chunks(
     the reader raises the first one it meets among the nodes it uses.
     """
     prefixes = None if wanted is None else {p[:k] for p in wanted for k in range(len(p) + 1)}
+    # the step plans of this walk's shared posterior matrices (polar.Chunk)
+    plans: dict = {}
     stack: list[list[tuple[str, Node]]] = [[("", root)]]
     while stack:
         paths, nodes = map(list, zip(*stack.pop()))
@@ -333,7 +338,7 @@ def _walk_chunks(
             # for its gap, its child's for a step
             key = tuple(todo)
             if key not in chunks:
-                chunks[key] = Chunk([nodes[i] for i in todo])
+                chunks[key] = Chunk([nodes[i] for i in todo], plans)
             return _per_chunk(kernel, chunks[key], [paths[i] + sign for i in todo])
 
         gaps: list[float | None] = [None] * len(nodes)

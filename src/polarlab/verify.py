@@ -140,35 +140,45 @@ def pol_set_suite() -> list[CheckResult]:
     return results
 
 
-def pol_certificate_check() -> CheckResult:
-    """Leaf evaluation against the transport simplex and the channel route, on every leaf.
-
-    The walks are those of acceptance criteria 5-7 and dh-mix:3 on Z2xZ4 at
-    depth 5. Each leaf's distance must be within 1e-12 of the
-    enumeration-order minimum of exact transport solves, with the same
-    subgroup, and its classification must name the same subgroups as that
-    of the channel its measure realizes.
-    """
-    delta = 0.1
+def _acceptance_walks() -> list[tuple[Channel, int]]:
+    """(channel, depth) of the walks of acceptance criteria 5-7 and of dh-mix:3 on Z2xZ4 at depth 5."""
     z4 = make_group([4])
-    walks = [
+    return [
         (bec_channel(0.5), 8),
         (z4_multilevel_channel(0.5), 12),
         *[(dh_mix_channel(z4, 3), depth) for depth in (4, 6, 8)],
         (dh_mix_channel(make_group([2, 4]), 3), 5),
     ]
+
+
+def _measure_chunks(w: Channel, depth: int):
+    """The (paths, measures) of each chunk of the walk below w; a failed node raises."""
+    for paths, nodes, _ in _walk_chunks(blackwell_measure(w), depth):
+        for m in nodes:
+            if isinstance(m, str):
+                raise AtomBudgetError(m)
+            if isinstance(m, PathFault):
+                raise m
+        yield paths, nodes
+
+
+def pol_certificate_check() -> CheckResult:
+    """Leaf evaluation against the transport simplex and the channel route, on every leaf.
+
+    The walks are _acceptance_walks(). Each leaf's distance must be within
+    1e-12 of the enumeration-order minimum of exact transport solves, with
+    the same subgroup, and its classification must name the same subgroups
+    as that of the channel its measure realizes.
+    """
+    delta = 0.1
+    walks = _acceptance_walks()
     leaves = solved = mismatches = 0
     worst = 0.0
     for w, depth in walks:
         targets = pol_set(w.require_group())
-        for paths, nodes, _ in _walk_chunks(blackwell_measure(w), depth):
+        for paths, nodes in _measure_chunks(w, depth):
             if len(paths[0]) < depth:
                 continue
-            for m in nodes:
-                if isinstance(m, str):
-                    raise AtomBudgetError(m)
-                if isinstance(m, PathFault):
-                    raise m
             for m, got in zip(nodes, _evaluate_chunk(Chunk(nodes), delta)):
                 dist, index = min((wasserstein(m, t), i) for i, (_, t) in enumerate(targets))
                 channel = delta_determining_subgroup(m.realize(), delta)
@@ -214,12 +224,8 @@ def multilevel_quotient_floor(depth: int = 12) -> float:
     sub = subgroup_from_members(group, [0, 2])
     floor = kernel_capacity(_coset_average(group, w.kernel, sub))
 
-    for paths, nodes, _ in _walk_chunks(blackwell_measure(w), depth):
+    for paths, nodes in _measure_chunks(w, depth):
         for path, m in zip(paths, nodes):
-            if isinstance(m, str):
-                raise AtomBudgetError(m)
-            if isinstance(m, PathFault):
-                raise m
             if path:
                 floor = min(floor, kernel_capacity(_coset_average(group, m.realized_kernel(), sub)))
     return floor
@@ -285,12 +291,45 @@ def multilevel_suite() -> list[CheckResult]:
     ]
 
 
+def steps_suite() -> list[CheckResult]:
+    """Every step of the walks of _acceptance_walks() against the general path.
+
+    Each chunk of inner nodes is stepped as the walk steps it, with a plan
+    table per walk, so that chunks on a shared posterior matrix replay a
+    plan (polar.Chunk). Each child must be bitwise the one its measure's
+    step alone gives, without a table.
+    """
+    walks = _acceptance_walks()
+    steps = replayed = mismatches = 0
+    for w, depth in walks:
+        plans: dict = {}
+        for paths, nodes in _measure_chunks(w, depth):
+            if len(paths[0]) == depth:
+                continue
+            chunk = Chunk(nodes, plans)
+            for step in (Chunk.minus, Chunk.plus):
+                for m, child in zip(nodes, step(chunk)):
+                    mismatches += not child.identical(step(Chunk([m]))[0])
+            steps += 2 * len(nodes)
+            replayed += chunk.replayed
+    return [
+        CheckResult(
+            "steps.shared-support",
+            mismatches == 0,
+            float(mismatches),
+            0.0,
+            f"{steps} steps of {len(walks)} walks: {replayed} replayed, {mismatches} mismatches",
+        )
+    ]
+
+
 SUITES = {
     "martingale": martingale_suite,
     "lemma-gap": lemma_gap_suite,
     "pol-set": pol_set_suite,
     "bec-oracle": bec_oracle_suite,
     "multilevel": multilevel_suite,
+    "steps": steps_suite,
 }
 
 

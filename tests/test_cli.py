@@ -329,3 +329,9 @@ def test_verify_pol_set_suite(capsys):
     assert main(["verify", "--suite", "pol-set"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_verify_steps_suite(capsys):
+    assert main(["verify", "--suite", "steps"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("PASS steps.shared-support:") and " 0 mismatches" in out

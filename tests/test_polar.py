@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polarlab import (
@@ -28,7 +28,15 @@ from polarlab import (
 )
 from polarlab import polar
 from polarlab._util import row_entropies_bits
-from polarlab.presets import bec_channel, bsc_channel, identity_channel, random_channel, useless_channel
+from polarlab.presets import (
+    bec_channel,
+    bsc_channel,
+    dh_mix_channel,
+    identity_channel,
+    random_channel,
+    useless_channel,
+    z4_multilevel_channel,
+)
 from polarlab.verify import random_corpus
 
 Z2 = make_group([2])
@@ -357,3 +365,140 @@ def test_one_atom_measure_keeps_its_gap_in_a_chunk():
     z11 = make_group([11])
     measures = [blackwell_measure(useless_channel(z11)), blackwell_measure(random_channel(z11, 3, seed=1))]
     assert polar.Chunk(measures).gaps() == [_reference_gap(m) for m in measures]
+
+
+def test_one_atom_plus_step_matches_the_reference_on_every_group():
+    # A one-atom measure's pair convolution, summed by the einsum of
+    # Chunk.conv, differs in its last bits from the reference's row sums on
+    # Z6 and Z14, among others, and so do its plus children; the plus step
+    # sums such a measure's rows itself.
+    for size in range(2, 65):
+        group = make_group([size])
+        lone = blackwell_measure(useless_channel(group))
+        other = blackwell_measure(random_channel(group, 2, seed=1))
+        assert plus_on_measure(lone).identical(_reference_plus(lone, polar.DEFAULT_MERGE_TAU))
+        assert polar.Chunk([lone, other]).plus()[0].identical(plus_on_measure(lone))
+
+
+def test_plus_step_rejects_a_nan_convolution():
+    # a row of zero convolution is skipped, but a NaN one must not be
+    m = object.__new__(BlackwellMeasure)
+    m.group, m.weights = Z2, np.array([0.5, 0.5])
+    m.posteriors = np.array([[0.2, 0.8], [np.nan, 0.5]])
+    with pytest.raises(ValueError, match="finite"):
+        plus_on_measure(m)
+
+
+# Presets whose measures share one posterior matrix at every depth: the
+# steps of a chunk of them replay one plan.
+_SHARED_SUPPORTS = (
+    *[("dh-mix", orders) for orders in ([2], [3], [4], [6], [2, 2], [2, 4], [2, 2, 2])],
+    ("bec", [2]),
+    ("bec", [4]),
+    ("z4-multilevel", [4]),
+)
+
+
+def _level(m, depth, tau):
+    """The 2**depth measures at `depth` below m, stepped by the general path."""
+    level = [m]
+    for _ in range(depth):
+        level = [child for n in level for child in (minus_on_measure(n, tau), plus_on_measure(n, tau))]
+    return level
+
+
+@settings(max_examples=80)
+@given(
+    preset=st.sampled_from(_SHARED_SUPPORTS),
+    seed=st.integers(0, 40),
+    erasure=st.sampled_from([0.3, 0.5, 0.7]),
+    depth=st.integers(1, 3),
+    tau=st.sampled_from([0.0, 1e-9, 1e-3]),
+    data=st.data(),
+)
+def test_replayed_children_are_the_general_paths(preset, seed, erasure, depth, tau, data):
+    name, orders = preset
+    group = make_group(orders)
+    if name == "dh-mix":
+        w = dh_mix_channel(group, seed)
+    elif name == "bec":
+        w = bec_channel(erasure, group)
+    else:
+        w = z4_multilevel_channel(erasure)
+    level = _level(blackwell_measure(w, tau), depth, tau)
+    level = [m for m in level if m.atom_count ** 2 * group.size <= 6000]
+    assume(level)
+    picks = data.draw(st.lists(st.sampled_from(range(len(level))), min_size=2, max_size=6))
+    measures = [level[i] for i in picks]
+    plans = {}
+    chunk = polar.Chunk(measures, plans)
+    minus, plus = chunk.minus(tau), chunk.plus(tau)
+    for m, a, b in zip(measures, minus, plus):
+        assert a.identical(minus_on_measure(m, tau))
+        assert b.identical(plus_on_measure(m, tau))
+    # a shared matrix's plan replays every measure on it but the recorder
+    valid = [support for (_, support), plan in plans.items() if plan is not None]
+    assert chunk.replayed == sum(len(chunk.supports[support]) - 1 for support in valid)
+    if tau == 0 or group.size & (group.size - 1) == 0:
+        # exact merging only, or dyadic coset-uniform posteriors: no
+        # cluster is averaged
+        assert None not in plans.values()
+    assert chunk.gaps() == [capacity_gap(m) for m in measures]
+    # a later chunk on a shared matrix replays from the table alone
+    shared = [m for m in measures if len(chunk.supports[m.posteriors.tobytes()]) > 1]
+    if shared:
+        later = polar.Chunk(shared[:1], plans)
+        assert later.minus(tau)[0].identical(minus_on_measure(shared[0], tau))
+        assert later.plus(tau)[0].identical(plus_on_measure(shared[0], tau))
+        assert later.replayed == valid.count(shared[0].posteriors.tobytes())
+        assert later.gaps() == [capacity_gap(shared[0])]
+
+
+_Q = [[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]]
+
+
+def _replays(measures, tau=polar.DEFAULT_MERGE_TAU):
+    """Steps of one chunk of measures with a fresh table, checked against the general path."""
+    plans = {}
+    chunk = polar.Chunk(measures, plans)
+    for got, m in zip(chunk.minus(tau), measures):
+        assert got.identical(minus_on_measure(m, tau))
+    for got, m in zip(chunk.plus(tau), measures):
+        assert got.identical(plus_on_measure(m, tau))
+    return chunk.replayed, plans
+
+
+def test_underflowing_pair_weight_takes_the_general_path():
+    # 1e-200 squared underflows to 0, so that measure's minus step prunes
+    # an atom the plan keeps
+    normal = BlackwellMeasure(Z2, [0.25, 0.5, 0.25], _Q)
+    tiny = BlackwellMeasure(Z2, [1e-200, 1.0 - 2e-200, 1e-200], _Q)
+    assert np.array_equal(normal.posteriors, tiny.posteriors)
+    replayed, plans = _replays([normal, tiny])
+    assert replayed == 0
+    assert len(plans) == 2 and None not in plans.values()
+    # recorded from the underflowing measure, no plan is valid
+    replayed, plans = _replays([tiny, normal])
+    assert replayed == 0
+    assert list(plans.values()) == [None, None]
+
+
+def test_averaging_merge_leaves_no_plan():
+    # at tau 1e-3 the pair convolutions of rows 1e-4 apart fall within tau
+    # of each other but differ, so their clusters are averaged
+    q = [[0.3, 0.7], [0.3001, 0.6999], [0.6999, 0.3001], [0.7, 0.3]]
+    measures = [BlackwellMeasure(Z2, w, q, 0.0) for w in ([0.25] * 4, [0.1, 0.4, 0.4, 0.1])]
+    assert np.array_equal(measures[0].posteriors, measures[1].posteriors)
+    replayed, plans = _replays(measures, 1e-3)
+    assert replayed == 0
+    assert list(plans.values()) == [None, None]
+
+
+def test_chunk_mixing_shared_and_unshared_matrices():
+    a = BlackwellMeasure(Z2, [0.25, 0.5, 0.25], _Q)
+    b = BlackwellMeasure(Z2, [0.1, 0.8, 0.1], _Q)
+    other = blackwell_measure(bsc_channel(0.11))
+    replayed, plans = _replays([a, other, b])
+    assert replayed == 2
+    supports = {support for _, support in plans}
+    assert supports == {a.posteriors.tobytes()}

@@ -327,6 +327,24 @@ def test_repeated_sample_paths_evaluated_once(monkeypatch):
         assert by_path.setdefault(rec.path, rec) == rec
 
 
+def test_each_walk_starts_with_an_empty_plan_table(monkeypatch):
+    # plans recorded in one call must not serve the next
+    tables = []
+    real = Chunk.__init__
+
+    def init(chunk, measures, plans=None):
+        if plans is not None and not any(plans is t for t, _ in tables):
+            tables.append((plans, len(plans)))
+        real(chunk, measures, plans)
+
+    monkeypatch.setattr(Chunk, "__init__", init)
+    w = dh_mix_channel(make_group([2, 4]), seed=11)
+    first, second = (report_json(enumerate_paths(w, 3).to_dict()) for _ in range(2))
+    assert first == second
+    assert [size for _, size in tables] == [0, 0]
+    assert all(table for table, _ in tables)
+
+
 def test_report_schema_and_round_trip(tmp_path):
     import json
 

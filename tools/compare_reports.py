@@ -77,6 +77,11 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ],
     ("dh-mix:3 Z4 d6 csv", polarize(
         "--preset", "dh-mix:3", "--group", "Z4", "--depth", "6", "--format", "csv")),
+    # steps replayed on a group whose order is not a power of two, a group
+    # whose large nodes step alone, and erasures on Z4
+    ("dh-mix:5 Z6 d6", polarize("--preset", "dh-mix:5", "--group", "Z6", "--depth", "6")),
+    ("dh-mix:5 [2,2,2] d6", polarize("--preset", "dh-mix:5", "--group", "[2,2,2]", "--depth", "6")),
+    ("bec:0.3 Z4 d8", polarize("--preset", "bec:0.3", "--group", "Z4", "--depth", "8")),
     ("random:0 Z4 budget 300", polarize(
         "--preset", "random:0", "--group", "Z4", "--depth", "3", "--atom-budget", "300")),
     ("random:0 Z4 budget 300 sample", polarize(
