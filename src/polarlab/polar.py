@@ -213,16 +213,17 @@ class Chunk:
         """
         return self._step(PLUS, merge_tau)
 
-    def raw(self, sign: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    def raw(self, sign: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(weights, posteriors, factor) of the raw children, laid out like the pairs.
 
-        A minus step gives pair p = (i, j) one child, of weight w_i w_j; a
-        plus step gives it |G|, the child u1 of weight w_i w_j factor[p, u1].
-        factor is None for the minus step.
+        Pair p = (i, j) has one child c per column of factor, of weight
+        w_i w_j factor[p, c]: a minus step gives it one, of factor 1, and a
+        plus step |G|, child u1 of factor (p_i (*) p_j)(u1).
         """
         pair_weights = self.pair_weights()
         if sign == MINUS:
-            return pair_weights, self.conv, None
+            # w_i w_j * 1.0 is w_i w_j
+            return pair_weights, self.conv, np.ones((len(pair_weights), 1))
         size = self.group.size
         numer = np.empty((self.pair_starts[-1], size, size))
         for k, a, b in self.blocks:
@@ -344,14 +345,13 @@ class _Plan(NamedTuple):
     """How the raw children of any measure on one posterior matrix canonicalize.
 
     Kept raw child a has weight w_i w_j factor[a] for its atom pair
-    pairs[a] = i k + j (factor is None for the minus step, whose weights
-    are the pair weights) and joins child atom target[a]; `posteriors` are
-    the children's canonical posteriors. Every other raw child has weight 0
+    pairs[a] = i k + j and joins child atom target[a]; `posteriors` are the
+    children's canonical posteriors. Every other raw child has weight 0
     whatever the weights.
     """
 
     pairs: np.ndarray
-    factor: np.ndarray | None
+    factor: np.ndarray
     target: np.ndarray
     posteriors: np.ndarray
 
@@ -366,29 +366,22 @@ def _record(m: BlackwellMeasure, sign: str, merge_tau: float) -> tuple[Blackwell
     weights, posteriors, factor = Chunk([m]).raw(sign)
     ((w, q),), origin = _canonical_measures(m.group, weights, posteriors, merge_tau, track_origin=True)
     child = BlackwellMeasure._canonical(m.group, w, q)
-    kept = np.flatnonzero(origin >= 0)
-    if factor is None:
-        valid = len(kept) == len(weights)
-        pairs = kept
-    else:
-        factor = factor.ravel()
-        valid = np.array_equal(origin >= 0, factor > 0.0)
-        pairs, factor = kept // m.group.size, factor[kept]
-    if not (valid and _exact_merge(posteriors, origin)):
+    keep = origin >= 0
+    if not (np.array_equal(keep, factor.ravel() > 0.0) and _exact_merge(posteriors, origin)):
         return child, None
-    return child, _Plan(pairs, factor, origin[kept], q)
+    kept = np.flatnonzero(keep)
+    return child, _Plan(kept // factor.shape[1], factor.ravel()[kept], origin[kept], q)
 
 
 def _replay(plan: _Plan, measures: list[BlackwellMeasure]) -> list[BlackwellMeasure | None]:
     """The children of measures on the plan's posterior matrix; None where a kept raw weight is 0.
 
-    Raw weights are the same products the general path forms. A NaN
-    weight is not positive either, and the general path rejects it.
+    Raw weights are the products the general path forms; the minus
+    step's factor 1 changes no bit. A NaN weight is not positive either,
+    and the general path rejects it.
     """
     w = np.stack([m.weights for m in measures])
-    raw = (w[:, :, None] * w[:, None, :]).reshape(len(w), -1)[:, plan.pairs]
-    if plan.factor is not None:
-        raw *= plan.factor
+    raw = (w[:, :, None] * w[:, None, :]).reshape(len(w), -1)[:, plan.pairs] * plan.factor
     live = (raw > 0.0).all(axis=1)
     out: list = [None] * len(measures)
     if live.any():

@@ -325,7 +325,8 @@ def _walk_chunks(
     the reader raises the first one it meets among the nodes it uses.
     """
     prefixes = None if wanted is None else {p[:k] for p in wanted for k in range(len(p) + 1)}
-    # the step plans of this walk's shared posterior matrices (polar.Chunk)
+    # what this walk's shared posterior matrices decide: step plans and
+    # pair entropies (polar.Chunk)
     plans: dict = {}
     stack: list[list[tuple[str, Node]]] = [[("", root)]]
     while stack:

@@ -389,8 +389,8 @@ def test_plus_step_rejects_a_nan_convolution():
         plus_on_measure(m)
 
 
-# Presets whose measures share one posterior matrix at every depth: the
-# steps of a chunk of them replay one plan.
+# Presets whose nodes of one depth mostly share one posterior matrix, so
+# the steps of a chunk of them replay one plan.
 _SHARED_SUPPORTS = (
     *[("dh-mix", orders) for orders in ([2], [3], [4], [6], [2, 2], [2, 4], [2, 2, 2])],
     ("bec", [2]),
