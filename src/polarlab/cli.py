@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -15,7 +16,6 @@ from .metrics import pc_gap_lower_bound, wasserstein
 from .presets import parse_group_spec, parse_preset
 from .process import DEFAULT_DELTA, enumerate_paths, report_csv, report_json, sample_paths
 from .polar import DEFAULT_ATOM_BUDGET
-from .verify import run_suites
 
 MERGE_TAU_MAX = 1e-3
 
@@ -91,6 +91,9 @@ def cmd_polarize(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # imported here, so that the other commands never load the suites
+    from .verify import run_suites
+
     results = run_suites(args.suite)
     for result in results:
         print(result.line())
@@ -186,9 +189,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main, built on its first call and reused by every later one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -319,30 +319,32 @@ def _pol_bounds(chunk: Chunk) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     its surplus, eps / 2, costs at most TV <= 1 per unit, so the optimum
     lies in [rows, rows + eps / 2].
 
-    One cost matrix against all targets' atoms serves every measure and
-    target. Minima are exact, and the sums over a measure's atoms run per
-    block of equal atom count, in atom order, so each measure gets the bits
-    it gets alone; the row term's dot runs on the measure's own slice.
+    The terms that read the posteriors alone (the cost matrix against all
+    targets' atoms, its row and column minima, the nearest cosets and their
+    ties, and `cols`) are computed once per distinct posterior matrix of
+    the chunk. Minima are exact, and the sums over a measure's atoms run on
+    an (n, k, ...) stack of the measures on one matrix, in atom order, so
+    each measure gets the bits it gets alone; the row term's dot runs on
+    the measure's own weights. Results come in the order of chunk.measures.
     """
     posteriors, weights, firsts = _pol_stack(chunk.group)
     sizes = np.diff(np.append(firsts, len(weights)))
-    cost = _tv_cost_matrix(chunk.posteriors, posteriors)
-    if not np.isfinite(cost).all():
-        raise ValueError("transport costs must be finite")
-    row_min = np.minimum.reduceat(cost, firsts, axis=1)
-    nearest = cost == np.repeat(row_min, sizes, axis=1)
-    ties = np.add.reduceat(nearest, firsts, axis=1, dtype=np.int64)
-    share = np.where(nearest, np.repeat(chunk.weights[:, None] / ties, sizes, axis=1), 0.0)
-    out = []
-    for k, a, b in chunk.blocks:
-        col_min = chunk.block(cost, k, a, b).min(axis=1)
-        cols = np.add.reduceat(col_min * weights, firsts, axis=1)
-        marginal = chunk.block(share, k, a, b).sum(axis=1)
-        eps = np.add.reduceat(np.abs(marginal - weights), firsts, axis=1)
-        for s in range(a, b):
-            lo, hi = chunk.starts[s], chunk.starts[s + 1]
-            rows = chunk.weights[lo:hi] @ row_min[lo:hi]
-            out.append((rows, np.maximum(rows, cols[s - a]), eps[s - a]))
+    out: list = [None] * len(chunk)
+    for members in chunk.supports.values():
+        cost = _tv_cost_matrix(chunk.measures[members[0]].posteriors, posteriors)
+        if not np.isfinite(cost).all():
+            raise ValueError("transport costs must be finite")
+        row_min = np.minimum.reduceat(cost, firsts, axis=1)
+        nearest = cost == np.repeat(row_min, sizes, axis=1)
+        ties = np.add.reduceat(nearest, firsts, axis=1, dtype=np.int64)
+        cols = np.add.reduceat(cost.min(axis=0) * weights, firsts)
+        # [n, i, atom of a target]: the weight atom i sends there
+        w = np.stack([chunk.measures[i].weights for i in members])
+        share = np.where(nearest, np.repeat(w[:, :, None] / ties, sizes, axis=2), 0.0)
+        eps = np.add.reduceat(np.abs(share.sum(axis=1) - weights), firsts, axis=1)
+        for s, i in enumerate(members):
+            rows = w[s] @ row_min
+            out[i] = (rows, np.maximum(rows, cols), eps[s])
     return out
 
 
@@ -368,7 +370,7 @@ def _nearest_pol(chunk: Chunk) -> list[tuple[float, Subgroup, int]]:
     targets = pol_set(chunk.group)
     lone = np.array([target.atom_count == 1 for _, target in targets])
     out = []
-    for m, (rows, bounds, eps) in zip(chunk.by_size, _pol_bounds(chunk)):
+    for m, (rows, bounds, eps) in zip(chunk.measures, _pol_bounds(chunk)):
         rows = rows.tolist()
         certified = (lone | (eps <= _CERTIFY_EPS)).tolist()
         best, solves = (np.inf, -1), 0
@@ -383,7 +385,7 @@ def _nearest_pol(chunk: Chunk) -> list[tuple[float, Subgroup, int]]:
             best = min(best, (value, index))
         dist, index = best
         out.append((float(dist), targets[index][0], solves))
-    return chunk.unsort(out)
+    return out
 
 
 def distance_to_pol(m: BlackwellMeasure) -> tuple[float, Subgroup]:

@@ -3,13 +3,16 @@
 Every mode walks the binary transform tree with one generator,
 `_walk_chunks`, so each child reuses its parent's merged measure and each
 measure is computed once. The walk takes consecutive nodes of one depth
-together, as a chunk of at most _CHUNK_ATOMS raw atoms: a chunk's
-transforms, merging, capacity gaps and leaf evaluation run once for all
-its nodes (polar.Chunk, _evaluate), and each node gets bitwise the result
-it gets alone, so the chunking never shows in a report. Nodes that share
-a posterior matrix are stepped by replaying a plan that the first of
-them records, again bitwise as alone; each walk keeps its own table of
-plans, which ends with the walk. Per-path resource
+together, as a chunk: its transforms, merging, capacity gaps and leaf
+evaluation run once for all its nodes (polar.Chunk, _evaluate), and each
+node gets bitwise the result it gets alone, so the chunking never shows in
+a report. Nodes that share a posterior matrix are stepped by replaying a
+plan that the first of them records, again bitwise as alone; each walk
+keeps its own table of plans, which ends with the walk. A chunk's size
+counts the floats its nodes materialize, up to _CHUNK_ATOMS: a node's raw
+posteriors when it steps by the general path, only its raw weights when
+it replays, so a level that replays runs in a few chunks; its gaps run
+over slices of the chunk under the same cap. Per-path resource
 failures (atom budget) are recorded on the affected paths; the rest of the
 tree is still evaluated. Any other error raised while a node is computed
 is an internal fault and stops the run as a PathFault that names the node:
@@ -249,11 +252,14 @@ def _gap_refusal(m: BlackwellMeasure, atom_budget: int) -> str | None:
     return None
 
 
-# Raw atoms stepped together: a node with k atoms counts k^2 (1 + |G|), the
-# pairs of its minus step and gap plus the atoms of its plus step. Children
-# are chunked up to this cap, so a larger node steps alone, and the walk
+# Floats that the nodes of a chunk materialize together. A node with k
+# atoms steps to k^2 (1 + |G|) raw children, the pairs of its minus step
+# and the atoms of its plus step: on the general path each carries |G|
+# posterior floats, while a node that replays a plan (polar.Chunk._step)
+# builds only their weights (_split). Children are chunked, and a chunk's
+# gaps sliced, up to this cap, so a larger node runs alone, and the walk
 # holds O(depth) chunks.
-_CHUNK_ATOMS = 1 << 14
+_CHUNK_ATOMS = 1 << 17
 
 # A node of the transform tree: its merged measure, the budget-refusal
 # message that stopped its path, or the fault that stopped the walk there.
@@ -284,20 +290,37 @@ def _per_chunk(kernel, chunk: Chunk, paths: list[str]) -> list:
         return out
 
 
+def _runs(costs: list[int]) -> list[slice]:
+    """Consecutive runs of items of at most _CHUNK_ATOMS in total; an item above it runs alone."""
+    starts, load = [0], 0
+    for i, cost in enumerate(costs):
+        if i > starts[-1] and load + cost > _CHUNK_ATOMS:
+            starts.append(i)
+            load = 0
+        load += cost
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [len(costs)]) if a < b]
+
+
 def _split(children: list[tuple[str, Node]]) -> list[list[tuple[str, Node]]]:
-    """Consecutive runs of children of at most _CHUNK_ATOMS raw atoms each."""
-    chunks: list[list[tuple[str, Node]]] = [[]]
-    load = 0
-    for path, node in children:
+    """Consecutive runs of children that materialize at most _CHUNK_ATOMS floats each.
+
+    The first child on each posterior matrix steps by the general path and
+    is priced at its raw children's posteriors, k^2 (1 + |G|) |G| floats.
+    Each later child on the same matrix will replay the plan the first one
+    records, and is priced at its raw weights, k^2 (1 + |G|) floats.
+    """
+    seen = set()
+    costs = []
+    for _, node in children:
         cost = 0
         if isinstance(node, BlackwellMeasure):
             cost = node.atom_count ** 2 * (1 + node.group.size)
-        if chunks[-1] and load + cost > _CHUNK_ATOMS:
-            chunks.append([])
-            load = 0
-        chunks[-1].append((path, node))
-        load += cost
-    return chunks
+            support = node.posteriors.tobytes()
+            if support not in seen:
+                seen.add(support)
+                cost *= node.group.size
+        costs.append(cost)
+    return [children[run] for run in _runs(costs)]
 
 
 def _walk_chunks(
@@ -313,16 +336,17 @@ def _walk_chunks(
     Yields the (paths, nodes, gaps) of each chunk: every prefix, or, given
     `wanted`, only the prefixes of the wanted paths. The chunks of each
     depth, and so the leaves, come in path order, '-' first. A chunk is a
-    run of consecutive nodes of one depth: its gaps and steps each run once
-    for all its measures (polar.Chunk). Its children are split into chunks
-    again (_split) and walked depth first. Each measure is stepped once from
-    its parent's. At the depths in `gap_depths` a node's guarded capacity
-    gap is computed before its children are stepped; elsewhere its gap is
-    None. A refused step or gap replaces the node by its message, which
-    stands in for every descendant; nothing below is computed. A step or
-    gap that raises RuntimeError or ValueError replaces the node by a
-    PathFault that names it and likewise stands in for its descendants;
-    the reader raises the first one it meets among the nodes it uses.
+    run of consecutive nodes of one depth: its steps each run once for all
+    its measures (polar.Chunk), and its gaps once per slice of it. Its
+    children are split into chunks again (_split) and walked depth first.
+    Each measure is stepped once from its parent's. At the depths in
+    `gap_depths` a node's guarded capacity gap is computed before its
+    children are stepped; elsewhere its gap is None. A refused step or gap
+    replaces the node by its message, which stands in for every descendant;
+    nothing below is computed. A step or gap that raises RuntimeError or
+    ValueError replaces the node by a PathFault that names it and likewise
+    stands in for its descendants; the reader raises the first one it meets
+    among the nodes it uses.
     """
     prefixes = None if wanted is None else {p[:k] for p in wanted for k in range(len(p) + 1)}
     # what this walk's shared posterior matrices decide: step plans and
@@ -352,8 +376,13 @@ def _walk_chunks(
                         todo.append(i)
                     else:
                         nodes[i] = refusal
-            if todo:
-                for i, gap in zip(todo, run(Chunk.gaps, todo)):
+            # the gaps run over consecutive slices of the chunk: a node's gap
+            # holds its channel-side minus kernel, that kernel's output
+            # posteriors and their entropy terms at once, k^2 |G| floats each
+            costs = [3 * nodes[i].atom_count ** 2 * nodes[i].group.size for i in todo]
+            for span in _runs(costs):
+                part = todo[span]
+                for i, gap in zip(part, run(Chunk.gaps, part)):
                     if isinstance(gap, PathFault):
                         nodes[i] = gap
                     else:

@@ -8,6 +8,7 @@ import pytest
 
 import polarlab
 from polarlab import blackwell_measure, channel_to_json, make_group, polar_step
+from polarlab import cli
 from polarlab.cli import main
 from polarlab.metrics import _nearest_pol
 from polarlab.presets import bsc_channel, parse_group_spec, parse_preset
@@ -29,6 +30,59 @@ def test_cli_import_leaves_scipy_unloaded():
     ).stdout.split()
     assert Path(out[0]).resolve().parent == Path(polarlab.__file__).resolve().parent
     assert out[1] == "False"
+
+
+def test_polarize_leaves_the_verify_suites_unloaded(tmp_path):
+    # only the verify command imports its suites
+    src = str(Path(polarlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys\nfrom polarlab.cli import main\n"
+        f"code = main(['polarize', '--preset', 'bec:0.5', '--depth', '1', '--output', {str(tmp_path / 'r.json')!r}])\n"
+        "print(code, 'polarlab.verify' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert out == ["0", "False"]
+
+
+def test_the_parser_is_built_once(tmp_path, capsys, monkeypatch):
+    # main reuses one parser; consecutive calls, a usage error among them,
+    # give what calls on a fresh parser give
+    report = tmp_path / "r.json"
+    sample = ["polarize", "--preset", "bec:0.5", "--depth", "3", "--mode", "sample",
+              "--output", str(report)]
+    commands = [
+        ["polarize", "--preset", "dh-mix:3", "--group", "Z4", "--depth", "2", "--output", str(report)],
+        ["classify", "--preset", "dh:Z4:{0,2}", "--delta", "0.01"],
+        sample + ["--samples", "5", "--seed", "2"],
+        ["polarize", "--preset", "bec:0.5", "--depth", "two"],
+        sample,
+        ["distance", "--channel-a", "preset:bsc:0.11", "--channel-b", "preset:bec:0.3"],
+        ["verify", "--suite", "nope"],
+        ["classify", "--preset", "bsc:0.1", "--delta", "0.05"],
+    ]
+
+    def call(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        written = report.read_bytes() if report.exists() else None
+        report.unlink(missing_ok=True)
+        return code, captured.out, captured.err, written
+
+    fresh = []
+    for argv in commands:
+        cli._parser.cache_clear()
+        fresh.append(call(argv))
+    assert [outcome[0] for outcome in fresh] == [0, 0, 0, 1, 0, 0, 1, 3]
+    assert "invalid int value: 'two'" in fresh[3][2] and "invalid choice" in fresh[6][2]
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    assert [call(argv) for argv in commands] == fresh
+    assert len(built) == 1
 
 
 def test_parse_group_spec():

@@ -26,7 +26,7 @@ from polarlab import (
     synthetic,
     translate_dist,
 )
-from polarlab import polar
+from polarlab import metrics, polar, process
 from polarlab._util import row_entropies_bits
 from polarlab.presets import (
     bec_channel,
@@ -444,6 +444,15 @@ def test_replayed_children_are_the_general_paths(preset, seed, erasure, depth, t
         # cluster is averaged
         assert None not in plans.values()
     assert chunk.gaps() == [capacity_gap(m) for m in measures]
+    # the leaf kernels take what a posterior matrix decides once for all
+    # its measures, and still give each measure its bits alone
+    alone = [polar.Chunk([m]) for m in measures]
+    for got, single in zip(metrics._pol_bounds(chunk), alone):
+        want = metrics._pol_bounds(single)[0]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert metrics._nearest_pol(chunk) == [metrics._nearest_pol(single)[0] for single in alone]
+    evaluations = process._evaluate_chunk(chunk, process.DEFAULT_DELTA)
+    assert evaluations == [process._evaluate_chunk(single, process.DEFAULT_DELTA)[0] for single in alone]
     # a later chunk on a shared matrix replays from the table alone
     shared = [m for m in measures if len(chunk.supports[m.posteriors.tobytes()]) > 1]
     if shared:

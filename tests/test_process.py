@@ -304,6 +304,68 @@ def test_chunk_size_does_not_change_reports(monkeypatch, cap):
     assert _chunking_reports() == want
 
 
+def _chunk_sizes(monkeypatch, w, depth):
+    """Nodes per call of each chunk kernel over an exhaustive walk of w."""
+    sizes = {"minus": [], "plus": [], "gaps": [], "evaluate": []}
+    for name in ("minus", "plus", "gaps"):
+        real = getattr(Chunk, name)
+
+        def kernel(chunk, *args, real=real, name=name):
+            sizes[name].append(len(chunk))
+            return real(chunk, *args)
+
+        monkeypatch.setattr(Chunk, name, kernel)
+    real_evaluate = process._evaluate_chunk
+
+    def evaluate(chunk, delta):
+        sizes["evaluate"].append(len(chunk))
+        return real_evaluate(chunk, delta)
+
+    monkeypatch.setattr(process, "_evaluate_chunk", evaluate)
+    enumerate_paths(w, depth)
+    monkeypatch.undo()
+    return sizes
+
+
+def test_replaying_levels_run_in_a_few_chunks(monkeypatch):
+    # every node of a dh-mix level after the first on its posterior matrix
+    # replays a plan and is priced at its raw weights: the 31 steps of a
+    # depth-5 walk on Z2xZ4 run in a few chunks, and its 32 leaves are
+    # evaluated in a few; a cap of 1 still runs every node alone
+    w = dh_mix_channel(make_group([2, 4]), seed=11)
+    sizes = _chunk_sizes(monkeypatch, w, 5)
+    assert sum(sizes["minus"]) == sum(sizes["plus"]) == 31
+    assert len(sizes["minus"]) == len(sizes["plus"]) <= 6
+    assert sum(sizes["evaluate"]) == 32 and len(sizes["evaluate"]) <= 3
+    assert sum(sizes["gaps"]) == 63
+    monkeypatch.setattr(process, "_CHUNK_ATOMS", 1)
+    alone = _chunk_sizes(monkeypatch, w, 5)
+    assert all(set(calls) == {1} for calls in alone.values())
+    assert [len(alone[name]) for name in ("minus", "plus", "gaps", "evaluate")] == [31, 31, 63, 32]
+
+
+def test_gap_slices_give_the_whole_chunks_gaps(monkeypatch):
+    # a chunk's gaps run over slices of it, each within the cap unless a
+    # node is alone; every node gets the gap the whole chunk gives it
+    slices = []
+    real = Chunk.gaps
+
+    def gaps(chunk):
+        slices.append([m.atom_count for m in chunk.measures])
+        return real(chunk)
+
+    monkeypatch.setattr(Chunk, "gaps", gaps)
+    w = dh_mix_channel(make_group([2, 4]), seed=11)
+    walk = process._walk_chunks(blackwell_measure(w), 5, gap_depths=range(6))
+    largest = 0
+    for _, nodes, got in walk:
+        assert got == [gap.value for gap in real(Chunk(nodes))]
+        largest = max(largest, len(nodes))
+    assert max(len(atoms) for atoms in slices) < largest
+    for atoms in slices:
+        assert len(atoms) == 1 or sum(3 * k * k * 8 for k in atoms) <= process._CHUNK_ATOMS
+
+
 def test_repeated_sample_paths_evaluated_once(monkeypatch):
     # leaves are evaluated a chunk at a time; count the measures
     counter = mock.Mock()

@@ -65,8 +65,10 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ],
     *[
         (f"z4-multilevel d{depth}", polarize("--preset", "z4-multilevel:0.5", "--depth", str(depth)))
-        for depth in (9, 12)
+        for depth in (9, 10, 12)
     ],
+    # levels of 128 replaying nodes, which span several chunks and gap slices
+    ("dh-mix:11 [2,4] d7", polarize("--preset", "dh-mix:11", "--group", "[2,4]", "--depth", "7")),
     ("bec d8", polarize("--preset", "bec:0.5", "--depth", "8")),
     ("bec d10 sample", polarize(
         "--preset", "bec:0.5", "--depth", "10", "--mode", "sample", "--samples", "1000",
