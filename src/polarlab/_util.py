@@ -25,3 +25,49 @@ def row_entropies_bits(rows: np.ndarray) -> np.ndarray:
     np.log2(contrib, out=contrib)
     np.multiply(contrib, rows, out=contrib, where=nz)
     return -contrib.sum(axis=1)
+
+
+def fold_planes(planes: np.ndarray, c_layout: bool, out: np.ndarray | None = None) -> np.ndarray:
+    """planes[0] + planes[1] + ..., bitwise rows.sum(axis=1) for the rows of planes.T.
+
+    numpy sums each row of rows = planes.T in an order set by the layout
+    of rows, and this fold reproduces it for rows of at most 128 entries:
+    left to right in F layout (c_layout False), and likewise in C layout
+    for rows shorter than 8; longer C rows are summed into 8 accumulators,
+    entry v into accumulator v mod 8, which are then added pairwise and
+    followed by the entries left over, and the sum is added to 0.0 (which
+    turns -0.0 into 0.0). A one-row array sums as C layout. The C fold
+    accumulates in planes, which it overwrites.
+    """
+    size = len(planes)
+    if not c_layout or size < 8:
+        return np.add.reduce(planes, axis=0, out=out)
+    acc = planes[:8]
+    for v in range(8, size - size % 8, 8):
+        acc += planes[v : v + 8]
+    acc[0::2] += acc[1::2]
+    acc[0::4] += acc[2::4]
+    out = np.add(acc[0], acc[4], out=out)
+    for v in range(size - size % 8, size):
+        out += planes[v]
+    out += 0.0
+    return out
+
+
+def plane_entropies_bits(planes: np.ndarray, c_layout: bool, out: np.ndarray | None = None) -> np.ndarray:
+    """row_entropies_bits(rows) for the rows of planes.T laid out as c_layout says, bitwise.
+
+    Each distribution is a column of planes, which are overwritten by the
+    entropy terms. Every entry that is not positive, NaN and -0.0
+    included, becomes 1.0, whose term is 0.0, the term row_entropies_bits
+    gives it; when the only such entries are zeros, adding (planes == 0)
+    replaces them without a masked copy.
+    """
+    low = planes.min()
+    if low == 0.0:
+        np.add(planes, planes == 0.0, out=planes)
+    elif not low > 0.0:
+        np.copyto(planes, 1.0, where=~(planes > 0.0))
+    planes *= np.log2(planes)
+    out = fold_planes(planes, c_layout, out)
+    return np.negative(out, out=out)

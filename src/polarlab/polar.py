@@ -13,11 +13,11 @@ recursions; the channel-side transforms double as their cross-check oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from ._util import row_entropies_bits
+from ._util import plane_entropies_bits, row_entropies_bits
 from .blackwell import (
     DEFAULT_MERGE_TAU,
     BlackwellMeasure,
@@ -28,7 +28,7 @@ from .blackwell import (
     _replayed_measures,
     blackwell_measure,
 )
-from .channels import Channel, kernel_capacities
+from .channels import Channel, kernel_capacities, kernel_capacity
 from .groups import Group
 
 DEFAULT_ATOM_BUDGET = 20000
@@ -151,9 +151,9 @@ class Chunk:
 
     @property
     def conv(self) -> np.ndarray:
-        """(P, |G|) pair convolutions, shared by the minus step and the gap."""
+        """(P, |G|) pair convolutions, shared by the minus and plus steps."""
         if self._conv is None:
-            self._conv = _pair_convolutions(self).reshape(-1, self.group.size)
+            self._conv = _pair_convolutions(self)
         return self._conv
 
     @property
@@ -291,13 +291,9 @@ class Chunk:
 
     def gaps(self) -> list["CapacityGap"]:
         """I(M) - I(M-) of every measure via both routes; see capacity_gap."""
-        size = self.group.size
-        # the realized kernels side by side, and their channel-side minus
-        # kernels, one column per atom pair
         columns = self.realized_columns()
-        minus = np.ascontiguousarray((_convolve_pairs(self, columns) / size).T)
         capacities = kernel_capacities(columns.T, self.starts.tolist())
-        minus_capacities = kernel_capacities(minus, self.pair_starts.tolist())
+        minus_capacities = _minus_capacities(self, columns)
         entropies = self._pair_entropies()
         out = []
         for s, m in enumerate(self.by_size):
@@ -325,7 +321,7 @@ class Chunk:
         fresh = {}
         if todo:
             chunk = self if len(todo) == len(self) else Chunk([self.measures[i] for i in todo])
-            h_conv = row_entropies_bits(chunk.conv)
+            h_conv = _convolution_entropies(chunk)
             h_atoms = row_entropies_bits(chunk.posteriors)
             for s, index in enumerate(chunk.order):
                 k = chunk.by_size[s].atom_count
@@ -392,30 +388,130 @@ def _replay(plan: _Plan, measures: list[BlackwellMeasure]) -> list[BlackwellMeas
     return out
 
 
-def _convolve_pairs(chunk: Chunk, rows: np.ndarray) -> np.ndarray:
-    """out[p, u] = sum_v rows[i, u + v] rows[j, v] over the chunk's atom pairs p = (i, j).
+def _convolve_block(r: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """out[n, i, j, u] = sum_v r[n, i, u + v] r[n, j, v] for a block r of n measures of k atoms.
 
-    One einsum per block. For two or more atoms it sums in order of v,
-    whether it runs on one measure or on a stack of them; a one-atom
-    measure's einsum sums in another order, so each runs alone.
+    One einsum. For two or more atoms it sums in order of v, whether it
+    runs on one measure or on a stack of them; a one-atom measure's einsum
+    sums in another order, so each runs alone.
     """
-    table = chunk.group.add_table
-    out = np.empty((chunk.pair_starts[-1], chunk.group.size))
-    for k, a, b in chunk.blocks:
-        r = chunk.block(rows, k, a, b)
-        block = out[chunk.pair_starts[a] : chunk.pair_starts[b]]
-        if k == 1:
-            for s, row in enumerate(r):
-                block[s] = np.einsum("iuv,jv->iju", row[:, table], row).ravel()
-        else:
-            # [n, i, u, v] = rows[i, u + v]
-            block.reshape(b - a, k, k, -1)[...] = np.einsum("niuv,njv->niju", r[:, :, table], r)
-    return out
+    if r.shape[1] > 1:
+        # [n, i, u, v] = r[n, i, u + v]
+        return np.einsum("niuv,njv->niju", r[:, :, table], r)
+    return np.stack([np.einsum("iuv,jv->iju", row[:, table], row) for row in r])
 
 
 def _pair_convolutions(chunk: Chunk) -> np.ndarray:
     """(P, |G|) posteriors p_i (*) p_j of every measure's ordered atom pairs."""
-    return _convolve_pairs(chunk, chunk.posteriors)
+    table = chunk.group.add_table
+    out = np.empty((chunk.pair_starts[-1], chunk.group.size))
+    for k, a, b in chunk.blocks:
+        block = out[chunk.pair_starts[a] : chunk.pair_starts[b]]
+        block.reshape(b - a, k, k, -1)[...] = _convolve_block(chunk.block(chunk.posteriors, k, a, b), table)
+    return out
+
+
+# Floats of one tile's planes (see _planes): the gap kernels run over tiles
+# of first-atom rows whose |G| planes fit in this many floats, so that each
+# of their elementwise passes stays in cache.
+_TILE_FLOATS = 1 << 16
+
+
+def _planes(chunk: Chunk, rows: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """(pairs, planes) of tiles that cover the atom pairs of the chunk's blocks of two or more atoms.
+
+    planes[u] of a tile holds sum_v rows[i, u + v] rows[j, v] for its
+    pairs, laid out as the chunk lays out its pairs and summed in order of
+    v, as _convolve_block sums them; `pairs` are their indices. A tile is a
+    run of first atoms i of one block: whole measures, or rows of one
+    measure when a measure does not fit. Its planes live in a buffer that
+    the next tile reuses, so a tile is read before the next is asked for.
+    """
+    size = chunk.group.size
+    table = chunk.group.add_table
+    for k, a, b in chunk.blocks:
+        if k == 1:
+            continue
+        # [v, n, i] = rows[n, i, v] and [u, v, n, i] = rows[n, i, u + v]
+        r = np.ascontiguousarray(chunk.block(rows, k, a, b).transpose(2, 0, 1))
+        shifted = r[table]
+        firsts = max(1, _TILE_FLOATS // (size * k))
+        if firsts >= k:
+            step = firsts // k
+            tiles = [(n, min(n + step, b - a), 0, k) for n in range(0, b - a, step)]
+        else:
+            tiles = [(n, n + 1, i, min(i + firsts, k)) for n in range(b - a) for i in range(0, k, firsts)]
+        n0, n1, i0, i1 = tiles[0]
+        buffer = np.empty(size * (n1 - n0) * (i1 - i0) * k)
+        for n0, n1, i0, i1 in tiles:
+            shape = (n1 - n0, i1 - i0, k)
+            count = shape[0] * shape[1] * k
+            planes = buffer[: size * count].reshape(size, *shape)
+            for u in range(size):
+                # the second atoms' axis j is the einsum's innermost loop,
+                # not v, so every pair sums in order of v
+                np.einsum("vni,vnj->nij", shifted[u, :, n0:n1, i0:i1], r[:, n0:n1], out=planes[u])
+            start = chunk.pair_starts[a] + (n0 * k + i0) * k
+            yield slice(start, start + count), planes.reshape(size, count)
+
+
+def _convolution_entropies(chunk: Chunk) -> np.ndarray:
+    """H(p_i (*) p_j) of every atom pair of the chunk, laid out like the pairs; via_pairs' convolutions.
+
+    Bitwise row_entropies_bits(_pair_convolutions(chunk)), whose rows are
+    C-layout: the planes of a tile are folded in the order of its row sums.
+    """
+    out = np.empty(chunk.pair_starts[-1])
+    for pairs, planes in _planes(chunk, chunk.posteriors):
+        plane_entropies_bits(planes, True, out=out[pairs])
+    table = chunk.group.add_table
+    for k, a, b in chunk.blocks:
+        if k == 1:
+            conv = _convolve_block(chunk.block(chunk.posteriors, k, a, b), table)
+            out[chunk.pair_starts[a] : chunk.pair_starts[b]] = row_entropies_bits(conv.reshape(b - a, -1))
+    return out
+
+
+def _minus_capacities(chunk: Chunk, columns: np.ndarray) -> list[float]:
+    """kernel_capacity of every measure's channel-side minus kernel, in order of chunk.by_size; via_transform's.
+
+    The minus kernel of the realized kernel whose columns are `columns`
+    (laid out like the atoms) has column (i, j) equal to the convolution of
+    columns i and j over |G|, the plane u of each tile divided by |G|.
+    Bitwise what kernel_capacities gives on the (|G|, P) kernel of all the
+    chunk's pairs: a tile's planes are its rows, so the output marginal
+    p_y is their left fold, and the row entropies of the posteriors, the
+    kernel's F-layout transpose, fold left too. Only the final dot is per
+    measure. A measure with a dead output, or with one atom pair, runs
+    alone as kernel_capacities runs it.
+    """
+    size = chunk.group.size
+    count = chunk.pair_starts[-1]
+    # p_y stays 0 on the pairs of one-atom measures, which _planes skips
+    p_y, entropies = np.zeros(count), np.empty(count)
+    for pairs, planes in _planes(chunk, columns):
+        planes /= size
+        marginal = np.add.reduce(planes, axis=0, out=p_y[pairs])
+        marginal /= size
+        with np.errstate(divide="ignore", invalid="ignore"):
+            planes /= size * marginal
+        plane_entropies_bits(planes, False, out=entropies[pairs])
+    # alone, a measure with a dead output would drop it, and a one-atom
+    # measure would lay out its one column so that its sums run in another
+    # order
+    alone = set((np.searchsorted(chunk.pair_starts, np.flatnonzero(~(p_y > 0.0)), side="right") - 1).tolist())
+    top = np.log2(size)
+    table = chunk.group.add_table
+    out = []
+    bounds = chunk.pair_starts.tolist()
+    for s, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        if s not in alone:
+            out.append(float(top - p_y[a:b] @ entropies[a:b]))
+            continue
+        k = chunk.by_size[s].atom_count
+        conv = _convolve_block(chunk.block(columns, k, s, s + 1), table)
+        out.append(kernel_capacity(np.ascontiguousarray((conv.reshape(-1, size) / size).T)))
+    return out
 
 
 def minus_on_measure(m: BlackwellMeasure, merge_tau: float = DEFAULT_MERGE_TAU) -> BlackwellMeasure:

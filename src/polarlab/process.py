@@ -11,8 +11,7 @@ plan that the first of them records, again bitwise as alone; each walk
 keeps its own table of plans, which ends with the walk. A chunk's size
 counts the floats its nodes materialize, up to _CHUNK_ATOMS: a node's raw
 posteriors when it steps by the general path, only its raw weights when
-it replays, so a level that replays runs in a few chunks; its gaps run
-over slices of the chunk under the same cap. Per-path resource
+it replays, so a level that replays runs in a few chunks. Per-path resource
 failures (atom budget) are recorded on the affected paths; the rest of the
 tree is still evaluated. Any other error raised while a node is computed
 is an internal fault and stops the run as a PathFault that names the node:
@@ -217,8 +216,75 @@ class PolarizationReport:
 
 
 def report_json(report_dict: dict) -> str:
-    """Canonical JSON text for a report; re-serializing a parse is identical."""
-    return json.dumps(report_dict, indent=2) + "\n"
+    """Canonical JSON text for a report; re-serializing a parse is identical.
+
+    The bytes of json.dumps(report_dict, indent=2) + "\n", written without
+    the pure-Python encoder that json.dumps runs when given an indent.
+    """
+    return _json_text(report_dict, "\n") + "\n"
+
+
+_json_string = json.encoder.encode_basestring_ascii
+# json.dumps's text of a scalar of each exact type, after _JSON_FLOATS
+# renames a float's non-finite text; subclasses are looked up in
+# _json_scalar
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_SCALARS = {
+    str: _json_string,
+    float: float.__repr__,
+    np.float64: float.__repr__,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _json_scalar(value) -> str:
+    """The text of a scalar as json.dumps writes it; a subclass's as its base's."""
+    scalar = _JSON_SCALARS.get(type(value))
+    if scalar is None:
+        kind = next((kind for kind in (str, int, float) if isinstance(value, kind)), None)
+        if kind is None:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        scalar = _JSON_SCALARS[kind]
+    text = scalar(value)
+    return _JSON_FLOATS.get(text, text)
+
+
+def _json_key(key) -> str:
+    """A dict key's text: json.dumps writes str, int, float, bool and None keys as strings."""
+    if isinstance(key, str):
+        return _json_string(key)
+    if key is None or isinstance(key, (int, float)):
+        return _json_string(_json_scalar(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json_text(value, newline: str) -> str:
+    """value's text as json.dumps(indent=2) writes it, `newline` being a newline and value's indent."""
+    if not isinstance(value, (list, tuple, dict)):
+        return _json_scalar(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = newline + "  "
+    is_dict = isinstance(value, dict)
+    texts = []
+    for item in value.values() if is_dict else value:
+        # scalars inline: a call of _json_text per scalar would cost more
+        # than its text
+        scalar = _JSON_SCALARS.get(type(item))
+        if scalar is None:
+            texts.append(_json_text(item, inner))
+        else:
+            text = scalar(item)
+            texts.append(_JSON_FLOATS.get(text, text))
+    if is_dict:
+        texts = [
+            (_json_string(key) if type(key) is str else _json_key(key)) + ": " + text
+            for key, text in zip(value, texts)
+        ]
+        return "{" + inner + ("," + inner).join(texts) + newline + "}"
+    return "[" + inner + ("," + inner).join(texts) + newline + "]"
 
 
 def report_csv(report_dict: dict) -> str:
@@ -256,9 +322,8 @@ def _gap_refusal(m: BlackwellMeasure, atom_budget: int) -> str | None:
 # atoms steps to k^2 (1 + |G|) raw children, the pairs of its minus step
 # and the atoms of its plus step: on the general path each carries |G|
 # posterior floats, while a node that replays a plan (polar.Chunk._step)
-# builds only their weights (_split). Children are chunked, and a chunk's
-# gaps sliced, up to this cap, so a larger node runs alone, and the walk
-# holds O(depth) chunks.
+# builds only their weights (_split). Children are chunked up to this
+# cap, so a larger node runs alone, and the walk holds O(depth) chunks.
 _CHUNK_ATOMS = 1 << 17
 
 # A node of the transform tree: its merged measure, the budget-refusal
@@ -290,37 +355,34 @@ def _per_chunk(kernel, chunk: Chunk, paths: list[str]) -> list:
         return out
 
 
-def _runs(costs: list[int]) -> list[slice]:
-    """Consecutive runs of items of at most _CHUNK_ATOMS in total; an item above it runs alone."""
-    starts, load = [0], 0
-    for i, cost in enumerate(costs):
-        if i > starts[-1] and load + cost > _CHUNK_ATOMS:
-            starts.append(i)
-            load = 0
-        load += cost
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [len(costs)]) if a < b]
+def _split(children: list[tuple[str, Node]], plans: dict, merge_tau: float) -> list[list[tuple[str, Node]]]:
+    """Consecutive runs of children that materialize at most _CHUNK_ATOMS floats each; a larger child runs alone.
 
-
-def _split(children: list[tuple[str, Node]]) -> list[list[tuple[str, Node]]]:
-    """Consecutive runs of children that materialize at most _CHUNK_ATOMS floats each.
-
-    The first child on each posterior matrix steps by the general path and
-    is priced at its raw children's posteriors, k^2 (1 + |G|) |G| floats.
-    Each later child on the same matrix will replay the plan the first one
-    records, and is priced at its raw weights, k^2 (1 + |G|) floats.
+    A child that will step by the general path is priced at its raw
+    children's posteriors, k^2 (1 + |G|) |G| floats; one that will replay
+    a plan only at their raw weights, k^2 (1 + |G|) floats. The first child
+    on each posterior matrix takes the general path unless the walk's
+    `plans` already hold a plan of both signs for that matrix; a later
+    child on the same matrix replays the plan the first one records.
     """
     seen = set()
-    costs = []
-    for _, node in children:
+    runs, load = [[]], 0
+    for child in children:
         cost = 0
+        node = child[1]
         if isinstance(node, BlackwellMeasure):
             cost = node.atom_count ** 2 * (1 + node.group.size)
             support = node.posteriors.tobytes()
             if support not in seen:
                 seen.add(support)
-                cost *= node.group.size
-        costs.append(cost)
-    return [children[run] for run in _runs(costs)]
+                if any(plans.get(((sign, merge_tau), support)) is None for sign in (MINUS, PLUS)):
+                    cost *= node.group.size
+        if runs[-1] and load + cost > _CHUNK_ATOMS:
+            runs.append([])
+            load = 0
+        runs[-1].append(child)
+        load += cost
+    return [run for run in runs if run]
 
 
 def _walk_chunks(
@@ -336,8 +398,8 @@ def _walk_chunks(
     Yields the (paths, nodes, gaps) of each chunk: every prefix, or, given
     `wanted`, only the prefixes of the wanted paths. The chunks of each
     depth, and so the leaves, come in path order, '-' first. A chunk is a
-    run of consecutive nodes of one depth: its steps each run once for all
-    its measures (polar.Chunk), and its gaps once per slice of it. Its
+    run of consecutive nodes of one depth: its steps and its gaps each run
+    once for all its measures (polar.Chunk). Its
     children are split into chunks again (_split) and walked depth first.
     Each measure is stepped once from its parent's. At the depths in
     `gap_depths` a node's guarded capacity gap is computed before its
@@ -376,13 +438,8 @@ def _walk_chunks(
                         todo.append(i)
                     else:
                         nodes[i] = refusal
-            # the gaps run over consecutive slices of the chunk: a node's gap
-            # holds its channel-side minus kernel, that kernel's output
-            # posteriors and their entropy terms at once, k^2 |G| floats each
-            costs = [3 * nodes[i].atom_count ** 2 * nodes[i].group.size for i in todo]
-            for span in _runs(costs):
-                part = todo[span]
-                for i, gap in zip(part, run(Chunk.gaps, part)):
+            if todo:
+                for i, gap in zip(todo, run(Chunk.gaps, todo)):
                     if isinstance(gap, PathFault):
                         nodes[i] = gap
                     else:
@@ -413,7 +470,7 @@ def _walk_chunks(
             for sign in (MINUS, PLUS)
             if path + sign in children
         ]
-        stack.extend(reversed(_split(ordered)))
+        stack.extend(reversed(_split(ordered, plans, merge_tau)))
 
 
 class Evaluation(NamedTuple):

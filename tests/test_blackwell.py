@@ -23,7 +23,7 @@ from polarlab import (
     symmetric_capacity,
 )
 from polarlab import blackwell
-from polarlab._util import row_entropies_bits
+from polarlab._util import fold_planes, plane_entropies_bits, row_entropies_bits
 from polarlab.blackwell import _bucket_labels, _canonical_atoms, _canonical_segments, _sweep_labels
 from polarlab.presets import bsc_channel, identity_channel, random_channel, useless_channel
 from polarlab.process import sample_paths
@@ -56,7 +56,7 @@ def _reference_row_entropies(rows):
 )
 def test_row_entropies_match_reference(shape, data, layout):
     entry = st.one_of(
-        st.sampled_from([0.0, -0.0, 5e-324, 1e-310, -1e-13, 0.5, 1.0]), st.floats(0.0, 1.0)
+        st.sampled_from([0.0, -0.0, 5e-324, 1e-310, -1e-13, 0.5, 1.0, float("nan")]), st.floats(0.0, 1.0)
     )
     flat = data.draw(st.lists(entry, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
     rows = np.array(flat).reshape(shape)
@@ -68,6 +68,31 @@ def test_row_entropies_match_reference(shape, data, layout):
     }[layout]
     got = row_entropies_bits(rows)
     assert got.tobytes() == _reference_row_entropies(rows).tobytes()
+    if layout != "strided":
+        # the same entropies from the columns of planes, whose rows the
+        # planes overwrite; a one-row array sums as C layout
+        c_layout = layout == "C" or len(rows) == 1
+        assert plane_entropies_bits(rows.T.copy(), c_layout).tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_plane_fold_is_numpys_row_sum_order(layout):
+    # pins the order in which numpy sums each row: the gap kernels fold
+    # planes in that order to give reports their bits, so a numpy that
+    # sums in another order fails here before it changes a report
+    rng = np.random.default_rng(7)
+    for length in range(1, 65):
+        values = rng.standard_normal((40, length)) * np.exp2(rng.integers(-60, 60, (40, length)))
+        values[0] = -0.0
+        values[1, ::2] = -0.0
+        values[2, 1::3] = 0.0
+        values[3, -1] = np.nan
+        for rows in (values, values[:1], values[5:6]):
+            rows = np.ascontiguousarray(rows) if layout == "C" else np.asfortranarray(rows)
+            c_layout = layout == "C" or len(rows) == 1
+            want = rows.sum(axis=1)
+            got = fold_planes(rows.T.copy(), c_layout)
+            assert got.tobytes() == want.tobytes(), (length, len(rows))
 
 
 def test_bsc_measure_atoms():

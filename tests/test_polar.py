@@ -28,6 +28,7 @@ from polarlab import (
 )
 from polarlab import metrics, polar, process
 from polarlab._util import row_entropies_bits
+from polarlab.channels import kernel_capacity
 from polarlab.presets import (
     bec_channel,
     bsc_channel,
@@ -176,11 +177,10 @@ def test_capacity_gap_examples():
         assert abs(capacity_gap(m).value) <= 1e-10
 
 
-def _reflected_pair_convolutions(m):
-    """The wrong convolution p_i(u - v) p_j(v) in place of p_i(u + v) p_j(v)."""
-    g = m.group
-    shifted = m.posteriors[:, g.add_table[:, g.neg_table]]  # [i, u, v] = p_i(u - v)
-    return np.einsum("iuv,jv->iju", shifted, m.posteriors)
+def _reflected_convolutions(group, rows):
+    """The wrong convolution r_i(u - v) r_j(v) in place of r_i(u + v) r_j(v), one row per pair."""
+    shifted = rows[:, group.add_table[:, group.neg_table]]  # [i, u, v] = r_i(u - v)
+    return np.einsum("iuv,jv->iju", shifted, rows).reshape(-1, group.size)
 
 
 def test_capacity_gap_catches_wrong_pair_convolution():
@@ -190,7 +190,25 @@ def test_capacity_gap_catches_wrong_pair_convolution():
     capacity_gap(m)
     # on Z3, u - v and u + v differ, and this channel's posteriors are not
     # symmetric under x -> -x, so the wrong convolution changes via_pairs
-    with mock.patch.object(polar, "_pair_convolutions", _reflected_pair_convolutions):
+    def entropies(chunk):
+        return row_entropies_bits(_reflected_convolutions(chunk.group, chunk.posteriors))
+
+    with mock.patch.object(polar, "_convolution_entropies", entropies):
+        with pytest.raises(RuntimeError, match="routes disagree"):
+            capacity_gap(m)
+
+
+def test_capacity_gap_catches_wrong_channel_side_convolution():
+    # the mirror fault: the channel-side minus kernel from the wrong
+    # convolution of the realized kernel's columns changes via_transform
+    w = random_corpus(count=2)[1]
+    m = blackwell_measure(w)
+
+    def minus_capacities(chunk, columns):
+        minus = _reflected_convolutions(chunk.group, columns) / chunk.group.size
+        return [kernel_capacity(np.ascontiguousarray(minus.T))]
+
+    with mock.patch.object(polar, "_minus_capacities", minus_capacities):
         with pytest.raises(RuntimeError, match="routes disagree"):
             capacity_gap(m)
 
@@ -365,6 +383,34 @@ def test_one_atom_measure_keeps_its_gap_in_a_chunk():
     z11 = make_group([11])
     measures = [blackwell_measure(useless_channel(z11)), blackwell_measure(random_channel(z11, 3, seed=1))]
     assert polar.Chunk(measures).gaps() == [_reference_gap(m) for m in measures]
+
+
+def _bits(gaps):
+    return [(gap.via_transform.hex(), gap.via_pairs.hex()) for gap in gaps]
+
+
+@pytest.mark.parametrize("dims, outputs", [([2, 2], 160), ([2, 4], 120), ([3, 4], 100)])
+def test_gaps_over_many_tiles_match_the_reference(monkeypatch, dims, outputs):
+    # groups of order < 8, 8 and > 8, whose pair entropies fold their
+    # planes in different orders. Beside a measure of several tiles: small
+    # measures that share tiles, a one-atom measure, and a measure with a
+    # dead output in its minus kernel, where the products of its light
+    # atom's columns underflow
+    group = make_group(dims)
+    light = np.hstack([np.full((group.size, 1), 1e-300), random_channel(group, 3, seed=4).kernel])
+    measures = [
+        blackwell_measure(random_channel(group, outputs, seed=1)),
+        *(blackwell_measure(random_channel(group, 5, seed=seed)) for seed in (2, 3, 4)),
+        blackwell_measure(useless_channel(group)),
+        blackwell_measure(Channel(light, None, group)),
+    ]
+    assert measures[0].atom_count ** 2 * group.size > 1.5 * polar._TILE_FLOATS
+    assert measures[-1].weights.min() < 1e-299
+    want = _bits(_reference_gap(m) for m in measures)
+    for floats in (polar._TILE_FLOATS, 1000, 1):
+        monkeypatch.setattr(polar, "_TILE_FLOATS", floats)
+        assert _bits(polar.Chunk(measures).gaps()) == want
+        assert _bits(polar.Chunk(measures[::-1]).gaps()) == want[::-1]
 
 
 def test_one_atom_plus_step_matches_the_reference_on_every_group():

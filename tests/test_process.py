@@ -22,7 +22,7 @@ from polarlab import (
     subgroup_from_members,
     symmetric_capacity,
 )
-from polarlab import process, verify
+from polarlab import polar, process, verify
 from polarlab.channels import kernel_capacity
 from polarlab.polar import Chunk
 from polarlab.process import report_csv, report_json
@@ -328,42 +328,52 @@ def _chunk_sizes(monkeypatch, w, depth):
 
 
 def test_replaying_levels_run_in_a_few_chunks(monkeypatch):
-    # every node of a dh-mix level after the first on its posterior matrix
-    # replays a plan and is priced at its raw weights: the 31 steps of a
-    # depth-5 walk on Z2xZ4 run in a few chunks, and its 32 leaves are
-    # evaluated in a few; a cap of 1 still runs every node alone
+    # every node of a dh-mix level that will replay a plan is priced at its
+    # raw weights, the first on a matrix too once the walk holds plans of
+    # both signs for it: the 31 steps of a depth-5 walk on Z2xZ4 run in a
+    # few chunks, and its 63 gaps and 32 leaves in a few; a cap of 1 still
+    # runs every node alone
     w = dh_mix_channel(make_group([2, 4]), seed=11)
     sizes = _chunk_sizes(monkeypatch, w, 5)
     assert sum(sizes["minus"]) == sum(sizes["plus"]) == 31
-    assert len(sizes["minus"]) == len(sizes["plus"]) <= 6
-    assert sum(sizes["evaluate"]) == 32 and len(sizes["evaluate"]) <= 3
-    assert sum(sizes["gaps"]) == 63
+    assert len(sizes["minus"]) == len(sizes["plus"]) <= 5
+    assert sum(sizes["evaluate"]) == 32 and len(sizes["evaluate"]) <= 2
+    assert sum(sizes["gaps"]) == 63 and len(sizes["gaps"]) <= 7
     monkeypatch.setattr(process, "_CHUNK_ATOMS", 1)
     alone = _chunk_sizes(monkeypatch, w, 5)
     assert all(set(calls) == {1} for calls in alone.values())
     assert [len(alone[name]) for name in ("minus", "plus", "gaps", "evaluate")] == [31, 31, 63, 32]
 
 
-def test_gap_slices_give_the_whole_chunks_gaps(monkeypatch):
-    # a chunk's gaps run over slices of it, each within the cap unless a
-    # node is alone; every node gets the gap the whole chunk gives it
-    slices = []
-    real = Chunk.gaps
+def test_split_prices_a_matrix_with_plans_of_both_signs_at_replay_cost(monkeypatch):
+    # two children on one matrix: the first takes the general path, priced
+    # at |G| times its raw weights, unless the walk holds a plan of each
+    # sign for the matrix; a None plan is no plan
+    m = blackwell_measure(dh_mix_channel(make_group([2, 4]), seed=11))
+    monkeypatch.setattr(process, "_CHUNK_ATOMS", 2 * m.atom_count ** 2 * (1 + m.group.size))
+    children = [("-", m), ("+", m)]
+    support = m.posteriors.tobytes()
+    both = {(("-", 0.0), support): object(), (("+", 0.0), support): object()}
+    assert [len(run) for run in process._split(children, both, 0.0)] == [2]
+    assert [len(run) for run in process._split(children, both, 1e-9)] == [1, 1]
+    assert [len(run) for run in process._split(children, {}, 0.0)] == [1, 1]
+    both[("+", 0.0), support] = None
+    assert [len(run) for run in process._split(children, both, 0.0)] == [1, 1]
 
-    def gaps(chunk):
-        slices.append([m.atom_count for m in chunk.measures])
-        return real(chunk)
 
-    monkeypatch.setattr(Chunk, "gaps", gaps)
+def test_gap_tiles_give_the_whole_chunks_gaps(monkeypatch):
+    # a chunk's gaps run over tiles of first-atom rows: whatever their size,
+    # down to one row, every node gets the gap of the default tiles
+    def walk_gaps():
+        walk = process._walk_chunks(blackwell_measure(w), 4, gap_depths=range(5))
+        return [gap for _, _, gaps in walk for gap in gaps]
+
     w = dh_mix_channel(make_group([2, 4]), seed=11)
-    walk = process._walk_chunks(blackwell_measure(w), 5, gap_depths=range(6))
-    largest = 0
-    for _, nodes, got in walk:
-        assert got == [gap.value for gap in real(Chunk(nodes))]
-        largest = max(largest, len(nodes))
-    assert max(len(atoms) for atoms in slices) < largest
-    for atoms in slices:
-        assert len(atoms) == 1 or sum(3 * k * k * 8 for k in atoms) <= process._CHUNK_ATOMS
+    want = walk_gaps()
+    assert len(want) == 31 and None not in want
+    for floats in (1, 200):
+        monkeypatch.setattr(polar, "_TILE_FLOATS", floats)
+        assert walk_gaps() == want
 
 
 def test_repeated_sample_paths_evaluated_once(monkeypatch):
@@ -422,6 +432,53 @@ def test_report_schema_and_round_trip(tmp_path):
     csv_text = report_csv(data)
     assert csv_text.startswith("key,value\n")
     assert "fraction_determined" in csv_text
+
+
+class _Count(int):
+    def __repr__(self):
+        return "not json"
+
+
+class _Share(float):
+    def __repr__(self):
+        return "not json"
+
+
+@pytest.mark.parametrize("data", [
+    {},
+    [],
+    {"empty": {}, "none": [], "nested": [[], {}, [[]], {"a": []}]},
+    [None, True, False, 0, -1, 2**70, 0.0, -0.0, 1.5, 1e-320, 1e300, "x"],
+    {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "values": [float("nan"), -1e-5]},
+    {"text": "µ ∈ G, \"quoted\"\n\ttab \\ \u0007 \U0001f600", "é": ["ü", ""]},
+    {"np": [np.float64(0.1), np.float64("nan"), np.float64(-np.inf)], "sub": [_Count(3), _Share(0.25)]},
+    {True: 1, False: 2, None: 3, 4: 5, 1.5: 6, _Count(7): 8, "tuple": (1, (2, 3), ())},
+    {"path": "-+", "error": "step '-' would materialize 400 atoms", "records": [{"error": None}]},
+])
+def test_report_json_writes_json_dumps_bytes(data):
+    import json
+
+    assert report_json(data) == json.dumps(data, indent=2) + "\n"
+
+
+def test_report_json_of_reports_with_failed_paths():
+    import json
+
+    w = random_channel(Z4, 5, seed=0)
+    for report in (enumerate_paths(w, 3, atom_budget=300), sample_paths(w, 3, 6, seed=0, atom_budget=300)):
+        data = report.to_dict()
+        assert data["aggregates"]["failed"] > 0
+        assert report_json(data) == json.dumps(data, indent=2) + "\n"
+
+
+def test_report_json_rejects_what_json_dumps_rejects():
+    import json
+
+    for data in ({"x": np.int64(3)}, [object()], {(1, 2): 3}):
+        with pytest.raises(TypeError):
+            json.dumps(data, indent=2)
+        with pytest.raises(TypeError):
+            report_json(data)
 
 
 def test_histogram_masses_sum_to_fraction_determined():

@@ -67,7 +67,7 @@ COMMANDS: list[tuple[str, list[str]]] = [
         (f"z4-multilevel d{depth}", polarize("--preset", "z4-multilevel:0.5", "--depth", str(depth)))
         for depth in (9, 10, 12)
     ],
-    # levels of 128 replaying nodes, which span several chunks and gap slices
+    # levels of 128 replaying nodes, which span several chunks
     ("dh-mix:11 [2,4] d7", polarize("--preset", "dh-mix:11", "--group", "[2,4]", "--depth", "7")),
     ("bec d8", polarize("--preset", "bec:0.5", "--depth", "8")),
     ("bec d10 sample", polarize(
@@ -84,6 +84,14 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ("dh-mix:5 Z6 d6", polarize("--preset", "dh-mix:5", "--group", "Z6", "--depth", "6")),
     ("dh-mix:5 [2,2,2] d6", polarize("--preset", "dh-mix:5", "--group", "[2,2,2]", "--depth", "6")),
     ("bec:0.3 Z4 d8", polarize("--preset", "bec:0.3", "--group", "Z4", "--depth", "8")),
+    # gaps on groups of order above 8, whose pair entropies sum 8
+    # accumulators, and a generic 64-atom leaf on a group of order 8 beside
+    # a leaf whose gap the budget refuses (exit 2)
+    *[
+        (f"dh-mix:3 {group} d4", polarize("--preset", "dh-mix:3", "--group", group, "--depth", "4"))
+        for group in ("Z12", "Z16")
+    ],
+    ("random:5 [2,4] d1", polarize("--preset", "random:5", "--group", "[2,4]", "--depth", "1")),
     ("random:0 Z4 budget 300", polarize(
         "--preset", "random:0", "--group", "Z4", "--depth", "3", "--atom-budget", "300")),
     ("random:0 Z4 budget 300 sample", polarize(
