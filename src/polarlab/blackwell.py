@@ -110,19 +110,22 @@ def _bucket_labels(
     """Cluster labels from a tau-wide grid (exact duplicates when tau is 0).
 
     Labels number the distinct keys in lexicographic order, as
-    np.unique(axis=0, return_inverse=True) would, from one stable sort of
-    the packed grid keys (of the rows when tau is 0). Given `seg`, the rows'
+    np.unique(axis=0, return_inverse=True) would, from one sort of the
+    packed grid keys (of the rows when tau is 0). Given `seg`, the rows'
     non-decreasing segment ids, the id is the leading key, so no two
     segments share a label and labels keep the segments in order.
     Returns (labels, None), or (None, order) when the keys are distinct;
     order is then the keys' lexicographic order (the rows' when tau is 0).
+    Keys packed into one row are sorted by argsort, which need not be
+    stable: equal keys get one label whatever their order, and distinct
+    keys have one order.
     """
     if tau > 0:
         keys = _grid_keys(posteriors.T, tau)
         keys = _packed_keys(keys if seg is None else np.vstack([seg, keys]))
     else:
         keys = posteriors.T if seg is None else np.vstack([seg, posteriors.T])
-    order = np.lexsort(keys[::-1])
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
     sorted_keys = keys.take(order, axis=1)
     starts = np.empty(len(order), dtype=bool)
     starts[0] = True
@@ -220,6 +223,20 @@ def _sweep_labels(
     return labels, None
 
 
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    """rows.sum(axis=1), bitwise but for the sign of a zero sum.
+
+    numpy sums a row of fewer than 8 entries left to right in either
+    layout, as this fold of the columns does without a call per row.
+    """
+    if not 0 < rows.shape[1] < 8:
+        return rows.sum(axis=1)
+    out = rows[:, 0].copy()
+    for col in rows.T[1:]:
+        out += col
+    return out
+
+
 def _canonical_atoms(weights, posteriors, tau: float):
     """Prune, merge, lex-sort and normalize atoms.
 
@@ -253,7 +270,7 @@ def _canonical_segments(
         weights, posteriors = weights[keep], posteriors.compress(keep, axis=0)
         if seg is not None:
             seg = seg[keep]
-    if check_rows and (np.abs(posteriors.sum(axis=1) - 1.0) > SUM_TOL).any():
+    if check_rows and (np.abs(_row_sums(posteriors) - 1.0) > SUM_TOL).any():
         raise ValueError("posterior rows must sum to 1")
     # A copy laid out column by column, as the passes below read the
     # posteriors; adding 0.0 turns -0.0 into 0.0.
@@ -470,8 +487,12 @@ def _canonical_measures(
 
 
 def _check_weights(weights: np.ndarray, posteriors: np.ndarray, size: int) -> None:
-    """Canonical weights must sum to 1 and put the mean posterior at uniform."""
-    if abs(weights.sum() - 1.0) > SUM_TOL:
+    """Canonical weights must sum to 1 and put the mean posterior at uniform.
+
+    `weights` is one measure's weight vector, or a block whose rows are the
+    weights of measures on the same posteriors.
+    """
+    if (np.abs(weights.sum(axis=-1) - 1.0) > SUM_TOL).any():
         raise ValueError("atom weights do not sum to 1")
     mean = weights @ posteriors
     if np.abs(mean - 1.0 / size).max() > BALANCE_TOL:
@@ -506,21 +527,21 @@ def _replayed_measures(
     that the record canonicalized (_exact_merge): atom a joins canonical
     atom target[a], and `posteriors` are the canonical posteriors. Each
     measure is bitwise the one its atoms construct: its weights are the
-    same per-atom sums in atom order, divided by their own total, and it
-    passes the same weight checks.
+    same per-atom sums in atom order, divided by their own total (numpy
+    sums each row of the C-contiguous block in the order it sums the row
+    alone), and it passes the same weight checks. The weights of all the
+    measures are one read-only block, checked once; each measure holds a
+    row of it.
     """
     if not np.isfinite(raw).all():
         raise ValueError("atom weights and posteriors must be finite")
     count = len(posteriors)
     labels = (target + count * np.arange(len(raw))[:, None]).ravel()
     sums = np.bincount(labels, raw.ravel(), minlength=count * len(raw)).reshape(len(raw), count)
-    out = []
-    for row in sums:
-        weights = row / row.sum()
-        _check_weights(weights, posteriors, group.size)
-        weights.setflags(write=False)
-        out.append(BlackwellMeasure._canonical(group, weights, posteriors))
-    return out
+    weights = sums / sums.sum(axis=1, keepdims=True)
+    _check_weights(weights, posteriors, group.size)
+    weights.setflags(write=False)
+    return [BlackwellMeasure._canonical(group, row, posteriors) for row in weights]
 
 
 def blackwell_measure(w: Channel, merge_tau: float = DEFAULT_MERGE_TAU) -> BlackwellMeasure:

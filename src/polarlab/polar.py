@@ -118,6 +118,8 @@ class Chunk:
     def __init__(self, measures: Sequence[BlackwellMeasure], plans: dict | None = None):
         self.measures = list(measures)
         self.group = self.measures[0].group
+        # whether the table is a walk's, which outlives the chunk
+        self.walk = plans is not None
         self.plans = {} if plans is None else plans
         # measure steps replayed from a plan
         self.replayed = 0
@@ -255,20 +257,25 @@ class Chunk:
         recorded from one measure (_record) gives every measure on the same
         posterior matrix its children by summing its own raw weights
         (_replay), bitwise as its own step would. Plans are recorded for a
-        matrix that two measures of the chunk share, and kept in the table
-        under ((sign, merge_tau), the matrix's bytes), with None where no
-        plan is valid. The other measures, and any whose raw weight underflows
-        to zero, take the general path together.
+        matrix that two measures of the chunk share, and for the first step
+        of each sign that a walk's table sees, the root's, whose matrix the
+        level below may share. They are kept in the table under
+        ((sign, merge_tau), the matrix's bytes), with None where no plan is
+        valid. The other measures, and any whose raw weight underflows to
+        zero, take the general path together.
         """
         out: list = [None] * len(self)
         rest = []
+        step = (sign, merge_tau)
+        first = self.walk and all(key[0] != step for key in self.plans)
         for support, members in self.supports.items():
-            key = ((sign, merge_tau), support)
-            if key not in self.plans and len(members) > 1:
-                first, *members = members
-                out[first], self.plans[key] = _record(self.measures[first], sign, merge_tau)
+            key = (step, support)
+            if key not in self.plans and (len(members) > 1 or first):
+                first = False
+                head, *members = members
+                out[head], self.plans[key] = _record(self.measures[head], sign, merge_tau)
             plan = self.plans.get(key)
-            if plan is None:
+            if plan is None or not members:
                 rest += members
                 continue
             for i, child in zip(members, _replay(plan, [self.measures[i] for i in members])):
@@ -342,12 +349,13 @@ class _Plan(NamedTuple):
 
     Kept raw child a has weight w_i w_j factor[a] for its atom pair
     pairs[a] = i k + j and joins child atom target[a]; `posteriors` are the
-    children's canonical posteriors. Every other raw child has weight 0
-    whatever the weights.
+    children's canonical posteriors. factor is None where every factor is
+    1, as on a minus step. Every other raw child has weight 0 whatever the
+    weights.
     """
 
     pairs: np.ndarray
-    factor: np.ndarray
+    factor: np.ndarray | None
     target: np.ndarray
     posteriors: np.ndarray
 
@@ -366,23 +374,26 @@ def _record(m: BlackwellMeasure, sign: str, merge_tau: float) -> tuple[Blackwell
     if not (np.array_equal(keep, factor.ravel() > 0.0) and _exact_merge(posteriors, origin)):
         return child, None
     kept = np.flatnonzero(keep)
-    return child, _Plan(kept // factor.shape[1], factor.ravel()[kept], origin[kept], q)
+    pairs = kept // factor.shape[1]
+    # the minus step's factors are all 1, and w_i w_j * 1.0 is w_i w_j
+    return child, _Plan(pairs, None if sign == MINUS else factor.ravel()[kept], origin[kept], q)
 
 
 def _replay(plan: _Plan, measures: list[BlackwellMeasure]) -> list[BlackwellMeasure | None]:
     """The children of measures on the plan's posterior matrix; None where a kept raw weight is 0.
 
-    Raw weights are the products the general path forms; the minus
-    step's factor 1 changes no bit. A NaN weight is not positive either,
-    and the general path rejects it.
+    Raw weights are the products the general path forms. A NaN weight is
+    not positive either, and the general path rejects it.
     """
     w = np.stack([m.weights for m in measures])
-    raw = (w[:, :, None] * w[:, None, :]).reshape(len(w), -1)[:, plan.pairs] * plan.factor
+    raw = (w[:, :, None] * w[:, None, :]).reshape(len(w), -1)[:, plan.pairs]
+    if plan.factor is not None:
+        raw *= plan.factor
     live = (raw > 0.0).all(axis=1)
     out: list = [None] * len(measures)
     if live.any():
         group = measures[0].group
-        children = _replayed_measures(group, raw[live], plan.target, plan.posteriors)
+        children = _replayed_measures(group, raw if live.all() else raw[live], plan.target, plan.posteriors)
         for i, child in zip(np.flatnonzero(live), children):
             out[i] = child
     return out

@@ -7,12 +7,12 @@ together, as a chunk: its transforms, merging, capacity gaps and leaf
 evaluation run once for all its nodes (polar.Chunk, _evaluate), and each
 node gets bitwise the result it gets alone, so the chunking never shows in
 a report. Nodes that share a posterior matrix are stepped by replaying a
-plan that the first of them records, again bitwise as alone; each walk
-keeps its own table of plans, which ends with the walk. A chunk's size
-counts the floats its nodes materialize, up to _CHUNK_ATOMS: a node's raw
-posteriors when it steps by the general path, only its raw weights when
-it replays, so a level that replays runs in a few chunks. Per-path resource
-failures (atom budget) are recorded on the affected paths; the rest of the
+plan that the first of them, or the root, records, again bitwise as
+alone; each walk keeps its own table of plans, which ends with the walk.
+A chunk's size counts the floats its nodes materialize, up to
+_CHUNK_ATOMS: a node's raw posteriors when it steps by the general path,
+only its raw weights when it replays, so a level that replays runs in a
+few chunks. Per-path resource failures (atom budget) are recorded on the affected paths; the rest of the
 tree is still evaluated. Any other error raised while a node is computed
 is an internal fault and stops the run as a PathFault that names the node:
 the first one a preorder walk would meet.

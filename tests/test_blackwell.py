@@ -24,7 +24,7 @@ from polarlab import (
 )
 from polarlab import blackwell
 from polarlab._util import fold_planes, plane_entropies_bits, row_entropies_bits
-from polarlab.blackwell import _bucket_labels, _canonical_atoms, _canonical_segments, _sweep_labels
+from polarlab.blackwell import _bucket_labels, _canonical_atoms, _canonical_segments, _grid_keys, _sweep_labels
 from polarlab.presets import bsc_channel, identity_channel, random_channel, useless_channel
 from polarlab.process import sample_paths
 
@@ -617,3 +617,62 @@ def test_merging_never_raises_capacity(w, tau):
     assert capacity_of_measure(merged) <= capacity_of_measure(exact) + 1e-12
     mean = merged.weights @ merged.posteriors
     assert np.abs(mean - 1.0 / w.group.size).max() <= blackwell.BALANCE_TOL
+
+
+def _lexsorted_bucket_labels(monkeypatch, *args):
+    """_bucket_labels with its keys sorted by lexsort: a zero key row appended changes no order."""
+    packed = blackwell._packed_keys
+
+    def two_rows(keys):
+        rows = packed(keys)
+        return np.vstack([rows, np.zeros_like(rows[:1])])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(blackwell, "_packed_keys", two_rows)
+        return _bucket_labels(*args)
+
+
+@pytest.mark.parametrize("tau, segmented", [(0.05, False), (1e-9, False), (0.05, True), (1e-9, True)])
+def test_one_row_keys_label_as_lexsort_does(monkeypatch, tau, segmented):
+    rng = np.random.default_rng(3)
+    q = rng.dirichlet([0.5, 0.5], 400)
+    # exact twins in one segment, so that the fine grid also ties
+    q[60:90] = q[:30]
+    seg = np.repeat(np.arange(4), 100) if segmented else None
+    args = (q, tau) if seg is None else (q, tau, seg)
+    keys = _grid_keys(q.T, tau)
+    assert len(blackwell._packed_keys(keys if seg is None else np.vstack([seg, keys]))) == 1
+    labels, order = _bucket_labels(*args)
+    want_labels, want_order = _lexsorted_bucket_labels(monkeypatch, *args)
+    assert labels is not None and np.array_equal(labels, want_labels) and order is None
+    # distinct keys: the order itself
+    distinct = (q[100:], tau) if seg is None else (q[100:], tau, seg[100:])
+    labels, order = _bucket_labels(*distinct)
+    want_labels, want_order = _lexsorted_bucket_labels(monkeypatch, *distinct)
+    if tau < 1e-3:
+        assert labels is None
+    assert (labels is None) == (want_labels is None)
+    if labels is None:
+        assert np.array_equal(order, want_order)
+    else:
+        assert np.array_equal(labels, want_labels)
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("size", [2, 4, 8, 11])
+def test_row_check_bound_on_every_layout(layout, size):
+    rng = np.random.default_rng(size)
+    values = rng.standard_normal((50, size)) * np.exp2(rng.integers(-60, 60, (50, size)))
+    values = np.ascontiguousarray(values) if layout == "C" else np.asfortranarray(values)
+    assert blackwell._row_sums(values).tobytes() == values.sum(axis=1).tobytes()
+    rows = np.full((5, size), 1.0 / size)
+    for off, rejected in ((2e-9, True), (5e-10, False)):
+        bad = rows.copy()
+        bad[3, -1] += off
+        bad = np.ascontiguousarray(bad) if layout == "C" else np.asfortranarray(bad)
+        weights = np.full(5, 0.2)
+        if rejected:
+            with pytest.raises(ValueError, match="rows must sum to 1"):
+                _canonical_segments(weights, bad, 0.0, check_rows=True)
+        else:
+            _canonical_segments(weights, bad, 0.0, check_rows=True)

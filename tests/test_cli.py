@@ -389,3 +389,21 @@ def test_verify_steps_suite(capsys):
     assert main(["verify", "--suite", "steps"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("PASS steps.shared-support:") and " 0 mismatches" in out
+
+
+def test_layer_split_tool_prints_every_layer(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    tool = root / "tools" / "layer_split.py"
+    command = [sys.executable, str(tool), "--calls", "2", "--warmup", "1",
+               "polarize", "--preset", "bec:0.5", "--depth", "2", "--delta", "0.1"]
+    out = subprocess.run(command, cwd=tmp_path, capture_output=True, text=True, check=True).stdout
+    lines = out.splitlines()
+    assert "2 calls after 1 warm-up" in lines[0]
+    layers = {line.split()[0] for line in lines[2:-1]}
+    assert layers == {
+        "gap.via_pairs", "gap.via_transform", "gap.rest", "step.record", "step.replay",
+        "step.general", "canonicalize", "evaluate", "report_json", "write", "other",
+    }
+    assert lines[-1].startswith("minor page faults per call: ")
+    # the report went to a temporary file, not to the working directory
+    assert list(tmp_path.iterdir()) == []

@@ -26,7 +26,7 @@ from polarlab import (
     synthetic,
     translate_dist,
 )
-from polarlab import metrics, polar, process
+from polarlab import blackwell, metrics, polar, process
 from polarlab._util import row_entropies_bits
 from polarlab.channels import kernel_capacity
 from polarlab.presets import (
@@ -557,3 +557,118 @@ def test_chunk_mixing_shared_and_unshared_matrices():
     assert replayed == 2
     supports = {support for _, support in plans}
     assert supports == {a.posteriors.tobytes()}
+
+
+def test_replayed_children_weights_are_one_read_only_block():
+    level = _level(blackwell_measure(dh_mix_channel(make_group([2, 4]), 11)), 2, polar.DEFAULT_MERGE_TAU)
+    assert len({m.posteriors.tobytes() for m in level}) == 1
+    plans = {}
+    polar.Chunk(level[:1], plans).minus()
+    plan = plans[((polar.MINUS, polar.DEFAULT_MERGE_TAU), level[0].posteriors.tobytes())]
+    children = polar.Chunk(level, plans).minus()
+    block = children[0].weights.base
+    assert block is not None and not block.flags.writeable
+    for m, child in zip(level, children):
+        w = child.weights
+        assert w.base is block and not w.flags.writeable and w.flags.c_contiguous
+        # the sums of the general path, each divided by its own total
+        raw = (m.weights[:, None] * m.weights[None, :]).ravel()[plan.pairs]
+        row = np.bincount(plan.target, raw, minlength=len(plan.posteriors))
+        assert w.tobytes() == (row / row.sum()).tobytes()
+        assert child.identical(minus_on_measure(m))
+
+
+def _replay_inputs():
+    """(raw, target, posteriors) of three Z2 measures on the posteriors _Q."""
+    raw = np.array([[0.1, 0.2, 0.4, 0.2, 0.1], [0.3, 0.1, 0.2, 0.1, 0.3], [0.2, 0.2, 0.2, 0.2, 0.2]])
+    return raw, np.array([0, 1, 1, 1, 2]), np.array(_Q)
+
+
+def test_replay_checks_every_child_of_the_block(monkeypatch):
+    raw, target, posteriors = _replay_inputs()
+    children = blackwell._replayed_measures(Z2, raw, target, posteriors)
+    for row, child in zip(raw, children):
+        sums = np.bincount(target, row)
+        assert child.weights.tobytes() == (sums / sums.sum()).tobytes()
+    # a plan whose posteriors are not the canonical ones: the measures'
+    # mean posteriors are not uniform
+    skewed = np.array([[0.0, 1.0], [0.5, 0.5], [0.9, 0.1]])
+    with pytest.raises(ValueError, match="not balanced"):
+        blackwell._replayed_measures(Z2, raw, target, skewed)
+    nan = raw.copy()
+    nan[2, 3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        blackwell._replayed_measures(Z2, nan, target, posteriors)
+    # a normalization fault in one row of the block is caught by the one
+    # check of the whole block
+    check = blackwell._check_weights
+    blocks = []
+
+    def faulty(weights, q, size):
+        blocks.append(weights.shape)
+        weights = weights.copy()
+        weights[1, 0] += 1e-8
+        check(weights, q, size)
+
+    monkeypatch.setattr(blackwell, "_check_weights", faulty)
+    with pytest.raises(ValueError, match="do not sum to 1"):
+        blackwell._replayed_measures(Z2, raw, target, posteriors)
+    assert blocks == [(3, 3)]
+
+
+def _step_counts(monkeypatch, w, depth, tau=polar.DEFAULT_MERGE_TAU):
+    """(whether each recorded measure is the root, measures stepped by the general path, replayed steps) of a walk."""
+    root = blackwell_measure(w, tau)
+    recorded, counts = [], {"general": 0, "replayed": 0}
+    record, general, replay = polar._record, polar.Chunk._general, polar._replay
+
+    def counting_record(m, sign, merge_tau):
+        recorded.append(m.identical(root))
+        return record(m, sign, merge_tau)
+
+    def counting_general(chunk, sign, merge_tau):
+        counts["general"] += len(chunk)
+        return general(chunk, sign, merge_tau)
+
+    def counting_replay(plan, measures):
+        out = replay(plan, measures)
+        counts["replayed"] += sum(child is not None for child in out)
+        return out
+
+    monkeypatch.setattr(polar, "_record", counting_record)
+    monkeypatch.setattr(polar.Chunk, "_general", counting_general)
+    monkeypatch.setattr(polar, "_replay", counting_replay)
+    for _ in process._walk_chunks(root, depth, tau):
+        pass
+    return recorded, counts["general"], counts["replayed"]
+
+
+@pytest.mark.parametrize("w, depth", [
+    (dh_mix_channel(make_group([2, 4]), 11), 5),
+    (z4_multilevel_channel(0.5), 7),
+])
+def test_walk_records_at_the_root_and_replays_below(monkeypatch, w, depth):
+    # every node sits on the root's posterior matrix, so the root's two
+    # recorded steps give every step below its plan
+    recorded, general, replayed = _step_counts(monkeypatch, w, depth)
+    assert recorded == [True, True]
+    assert general == 0
+    assert replayed == 2 * (2 ** depth - 2)
+
+
+def test_walk_on_generic_matrices_steps_below_the_root_by_the_general_path(monkeypatch):
+    # no two bsc nodes share a matrix: the root records a plan that nothing
+    # replays, and every node below steps by the general path, as before
+    for tau in (polar.DEFAULT_MERGE_TAU, 1e-3):
+        recorded, general, replayed = _step_counts(monkeypatch, bsc_channel(0.11), 5, tau)
+        assert recorded == [True, True]
+        assert general == 2 * (2 ** 5 - 2)
+        assert replayed == 0
+        monkeypatch.undo()
+
+
+def test_standalone_steps_record_no_plan():
+    m = blackwell_measure(z4_multilevel_channel(0.5))
+    chunk = polar.Chunk([m])
+    chunk.minus(), chunk.plus()
+    assert chunk.plans == {} and chunk.replayed == 0
