@@ -5,26 +5,17 @@ from __future__ import annotations
 import numpy as np
 
 
-def entropy_bits(p: np.ndarray) -> float:
-    """Shannon entropy -sum(p * log2 p) in bits, with 0*log(0) = 0."""
-    p = np.asarray(p, dtype=float)
-    nz = p > 0.0
-    return float(-(p[nz] * np.log2(p[nz])).sum())
-
-
 def row_entropies_bits(rows: np.ndarray) -> np.ndarray:
-    """Entropy in bits of every row of a 2-D array of distributions."""
+    """Entropy in bits of every row of a C- or F-contiguous 2-D array of distributions.
+
+    Rows of at most 128 entries are summed in the order of numpy's
+    rows.sum(axis=1) on their layout (fold_planes); a one-row array counts
+    as C layout.
+    """
     rows = np.asarray(rows, dtype=float)
-    nz = rows > 0.0
-    # log2 runs over the whole array, 1.0 standing in for non-positive
-    # entries, and the product is taken on positive entries only. Masking in
-    # place avoids gathering and scattering rows[nz]; contrib keeps the
-    # layout of rows, on which the summation order of the row sums depends.
-    contrib = np.ones_like(rows)
-    np.copyto(contrib, rows, where=nz)
-    np.log2(contrib, out=contrib)
-    np.multiply(contrib, rows, out=contrib, where=nz)
-    return -contrib.sum(axis=1)
+    if not (rows.flags.c_contiguous or rows.flags.f_contiguous):
+        raise ValueError("rows must be C- or F-contiguous")
+    return plane_entropies_bits(rows.T.copy(), rows.flags.c_contiguous)
 
 
 def fold_planes(planes: np.ndarray, c_layout: bool, out: np.ndarray | None = None) -> np.ndarray:
@@ -55,15 +46,15 @@ def fold_planes(planes: np.ndarray, c_layout: bool, out: np.ndarray | None = Non
 
 
 def plane_entropies_bits(planes: np.ndarray, c_layout: bool, out: np.ndarray | None = None) -> np.ndarray:
-    """row_entropies_bits(rows) for the rows of planes.T laid out as c_layout says, bitwise.
+    """Entropy in bits, with 0*log(0) = 0, of each column of planes, the rows of planes.T.
 
-    Each distribution is a column of planes, which are overwritten by the
-    entropy terms. Every entry that is not positive, NaN and -0.0
-    included, becomes 1.0, whose term is 0.0, the term row_entropies_bits
-    gives it; when the only such entries are zeros, adding (planes == 0)
-    replaces them without a masked copy.
+    Each is summed as numpy sums the rows of planes.T laid out as c_layout
+    says (fold_planes). The planes are overwritten by the entropy terms.
+    Every entry that is not positive, NaN and -0.0 included, becomes 1.0,
+    whose term is 0.0; when the only such entries are zeros, adding
+    (planes == 0) replaces them without a masked copy.
     """
-    low = planes.min()
+    low = planes.min(initial=1.0)
     if low == 0.0:
         np.add(planes, planes == 0.0, out=planes)
     elif not low > 0.0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import entropy_bits, row_entropies_bits
+from ._util import row_entropies_bits
 from .channels import Channel
 from .groups import Group, make_group
 
@@ -38,7 +38,7 @@ def entropy(p: np.ndarray) -> float:
         raise ValueError("expected a 1-D probability vector")
     if p.min() < -MASS_TOL or abs(p.sum() - 1.0) > 1e-9:
         raise ValueError("vector is not a probability distribution")
-    return entropy_bits(p)
+    return float(row_entropies_bits(np.ascontiguousarray(p)[None])[0])
 
 
 def _aggregate(weights: np.ndarray, posteriors: np.ndarray, labels: np.ndarray, k: int):
@@ -490,12 +490,12 @@ def _check_weights(weights: np.ndarray, posteriors: np.ndarray, size: int) -> No
     """Canonical weights must sum to 1 and put the mean posterior at uniform.
 
     `weights` is one measure's weight vector, or a block whose rows are the
-    weights of measures on the same posteriors.
+    weights of measures on the same posteriors. NaN weights fail both.
     """
-    if (np.abs(weights.sum(axis=-1) - 1.0) > SUM_TOL).any():
+    if not (np.abs(weights.sum(axis=-1) - 1.0) <= SUM_TOL).all():
         raise ValueError("atom weights do not sum to 1")
     mean = weights @ posteriors
-    if np.abs(mean - 1.0 / size).max() > BALANCE_TOL:
+    if not np.abs(mean - 1.0 / size).max() <= BALANCE_TOL:
         raise ValueError("measure is not balanced: mean posterior is not uniform")
 
 

@@ -123,32 +123,45 @@ def compose(v: Channel, w: Channel) -> Channel:
 
 def kernel_capacity(kernel: np.ndarray) -> float:
     """Mutual information in bits between a uniform input and the output of a kernel."""
-    return kernel_capacities(kernel, (0, kernel.shape[1]))[0]
+    p_y = kernel.sum(axis=0) / kernel.shape[0]
+    live = p_y > 0.0
+    if not live.all():
+        kernel, p_y = kernel[:, live], p_y[live]
+    return float(np.log2(kernel.shape[0]) - p_y @ _posterior_entropies(kernel, p_y))
+
+
+def _posterior_entropies(kernel: np.ndarray, p_y: np.ndarray) -> np.ndarray:
+    """Entropy in bits of the input posterior of every output of the kernel."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return row_entropies_bits((kernel / (kernel.shape[0] * p_y)).T)
 
 
 def kernel_capacities(kernel: np.ndarray, bounds) -> list[float]:
-    """kernel_capacity of each block kernel[:, a:b] between consecutive bounds.
+    """kernel_capacity of each block kernel[:, a:b] between consecutive bounds (block_capacities)."""
+    p_y = kernel.sum(axis=0) / kernel.shape[0]
+    entropies = _posterior_entropies(kernel, p_y)
+    return block_capacities(
+        kernel.shape[0], p_y, entropies, bounds, lambda s: kernel[:, bounds[s] : bounds[s + 1]]
+    )
 
-    The blocks share one pass, which gives each the bits it gets alone: the
-    column sums and the row entropies of the posteriors do not depend on
-    the other columns. Only the final dot is per block.
+
+def block_capacities(m: int, p_y: np.ndarray, entropies: np.ndarray, bounds, block) -> list[float]:
+    """kernel_capacity of each column block, between consecutive bounds, of a kernel of m inputs.
+
+    p_y is the kernel's output marginal and entropies its posterior
+    entropies as _posterior_entropies gives them; a block's do not depend
+    on the other columns, so only the final dot is per block. A block of
+    one column, or with a dead output, runs alone on its kernel block(s):
+    alone, its one column's entropy sums in C-layout order, and its dead
+    outputs are dropped.
     """
-    m = kernel.shape[0]
-    p_y = kernel.sum(axis=0) / m
-    live = p_y > 0.0
-    if len(bounds) == 2 and not live.all():
-        kernel, p_y = kernel[:, live], p_y[live]
-        bounds = (0, len(p_y))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        entropies = row_entropies_bits((kernel / (m * p_y)).T)
+    dead = np.flatnonzero(~(p_y > 0.0))
+    alone = set((np.searchsorted(bounds, dead, side="right") - 1).tolist())
     top = np.log2(m)
-    dead = len(bounds) > 2 and not live.all()
     out = []
-    for a, b in zip(bounds, bounds[1:]):
-        if len(bounds) > 2 and (b - a == 1 or dead and not live[a:b].all()):
-            # alone, this block would drop its dead outputs, or lay out its
-            # one column so that its row entropies sum in another order
-            out.append(kernel_capacity(kernel[:, a:b]))
+    for s, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        if b - a == 1 or s in alone:
+            out.append(kernel_capacity(block(s)))
         else:
             out.append(float(top - p_y[a:b] @ entropies[a:b]))
     return out

@@ -11,7 +11,6 @@ import tempfile
 
 from .blackwell import MERGE_TAU_MIN, blackwell_measure
 from .channels import Channel, channel_from_json, delta_determining_subgroup, symmetric_capacity
-from .groups import Group
 from .metrics import pc_gap_lower_bound, wasserstein
 from .presets import parse_group_spec, parse_preset
 from .process import DEFAULT_DELTA, enumerate_paths, report_csv, report_json, sample_paths
@@ -33,18 +32,26 @@ def _load_channel_file(path: str) -> Channel:
     return channel_from_json(obj)
 
 
-def _resolve_channel(args, flag_value: str | None, preset_value: str | None) -> tuple[Channel, str]:
-    group: Group | None = None
-    if getattr(args, "group", None):
-        group = parse_group_spec(args.group)
-    outputs = getattr(args, "outputs", None)
-    if preset_value is not None:
-        return parse_preset(preset_value, group, outputs), f"preset:{preset_value}"
-    if flag_value is None:
+def _resolve_channels(args, *specs: str | None) -> list[Channel]:
+    """The channel of each spec, a channel file or 'preset:SPEC'.
+
+    A --group other than the group of a channel, or --outputs with no
+    random preset, would select nothing and is an input error.
+    """
+    group = parse_group_spec(args.group) if args.group else None
+    if None in specs:
         raise ValueError("provide either --channel FILE or --preset SPEC")
-    if flag_value.startswith("preset:"):
-        return parse_preset(flag_value[len("preset:"):], group, outputs), flag_value
-    return _load_channel_file(flag_value), flag_value
+    presets = {spec: spec[len("preset:"):] for spec in specs if spec.startswith("preset:")}
+    channels = [
+        parse_preset(presets[spec], group, args.outputs) if spec in presets else _load_channel_file(spec)
+        for spec in specs
+    ]
+    for spec, channel in zip(specs, channels):
+        if group is not None and channel.group != group:
+            raise ValueError(f"--group {args.group} does not apply to {spec}, on {channel.group!r}")
+    if args.outputs is not None and not any(p.split(":")[0].lower() == "random" for p in presets.values()):
+        raise ValueError("--outputs applies only to the random preset")
+    return channels
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -64,7 +71,7 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def cmd_polarize(args) -> int:
-    channel, source = _resolve_channel(args, args.channel, args.preset)
+    (channel,) = _resolve_channels(args, args.channel)
     if not MERGE_TAU_MIN <= args.merge_tau <= MERGE_TAU_MAX:
         raise ValueError(
             f"merge tolerance must be in [{MERGE_TAU_MIN}, {MERGE_TAU_MAX}], got {args.merge_tau}"
@@ -80,7 +87,7 @@ def cmd_polarize(args) -> int:
         samples = 1 if args.samples is None else args.samples
         seed = 0 if args.seed is None else args.seed
         report = sample_paths(channel, args.depth, samples, seed, **kw)
-    report.config["source"] = source
+    report.config["source"] = args.channel
     data = report.to_dict()
     text = report_json(data) if args.format == "json" else report_csv(data)
     if args.output:
@@ -101,7 +108,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    channel, _ = _resolve_channel(args, args.channel, args.preset)
+    (channel,) = _resolve_channels(args, args.channel)
     channel.require_group()
     result = delta_determining_subgroup(channel, args.delta)
     print(f"capacity_bits={symmetric_capacity(channel)!r}")
@@ -115,8 +122,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    channel_a, _ = _resolve_channel(args, args.channel_a, None)
-    channel_b, _ = _resolve_channel(args, args.channel_b, None)
+    channel_a, channel_b = _resolve_channels(args, args.channel_a, args.channel_b)
     ga, gb = channel_a.require_group(), channel_b.require_group()
     if ga != gb:
         raise ValueError(f"input alphabets differ: {ga!r} vs {gb!r}")
@@ -146,9 +152,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_channel_args(p):
         source = p.add_mutually_exclusive_group()
         source.add_argument("--channel", help="channel JSON file (or 'preset:SPEC')")
-        source.add_argument("--preset", help="built-in channel, e.g. bec:0.5, bsc:0.1, "
-                                             "dh:Z4:{0,2}, z4-multilevel:0.5, random:7, dh-mix:3")
-        p.add_argument("--group", help="group spec for presets, e.g. Z4 or [2,4]")
+        source.add_argument("--preset", dest="channel", type=lambda spec: f"preset:{spec}", metavar="SPEC",
+                            help="built-in channel, read as --channel preset:SPEC, e.g. bec:0.5, bsc:0.1, "
+                                 "dh:Z4:{0,2}, z4-multilevel:0.5, random:7, dh-mix:3")
+        p.add_argument("--group", help="group spec for presets, e.g. Z4 or [2,4]; must be the channel's")
         p.add_argument("--outputs", type=int, help="output count for the random preset")
 
     pol = sub.add_parser("polarize", help="run a polarization experiment")
@@ -180,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     dist = sub.add_parser("distance", help="distance between two channels' measures")
     dist.add_argument("--channel-a", required=True, help="channel file or 'preset:SPEC'")
     dist.add_argument("--channel-b", required=True, help="channel file or 'preset:SPEC'")
-    dist.add_argument("--group", help="group spec for presets")
+    dist.add_argument("--group", help="group spec for presets; must be both channels' group")
     dist.add_argument("--outputs", type=int, help="output count for the random preset")
     dist.add_argument("--metric", choices=("wasserstein", "pc-bound"), default="wasserstein")
     dist.add_argument("--trials", type=int, default=64)

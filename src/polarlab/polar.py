@@ -28,7 +28,7 @@ from .blackwell import (
     _replayed_measures,
     blackwell_measure,
 )
-from .channels import Channel, kernel_capacities, kernel_capacity
+from .channels import Channel, block_capacities, kernel_capacities
 from .groups import Group
 
 DEFAULT_ATOM_BUDGET = 20000
@@ -429,19 +429,22 @@ _TILE_FLOATS = 1 << 16
 
 
 def _planes(chunk: Chunk, rows: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
-    """(pairs, planes) of tiles that cover the atom pairs of the chunk's blocks of two or more atoms.
+    """(pairs, planes) of tiles that cover the atom pairs of the chunk.
 
     planes[u] of a tile holds sum_v rows[i, u + v] rows[j, v] for its
-    pairs, laid out as the chunk lays out its pairs and summed in order of
-    v, as _convolve_block sums them; `pairs` are their indices. A tile is a
-    run of first atoms i of one block: whole measures, or rows of one
-    measure when a measure does not fit. Its planes live in a buffer that
-    the next tile reuses, so a tile is read before the next is asked for.
+    pairs, laid out as the chunk lays out its pairs and summed as
+    _convolve_block sums them; `pairs` are their indices. A tile is a run
+    of first atoms i of one block: whole measures, or rows of one measure
+    when a measure does not fit; a block of one-atom measures is one tile.
+    Its planes live in a buffer that the next tile reuses, so a tile is
+    read before the next is asked for.
     """
     size = chunk.group.size
     table = chunk.group.add_table
     for k, a, b in chunk.blocks:
         if k == 1:
+            conv = _convolve_block(chunk.block(rows, k, a, b), table)
+            yield slice(chunk.pair_starts[a], chunk.pair_starts[b]), conv.reshape(b - a, size).T.copy()
             continue
         # [v, n, i] = rows[n, i, v] and [u, v, n, i] = rows[n, i, u + v]
         r = np.ascontiguousarray(chunk.block(rows, k, a, b).transpose(2, 0, 1))
@@ -475,11 +478,6 @@ def _convolution_entropies(chunk: Chunk) -> np.ndarray:
     out = np.empty(chunk.pair_starts[-1])
     for pairs, planes in _planes(chunk, chunk.posteriors):
         plane_entropies_bits(planes, True, out=out[pairs])
-    table = chunk.group.add_table
-    for k, a, b in chunk.blocks:
-        if k == 1:
-            conv = _convolve_block(chunk.block(chunk.posteriors, k, a, b), table)
-            out[chunk.pair_starts[a] : chunk.pair_starts[b]] = row_entropies_bits(conv.reshape(b - a, -1))
     return out
 
 
@@ -491,15 +489,12 @@ def _minus_capacities(chunk: Chunk, columns: np.ndarray) -> list[float]:
     columns i and j over |G|, the plane u of each tile divided by |G|.
     Bitwise what kernel_capacities gives on the (|G|, P) kernel of all the
     chunk's pairs: a tile's planes are its rows, so the output marginal
-    p_y is their left fold, and the row entropies of the posteriors, the
-    kernel's F-layout transpose, fold left too. Only the final dot is per
-    measure. A measure with a dead output, or with one atom pair, runs
-    alone as kernel_capacities runs it.
+    p_y is their left fold, and the posterior entropies, from the kernel's
+    F-layout transpose, fold left too.
     """
     size = chunk.group.size
     count = chunk.pair_starts[-1]
-    # p_y stays 0 on the pairs of one-atom measures, which _planes skips
-    p_y, entropies = np.zeros(count), np.empty(count)
+    p_y, entropies = np.empty(count), np.empty(count)
     for pairs, planes in _planes(chunk, columns):
         planes /= size
         marginal = np.add.reduce(planes, axis=0, out=p_y[pairs])
@@ -507,22 +502,13 @@ def _minus_capacities(chunk: Chunk, columns: np.ndarray) -> list[float]:
         with np.errstate(divide="ignore", invalid="ignore"):
             planes /= size * marginal
         plane_entropies_bits(planes, False, out=entropies[pairs])
-    # alone, a measure with a dead output would drop it, and a one-atom
-    # measure would lay out its one column so that its sums run in another
-    # order
-    alone = set((np.searchsorted(chunk.pair_starts, np.flatnonzero(~(p_y > 0.0)), side="right") - 1).tolist())
-    top = np.log2(size)
-    table = chunk.group.add_table
-    out = []
-    bounds = chunk.pair_starts.tolist()
-    for s, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        if s not in alone:
-            out.append(float(top - p_y[a:b] @ entropies[a:b]))
-            continue
+
+    def lone_minus_kernel(s: int) -> np.ndarray:
         k = chunk.by_size[s].atom_count
-        conv = _convolve_block(chunk.block(columns, k, s, s + 1), table)
-        out.append(kernel_capacity(np.ascontiguousarray((conv.reshape(-1, size) / size).T)))
-    return out
+        conv = _convolve_block(chunk.block(columns, k, s, s + 1), chunk.group.add_table)
+        return np.ascontiguousarray((conv.reshape(-1, size) / size).T)
+
+    return block_capacities(size, p_y, entropies, chunk.pair_starts.tolist(), lone_minus_kernel)
 
 
 def minus_on_measure(m: BlackwellMeasure, merge_tau: float = DEFAULT_MERGE_TAU) -> BlackwellMeasure:

@@ -16,6 +16,7 @@ from polarlab import (
     subgroup_from_members,
     symmetric_capacity,
 )
+from polarlab.channels import kernel_capacities, kernel_capacity
 from polarlab.presets import bsc_channel, identity_channel, useless_channel
 
 Z2 = make_group([2])
@@ -169,6 +170,27 @@ def test_delta_determining_reports_all_witnesses_at_large_delta():
     assert len(res.witnesses) == 2
     gaps = [max(w.gap_capacity, w.gap_quotient) for w in res.witnesses]
     assert gaps == sorted(gaps)
+
+
+@pytest.mark.parametrize("m", [3, 11, 17])
+def test_kernel_capacities_give_each_block_its_bits_alone(m):
+    # blocks of one column, of a dead output and of several live outputs
+    # side by side: each must get bitwise the capacity it gets alone
+    rng = np.random.default_rng(m)
+    dead = rng.dirichlet(np.ones(3), size=m)
+    dead[:, 1] = 0.0
+    dead /= dead.sum(axis=1, keepdims=True)
+    blocks = [
+        rng.dirichlet(np.ones(4), size=m),
+        np.ones((m, 1)),
+        dead,
+        rng.dirichlet(np.full(2, 0.3), size=m),
+        np.ones((m, 1)),
+        rng.dirichlet(np.ones(5), size=m),
+    ]
+    bounds = np.concatenate([[0], np.cumsum([b.shape[1] for b in blocks])]).tolist()
+    got = kernel_capacities(np.hstack(blocks), bounds)
+    assert [c.hex() for c in got] == [kernel_capacity(b).hex() for b in blocks]
 
 
 def test_channel_json_round_trip():

@@ -347,6 +347,40 @@ def test_classify_exit_codes(tmp_path, capsys):
         assert captured.out == ""
 
 
+def test_flags_that_select_nothing_are_rejected(tmp_path, capsys):
+    # --group on a channel of another group, and --outputs with no random
+    # preset, would be ignored: each exits 1 and writes nothing
+    chan = write_channel(tmp_path, bsc_channel(0.1))
+    depth = ["--depth", "0"]
+    cases = [
+        (["polarize", "--preset", "bsc:0.1", "--group", "Z4", "--outputs", "7", *depth], "--group"),
+        (["polarize", "--preset", "z4-multilevel:0.5", "--group", "Z2", *depth], "--group"),
+        (["classify", "--preset", "dh:Z4:{0,2}", "--group", "[2,2]"], "--group"),
+        (["polarize", "--channel", chan, "--group", "Z4", *depth], "--group"),
+        (["polarize", "--channel", "preset:bsc:0.1", "--group", "Z3", *depth], "--group"),
+        (["polarize", "--preset", "bsc:0.1", "--outputs", "7", *depth], "--outputs"),
+        (["polarize", "--preset", "dh-mix:3", "--group", "Z4", "--outputs", "3", *depth], "--outputs"),
+        (["classify", "--channel", chan, "--outputs", "3"], "--outputs"),
+        (["distance", "--channel-a", "preset:bsc:0.1", "--channel-b", "preset:bec:0.3",
+          "--outputs", "3"], "--outputs"),
+        (["distance", "--channel-a", "preset:random:1", "--channel-b", "preset:bsc:0.1",
+          "--group", "Z4"], "--group"),
+    ]
+    for args, flag in cases:
+        assert main(args) == 1, args
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and flag in captured.err, args
+        assert captured.out == "", args
+    # a flag that selects something is accepted: the group a preset carries
+    # anyway, and --outputs beside one random channel
+    assert main(["polarize", "--preset", "bsc:0.1", "--group", "Z2", *depth]) == 0
+    assert main(["polarize", "--channel", chan, "--group", "[2]", *depth]) == 0
+    capsys.readouterr()
+    assert main(["distance", "--channel-a", "preset:random:1", "--channel-b", "preset:bsc:0.1",
+                 "--outputs", "3"]) == 0
+    assert float(capsys.readouterr().out) >= 0.0
+
+
 def test_distance_identical_and_relabeled(tmp_path, capsys):
     w = bsc_channel(0.1)
     a = write_channel(tmp_path, w, "a.json")

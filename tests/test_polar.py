@@ -377,12 +377,28 @@ def test_chunk_kernels_match_each_measure_alone(case):
     assert gaps == [_reference_gap(m) for m in measures]
 
 
+def _one_atom(group, seed):
+    """A one-atom measure whose posterior is off uniform by far less than BALANCE_TOL."""
+    noise = np.random.default_rng(seed).standard_normal(group.size) * 1e-12
+    q = 1.0 / group.size + noise - noise.mean()
+    return BlackwellMeasure(group, [1.0], [q / q.sum()])
+
+
 def test_one_atom_measure_keeps_its_gap_in_a_chunk():
-    # Z11: beside other measures, the one-atom measure's kernel columns
-    # would sum their row entropies in another order than alone
-    z11 = make_group([11])
-    measures = [blackwell_measure(useless_channel(z11)), blackwell_measure(random_channel(z11, 3, seed=1))]
-    assert polar.Chunk(measures).gaps() == [_reference_gap(m) for m in measures]
+    # on Z11, beside other measures, a one-atom measure's kernel column
+    # would sum its row entropies in another order than alone; and a block
+    # of several one-atom measures would sum their pair convolutions in
+    # another order than each alone, on every group but Z2
+    for dims in ([11], [3], [12], [4, 4, 4]):
+        group = make_group(dims)
+        measures = [
+            blackwell_measure(useless_channel(group)),
+            blackwell_measure(random_channel(group, 3, seed=1)),
+            _one_atom(group, 1),
+            _one_atom(group, 2),
+            blackwell_measure(random_channel(group, 2, seed=2)),
+        ]
+        assert _bits(polar.Chunk(measures).gaps()) == _bits(_reference_gap(m) for m in measures), dims
 
 
 def _bits(gaps):

@@ -91,6 +91,11 @@ COMMANDS: list[tuple[str, list[str]]] = [
         (f"dh-mix:3 {group} d4", polarize("--preset", "dh-mix:3", "--group", group, "--depth", "4"))
         for group in ("Z12", "Z16")
     ],
+    # one-atom measures on groups other than Z2, which the gap kernels
+    # convolve apart from their tiles (the second exits 2)
+    ("useless Z11 d3", polarize("--preset", "useless", "--group", "Z11", "--depth", "3")),
+    ("random:1 Z3 d5 tau 1e-3", polarize(
+        "--preset", "random:1", "--group", "Z3", "--depth", "5", "--merge-tau", "1e-3")),
     ("random:5 [2,4] d1", polarize("--preset", "random:5", "--group", "[2,4]", "--depth", "1")),
     ("random:0 Z4 budget 300", polarize(
         "--preset", "random:0", "--group", "Z4", "--depth", "3", "--atom-budget", "300")),
