@@ -110,6 +110,12 @@ def dh_mix_channel(group: Group, seed: int) -> Channel:
     return Channel(np.hstack(blocks), outputs, group)
 
 
+# the fields of each preset's spec, its name included
+_PRESET_FIELDS = {
+    "bec": 2, "bsc": 2, "dh": 3, "z4-multilevel": 2, "random": 2, "dh-mix": 2, "identity": 1, "useless": 1,
+}
+
+
 def parse_preset(
     spec: str,
     group: Group | None = None,
@@ -118,10 +124,16 @@ def parse_preset(
     """Channel from a preset string.
 
     Supported: 'bec:EPS', 'bsc:P', 'dh:GROUP:{i,j,...}', 'z4-multilevel:EPS',
-    'random:SEED' (uses the given group, default Z2), 'identity', 'useless'.
+    'random:SEED' (uses the given group, default Z2), 'dh-mix:SEED',
+    'identity', 'useless'. A spec with more fields than its form is
+    rejected, since the extra fields would select nothing.
     """
     parts = spec.split(":")
     name = parts[0].lower()
+    if name not in _PRESET_FIELDS:
+        raise ValueError(f"unknown preset {name!r}")
+    if len(parts) > _PRESET_FIELDS[name]:
+        raise ValueError(f"bad preset {spec!r}: {name} takes {_PRESET_FIELDS[name] - 1} field(s)")
     try:
         if name == "bec":
             return bec_channel(float(parts[1]), group)
@@ -141,8 +153,6 @@ def parse_preset(
             return dh_mix_channel(group or make_group([2]), int(parts[1]))
         if name == "identity":
             return identity_channel(group or make_group([2]))
-        if name == "useless":
-            return useless_channel(group or make_group([2]))
+        return useless_channel(group or make_group([2]))
     except (IndexError, ValueError) as exc:
         raise ValueError(f"bad preset {spec!r}: {exc}") from exc
-    raise ValueError(f"unknown preset {name!r}")

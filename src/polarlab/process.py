@@ -3,19 +3,20 @@
 Every mode walks the binary transform tree with one generator,
 `_walk_chunks`, so each child reuses its parent's merged measure and each
 measure is computed once. The walk takes consecutive nodes of one depth
-together, as a chunk: its transforms, merging, capacity gaps and leaf
-evaluation run once for all its nodes (polar.Chunk, _evaluate), and each
-node gets bitwise the result it gets alone, so the chunking never shows in
-a report. Nodes that share a posterior matrix are stepped by replaying a
+together, as a chunk: its transforms, merging, capacity gaps and
+evaluation run once for all its nodes, on one polar.Chunk, and each node
+gets bitwise the result it gets alone, so the chunking never shows in a
+report. Nodes that share a posterior matrix are stepped by replaying a
 plan that the first of them, or the root, records, again bitwise as
 alone; each walk keeps its own table of plans, which ends with the walk.
 A chunk's size counts the floats its nodes materialize, up to
-_CHUNK_ATOMS: a node's raw posteriors when it steps by the general path,
-only its raw weights when it replays, so a level that replays runs in a
-few chunks. Per-path resource failures (atom budget) are recorded on the affected paths; the rest of the
-tree is still evaluated. Any other error raised while a node is computed
-is an internal fault and stops the run as a PathFault that names the node:
-the first one a preorder walk would meet.
+_CHUNK_ATOMS: only a node's raw weights when the table holds plans of
+both signs for its matrix, its raw posteriors otherwise, so a level that
+replays runs in a few chunks. Per-path resource failures (atom budget)
+are recorded on the affected paths; the rest of the tree is still
+evaluated. Any other error raised while a node is computed is an internal
+fault and stops the run as a PathFault that names the node: the first one
+a preorder walk would meet.
 Evaluation is sequential, and all outputs are deterministic given the
 configuration.
 """
@@ -62,6 +63,7 @@ class PathFault(RuntimeError):
     def __init__(self, path: str, error: Exception):
         super().__init__(f"path '{path}': {error}")
         self.path = path
+        self.__cause__ = error
 
 
 class MartingaleResidual(NamedTuple):
@@ -175,9 +177,8 @@ class PolarizationReport:
         done = self.evaluated
         capacities = [r.capacity for r in done]
         edges = np.linspace(0.0, np.log2(group_size), CAPACITY_HIST_BINS + 1)
-        hist = np.histogram(capacities, bins=edges)[0] if capacities else np.zeros(
-            CAPACITY_HIST_BINS, dtype=int
-        )
+        # a capacity rounded just outside [0, log2 |G|] counts in the end bin
+        hist = np.histogram(np.clip(capacities, edges[0], edges[-1]), bins=edges)[0]
         n_eval = len(done)
         return {
             "schema": "polarlab-report/1",
@@ -322,19 +323,13 @@ def _gap_refusal(m: BlackwellMeasure, atom_budget: int) -> str | None:
 # atoms steps to k^2 (1 + |G|) raw children, the pairs of its minus step
 # and the atoms of its plus step: on the general path each carries |G|
 # posterior floats, while a node that replays a plan (polar.Chunk._step)
-# builds only their weights (_split). Children are chunked up to this
-# cap, so a larger node runs alone, and the walk holds O(depth) chunks.
+# builds only their weights. Children are chunked up to this cap (_split),
+# so a larger node runs alone, and the walk holds O(depth) chunks.
 _CHUNK_ATOMS = 1 << 17
 
 # A node of the transform tree: its merged measure, the budget-refusal
 # message that stopped its path, or the fault that stopped the walk there.
 Node = BlackwellMeasure | str | PathFault
-
-
-def _fault(path: str, exc: Exception) -> PathFault:
-    fault = PathFault(path, exc)
-    fault.__cause__ = exc
-    return fault
 
 
 def _per_chunk(kernel, chunk: Chunk, paths: list[str]) -> list:
@@ -351,21 +346,18 @@ def _per_chunk(kernel, chunk: Chunk, paths: list[str]) -> list:
             try:
                 out.extend(kernel(Chunk([m])))
             except (RuntimeError, ValueError) as exc:
-                out.append(_fault(path, exc))
+                out.append(PathFault(path, exc))
         return out
 
 
 def _split(children: list[tuple[str, Node]], plans: dict, merge_tau: float) -> list[list[tuple[str, Node]]]:
     """Consecutive runs of children that materialize at most _CHUNK_ATOMS floats each; a larger child runs alone.
 
-    A child that will step by the general path is priced at its raw
-    children's posteriors, k^2 (1 + |G|) |G| floats; one that will replay
-    a plan only at their raw weights, k^2 (1 + |G|) floats. The first child
-    on each posterior matrix takes the general path unless the walk's
-    `plans` already hold a plan of both signs for that matrix; a later
-    child on the same matrix replays the plan the first one records.
+    A child whose posterior matrix has a plan of both signs in the walk's
+    `plans` will replay them, and is priced at its raw children's weights,
+    k^2 (1 + |G|) floats. Any other child is priced at their posteriors,
+    k^2 (1 + |G|) |G| floats, as if it took the general path.
     """
-    seen = set()
     runs, load = [[]], 0
     for child in children:
         cost = 0
@@ -373,10 +365,8 @@ def _split(children: list[tuple[str, Node]], plans: dict, merge_tau: float) -> l
         if isinstance(node, BlackwellMeasure):
             cost = node.atom_count ** 2 * (1 + node.group.size)
             support = node.posteriors.tobytes()
-            if support not in seen:
-                seen.add(support)
-                if any(plans.get(((sign, merge_tau), support)) is None for sign in (MINUS, PLUS)):
-                    cost *= node.group.size
+            if any(plans.get(((sign, merge_tau), support)) is None for sign in (MINUS, PLUS)):
+                cost *= node.group.size
         if runs[-1] and load + cost > _CHUNK_ATOMS:
             runs.append([])
             load = 0
@@ -392,23 +382,28 @@ def _walk_chunks(
     atom_budget: int = DEFAULT_ATOM_BUDGET,
     wanted: Iterable[str] | None = None,
     gap_depths: Container[int] = (),
-) -> Iterator[tuple[list[str], list[Node], list[float | None]]]:
+    eval_depths: Container[int] = (),
+    delta: float | None = DEFAULT_DELTA,
+) -> Iterator[tuple[list[str], list[Node], list[float | None], list[Evaluation | None]]]:
     """Walk the transform tree below `root` to `depth`, a chunk of a level at a time.
 
-    Yields the (paths, nodes, gaps) of each chunk: every prefix, or, given
-    `wanted`, only the prefixes of the wanted paths. The chunks of each
-    depth, and so the leaves, come in path order, '-' first. A chunk is a
-    run of consecutive nodes of one depth: its steps and its gaps each run
-    once for all its measures (polar.Chunk). Its
+    Yields the (paths, nodes, gaps, results) of each chunk: every prefix,
+    or, given `wanted`, only the prefixes of the wanted paths. The chunks of
+    each depth, and so the leaves, come in path order, '-' first. A chunk
+    is a run of consecutive nodes of one depth: its steps, its gaps and its
+    evaluation each run once for all its measures, on one polar.Chunk. Its
     children are split into chunks again (_split) and walked depth first.
     Each measure is stepped once from its parent's. At the depths in
     `gap_depths` a node's guarded capacity gap is computed before its
-    children are stepped; elsewhere its gap is None. A refused step or gap
-    replaces the node by its message, which stands in for every descendant;
-    nothing below is computed. A step or gap that raises RuntimeError or
+    children are stepped, and at the depths in `eval_depths` its
+    Evaluation at `delta` (_evaluate_chunk); elsewhere its gap and its
+    result are None. A refused step or gap replaces the node by its
+    message, which stands in for every descendant; nothing below is
+    computed. A step, gap or evaluation that raises RuntimeError or
     ValueError replaces the node by a PathFault that names it and likewise
-    stands in for its descendants; the reader raises the first one it meets
-    among the nodes it uses.
+    stands in for its descendants. At the depths in `eval_depths` the walk
+    raises the first PathFault of the chunk in path order, so a reader
+    meets no fault among the nodes it evaluates.
     """
     prefixes = None if wanted is None else {p[:k] for p in wanted for k in range(len(p) + 1)}
     # what this walk's shared posterior matrices decide: step plans and
@@ -422,7 +417,9 @@ def _walk_chunks(
 
         def run(kernel, todo: list[int], sign: str = "") -> list:
             # a fault is named after the node computed: the node's own path
-            # for its gap, its child's for a step
+            # for its gap or its evaluation, its child's for a step
+            if not todo:
+                return []
             key = tuple(todo)
             if key not in chunks:
                 chunks[key] = Chunk([nodes[i] for i in todo], plans)
@@ -438,13 +435,23 @@ def _walk_chunks(
                         todo.append(i)
                     else:
                         nodes[i] = refusal
-            if todo:
-                for i, gap in zip(todo, run(Chunk.gaps, todo)):
-                    if isinstance(gap, PathFault):
-                        nodes[i] = gap
-                    else:
-                        gaps[i] = gap.value
-        yield paths, nodes, gaps
+            for i, gap in zip(todo, run(Chunk.gaps, todo)):
+                if isinstance(gap, PathFault):
+                    nodes[i] = gap
+                else:
+                    gaps[i] = gap.value
+        results: list[Evaluation | None] = [None] * len(nodes)
+        if level in eval_depths:
+            todo = [i for i, node in enumerate(nodes) if isinstance(node, BlackwellMeasure)]
+            for i, result in zip(todo, run(lambda chunk: _evaluate_chunk(chunk, delta), todo)):
+                if isinstance(result, PathFault):
+                    nodes[i] = result
+                else:
+                    results[i] = result
+            for node in nodes:
+                if isinstance(node, PathFault):
+                    raise node
+        yield paths, nodes, gaps, results
         if level == depth:
             continue
         children: dict[str, Node] = {}
@@ -460,10 +467,8 @@ def _walk_chunks(
                         todo.append(i)
                     else:
                         children[path + sign] = refusal
-            if todo:
-                stepped = run(lambda chunk: kernel(chunk, merge_tau), todo, sign)
-                for i, child in zip(todo, stepped):
-                    children[paths[i] + sign] = child
+            for i, child in zip(todo, run(lambda chunk: kernel(chunk, merge_tau), todo, sign)):
+                children[paths[i] + sign] = child
         ordered = [
             (path + sign, children[path + sign])
             for path in paths
@@ -502,33 +507,14 @@ def _evaluate_chunk(chunk: Chunk, delta: float | None) -> list[Evaluation]:
     return [Evaluation(*pol, cap, det) for pol, cap, det in zip(nearest, capacities, classes)]
 
 
-def _evaluate(paths: list[str], nodes: list[Node], delta: float | None) -> list:
-    """A walker chunk's nodes with each measure replaced by its Evaluation.
-
-    The measures are evaluated together (_evaluate_chunk); budget messages
-    and faults pass through. If the batch raises, each measure is evaluated
-    alone, and one whose evaluation raises gets a PathFault naming it.
-    """
-    out = list(nodes)
-    todo = [i for i, node in enumerate(nodes) if isinstance(node, BlackwellMeasure)]
-    if todo:
-        chunk = Chunk([nodes[i] for i in todo])
-        results = _per_chunk(lambda c: _evaluate_chunk(c, delta), chunk, [paths[i] for i in todo])
-        for i, result in zip(todo, results):
-            out[i] = result
-    return out
-
-
 def _leaf_records(
-    paths: list[str], nodes: list[Node], gaps: list[float | None], delta: float
+    paths: list[str], nodes: list[Node], gaps: list[float | None], results: list[Evaluation | None]
 ) -> list[PathRecord]:
-    """The records of a walker chunk of leaves; raises its first fault in path order."""
+    """The records of a walker chunk of evaluated leaves."""
     records = []
-    for path, node, gap, result in zip(paths, nodes, gaps, _evaluate(paths, nodes, delta)):
-        if isinstance(result, PathFault):
-            raise result
-        if isinstance(result, str):
-            records.append(PathRecord(path=path, error=result))
+    for path, node, gap, result in zip(paths, nodes, gaps, results):
+        if isinstance(node, str):
+            records.append(PathRecord(path=path, error=node))
             continue
         records.append(PathRecord(
             path=path,
@@ -563,13 +549,14 @@ def enumerate_paths(
     records: list[PathRecord] = []
     level_gaps: dict[int, list[float]] = {}
     root = blackwell_measure(w, merge_tau)
-    walk = _walk_chunks(root, depth, merge_tau, atom_budget, gap_depths=range(depth + 1))
-    for paths, nodes, gaps in walk:
+    walk = _walk_chunks(root, depth, merge_tau, atom_budget, gap_depths=range(depth + 1),
+                        eval_depths=(depth,), delta=delta)
+    for paths, nodes, gaps, results in walk:
         for path, gap in zip(paths, gaps):
             if gap is not None:
                 level_gaps.setdefault(len(path), []).append(gap)
         if len(paths[0]) == depth:
-            records.extend(_leaf_records(paths, nodes, gaps, delta))
+            records.extend(_leaf_records(paths, nodes, gaps, results))
     return PolarizationReport(config, records, level_gaps)
 
 
@@ -603,11 +590,12 @@ def sample_paths(
         paths.append("".join(PLUS if b else MINUS for b in bits))
 
     root = blackwell_measure(w, merge_tau)
-    walk = _walk_chunks(root, depth, merge_tau, atom_budget, paths, gap_depths=(depth,))
+    walk = _walk_chunks(root, depth, merge_tau, atom_budget, paths, gap_depths=(depth,),
+                        eval_depths=(depth,), delta=delta)
     leaves = {}
-    for chunk_paths, nodes, gaps in walk:
+    for chunk_paths, nodes, gaps, results in walk:
         if len(chunk_paths[0]) == depth:
-            leaves.update((r.path, r) for r in _leaf_records(chunk_paths, nodes, gaps, delta))
+            leaves.update((r.path, r) for r in _leaf_records(chunk_paths, nodes, gaps, results))
     return PolarizationReport(config, [leaves[path] for path in paths], {})
 
 
@@ -626,13 +614,13 @@ def convergence_trace(
     depth = len(steps)
     root = blackwell_measure(w, merge_tau)
     out = []
-    walk = _walk_chunks(root, depth, merge_tau, atom_budget, [steps], gap_depths=range(depth + 1))
-    for paths, nodes, gaps in walk:
-        for prefix, gap, result in zip(paths, gaps, _evaluate(paths, nodes, None)):
-            if isinstance(result, str):
-                raise AtomBudgetError(result)
-            if isinstance(result, PathFault):
-                raise result
+    levels = range(depth + 1)
+    walk = _walk_chunks(root, depth, merge_tau, atom_budget, [steps], gap_depths=levels,
+                        eval_depths=levels, delta=None)
+    for paths, nodes, gaps, results in walk:
+        for prefix, node, gap, result in zip(paths, nodes, gaps, results):
+            if isinstance(node, str):
+                raise AtomBudgetError(node)
             out.append(
                 TraceRecord(
                     depth=len(prefix),

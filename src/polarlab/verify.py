@@ -153,7 +153,7 @@ def _acceptance_walks() -> list[tuple[Channel, int]]:
 
 def _measure_chunks(w: Channel, depth: int):
     """The (paths, measures) of each chunk of the walk below w; a failed node raises."""
-    for paths, nodes, _ in _walk_chunks(blackwell_measure(w), depth):
+    for paths, nodes, _, _ in _walk_chunks(blackwell_measure(w), depth):
         for m in nodes:
             if isinstance(m, str):
                 raise AtomBudgetError(m)

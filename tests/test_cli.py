@@ -145,6 +145,18 @@ def test_polarize_written_report_round_trips(tmp_path):
     assert json.dumps(json.loads(raw), indent=2) + "\n" == raw
 
 
+@pytest.mark.parametrize("group, depth", [("Z11", 3), ("Z6", 2), ("Z12", 2)])
+def test_capacity_histogram_counts_every_evaluated_leaf(tmp_path, group, depth):
+    # useless leaves have capacity 0 up to rounding, on either side of the
+    # first bin's edge
+    out = tmp_path / "r.json"
+    assert main(["polarize", "--preset", "useless", "--group", group, "--depth", str(depth),
+                 "--output", str(out)]) == 0
+    aggregates = json.loads(out.read_text())["aggregates"]
+    assert aggregates["evaluated"] == 2 ** depth
+    assert sum(item["count"] for item in aggregates["capacity_histogram"]) == 2 ** depth
+
+
 def test_polarize_csv_aggregates(tmp_path):
     out = tmp_path / "r.csv"
     code = main([
@@ -276,6 +288,12 @@ def test_polarize_invalid_inputs(tmp_path, capsys):
         (bsc + ["--mode", "foo"], "--mode"),
         (bsc + ["--mode", "sample", "--samples", "0"], "sample count"),
         (bsc + ["--atom-budget", "0"], "atom budget"),
+        # a preset field beyond its form would select nothing
+        *[
+            (["--preset", spec, "--depth", "2"], f"bad preset {spec!r}")
+            for spec in ("bec:0.5:Z4", "random:7:5", "bsc:0.11:0.3", "identity:7", "useless:",
+                         "dh-mix:3:oops", "dh:Z4:{0,2}:1", "z4-multilevel:0.5:0.5")
+        ],
     ]
     for args, message in cases:
         assert main(["polarize", *args, "--output", str(report)]) == 1, args

@@ -328,11 +328,10 @@ def _chunk_sizes(monkeypatch, w, depth):
 
 
 def test_replaying_levels_run_in_a_few_chunks(monkeypatch):
-    # every node of a dh-mix level that will replay a plan is priced at its
-    # raw weights, the first on a matrix too once the walk holds plans of
-    # both signs for it: the 31 steps of a depth-5 walk on Z2xZ4 run in a
-    # few chunks, and its 63 gaps and 32 leaves in a few; a cap of 1 still
-    # runs every node alone
+    # every node of a dh-mix level sits on a matrix for which the root
+    # recorded plans of both signs, so each is priced at its raw weights:
+    # the 31 steps of a depth-5 walk on Z2xZ4 run in a few chunks, and its
+    # 63 gaps and 32 leaves in a few; a cap of 1 still runs every node alone
     w = dh_mix_channel(make_group([2, 4]), seed=11)
     sizes = _chunk_sizes(monkeypatch, w, 5)
     assert sum(sizes["minus"]) == sum(sizes["plus"]) == 31
@@ -361,12 +360,68 @@ def test_split_prices_a_matrix_with_plans_of_both_signs_at_replay_cost(monkeypat
     assert [len(run) for run in process._split(children, both, 0.0)] == [1, 1]
 
 
+def test_general_steps_stay_under_the_chunk_cap(monkeypatch):
+    # a node without plans of both signs for its matrix is priced at its raw
+    # posteriors, even where a plan that its chunk records will serve it, so
+    # a general-path call materializes more than _CHUNK_ATOMS floats only
+    # for a node that does alone
+    sizes = []
+    real = Chunk._general
+
+    def general(chunk, sign, merge_tau):
+        size = chunk.group.size
+        sizes.append([m.atom_count ** 2 * (1 + size) * size for m in chunk.measures])
+        return real(chunk, sign, merge_tau)
+
+    monkeypatch.setattr(Chunk, "_general", general)
+    enumerate_paths(dh_mix_channel(make_group([6]), seed=5), 8)
+    assert len(sizes) > 1
+    assert all(len(floats) == 1 or sum(floats) <= process._CHUNK_ATOMS for floats in sizes)
+
+
+def test_the_walk_evaluates_on_the_chunks_of_its_gaps(monkeypatch):
+    # each reader's nodes are evaluated on the polar.Chunk that computed
+    # their gaps, and evaluation builds no chunk of its own
+    built, gapped, evaluated = [], [], []
+    real_init, real_gaps, real_evaluate = Chunk.__init__, Chunk.gaps, process._evaluate_chunk
+
+    def init(chunk, *args):
+        built.append(chunk)
+        real_init(chunk, *args)
+
+    def gaps(chunk):
+        gapped.append(chunk)
+        return real_gaps(chunk)
+
+    def evaluate(chunk, delta):
+        before = len(built)
+        out = real_evaluate(chunk, delta)
+        evaluated.append((chunk, len(built) - before))
+        return out
+
+    monkeypatch.setattr(Chunk, "__init__", init)
+    monkeypatch.setattr(Chunk, "gaps", gaps)
+    monkeypatch.setattr(process, "_evaluate_chunk", evaluate)
+    w = dh_mix_channel(make_group([2, 4]), seed=11)
+    calls = [
+        lambda: enumerate_paths(w, 5),
+        lambda: sample_paths(w, 5, 12, seed=5),
+        lambda: convergence_trace(w, "-+-+"),
+    ]
+    for call in calls:
+        built.clear(), gapped.clear(), evaluated.clear()
+        call()
+        assert evaluated
+        for chunk, new in evaluated:
+            assert new == 0 and any(chunk is other for other in gapped)
+
+
 def test_gap_tiles_give_the_whole_chunks_gaps(monkeypatch):
     # a chunk's gaps run over tiles of first-atom rows: whatever their size,
     # down to one row, every node gets the gap of the default tiles
     def walk_gaps():
         walk = process._walk_chunks(blackwell_measure(w), 4, gap_depths=range(5))
-        return [gap for _, _, gaps in walk for gap in gaps]
+        return [gap for _, _, gaps, _ in walk for gap in gaps]
 
     w = dh_mix_channel(make_group([2, 4]), seed=11)
     want = walk_gaps()
@@ -508,7 +563,7 @@ def test_leaf_classification_matches_the_channel_route(delta):
     # gives the same subgroups and quotient gaps, and capacity gaps that
     # differ by the rounding of its own capacity at most
     for w, depth in ((z4_multilevel_channel(0.5), 7), (dh_mix_channel(make_group([2, 4]), 3), 5)):
-        leaves = [m for paths, nodes, _ in process._walk_chunks(blackwell_measure(w), depth)
+        leaves = [m for paths, nodes, _, _ in process._walk_chunks(blackwell_measure(w), depth)
                   if len(paths[0]) == depth for m in nodes]
         records = enumerate_paths(w, depth, delta=delta).records
         assert len(leaves) == len(records) == 2 ** depth

@@ -83,6 +83,8 @@ COMMANDS: list[tuple[str, list[str]]] = [
     # whose large nodes step alone, and erasures on Z4
     ("dh-mix:5 Z6 d6", polarize("--preset", "dh-mix:5", "--group", "Z6", "--depth", "6")),
     ("dh-mix:5 [2,2,2] d6", polarize("--preset", "dh-mix:5", "--group", "[2,2,2]", "--depth", "6")),
+    # general-path chunks priced at their raw posteriors, up to the cap
+    ("dh-mix:5 Z6 d8", polarize("--preset", "dh-mix:5", "--group", "Z6", "--depth", "8")),
     ("bec:0.3 Z4 d8", polarize("--preset", "bec:0.3", "--group", "Z4", "--depth", "8")),
     # gaps on groups of order above 8, whose pair entropies sum 8
     # accumulators, and a generic 64-atom leaf on a group of order 8 beside

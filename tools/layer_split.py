@@ -45,7 +45,7 @@ LAYERS = [
     ("step.replay", "polar", "_replay"),
     ("step.general", "polar", "Chunk._general"),
     ("canonicalize", "blackwell", "_canonical_segments"),
-    ("evaluate", "process", "_evaluate"),
+    ("evaluate", "process", "_evaluate_chunk"),
     ("report_json", "cli", "report_json"),
     ("write", "cli", "_write_atomic"),
 ]
