@@ -18,6 +18,27 @@ def row_entropies_bits(rows: np.ndarray) -> np.ndarray:
     return plane_entropies_bits(rows.T.copy(), rows.flags.c_contiguous)
 
 
+def segment_dots(x: np.ndarray, y: np.ndarray, bounds) -> np.ndarray:
+    """x[a:b] @ y[a:b] for each pair of consecutive bounds a, b, bitwise.
+
+    x and y are contiguous 1-D arrays. Each run of segments of one length
+    k is one stacked matmul, (n, 1, k) @ (n, k, 1): numpy's matmul loop
+    makes, for every stack item, the BLAS dot call that `@` makes on the
+    two vectors alone, so every dot keeps its bits. A single gemm or
+    einsum over the run would not: BLAS sums those in another order.
+    """
+    bounds = np.asarray(bounds)
+    sizes = bounds[1:] - bounds[:-1]
+    out = np.empty(len(sizes))
+    if not len(sizes):
+        return out
+    edges = [0, *(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist(), len(sizes)]
+    for a, b in zip(edges, edges[1:]):
+        lo, hi, k = bounds[a], bounds[b], sizes[a]
+        out[a:b] = (x[lo:hi].reshape(b - a, 1, k) @ y[lo:hi].reshape(b - a, k, 1)).ravel()
+    return out
+
+
 def fold_planes(planes: np.ndarray, c_layout: bool, out: np.ndarray | None = None) -> np.ndarray:
     """planes[0] + planes[1] + ..., bitwise rows.sum(axis=1) for the rows of planes.T.
 

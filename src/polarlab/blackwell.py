@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import row_entropies_bits
+from ._util import row_entropies_bits, segment_dots
 from .channels import Channel
 from .groups import Group, make_group
 
@@ -561,18 +561,17 @@ def canonicalize(m: BlackwellMeasure, merge_tau: float = DEFAULT_MERGE_TAU) -> B
 
 def capacity_of_measure(m: BlackwellMeasure) -> float:
     """Symmetric capacity in bits: log2|G| minus the mean posterior entropy."""
-    return _capacities(m.group.size, m.weights, m.posteriors, (0, m.atom_count))[0]
+    return float(_capacities(m.group.size, m.weights, m.posteriors, (0, m.atom_count))[0])
 
 
-def _capacities(size: int, weights: np.ndarray, posteriors: np.ndarray, bounds) -> list[float]:
+def _capacities(size: int, weights: np.ndarray, posteriors: np.ndarray, bounds) -> np.ndarray:
     """capacity_of_measure of each measure whose atoms lie between consecutive bounds.
 
     The row entropies do not depend on the other rows, so each measure gets
-    the bits it gets alone; only the final dot is per measure.
+    the bits it gets alone; only the final dot is per measure, and the dots
+    of measures of one atom count run as one stacked matmul (segment_dots).
     """
-    entropies = row_entropies_bits(posteriors)
-    top = np.log2(size)
-    return [float(top - weights[a:b] @ entropies[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return np.log2(size) - segment_dots(weights, row_entropies_bits(posteriors), bounds)
 
 
 def _realized_columns(size: int, weights: np.ndarray, posteriors: np.ndarray, k: int) -> np.ndarray:

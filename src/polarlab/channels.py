@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import row_entropies_bits
+from ._util import row_entropies_bits, segment_dots
 from .groups import Group, Subgroup, enumerate_subgroups, make_group, quotient
 
 ROW_SUM_TOL = 1e-12
@@ -136,7 +136,7 @@ def _posterior_entropies(kernel: np.ndarray, p_y: np.ndarray) -> np.ndarray:
         return row_entropies_bits((kernel / (kernel.shape[0] * p_y)).T)
 
 
-def kernel_capacities(kernel: np.ndarray, bounds) -> list[float]:
+def kernel_capacities(kernel: np.ndarray, bounds) -> np.ndarray:
     """kernel_capacity of each block kernel[:, a:b] between consecutive bounds (block_capacities)."""
     p_y = kernel.sum(axis=0) / kernel.shape[0]
     entropies = _posterior_entropies(kernel, p_y)
@@ -145,25 +145,27 @@ def kernel_capacities(kernel: np.ndarray, bounds) -> list[float]:
     )
 
 
-def block_capacities(m: int, p_y: np.ndarray, entropies: np.ndarray, bounds, block) -> list[float]:
+def block_capacities(m: int, p_y: np.ndarray, entropies: np.ndarray, bounds, block) -> np.ndarray:
     """kernel_capacity of each column block, between consecutive bounds, of a kernel of m inputs.
 
     p_y is the kernel's output marginal and entropies its posterior
     entropies as _posterior_entropies gives them; a block's do not depend
-    on the other columns, so only the final dot is per block. A block of
-    one column, or with a dead output, runs alone on its kernel block(s):
-    alone, its one column's entropy sums in C-layout order, and its dead
-    outputs are dropped.
+    on the other columns, so only the final dot is per block, and the dots
+    of blocks of one width run as one stacked matmul (segment_dots). A
+    block of one column, or with a dead output, runs alone on its kernel
+    block(s): alone, its one column's entropy sums in C-layout order, and
+    its dead outputs are dropped.
     """
-    dead = np.flatnonzero(~(p_y > 0.0))
-    alone = set((np.searchsorted(bounds, dead, side="right") - 1).tolist())
-    top = np.log2(m)
-    out = []
-    for s, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        if b - a == 1 or s in alone:
-            out.append(kernel_capacity(block(s)))
-        else:
-            out.append(float(top - p_y[a:b] @ entropies[a:b]))
+    alone = set(np.flatnonzero(np.diff(bounds) == 1).tolist())
+    live = p_y > 0.0
+    if not live.all():
+        alone.update((np.searchsorted(bounds, np.flatnonzero(~live), side="right") - 1).tolist())
+        # a dead output's entropy can be infinite, its marginal NaN: zeros
+        # keep them out of the dots of the blocks that run alone
+        p_y, entropies = np.where(live, p_y, 0.0), np.where(live, entropies, 0.0)
+    out = np.log2(m) - segment_dots(p_y, entropies, bounds)
+    for s in alone:
+        out[s] = kernel_capacity(block(s))
     return out
 
 
@@ -266,7 +268,7 @@ def _classify(
         near = [s for s, gap in enumerate(gaps) if gap < delta]
         if not near:
             continue
-        quotient_capacities = kernel_capacities(_coset_average(group, kernel, sub), bounds)
+        quotient_capacities = kernel_capacities(_coset_average(group, kernel, sub), bounds).tolist()
         for s in near:
             gap_quotient = abs(quotient_capacities[s] - target)
             if gap_quotient < delta:

@@ -88,13 +88,12 @@ def cmd_polarize(args) -> int:
         seed = 0 if args.seed is None else args.seed
         report = sample_paths(channel, args.depth, samples, seed, **kw)
     report.config["source"] = args.channel
-    data = report.to_dict()
-    text = report_json(data) if args.format == "json" else report_csv(data)
+    text = report_json(report) if args.format == "json" else report_csv(report.to_dict())
     if args.output:
         _write_atomic(args.output, text)
     else:
         sys.stdout.write(text)
-    return 2 if report.failed else 0
+    return 2 if report.failed_count else 0
 
 
 def cmd_verify(args) -> int:

@@ -305,9 +305,10 @@ def _pol_stack(group: Group) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def _pol_bounds(chunk: Chunk) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _pol_bounds(chunk: Chunk) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per measure of a chunk and per Pol target, in enumeration order: the
-    row term, the transport lower bound, and the nearest-coset plan's error.
+    row term, the transport lower bound, and the nearest-coset plan's error,
+    as three (measures, targets) arrays.
 
     A target Pol(H) has one atom per coset c of H, the uniform coset
     posterior u_c, of weight v_c = 1/|G:H|. Every plan moving the weights w
@@ -324,12 +325,13 @@ def _pol_bounds(chunk: Chunk) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     ties, and `cols`) are computed once per distinct posterior matrix of
     the chunk. Minima are exact, and the sums over a measure's atoms run on
     an (n, k, ...) stack of the measures on one matrix, in atom order, so
-    each measure gets the bits it gets alone; the row term's dot runs on
-    the measure's own weights. Results come in the order of chunk.measures.
+    each measure gets the bits it gets alone; the row terms' dots, of each
+    measure's own weights, are one stacked matmul per matrix. Rows come in
+    the order of chunk.measures.
     """
     posteriors, weights, firsts = _pol_stack(chunk.group)
     sizes = np.diff(np.append(firsts, len(weights)))
-    out: list = [None] * len(chunk)
+    rows, cols, eps = (np.empty((len(chunk), len(firsts))) for _ in range(3))
     for members in chunk.supports.values():
         cost = _tv_cost_matrix(chunk.measures[members[0]].posteriors, posteriors)
         if not np.isfinite(cost).all():
@@ -337,20 +339,19 @@ def _pol_bounds(chunk: Chunk) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]
         row_min = np.minimum.reduceat(cost, firsts, axis=1)
         nearest = cost == np.repeat(row_min, sizes, axis=1)
         ties = np.add.reduceat(nearest, firsts, axis=1, dtype=np.int64)
-        cols = np.add.reduceat(cost.min(axis=0) * weights, firsts)
+        cols[members] = np.add.reduceat(cost.min(axis=0) * weights, firsts)
         # [n, i, atom of a target]: the weight atom i sends there
         w = np.stack([chunk.measures[i].weights for i in members])
         share = np.where(nearest, np.repeat(w[:, :, None] / ties, sizes, axis=2), 0.0)
-        eps = np.add.reduceat(np.abs(share.sum(axis=1) - weights), firsts, axis=1)
-        for s, i in enumerate(members):
-            rows = w[s] @ row_min
-            out[i] = (rows, np.maximum(rows, cols), eps[s])
-    return out
+        eps[members] = np.add.reduceat(np.abs(share.sum(axis=1) - weights), firsts, axis=1)
+        rows[members] = (w[:, None, :] @ row_min)[:, 0]
+    return rows, np.maximum(rows, cols), eps
 
 
-def _nearest_pol(chunk: Chunk) -> list[tuple[float, Subgroup, int]]:
+def _nearest_pol(chunk: Chunk) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distance to the nearest quotient-projection measure of each measure of
-    a chunk: (distance, subgroup, transport solves).
+    a chunk, as columns: (distance, index of the subgroup in enumeration
+    order, transport solves).
 
     The targets are visited in ascending order of their lower bounds
     (_pol_bounds), and a target whose bound exceeds the best distance found
@@ -369,12 +370,12 @@ def _nearest_pol(chunk: Chunk) -> list[tuple[float, Subgroup, int]]:
     """
     targets = pol_set(chunk.group)
     lone = np.array([target.atom_count == 1 for _, target in targets])
-    out = []
-    for m, (rows, bounds, eps) in zip(chunk.measures, _pol_bounds(chunk)):
-        rows = rows.tolist()
-        certified = (lone | (eps <= _CERTIFY_EPS)).tolist()
+    rows, bounds, eps = _pol_bounds(chunk)
+    found, solved = [], []
+    columns = zip(chunk.measures, rows.tolist(), bounds.tolist(), (lone | (eps <= _CERTIFY_EPS)).tolist())
+    for m, rows, bounds, certified in columns:
         best, solves = (np.inf, -1), 0
-        for bound, index in sorted(zip(bounds.tolist(), range(len(targets)))):
+        for bound, index in sorted(zip(bounds, range(len(targets)))):
             if bound > best[0] + MARGINAL_TOL:
                 break
             if certified[index]:
@@ -383,9 +384,11 @@ def _nearest_pol(chunk: Chunk) -> list[tuple[float, Subgroup, int]]:
                 value = wasserstein(m, targets[index][1])
                 solves += 1
             best = min(best, (value, index))
-        dist, index = best
-        out.append((float(dist), targets[index][0], solves))
-    return out
+        found.append(best)
+        solved.append(solves)
+    distance = np.array([value for value, _ in found], dtype=float)
+    index = np.array([index for _, index in found], dtype=np.int64)
+    return distance, index, np.array(solved, dtype=np.int64)
 
 
 def distance_to_pol(m: BlackwellMeasure) -> tuple[float, Subgroup]:
@@ -395,5 +398,5 @@ def distance_to_pol(m: BlackwellMeasure) -> tuple[float, Subgroup]:
     nearest-coset plan where one exists, the exact transport solve
     otherwise; ties go to the first subgroup in enumeration order.
     """
-    dist, nearest, _ = _nearest_pol(Chunk([m]))[0]
-    return dist, nearest
+    dist, index, _ = _nearest_pol(Chunk([m]))
+    return float(dist[0]), pol_set(m.group)[index[0]][0]

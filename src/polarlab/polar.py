@@ -107,12 +107,14 @@ class Chunk:
     ordered by segment, then row-major. Every kernel below runs once per
     block and gives each measure bitwise the result it gets alone: products
     are elementwise, sums run per row or in the order a lone measure sums
-    them, and only the BLAS dots stay per measure. Results come back in the
-    order of `measures`.
+    them, and dots run per block as stacked matmuls, which make one BLAS
+    call per measure, as a measure alone makes. Results come back in the
+    order of `measures`, as lists or as float64 arrays.
 
     What a posterior matrix alone decides is computed once for the
     measures that share it, and kept in the table `plans` (see _step and
-    _pair_entropies); chunks given one table share what it keeps.
+    _pair_entropies); chunks given one table share what it keeps. A matrix
+    is keyed by its bytes (_matrix_key).
     """
 
     def __init__(self, measures: Sequence[BlackwellMeasure], plans: dict | None = None):
@@ -144,8 +146,12 @@ class Chunk:
         """The rows of segments a to b, each of k atoms, as an (n, k, ...) array."""
         return rows[self.starts[a] : self.starts[b]].reshape(b - a, k, *rows.shape[1:])
 
-    def unsort(self, results: list) -> list:
-        """Per-segment results back in the order of `measures`."""
+    def unsort(self, results):
+        """Per-segment results, a list or an array, back in the order of `measures`."""
+        if isinstance(results, np.ndarray):
+            out = np.empty_like(results)
+            out[self.order] = results
+            return out
         out = [None] * len(results)
         for position, index in enumerate(self.order):
             out[index] = results[position]
@@ -160,14 +166,14 @@ class Chunk:
 
     @property
     def supports(self) -> dict[bytes, list[int]]:
-        """The measures of each distinct posterior matrix, by its bytes, in order of `measures`."""
+        """The measures of each distinct posterior matrix, by its key (_matrix_key), in order of `measures`."""
         if self._supports is None:
             self._supports = {}
             for i, m in enumerate(self.measures):
-                self._supports.setdefault(m.posteriors.tobytes(), []).append(i)
+                self._supports.setdefault(_matrix_key(self.plans, m.posteriors), []).append(i)
         return self._supports
 
-    def capacities(self) -> list[float]:
+    def capacities(self) -> np.ndarray:
         """capacity_of_measure of every measure."""
         bounds = self.starts.tolist()
         return self.unsort(_capacities(self.group.size, self.weights, self.posteriors, bounds))
@@ -274,6 +280,7 @@ class Chunk:
                 first = False
                 head, *members = members
                 out[head], self.plans[key] = _record(self.measures[head], sign, merge_tau)
+                _keep_matrix(self.plans, self.plans[key])
             plan = self.plans.get(key)
             if plan is None or not members:
                 rest += members
@@ -296,25 +303,41 @@ class Chunk:
         weights, posteriors, _ = self.raw(sign)
         return self.children(weights, posteriors, merge_tau)
 
-    def gaps(self) -> list["CapacityGap"]:
-        """I(M) - I(M-) of every measure via both routes; see capacity_gap."""
+    def gaps(self) -> tuple[np.ndarray, np.ndarray]:
+        """I(M) - I(M-) of every measure via both routes, as (via_transform, via_pairs) arrays; see capacity_gap.
+
+        The routes are checked against each other measure by measure.
+        """
         columns = self.realized_columns()
-        capacities = kernel_capacities(columns.T, self.starts.tolist())
-        minus_capacities = _minus_capacities(self, columns)
+        via_transform = kernel_capacities(columns.T, self.starts) - _minus_capacities(self, columns)
+        via_pairs = self._pair_gaps()
+        off = np.abs(via_transform - via_pairs) > GAP_ROUTE_TOL
+        if off.any():
+            s = int(off.argmax())
+            raise RuntimeError(
+                "capacity-gap routes disagree "
+                f"({float(via_transform[s])!r} vs {float(via_pairs[s])!r}): implementation fault"
+            )
+        return self.unsort(via_transform), self.unsort(via_pairs)
+
+    def _pair_gaps(self) -> np.ndarray:
+        """via_pairs, w h_conv w - w h, of every measure in order of by_size.
+
+        One stacked matmul per block: on the shared (k, k) pair entropies
+        when all its measures sit on one matrix, on their stack otherwise.
+        """
         entropies = self._pair_entropies()
-        out = []
-        for s, m in enumerate(self.by_size):
-            via_transform = capacities[s] - minus_capacities[s]
-            w = m.weights
-            h_conv, h = entropies[self.order[s]]
-            via_pairs = float(w @ h_conv @ w - w @ h)
-            if abs(via_transform - via_pairs) > GAP_ROUTE_TOL:
-                raise RuntimeError(
-                    "capacity-gap routes disagree "
-                    f"({via_transform!r} vs {via_pairs!r}): implementation fault"
-                )
-            out.append(CapacityGap(via_transform, via_pairs))
-        return self.unsort(out)
+        out = np.empty(len(self))
+        for k, a, b in self.blocks:
+            entries = [entropies[i] for i in self.order[a:b]]
+            h_conv, h = entries[0]
+            if any(entry is not entries[0] for entry in entries):
+                h_conv = np.stack([entry[0] for entry in entries])
+                h = np.stack([entry[1] for entry in entries])
+            w = self.block(self.weights, k, a, b)
+            rows = w[:, None, :]
+            out[a:b] = (rows @ h_conv @ w[:, :, None] - rows @ h[..., None]).ravel()
+        return out
 
     def _pair_entropies(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(H(p_i (*) p_j) as a k x k array, H(p_i)) of every measure, in order of `measures`.
@@ -342,6 +365,32 @@ class Chunk:
             for i in members:
                 out[i] = entry
         return out
+
+
+class PlanTable(dict):
+    """A walk's table of plans (see Chunk), which also keys its plans' children's matrices by identity.
+
+    A plan's children all hold its `posteriors` array, which the table
+    keeps alive as long as the walk, so `matrices` maps that array's id to
+    its bytes (_keep_matrix), and _matrix_key reads the bytes of no such
+    matrix again.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.matrices: dict[int, bytes] = {}
+
+
+def _matrix_key(plans: dict, posteriors: np.ndarray) -> bytes:
+    """The key of a posterior matrix in a table of plans: its bytes, looked up by id where a PlanTable keeps them."""
+    key = plans.matrices.get(id(posteriors)) if isinstance(plans, PlanTable) else None
+    return posteriors.tobytes() if key is None else key
+
+
+def _keep_matrix(plans: dict, plan: "_Plan | None") -> None:
+    """Key the posterior matrix of a plan's children by its array's id, in a PlanTable that keeps the plan."""
+    if plan is not None and isinstance(plans, PlanTable):
+        plans.matrices[id(plan.posteriors)] = plan.posteriors.tobytes()
 
 
 class _Plan(NamedTuple):
@@ -481,7 +530,7 @@ def _convolution_entropies(chunk: Chunk) -> np.ndarray:
     return out
 
 
-def _minus_capacities(chunk: Chunk, columns: np.ndarray) -> list[float]:
+def _minus_capacities(chunk: Chunk, columns: np.ndarray) -> np.ndarray:
     """kernel_capacity of every measure's channel-side minus kernel, in order of chunk.by_size; via_transform's.
 
     The minus kernel of the realized kernel whose columns are `columns`
@@ -490,13 +539,20 @@ def _minus_capacities(chunk: Chunk, columns: np.ndarray) -> list[float]:
     Bitwise what kernel_capacities gives on the (|G|, P) kernel of all the
     chunk's pairs: a tile's planes are its rows, so the output marginal
     p_y is their left fold, and the posterior entropies, from the kernel's
-    F-layout transpose, fold left too.
+    F-layout transpose, fold left too. A one-atom measure's capacity runs
+    alone (block_capacities) on its column of the one-atom tile, kept
+    before the tile is divided in place.
     """
     size = chunk.group.size
     count = chunk.pair_starts[-1]
     p_y, entropies = np.empty(count), np.empty(count)
+    # one-atom measures sort first, so their tile holds pairs 0 to `ones`
+    ones = chunk.blocks[0][2] if chunk.blocks[0][0] == 1 else 0
+    lone = None
     for pairs, planes in _planes(chunk, columns):
         planes /= size
+        if pairs.start < ones:
+            lone = planes.copy()
         marginal = np.add.reduce(planes, axis=0, out=p_y[pairs])
         marginal /= size
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -504,6 +560,8 @@ def _minus_capacities(chunk: Chunk, columns: np.ndarray) -> list[float]:
         plane_entropies_bits(planes, False, out=entropies[pairs])
 
     def lone_minus_kernel(s: int) -> np.ndarray:
+        if s < ones:
+            return np.ascontiguousarray(lone[:, s : s + 1])
         k = chunk.by_size[s].atom_count
         conv = _convolve_block(chunk.block(columns, k, s, s + 1), chunk.group.add_table)
         return np.ascontiguousarray((conv.reshape(-1, size) / size).T)
@@ -550,7 +608,8 @@ def capacity_gap(m: BlackwellMeasure) -> CapacityGap:
     k^2 atoms; it moved to verify.lemma_gap_suite, which checks it against
     .value.
     """
-    return Chunk([m]).gaps()[0]
+    via_transform, via_pairs = Chunk([m]).gaps()
+    return CapacityGap(float(via_transform[0]), float(via_pairs[0]))
 
 
 def step_refusal(m: BlackwellMeasure, sign: str, atom_budget: int) -> str | None:

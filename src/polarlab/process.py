@@ -6,7 +6,10 @@ measure is computed once. The walk takes consecutive nodes of one depth
 together, as a chunk: its transforms, merging, capacity gaps and
 evaluation run once for all its nodes, on one polar.Chunk, and each node
 gets bitwise the result it gets alone, so the chunking never shows in a
-report. Nodes that share a posterior matrix are stepped by replaying a
+report. A chunk's gaps and evaluations come back as columns, float64
+arrays with one entry per node, and a report keeps its leaves as columns:
+records are objects only for the library API, and report_json writes them
+from the columns. Nodes that share a posterior matrix are stepped by replaying a
 plan that the first of them, or the root, records, again bitwise as
 alone; each walk keeps its own table of plans, which ends with the walk.
 A chunk's size counts the floats its nodes materialize, up to
@@ -25,14 +28,15 @@ from __future__ import annotations
 
 import json
 from collections.abc import Container, Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .blackwell import DEFAULT_MERGE_TAU, BlackwellMeasure, blackwell_measure
 from .channels import Channel, DeterminednessResult, _check_delta, _classify, symmetric_capacity
-from .groups import Subgroup
+from .groups import Subgroup, enumerate_subgroups
 from .metrics import _nearest_pol
 from .polar import (
     DEFAULT_ATOM_BUDGET,
@@ -40,6 +44,8 @@ from .polar import (
     PLUS,
     AtomBudgetError,
     Chunk,
+    PlanTable,
+    _matrix_key,
     minus_transform,
     normalize_path,
     plus_transform,
@@ -139,13 +145,77 @@ class TraceRecord:
         }
 
 
+class Evaluations(NamedTuple):
+    """What a report says about the measures of a chunk, as columns in the order of its measures.
+
+    `subgroup` indexes the group's subgroups in enumeration order (the
+    nearest Pol target), and a classification is None where the chunk was
+    not classified.
+    """
+
+    capacity: np.ndarray
+    distance: np.ndarray
+    subgroup: np.ndarray
+    solves: np.ndarray
+    determinedness: list[DeterminednessResult | None]
+
+
+class Leaves(NamedTuple):
+    """The leaves of a walk as columns, one row per leaf, in walk order.
+
+    A failed leaf's row holds its error; its other entries are blanks.
+    """
+
+    paths: list[str]
+    errors: list[str | None]
+    atoms: np.ndarray
+    gaps: np.ndarray
+    evaluations: Evaluations
+
+
 @dataclass
 class PolarizationReport:
-    """Per-path records plus aggregates for one polarization experiment."""
+    """Per-path records plus aggregates for one polarization experiment.
+
+    The walk's leaves are kept as columns (`leaves`); record i is the leaf
+    of row rows[i], and a leaf drawn twice is one row. `subgroups` are the
+    group's subgroups in enumeration order, which the leaves' `subgroup`
+    column indexes. `level_gaps` holds the capacity gaps of each depth's
+    evaluated nodes.
+    """
 
     config: dict
-    records: list[PathRecord]
-    level_gaps: dict[int, list[float]] = field(default_factory=dict)
+    leaves: Leaves
+    rows: np.ndarray
+    subgroups: tuple[Subgroup, ...]
+    level_gaps: dict[int, np.ndarray]
+
+    def __eq__(self, other) -> bool:
+        """Reports are equal when their configs, records and capacity gaps per depth are."""
+        if not isinstance(other, PolarizationReport):
+            return NotImplemented
+
+        def content(report):
+            gaps = {depth: gaps.tolist() for depth, gaps in report.level_gaps.items()}
+            return report.config, report.records, gaps
+
+        return content(self) == content(other)
+
+    @cached_property
+    def records(self) -> list[PathRecord]:
+        """One PathRecord per record, built from the columns on first use."""
+        leaves, columns = self.leaves, self.leaves.evaluations
+        built = []
+        for path, error, atoms, gap, capacity, distance, sub, det in zip(
+            leaves.paths, leaves.errors, leaves.atoms.tolist(), leaves.gaps.tolist(),
+            columns.capacity.tolist(), columns.distance.tolist(), columns.subgroup.tolist(),
+            columns.determinedness,
+        ):
+            if error is not None:
+                built.append(PathRecord(path=path, error=error))
+            else:
+                built.append(PathRecord(path, capacity, gap, det, distance, self.subgroups[sub], atoms))
+        return [built[row] for row in self.rows.tolist()]
 
     @property
     def evaluated(self) -> list[PathRecord]:
@@ -155,47 +225,62 @@ class PolarizationReport:
     def failed(self) -> list[PathRecord]:
         return [r for r in self.records if not r.ok]
 
+    @property
+    def failed_count(self) -> int:
+        """len(failed), from the columns."""
+        return len(self.rows) - len(self._evaluated_rows)
+
+    @cached_property
+    def _evaluated_rows(self) -> np.ndarray:
+        """The leaf row of each evaluated record, in record order."""
+        ok = np.array([error is None for error in self.leaves.errors], dtype=bool)
+        return self.rows[ok[self.rows]]
+
+    def _classes(self) -> list[DeterminednessResult]:
+        classes = self.leaves.evaluations.determinedness
+        return [classes[row] for row in self._evaluated_rows.tolist()]
+
     def fraction_determined(self) -> float:
-        done = self.evaluated
-        if not done:
+        classes = self._classes()
+        if not classes:
             return 0.0
-        return sum(1 for r in done if r.determinedness.determined) / len(done)
+        return sum(1 for det in classes if det.determined) / len(classes)
 
     def subgroup_histogram(self) -> list[tuple[Subgroup, int]]:
         """Determined-path counts keyed by the best witness subgroup."""
         counts: dict[Subgroup, int] = {}
-        for r in self.evaluated:
-            if r.determinedness.determined:
-                sub = r.determinedness.best.subgroup
+        for det in self._classes():
+            if det.determined:
+                sub = det.best.subgroup
                 counts[sub] = counts.get(sub, 0) + 1
         return sorted(counts.items(), key=lambda kv: (kv[0].size, kv[0].members))
 
     def to_dict(self) -> dict:
+        return self._fields([r.to_dict() for r in self.records])
+
+    def _fields(self, records) -> dict:
+        """The report's dict, with `records` as its records."""
         group_size = 1
         for d in self.config.get("group", []):
             group_size *= d
-        done = self.evaluated
-        capacities = [r.capacity for r in done]
+        capacities = self.leaves.evaluations.capacity[self._evaluated_rows]
         edges = np.linspace(0.0, np.log2(group_size), CAPACITY_HIST_BINS + 1)
         # a capacity rounded just outside [0, log2 |G|] counts in the end bin
         hist = np.histogram(np.clip(capacities, edges[0], edges[-1]), bins=edges)[0]
-        n_eval = len(done)
+        n_eval = len(capacities)
         return {
             "schema": "polarlab-report/1",
             "config": self.config,
-            "records": [r.to_dict() for r in self.records],
+            "records": records,
             "levels": [
-                {
-                    "depth": depth,
-                    "median_capacity_gap": float(np.median(gaps)) if gaps else None,
-                }
+                {"depth": depth, "median_capacity_gap": float(np.median(gaps))}
                 for depth, gaps in sorted(self.level_gaps.items())
             ],
             "aggregates": {
                 "evaluated": n_eval,
-                "failed": len(self.failed),
+                "failed": self.failed_count,
                 "fraction_determined": self.fraction_determined(),
-                "mean_capacity": float(np.mean(capacities)) if capacities else None,
+                "mean_capacity": float(np.mean(capacities)) if n_eval else None,
                 "subgroup_histogram": [
                     {
                         "subgroup": sub.to_json(),
@@ -216,13 +301,65 @@ class PolarizationReport:
         }
 
 
-def report_json(report_dict: dict) -> str:
+def report_json(report: PolarizationReport | dict) -> str:
     """Canonical JSON text for a report; re-serializing a parse is identical.
 
     The bytes of json.dumps(report_dict, indent=2) + "\n", written without
-    the pure-Python encoder that json.dumps runs when given an indent.
+    the pure-Python encoder that json.dumps runs when given an indent. Given
+    a PolarizationReport, the bytes for its to_dict(), with the records
+    written from its columns (_records_json).
     """
-    return _json_text(report_dict, "\n") + "\n"
+    if not isinstance(report, PolarizationReport):
+        return _json_text(report, "\n") + "\n"
+    texts = [
+        _json_string(key) + ": " + (_records_json(report) if key == "records" else _json_text(value, "\n  "))
+        for key, value in report._fields(None).items()
+    ]
+    return "{\n  " + ",\n  ".join(texts) + "\n}\n"
+
+
+def _floats_text(values: np.ndarray) -> list[str]:
+    """The text of each float of an array, as _json_scalar writes it."""
+    texts = list(map(float.__repr__, values.tolist()))
+    return texts if np.isfinite(values).all() else [_JSON_FLOATS.get(text, text) for text in texts]
+
+
+def _records_json(report: PolarizationReport) -> str:
+    """The text of report.to_dict()["records"] in report_json, from the report's columns.
+
+    Each leaf is written once, however many records repeat it, and each
+    subgroup's text once for each place it takes in a record.
+    """
+    leaves, columns = report.leaves, report.leaves.evaluations
+    nearest = [_json_text(sub.to_json(), "\n      ") for sub in report.subgroups]
+    witness_subgroups = {sub: _json_text(sub.to_json(), "\n          ") for sub in report.subgroups}
+    texts = []
+    for path, error, atoms, gap, capacity, distance, sub, det in zip(
+        leaves.paths, leaves.errors, leaves.atoms.tolist(), _floats_text(leaves.gaps),
+        _floats_text(columns.capacity), _floats_text(columns.distance), columns.subgroup.tolist(),
+        columns.determinedness,
+    ):
+        if error is not None:
+            texts.append(f'{{\n      "path": {_json_string(path)},\n      "error": {_json_string(error)}\n    }}')
+            continue
+        witnesses = [
+            f'{{\n          "subgroup": {witness_subgroups[w.subgroup]},'
+            f'\n          "gap_capacity": {_json_scalar(w.gap_capacity)},'
+            f'\n          "gap_quotient": {_json_scalar(w.gap_quotient)}\n        }}'
+            for w in det.witnesses
+        ]
+        texts.append(
+            f'{{\n      "path": {_json_string(path)},\n      "error": null,'
+            f'\n      "capacity": {capacity},'
+            f'\n      "capacity_gap": {gap},'
+            f'\n      "determined": {"true" if det.determined else "false"},'
+            f'\n      "witnesses": '
+            + ("[\n        " + ",\n        ".join(witnesses) + "\n      ]" if witnesses else "[]")
+            + f',\n      "distance_to_pol": {distance},'
+            f'\n      "nearest_subgroup": {nearest[sub]},'
+            f'\n      "atoms": {atoms}\n    }}'
+        )
+    return "[\n    " + ",\n    ".join([texts[row] for row in report.rows.tolist()]) + "\n  ]"
 
 
 _json_string = json.encoder.encode_basestring_ascii
@@ -320,11 +457,11 @@ def _gap_refusal(m: BlackwellMeasure, atom_budget: int) -> str | None:
 
 
 # Floats that the nodes of a chunk materialize together. A node with k
-# atoms steps to k^2 (1 + |G|) raw children, the pairs of its minus step
-# and the atoms of its plus step: on the general path each carries |G|
-# posterior floats, while a node that replays a plan (polar.Chunk._step)
-# builds only their weights. Children are chunked up to this cap (_split),
-# so a larger node runs alone, and the walk holds O(depth) chunks.
+# atoms steps to k^2 raw children by its minus step, the atom pairs, and
+# k^2 |G| by its plus step: on the general path each carries |G| posterior
+# floats, while a step that replays a plan (polar.Chunk._step) builds only
+# their weights. Children are chunked up to this cap (_split), so a larger
+# node runs alone, and the walk holds O(depth) chunks.
 _CHUNK_ATOMS = 1 << 17
 
 # A node of the transform tree: its merged measure, the budget-refusal
@@ -332,41 +469,76 @@ _CHUNK_ATOMS = 1 << 17
 Node = BlackwellMeasure | str | PathFault
 
 
-def _per_chunk(kernel, chunk: Chunk, paths: list[str]) -> list:
-    """kernel(chunk), one result per measure; if that raises, node by node.
+def _per_chunk(kernel, chunk: Chunk, paths: list[str]) -> tuple[object, dict[int, PathFault]]:
+    """(kernel(chunk), {}): one result per measure, a list or columns; if that raises, node by node.
 
     Run alone, a node whose kernel raises RuntimeError or ValueError gets a
-    PathFault naming it in place of its result.
+    PathFault naming it, returned by its position in the chunk; the other
+    nodes' results are joined (_concat), or None when every node faulted.
     """
     try:
-        return kernel(chunk)
+        return kernel(chunk), {}
     except (RuntimeError, ValueError):
-        out = []
-        for m, path in zip(chunk.measures, paths):
+        parts, faults = [], {}
+        for position, (m, path) in enumerate(zip(chunk.measures, paths)):
             try:
-                out.extend(kernel(Chunk([m])))
+                parts.append(kernel(Chunk([m])))
             except (RuntimeError, ValueError) as exc:
-                out.append(PathFault(path, exc))
-        return out
+                faults[position] = PathFault(path, exc)
+        return (_concat(parts) if parts else None), faults
+
+
+def _concat(parts: list):
+    """Results of consecutive runs of measures joined: lists, arrays, or named tuples of them, field by field."""
+    first = parts[0]
+    if isinstance(first, tuple):
+        return type(first)(*(_concat(list(column)) for column in zip(*parts)))
+    if isinstance(first, np.ndarray):
+        return np.concatenate(parts)
+    return [item for part in parts for item in part]
+
+
+def _spread(columns: Evaluations | None, done: list[int], count: int) -> Evaluations:
+    """Columns of the nodes `done` of a chunk of `count` nodes, at their nodes' places; blank elsewhere."""
+    if len(done) == count:
+        return columns
+    out = Evaluations(np.zeros(count), np.zeros(count), np.zeros(count, np.int64), np.zeros(count, np.int64),
+                      [None] * count)
+    for full, column in zip(out, columns or ()):
+        if isinstance(full, np.ndarray):
+            full[done] = column
+        else:
+            for i, value in zip(done, column):
+                full[i] = value
+    return out
 
 
 def _split(children: list[tuple[str, Node]], plans: dict, merge_tau: float) -> list[list[tuple[str, Node]]]:
     """Consecutive runs of children that materialize at most _CHUNK_ATOMS floats each; a larger child runs alone.
 
-    A child whose posterior matrix has a plan of both signs in the walk's
-    `plans` will replay them, and is priced at its raw children's weights,
-    k^2 (1 + |G|) floats. Any other child is priced at their posteriors,
-    k^2 (1 + |G|) |G| floats, as if it took the general path.
+    Each sign of a child is priced apart. A sign whose plan the walk's
+    `plans` holds for the child's posterior matrix will replay it, and is
+    priced at its raw children's weights: k^2 floats for the minus step
+    and k^2 |G| for the plus step. A sign without one is priced at their
+    posteriors, |G| times as many floats, as the general path builds them.
     """
     runs, load = [[]], 0
+    # a node's price depends on its posterior matrix alone, and a plan's
+    # children share one matrix array
+    costs: dict[int, int] = {}
     for child in children:
         cost = 0
         node = child[1]
         if isinstance(node, BlackwellMeasure):
-            cost = node.atom_count ** 2 * (1 + node.group.size)
-            support = node.posteriors.tobytes()
-            if any(plans.get(((sign, merge_tau), support)) is None for sign in (MINUS, PLUS)):
-                cost *= node.group.size
+            cost = costs.get(id(node.posteriors))
+            if cost is None:
+                size = node.group.size
+                matrix = _matrix_key(plans, node.posteriors)
+                raw = node.atom_count ** 2
+                cost = 0
+                for sign, count in ((MINUS, raw), (PLUS, raw * size)):
+                    cost += count if plans.get(((sign, merge_tau), matrix)) is not None else count * size
+                costs[id(node.posteriors)] = cost
         if runs[-1] and load + cost > _CHUNK_ATOMS:
             runs.append([])
             load = 0
@@ -384,7 +556,7 @@ def _walk_chunks(
     gap_depths: Container[int] = (),
     eval_depths: Container[int] = (),
     delta: float | None = DEFAULT_DELTA,
-) -> Iterator[tuple[list[str], list[Node], list[float | None], list[Evaluation | None]]]:
+) -> Iterator[tuple[list[str], list[Node], np.ndarray | None, Evaluations | None]]:
     """Walk the transform tree below `root` to `depth`, a chunk of a level at a time.
 
     Yields the (paths, nodes, gaps, results) of each chunk: every prefix,
@@ -394,38 +566,45 @@ def _walk_chunks(
     evaluation each run once for all its measures, on one polar.Chunk. Its
     children are split into chunks again (_split) and walked depth first.
     Each measure is stepped once from its parent's. At the depths in
-    `gap_depths` a node's guarded capacity gap is computed before its
-    children are stepped, and at the depths in `eval_depths` its
-    Evaluation at `delta` (_evaluate_chunk); elsewhere its gap and its
-    result are None. A refused step or gap replaces the node by its
-    message, which stands in for every descendant; nothing below is
-    computed. A step, gap or evaluation that raises RuntimeError or
-    ValueError replaces the node by a PathFault that names it and likewise
-    stands in for its descendants. At the depths in `eval_depths` the walk
-    raises the first PathFault of the chunk in path order, so a reader
-    meets no fault among the nodes it evaluates.
+    `gap_depths` the nodes' guarded capacity gaps are computed before their
+    children are stepped, as a float64 array with one entry per node, and
+    at the depths in `eval_depths` their Evaluations at `delta`
+    (_evaluate_chunk), likewise one row per node; elsewhere gaps and
+    results are None. Only the entries of nodes that are still measures
+    are meaningful. A refused step or gap replaces the node by its message,
+    which stands in for every descendant; nothing below is computed. A
+    step, gap or evaluation that raises RuntimeError or ValueError replaces
+    the node by a PathFault that names it and likewise stands in for its
+    descendants. At the depths in `eval_depths` the walk raises the first
+    PathFault of the chunk in path order, so a reader meets no fault among
+    the nodes it evaluates.
     """
     prefixes = None if wanted is None else {p[:k] for p in wanted for k in range(len(p) + 1)}
     # what this walk's shared posterior matrices decide: step plans and
     # pair entropies (polar.Chunk)
-    plans: dict = {}
+    plans = PlanTable()
     stack: list[list[tuple[str, Node]]] = [[("", root)]]
     while stack:
         paths, nodes = map(list, zip(*stack.pop()))
         level = len(paths[0])
         chunks: dict[tuple[int, ...], Chunk] = {}
 
-        def run(kernel, todo: list[int], sign: str = "") -> list:
-            # a fault is named after the node computed: the node's own path
-            # for its gap or its evaluation, its child's for a step
+        def run(kernel, todo: list[int], out: list, sign: str = ""):
+            # the nodes computed and their results; a node whose kernel
+            # raises gets its PathFault in `out`, named after the node
+            # computed: the node's own path for its gap or its evaluation,
+            # its child's for a step
             if not todo:
-                return []
+                return [], None
             key = tuple(todo)
             if key not in chunks:
                 chunks[key] = Chunk([nodes[i] for i in todo], plans)
-            return _per_chunk(kernel, chunks[key], [paths[i] + sign for i in todo])
+            result, faults = _per_chunk(kernel, chunks[key], [paths[i] + sign for i in todo])
+            for position, fault in faults.items():
+                out[todo[position]] = fault
+            return [i for position, i in enumerate(todo) if position not in faults], result
 
-        gaps: list[float | None] = [None] * len(nodes)
+        gaps = None
         if level in gap_depths:
             todo = []
             for i, node in enumerate(nodes):
@@ -435,60 +614,50 @@ def _walk_chunks(
                         todo.append(i)
                     else:
                         nodes[i] = refusal
-            for i, gap in zip(todo, run(Chunk.gaps, todo)):
-                if isinstance(gap, PathFault):
-                    nodes[i] = gap
-                else:
-                    gaps[i] = gap.value
-        results: list[Evaluation | None] = [None] * len(nodes)
+            gaps = np.zeros(len(nodes))
+            done, via_pairs = run(lambda chunk: chunk.gaps()[1], todo, nodes)
+            if done:
+                gaps[done] = via_pairs
+        results = None
         if level in eval_depths:
             todo = [i for i, node in enumerate(nodes) if isinstance(node, BlackwellMeasure)]
-            for i, result in zip(todo, run(lambda chunk: _evaluate_chunk(chunk, delta), todo)):
-                if isinstance(result, PathFault):
-                    nodes[i] = result
-                else:
-                    results[i] = result
+            done, results = run(lambda chunk: _evaluate_chunk(chunk, delta), todo, nodes)
+            if done:
+                results = _spread(results, done, len(nodes))
             for node in nodes:
                 if isinstance(node, PathFault):
                     raise node
         yield paths, nodes, gaps, results
         if level == depth:
             continue
-        children: dict[str, Node] = {}
+        # each sign's child of every node, None where the walk wants none
+        steps = []
         for sign, kernel in ((MINUS, Chunk.minus), (PLUS, Chunk.plus)):
+            out = list(nodes)
+            if prefixes is not None:
+                out = [node if path + sign in prefixes else None for path, node in zip(paths, out)]
             todo = []
-            for i, (path, node) in enumerate(zip(paths, nodes)):
-                if prefixes is not None and path + sign not in prefixes:
-                    continue
-                children[path + sign] = node
+            for i, node in enumerate(out):
                 if isinstance(node, BlackwellMeasure):
                     refusal = step_refusal(node, sign, atom_budget)
                     if refusal is None:
                         todo.append(i)
                     else:
-                        children[path + sign] = refusal
-            for i, child in zip(todo, run(lambda chunk: kernel(chunk, merge_tau), todo, sign)):
-                children[paths[i] + sign] = child
+                        out[i] = refusal
+            done, stepped = run(lambda chunk: kernel(chunk, merge_tau), todo, out, sign)
+            for i, child in zip(done, stepped or ()):
+                out[i] = child
+            steps.append(out)
         ordered = [
-            (path + sign, children[path + sign])
-            for path in paths
-            for sign in (MINUS, PLUS)
-            if path + sign in children
+            (path + sign, child)
+            for path, minus, plus in zip(paths, *steps)
+            for sign, child in ((MINUS, minus), (PLUS, plus))
+            if child is not None
         ]
         stack.extend(reversed(_split(ordered, plans, merge_tau)))
 
 
-class Evaluation(NamedTuple):
-    """What a report says about one measure; determinedness is None when unclassified."""
-
-    distance_to_pol: float
-    nearest_subgroup: Subgroup
-    solves: int
-    capacity: float
-    determinedness: DeterminednessResult | None
-
-
-def _evaluate_chunk(chunk: Chunk, delta: float | None) -> list[Evaluation]:
+def _evaluate_chunk(chunk: Chunk, delta: float | None) -> Evaluations:
     """Evaluate every measure of a chunk, classifying at delta unless it is None.
 
     One batched kernel: the Pol distances (metrics._nearest_pol), the
@@ -496,36 +665,23 @@ def _evaluate_chunk(chunk: Chunk, delta: float | None) -> list[Evaluation]:
     capacities (channels._classify). Each measure gets bitwise the result
     it gets alone, in the order of chunk.measures.
     """
-    nearest = _nearest_pol(chunk)
+    distance, subgroup, solves = _nearest_pol(chunk)
     capacities = chunk.capacities()
     classes = [None] * len(chunk)
     if delta is not None:
         kernel = chunk.realized_columns().T
-        by_size = [capacities[i] for i in chunk.order]
-        bounds = chunk.starts.tolist()
-        classes = chunk.unsort(_classify(chunk.group, kernel, bounds, by_size, delta))
-    return [Evaluation(*pol, cap, det) for pol, cap, det in zip(nearest, capacities, classes)]
+        by_size = capacities[chunk.order].tolist()
+        classes = chunk.unsort(_classify(chunk.group, kernel, chunk.starts.tolist(), by_size, delta))
+    return Evaluations(capacities, distance, subgroup, solves, classes)
 
 
-def _leaf_records(
-    paths: list[str], nodes: list[Node], gaps: list[float | None], results: list[Evaluation | None]
-) -> list[PathRecord]:
-    """The records of a walker chunk of evaluated leaves."""
-    records = []
-    for path, node, gap, result in zip(paths, nodes, gaps, results):
-        if isinstance(node, str):
-            records.append(PathRecord(path=path, error=node))
-            continue
-        records.append(PathRecord(
-            path=path,
-            capacity=result.capacity,
-            capacity_gap=gap,
-            determinedness=result.determinedness,
-            distance_to_pol=result.distance_to_pol,
-            nearest_subgroup=result.nearest_subgroup,
-            atom_count=node.atom_count,
-        ))
-    return records
+def _leaves(paths: list[str], nodes: list[Node], gaps: np.ndarray, results: Evaluations | None) -> Leaves:
+    """The Leaves of a walker chunk of evaluated leaves, a refused leaf's error in its row."""
+    errors = [node if isinstance(node, str) else None for node in nodes]
+    atoms = np.array([0 if isinstance(node, str) else node.atom_count for node in nodes], dtype=np.int64)
+    if results is None:
+        results = _spread(None, [], len(nodes))
+    return Leaves(paths, errors, atoms, gaps, results)
 
 
 def enumerate_paths(
@@ -546,18 +702,21 @@ def enumerate_paths(
     _check_delta(delta)
     config = _config_echo(w, depth, "exhaustive", None, None, delta, merge_tau, atom_budget)
 
-    records: list[PathRecord] = []
-    level_gaps: dict[int, list[float]] = {}
+    parts: list[Leaves] = []
+    levels: dict[int, list[np.ndarray]] = {}
     root = blackwell_measure(w, merge_tau)
     walk = _walk_chunks(root, depth, merge_tau, atom_budget, gap_depths=range(depth + 1),
                         eval_depths=(depth,), delta=delta)
     for paths, nodes, gaps, results in walk:
-        for path, gap in zip(paths, gaps):
-            if gap is not None:
-                level_gaps.setdefault(len(path), []).append(gap)
+        live = np.array([isinstance(node, BlackwellMeasure) for node in nodes], dtype=bool)
+        if live.any():
+            levels.setdefault(len(paths[0]), []).append(gaps[live])
         if len(paths[0]) == depth:
-            records.extend(_leaf_records(paths, nodes, gaps, results))
-    return PolarizationReport(config, records, level_gaps)
+            parts.append(_leaves(paths, nodes, gaps, results))
+    level_gaps = {level: np.concatenate(gaps) for level, gaps in levels.items()}
+    leaves = _concat(parts)
+    return PolarizationReport(config, leaves, np.arange(len(leaves.paths)), enumerate_subgroups(root.group),
+                              level_gaps)
 
 
 def sample_paths(
@@ -592,11 +751,10 @@ def sample_paths(
     root = blackwell_measure(w, merge_tau)
     walk = _walk_chunks(root, depth, merge_tau, atom_budget, paths, gap_depths=(depth,),
                         eval_depths=(depth,), delta=delta)
-    leaves = {}
-    for chunk_paths, nodes, gaps, results in walk:
-        if len(chunk_paths[0]) == depth:
-            leaves.update((r.path, r) for r in _leaf_records(chunk_paths, nodes, gaps, results))
-    return PolarizationReport(config, [leaves[path] for path in paths], {})
+    leaves = _concat([_leaves(*chunk) for chunk in walk if len(chunk[0][0]) == depth])
+    row = {path: i for i, path in enumerate(leaves.paths)}
+    rows = np.array([row[path] for path in paths], dtype=np.int64)
+    return PolarizationReport(config, leaves, rows, enumerate_subgroups(root.group), {})
 
 
 def convergence_trace(
@@ -613,24 +771,23 @@ def convergence_trace(
     steps = normalize_path(path)
     depth = len(steps)
     root = blackwell_measure(w, merge_tau)
+    subgroups = enumerate_subgroups(root.group)
     out = []
     levels = range(depth + 1)
     walk = _walk_chunks(root, depth, merge_tau, atom_budget, [steps], gap_depths=levels,
                         eval_depths=levels, delta=None)
-    for paths, nodes, gaps, results in walk:
-        for prefix, node, gap, result in zip(paths, nodes, gaps, results):
-            if isinstance(node, str):
-                raise AtomBudgetError(node)
-            out.append(
-                TraceRecord(
-                    depth=len(prefix),
-                    prefix=prefix,
-                    capacity=result.capacity,
-                    capacity_gap=gap,
-                    distance_to_pol=result.distance_to_pol,
-                    nearest_subgroup=result.nearest_subgroup,
-                )
-            )
+    # each level's chunk is its one prefix
+    for (prefix,), (node,), gaps, results in walk:
+        if isinstance(node, str):
+            raise AtomBudgetError(node)
+        out.append(TraceRecord(
+            depth=len(prefix),
+            prefix=prefix,
+            capacity=float(results.capacity[0]),
+            capacity_gap=float(gaps[0]),
+            distance_to_pol=float(results.distance[0]),
+            nearest_subgroup=subgroups[results.subgroup[0]],
+        ))
     return out
 
 

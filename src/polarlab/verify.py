@@ -179,17 +179,19 @@ def pol_certificate_check() -> CheckResult:
         for paths, nodes in _measure_chunks(w, depth):
             if len(paths[0]) < depth:
                 continue
-            for m, got in zip(nodes, _evaluate_chunk(Chunk(nodes), delta)):
+            got = _evaluate_chunk(Chunk(nodes), delta)
+            for m, distance, nearest, solves, det in zip(
+                nodes, got.distance.tolist(), got.subgroup.tolist(), got.solves.tolist(), got.determinedness
+            ):
                 dist, index = min((wasserstein(m, t), i) for i, (_, t) in enumerate(targets))
                 channel = delta_determining_subgroup(m.realize(), delta)
-                worst = max(worst, abs(got.distance_to_pol - dist))
+                worst = max(worst, abs(distance - dist))
                 leaves += 1
-                solved += got.solves > 0
+                solved += solves > 0
                 mismatches += (
-                    got.nearest_subgroup != targets[index][0]
-                    or got.determinedness.determined != channel.determined
-                    or [x.subgroup for x in got.determinedness.witnesses]
-                    != [x.subgroup for x in channel.witnesses]
+                    nearest != index
+                    or det.determined != channel.determined
+                    or [x.subgroup for x in det.witnesses] != [x.subgroup for x in channel.witnesses]
                 )
     return CheckResult(
         "pol-set.certificate",

@@ -23,7 +23,7 @@ from polarlab import (
     symmetric_capacity,
 )
 from polarlab import blackwell
-from polarlab._util import fold_planes, plane_entropies_bits, row_entropies_bits
+from polarlab._util import fold_planes, plane_entropies_bits, row_entropies_bits, segment_dots
 from polarlab.blackwell import _bucket_labels, _canonical_atoms, _canonical_segments, _grid_keys, _sweep_labels
 from polarlab.presets import bsc_channel, identity_channel, random_channel, useless_channel
 from polarlab.process import sample_paths
@@ -100,6 +100,41 @@ def test_plane_fold_is_numpys_row_sum_order(layout):
             want = rows.sum(axis=1)
             got = fold_planes(rows.T.copy(), c_layout)
             assert got.tobytes() == want.tobytes(), (length, len(rows))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 16, 17, 36, 144])
+def test_stacked_matmul_is_each_items_own_product(k):
+    # pins the rule the chunk kernels' dots rest on: numpy's matmul loop
+    # makes, per stack item, the BLAS call that `@` makes on the item
+    # alone, so a stacked product has each item's bits. A numpy whose loop
+    # differs fails here before it changes a report. The operands are laid
+    # out as a chunk lays out a block: the weights of n measures end to end
+    # after other measures' atoms, read as (n, 1, k) rows and (n, k, 1)
+    # columns, against a shared (k, k) or (k, T) matrix, or a stack of them
+    rng = np.random.default_rng(k)
+    for n in (1, 2, 5, 33):
+        for offset in (0, 1, 3):
+            atoms = rng.random(offset + n * k) * np.exp2(rng.integers(-30, 30, offset + n * k))
+            w = atoms[offset:].reshape(n, k)
+            rows, cols = w[:, None, :], w[:, :, None]
+            shared, vector = rng.standard_normal((k, k)), rng.standard_normal(k)
+            stacked = np.stack([rng.standard_normal((k, k)) for _ in range(n)])
+            targets = rng.random((k, 7))
+            pairs = [
+                (rows @ cols, [w[i] @ w[i] for i in range(n)]),
+                (rows @ vector[:, None], [w[i] @ vector for i in range(n)]),
+                (rows @ shared @ cols, [w[i] @ shared @ w[i] for i in range(n)]),
+                (rows @ stacked @ cols, [w[i] @ stacked[i] @ w[i] for i in range(n)]),
+                (rows @ targets, [w[i] @ targets for i in range(n)]),
+            ]
+            for got, want in pairs:
+                assert got.reshape(n, -1).tobytes() == np.array(want).reshape(n, -1).tobytes(), (n, offset)
+            # segment_dots: runs of this length between segments of others
+            sizes = [2, *[k] * n, 1, k]
+            bounds = np.concatenate([[0], np.cumsum(sizes)])
+            x, y = rng.random(bounds[-1]), rng.standard_normal(bounds[-1])
+            want = [x[a:b] @ y[a:b] for a, b in zip(bounds, bounds[1:])]
+            assert segment_dots(x, y, bounds).tobytes() == np.array(want).tobytes()
 
 
 def test_bsc_measure_atoms():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -214,3 +216,16 @@ def test_channel_json_errors():
         channel_from_json({"group": [2], "outputs": 5, "rows": [[1.0], [1.0]]})
     with pytest.raises(ValueError, match="integers"):
         channel_from_json({"group": [2.5], "outputs": ["a"], "rows": [[1.0], [1.0]]})
+
+
+def test_block_capacities_keep_a_dead_outputs_block_out_of_the_dots():
+    # an output whose one entry is the least subnormal has a marginal that
+    # underflows to 0 and an infinite posterior entropy; its block runs
+    # alone, and the stacked dots of the other blocks neither see it nor warn
+    kernel = np.array([[0.5, 0.5, 5e-324, 1.0, 0.3, 0.7], [0.5, 0.5, 0.0, 1.0, 0.6, 0.4]])
+    bounds = [0, 2, 4, 6]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kernel_capacities(kernel, bounds)
+    want = [kernel_capacity(kernel[:, a:b]) for a, b in zip(bounds, bounds[1:])]
+    assert got.tolist() == want

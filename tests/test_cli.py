@@ -453,9 +453,32 @@ def test_layer_split_tool_prints_every_layer(tmp_path):
     assert "2 calls after 1 warm-up" in lines[0]
     layers = {line.split()[0] for line in lines[2:-1]}
     assert layers == {
-        "gap.via_pairs", "gap.via_transform", "gap.rest", "step.record", "step.replay",
-        "step.general", "canonicalize", "evaluate", "report_json", "write", "other",
+        "gap.via_pairs", "gap.via_transform", "gap.pair_dots", "gap.rest", "step.record", "step.replay",
+        "step.general", "canonicalize", "split", "evaluate", "report.records", "report_json", "write", "other",
     }
     assert lines[-1].startswith("minor page faults per call: ")
     # the report went to a temporary file, not to the working directory
     assert list(tmp_path.iterdir()) == []
+
+
+def test_layer_split_wraps_entry_points_that_the_call_enters(capsys):
+    # in process: every entry point that LAYERS names must exist, and those
+    # of an exhaustive call on a replaying channel must be entered, so a
+    # renamed or bypassed entry point fails here; the wrappers are removed
+    # afterwards
+    import importlib.util
+
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("layer_split", root / "tools" / "layer_split.py")
+    layer_split = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layer_split)
+    originals = (polarlab.process._records_json, polarlab.polar.Chunk.gaps, cli.report_json)
+    argv = ["--calls", "1", "--warmup", "0", "polarize", "--preset", "z4-multilevel:0.5", "--depth", "2"]
+    assert layer_split.main(argv) == 0
+    assert (polarlab.process._records_json, polarlab.polar.Chunk.gaps, cli.report_json) == originals
+    rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()[2:-1]}
+    assert set(rows) == {name for name, _, _ in layer_split.LAYERS} | {"other"}
+    idle = {"step.general"}  # every step of this walk is recorded or replayed
+    for name, _, _ in layer_split.LAYERS:
+        entries = float(rows[name][2])
+        assert entries == 0 if name in idle else entries >= 1, name

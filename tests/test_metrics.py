@@ -279,7 +279,7 @@ def test_distance_to_pol_solves_no_leaf(walk):
     with mock.patch.object(metrics, "wasserstein", side_effect=wasserstein) as solve:
         for m in leaves:
             distance_to_pol(m)
-        assert [s for _, _, s in metrics._nearest_pol(Chunk(leaves))] == [0] * len(leaves)
+        assert metrics._nearest_pol(Chunk(leaves))[2].tolist() == [0] * len(leaves)
     assert solve.call_count == 0
 
 
@@ -291,15 +291,16 @@ def test_uncertified_leaf_falls_back_to_the_simplex():
     for _ in range(2):
         level = [polar_step(m, sign) for m in level for sign in (MINUS, PLUS)]
     with mock.patch.object(metrics, "wasserstein", side_effect=wasserstein) as solve:
-        results = metrics._nearest_pol(Chunk(level))
-    uncertified = [i for i, (_, _, solves) in enumerate(results) if solves]
+        distances, nearest, solves = metrics._nearest_pol(Chunk(level))
+    uncertified = [i for i, solved in enumerate(solves.tolist()) if solved]
     assert uncertified == [3]
     assert all(call.args[0] is level[3] for call in solve.call_args_list)
-    _, _, eps = metrics._pol_bounds(Chunk([level[3]]))[0]
-    assert 5e-3 < eps[0] < 1.5e-2
-    for m, (dist, nearest, _) in zip(level, results):
+    _, _, eps = metrics._pol_bounds(Chunk([level[3]]))
+    assert 5e-3 < eps[0, 0] < 1.5e-2
+    subgroups = [sub for sub, _ in pol_set(Z4)]
+    for m, dist, index in zip(level, distances.tolist(), nearest.tolist()):
         simplex_dist, simplex_sub = _enumeration_order_nearest(m)
-        assert abs(dist - simplex_dist) <= 1e-12 and nearest == simplex_sub
+        assert abs(dist - simplex_dist) <= 1e-12 and subgroups[index] == simplex_sub
 
 
 _CORPUS = random_corpus()
@@ -314,13 +315,12 @@ def test_certified_distance_is_the_row_term(index, path):
         if m.atom_count ** 2 * m.group.size > 2000:
             break
         m = polar_step(m, sign)
-    rows, _, eps = metrics._pol_bounds(Chunk([m]))[0]
+    (rows,), _, (eps,) = metrics._pol_bounds(Chunk([m]))
     targets = pol_set(m.group)
     for (_, target), row, e in zip(targets, rows.tolist(), eps.tolist()):
         excess = wasserstein(m, target) - row
         assert -1e-15 <= excess <= e / 2 + 1e-15
-    dist, nearest, _ = metrics._nearest_pol(Chunk([m]))[0]
-    best = [sub for sub, _ in targets].index(nearest)
+    (dist,), (best,), _ = metrics._nearest_pol(Chunk([m]))
     if eps[best] <= metrics._CERTIFY_EPS or targets[best][1].atom_count == 1:
         assert dist == rows[best]
     assert abs(dist - _enumeration_order_nearest(m)[0]) <= 1e-12
@@ -333,12 +333,12 @@ def test_one_atom_target_needs_no_solve():
     m.group = Z2
     m.weights = np.array([0.5 + 1e-13, 0.5])
     m.posteriors = np.array([[0.49, 0.51], [0.51, 0.49]])
-    _, _, eps = metrics._pol_bounds(Chunk([m]))[0]
+    _, _, (eps,) = metrics._pol_bounds(Chunk([m]))
     assert eps[-1] > metrics._CERTIFY_EPS
     with mock.patch.object(metrics, "wasserstein", side_effect=wasserstein) as solve:
-        dist, nearest, solves = metrics._nearest_pol(Chunk([m]))[0]
+        (dist,), (nearest,), (solves,) = metrics._nearest_pol(Chunk([m]))
     assert solve.call_count == solves == 0
-    assert nearest.members == (0, 1) and abs(dist - 0.01) <= 1e-14
+    assert pol_set(Z2)[nearest][0].members == (0, 1) and abs(dist - 0.01) <= 1e-14
 
 
 def _per_target_bounds(m):
@@ -353,7 +353,7 @@ def test_stacked_pol_bounds_match_per_target_bounds():
     measures = [blackwell_measure(w) for w in random_corpus(count=60)]
     measures += [m for walk in _WALKS for m in _leaf_measures(walk)[:32]]
     for m in measures:
-        _, bounds, _ = metrics._pol_bounds(Chunk([m]))[0]
+        _, (bounds,), _ = metrics._pol_bounds(Chunk([m]))
         assert np.abs(bounds - _per_target_bounds(m)).max() <= 1e-12
 
 

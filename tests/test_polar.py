@@ -372,7 +372,7 @@ def test_chunk_kernels_match_each_measure_alone(case):
     for got, m in zip(chunk.plus(tau), measures):
         assert got.identical(plus_on_measure(m, tau))
         assert got.identical(_reference_plus(m, tau))
-    gaps = chunk.gaps()
+    gaps = _gap_list(chunk.gaps())
     assert gaps == [capacity_gap(m) for m in measures]
     assert gaps == [_reference_gap(m) for m in measures]
 
@@ -398,7 +398,46 @@ def test_one_atom_measure_keeps_its_gap_in_a_chunk():
             _one_atom(group, 2),
             blackwell_measure(random_channel(group, 2, seed=2)),
         ]
-        assert _bits(polar.Chunk(measures).gaps()) == _bits(_reference_gap(m) for m in measures), dims
+        assert _bits(_gap_list(polar.Chunk(measures).gaps())) == _bits(_reference_gap(m) for m in measures), dims
+
+
+def test_one_atom_measures_are_convolved_once_for_their_minus_capacities(monkeypatch):
+    # a one-atom measure's minus capacity runs alone on its column of the
+    # one-atom tile: on useless Z11 at depth 3, where every node has one
+    # atom, each via_transform route convolves its chunk's one block once,
+    # not once more per measure, and every gap keeps the reference's bits
+    calls, routes, gapped = [0], [], []
+    real_convolve, real_minus, real_gaps = polar._convolve_block, polar._minus_capacities, polar.Chunk.gaps
+
+    def convolve(*args):
+        calls[0] += 1
+        return real_convolve(*args)
+
+    def minus_capacities(chunk, columns):
+        before = calls[0]
+        out = real_minus(chunk, columns)
+        routes.append((calls[0] - before, [m.atom_count for m in chunk.by_size]))
+        return out
+
+    def gaps(chunk):
+        out = real_gaps(chunk)
+        gapped.append((list(chunk.measures), _gap_list(out)))
+        return out
+
+    monkeypatch.setattr(polar, "_convolve_block", convolve)
+    monkeypatch.setattr(polar, "_minus_capacities", minus_capacities)
+    monkeypatch.setattr(polar.Chunk, "gaps", gaps)
+    process.enumerate_paths(useless_channel(make_group([11])), 3)
+    assert sum(len(counts) for _, counts in routes) == 15
+    assert all(convolved == 1 and set(counts) == {1} for convolved, counts in routes)
+    for measures, got in gapped:
+        assert _bits(got) == _bits(_reference_gap(m) for m in measures)
+
+
+def _gap_list(gaps):
+    """A chunk's (via_transform, via_pairs) arrays as one CapacityGap per measure."""
+    via_transform, via_pairs = gaps
+    return [polar.CapacityGap(*pair) for pair in zip(via_transform.tolist(), via_pairs.tolist())]
 
 
 def _bits(gaps):
@@ -425,8 +464,8 @@ def test_gaps_over_many_tiles_match_the_reference(monkeypatch, dims, outputs):
     want = _bits(_reference_gap(m) for m in measures)
     for floats in (polar._TILE_FLOATS, 1000, 1):
         monkeypatch.setattr(polar, "_TILE_FLOATS", floats)
-        assert _bits(polar.Chunk(measures).gaps()) == want
-        assert _bits(polar.Chunk(measures[::-1]).gaps()) == want[::-1]
+        assert _bits(_gap_list(polar.Chunk(measures).gaps())) == want
+        assert _bits(_gap_list(polar.Chunk(measures[::-1]).gaps())) == want[::-1]
 
 
 def test_one_atom_plus_step_matches_the_reference_on_every_group():
@@ -505,16 +544,21 @@ def test_replayed_children_are_the_general_paths(preset, seed, erasure, depth, t
         # exact merging only, or dyadic coset-uniform posteriors: no
         # cluster is averaged
         assert None not in plans.values()
-    assert chunk.gaps() == [capacity_gap(m) for m in measures]
+    assert _gap_list(chunk.gaps()) == [capacity_gap(m) for m in measures]
     # the leaf kernels take what a posterior matrix decides once for all
     # its measures, and still give each measure its bits alone
     alone = [polar.Chunk([m]) for m in measures]
-    for got, single in zip(metrics._pol_bounds(chunk), alone):
-        want = metrics._pol_bounds(single)[0]
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-    assert metrics._nearest_pol(chunk) == [metrics._nearest_pol(single)[0] for single in alone]
+    bounds = metrics._pol_bounds(chunk)
+    for i, single in enumerate(alone):
+        want = metrics._pol_bounds(single)
+        assert [a[i].tobytes() for a in bounds] == [a[0].tobytes() for a in want]
+    assert _rows(metrics._nearest_pol(chunk)) == [
+        row for single in alone for row in _rows(metrics._nearest_pol(single))
+    ]
     evaluations = process._evaluate_chunk(chunk, process.DEFAULT_DELTA)
-    assert evaluations == [process._evaluate_chunk(single, process.DEFAULT_DELTA)[0] for single in alone]
+    assert _rows(evaluations) == [
+        row for single in alone for row in _rows(process._evaluate_chunk(single, process.DEFAULT_DELTA))
+    ]
     # a later chunk on a shared matrix replays from the table alone
     shared = [m for m in measures if len(chunk.supports[m.posteriors.tobytes()]) > 1]
     if shared:
@@ -522,7 +566,17 @@ def test_replayed_children_are_the_general_paths(preset, seed, erasure, depth, t
         assert later.minus(tau)[0].identical(minus_on_measure(shared[0], tau))
         assert later.plus(tau)[0].identical(plus_on_measure(shared[0], tau))
         assert later.replayed == valid.count(shared[0].posteriors.tobytes())
-        assert later.gaps() == [capacity_gap(shared[0])]
+        assert _gap_list(later.gaps()) == [capacity_gap(shared[0])]
+
+
+def _rows(columns):
+    """Columns, arrays or lists, as one tuple per measure; floats as their bits."""
+    def entries(column):
+        if isinstance(column, np.ndarray):
+            return [x.hex() if isinstance(x, float) else x for x in column.tolist()]
+        return list(column)
+
+    return list(zip(*(entries(column) for column in columns)))
 
 
 _Q = [[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]]

@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_polar import _measure_chunks
+from test_polar import _measure_chunks, _rows
 
 from polarlab import (
     AtomBudgetError,
+    BlackwellMeasure,
     Channel,
+    DeterminednessResult,
+    DeterminednessWitness,
+    PathRecord,
+    TraceRecord,
     blackwell_measure,
     capacity_of_measure,
     convergence_trace,
@@ -16,6 +21,7 @@ from polarlab import (
     deterministic_hom,
     distance_to_pol,
     enumerate_paths,
+    enumerate_subgroups,
     make_group,
     martingale_residual,
     sample_paths,
@@ -361,16 +367,19 @@ def test_split_prices_a_matrix_with_plans_of_both_signs_at_replay_cost(monkeypat
 
 
 def test_general_steps_stay_under_the_chunk_cap(monkeypatch):
-    # a node without plans of both signs for its matrix is priced at its raw
-    # posteriors, even where a plan that its chunk records will serve it, so
-    # a general-path call materializes more than _CHUNK_ATOMS floats only
-    # for a node that does alone
+    # each sign of a node without a plan in the walk's table is priced at
+    # its raw posteriors, even where a plan that its chunk records will
+    # serve it, so a general-path call materializes more than _CHUNK_ATOMS
+    # floats only for a node that does alone: each call counts the raw
+    # posterior floats of its own sign, k^2 |G| for a minus step and
+    # k^2 |G|^2 for a plus step
     sizes = []
     real = Chunk._general
 
     def general(chunk, sign, merge_tau):
         size = chunk.group.size
-        sizes.append([m.atom_count ** 2 * (1 + size) * size for m in chunk.measures])
+        raw = 1 if sign == "-" else size
+        sizes.append([m.atom_count ** 2 * raw * size for m in chunk.measures])
         return real(chunk, sign, merge_tau)
 
     monkeypatch.setattr(Chunk, "_general", general)
@@ -421,11 +430,14 @@ def test_gap_tiles_give_the_whole_chunks_gaps(monkeypatch):
     # down to one row, every node gets the gap of the default tiles
     def walk_gaps():
         walk = process._walk_chunks(blackwell_measure(w), 4, gap_depths=range(5))
-        return [gap for _, _, gaps, _ in walk for gap in gaps]
+        chunks = [(nodes, gaps.tolist()) for _, nodes, gaps, _ in walk]
+        # a node that is still a measure had its gap computed
+        assert all(isinstance(node, BlackwellMeasure) for nodes, _ in chunks for node in nodes)
+        return [gap.hex() for _, gaps in chunks for gap in gaps]
 
     w = dh_mix_channel(make_group([2, 4]), seed=11)
     want = walk_gaps()
-    assert len(want) == 31 and None not in want
+    assert len(want) == 31
     for floats in (1, 200):
         monkeypatch.setattr(polar, "_TILE_FLOATS", floats)
         assert walk_gaps() == want
@@ -470,6 +482,27 @@ def test_each_walk_starts_with_an_empty_plan_table(monkeypatch):
     assert first == second
     assert [size for _, size in tables] == [0, 0]
     assert all(table for table, _ in tables)
+
+
+def test_replayed_children_are_keyed_by_their_plans_matrix(monkeypatch):
+    # a walk keys each plan's children's posterior matrix by the array's id,
+    # and every node's key is still its matrix's bytes
+    tables = []
+    real = Chunk.__init__
+
+    def init(chunk, measures, plans=None):
+        tables.append(plans)
+        real(chunk, measures, plans)
+
+    monkeypatch.setattr(Chunk, "__init__", init)
+    for w, depth in ((z4_multilevel_channel(0.5), 5), (dh_mix_channel(make_group([2, 4]), 11), 4)):
+        tables.clear()
+        nodes = [m for _, level, _, _ in process._walk_chunks(blackwell_measure(w), depth) for m in level]
+        (table,) = {id(t): t for t in tables if t is not None}.values()
+        assert isinstance(table, polar.PlanTable)
+        by_id = [m for m in nodes if id(m.posteriors) in table.matrices]
+        assert len(by_id) > len(nodes) // 2
+        assert all(polar._matrix_key(table, m.posteriors) == m.posteriors.tobytes() for m in nodes)
 
 
 def test_report_schema_and_round_trip(tmp_path):
@@ -589,13 +622,19 @@ def test_leaf_classification_matches_the_channel_route(delta):
 def test_chunk_evaluation_matches_each_measure_alone(case, delta):
     measures, _ = case
     together = process._evaluate_chunk(Chunk(measures), delta)
-    assert together == [process._evaluate_chunk(Chunk([m]), delta)[0] for m in measures]
-    for got, m in zip(together, measures):
-        assert got.capacity == capacity_of_measure(m)
-        assert (got.distance_to_pol, got.nearest_subgroup) == distance_to_pol(m)
-        for wit in got.determinedness.witnesses:
+    assert all(len(column) == len(measures) for column in together)
+    assert _rows(together) == [_rows(process._evaluate_chunk(Chunk([m]), delta))[0] for m in measures]
+    subgroups = enumerate_subgroups(measures[0].group)
+    for capacity, distance, sub, det, m in zip(
+        together.capacity.tolist(), together.distance.tolist(), together.subgroup.tolist(),
+        together.determinedness, measures,
+    ):
+        assert capacity == capacity_of_measure(m)
+        assert (distance, subgroups[sub]) == distance_to_pol(m)
+        for wit in det.witnesses:
             size = m.group.size // wit.subgroup.size
-            assert wit.gap_capacity == abs(got.capacity - np.log2(size))
+            assert wit.gap_capacity == abs(capacity - np.log2(size))
+
 
 
 def test_the_walk_builds_no_channel():
@@ -612,3 +651,80 @@ def test_the_walk_builds_no_channel():
         verify.multilevel_quotient_floor(6)
         # the floor builds its input channel and nothing else
         assert init.call_count == built_for_input
+
+
+def _fixture_channel(name):
+    return {
+        "z4-multilevel:0.5": lambda: z4_multilevel_channel(0.5),
+        "dh-mix:3 Z4": lambda: dh_mix_channel(Z4, 3),
+        "random:0 Z4 5 outputs": lambda: random_channel(Z4, 5, seed=0),
+        "random:0 Z4 2 outputs": lambda: random_channel(Z4, 2, seed=0),
+    }[name]()
+
+
+def _fixture_path_record(group, fields):
+    if "error" in fields:
+        return PathRecord(path=fields["path"], error=fields["error"])
+    witnesses = tuple(
+        DeterminednessWitness(subgroup_from_members(group, members), gap_capacity, gap_quotient)
+        for members, gap_capacity, gap_quotient in fields["witnesses"]
+    )
+    return PathRecord(
+        path=fields["path"],
+        capacity=fields["capacity"],
+        capacity_gap=fields["capacity_gap"],
+        determinedness=DeterminednessResult(fields["determined"], fields["delta"], witnesses),
+        distance_to_pol=fields["distance_to_pol"],
+        nearest_subgroup=subgroup_from_members(group, fields["nearest_subgroup"]),
+        atom_count=fields["atom_count"],
+    )
+
+
+def test_library_records_equal_the_frozen_per_node_records():
+    # the records a report builds from its columns, and a trace's records,
+    # equal with == those that the per-node record code built, frozen in
+    # fixtures/library_records.json (JSON floats read back bit for bit):
+    # exhaustive walks that replay, a walk whose budget fails 6 of 8
+    # paths, and a sample of failed paths drawn more than once. Their
+    # numbers are Python floats and ints, as they were.
+    import json
+    from pathlib import Path
+
+    frozen = json.loads((Path(__file__).parent / "fixtures" / "library_records.json").read_text())
+    for case in frozen["reports"]:
+        w = _fixture_channel(case["channel"])
+        call = enumerate_paths if case["call"] == "enumerate" else sample_paths
+        records = call(w, **case["kwargs"]).records
+        assert records == [_fixture_path_record(w.group, fields) for fields in case["records"]], case["channel"]
+        for rec in records:
+            if rec.ok:
+                numbers = (rec.capacity, rec.capacity_gap, rec.distance_to_pol)
+                assert [type(x) for x in numbers] == [float] * 3 and type(rec.atom_count) is int
+    for case in frozen["traces"]:
+        w = _fixture_channel(case["channel"])
+        records = convergence_trace(w, case["path"])
+        want = [
+            TraceRecord(**{**fields, "nearest_subgroup": subgroup_from_members(w.group, fields["nearest_subgroup"])})
+            for fields in case["records"]
+        ]
+        assert records == want, case["channel"]
+        for rec in records:
+            assert [type(x) for x in (rec.capacity, rec.capacity_gap, rec.distance_to_pol)] == [float] * 3
+
+
+@pytest.mark.parametrize("make", [
+    lambda: enumerate_paths(z4_multilevel_channel(0.5), 6),
+    lambda: enumerate_paths(dh_mix_channel(make_group([2, 4]), 11), 4),
+    lambda: enumerate_paths(random_channel(Z4, 2, seed=0), 3),
+    lambda: sample_paths(random_channel(Z4, 5, seed=0), 3, 6, seed=0, atom_budget=300),
+    lambda: sample_paths(bec_channel(0.5), 4, 40, seed=1),
+    lambda: enumerate_paths(random_channel(Z4, 3, seed=2), 0),
+])
+def test_report_json_writes_a_report_from_its_columns(make):
+    # a report's columns give the bytes of json.dumps of its dict
+    import json
+
+    report = make()
+    report.config["source"] = "preset:x"
+    data = report.to_dict()
+    assert report_json(report) == report_json(data) == json.dumps(data, indent=2) + "\n"

@@ -65,7 +65,7 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ],
     *[
         (f"z4-multilevel d{depth}", polarize("--preset", "z4-multilevel:0.5", "--depth", str(depth)))
-        for depth in (9, 10, 12)
+        for depth in (9, 10, 12, 14)
     ],
     # levels of 128 replaying nodes, which span several chunks
     ("dh-mix:11 [2,4] d7", polarize("--preset", "dh-mix:11", "--group", "[2,4]", "--depth", "7")),

@@ -12,9 +12,10 @@ untimed warm-up calls, then N timed calls, in this process; without
 `--output` it writes its report to a temporary file. For the timed calls
 each layer's entry point (LAYERS) is wrapped, and a layer's exclusive time
 is its wall time less that of the wrapped layers called inside it; `other`
-is the rest of the call. Prints, per layer, the median exclusive time per
-call, its share of the median call, and the median number of entries per
-call, then the median minor page faults per call (resource.getrusage).
+is the rest of the call; the wrappers are removed when the timed calls
+end. Prints, per layer, the median exclusive time per call, its share of
+the median call, and the median number of entries per call, then the
+median minor page faults per call (resource.getrusage).
 
 Informational only: the wrappers add their own cost to every entry, the
 medians swing with the host, and nothing reads the output. Neither the
@@ -24,6 +25,7 @@ package nor the benchmark imports this file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import resource
 import statistics
@@ -40,12 +42,15 @@ ROOT = Path(__file__).resolve().parent.parent
 LAYERS = [
     ("gap.via_pairs", "polar", "_convolution_entropies"),
     ("gap.via_transform", "polar", "_minus_capacities"),
+    ("gap.pair_dots", "polar", "Chunk._pair_gaps"),
     ("gap.rest", "polar", "Chunk.gaps"),
     ("step.record", "polar", "_record"),
     ("step.replay", "polar", "_replay"),
     ("step.general", "polar", "Chunk._general"),
     ("canonicalize", "blackwell", "_canonical_segments"),
+    ("split", "process", "_split"),
     ("evaluate", "process", "_evaluate_chunk"),
+    ("report.records", "process", "_records_json"),
     ("report_json", "cli", "report_json"),
     ("write", "cli", "_write_atomic"),
 ]
@@ -80,13 +85,22 @@ class Timer:
         return wrapper
 
 
-def patch(timer: Timer, modules: dict) -> None:
-    for name, module, attribute in LAYERS:
-        owner = modules[module]
-        *outer, leaf = attribute.split(".")
-        for part in outer:
-            owner = getattr(owner, part)
-        setattr(owner, leaf, timer.wrap(name, getattr(owner, leaf)))
+@contextlib.contextmanager
+def patched(timer: Timer, modules: dict):
+    """Every layer's entry point wrapped for the length of the block, then restored."""
+    saved = []
+    try:
+        for name, module, attribute in LAYERS:
+            owner = modules[module]
+            *outer, leaf = attribute.split(".")
+            for part in outer:
+                owner = getattr(owner, part)
+            saved.append((owner, leaf, getattr(owner, leaf)))
+            setattr(owner, leaf, timer.wrap(name, getattr(owner, leaf)))
+        yield
+    finally:
+        for owner, leaf, original in reversed(saved):
+            setattr(owner, leaf, original)
 
 
 def median_ms(values: list[float]) -> float:
@@ -115,23 +129,23 @@ def main(argv=None) -> int:
                 print("layer_split: the polarize command failed", file=sys.stderr)
                 return 1
         timer = Timer()
-        patch(timer, {"blackwell": blackwell, "cli": cli, "polar": polar, "process": process})
         calls, faults = [], []
         per_layer = {name: [] for name, _, _ in LAYERS}
         entries = {name: [] for name, _, _ in LAYERS}
-        for _ in range(args.calls):
-            timer.reset()
-            minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            start = time.perf_counter()
-            code = cli.main(command)
-            calls.append(time.perf_counter() - start)
-            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt)
-            if code != 0:
-                print("layer_split: the polarize command failed", file=sys.stderr)
-                return 1
-            for name in per_layer:
-                per_layer[name].append(timer.seconds[name])
-                entries[name].append(timer.entries[name])
+        with patched(timer, {"blackwell": blackwell, "cli": cli, "polar": polar, "process": process}):
+            for _ in range(args.calls):
+                timer.reset()
+                minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                start = time.perf_counter()
+                code = cli.main(command)
+                calls.append(time.perf_counter() - start)
+                faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt)
+                if code != 0:
+                    print("layer_split: the polarize command failed", file=sys.stderr)
+                    return 1
+                for name in per_layer:
+                    per_layer[name].append(timer.seconds[name])
+                    entries[name].append(timer.entries[name])
     others = [call - sum(layers) for call, layers in zip(calls, zip(*per_layer.values()))]
     call = median_ms(calls)
     print(f"{' '.join(args.command)}: {args.calls} calls after {args.warmup} warm-up, "
