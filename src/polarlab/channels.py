@@ -8,7 +8,7 @@ enumeration order) support the coset-structured operations below.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -249,10 +249,35 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"delta must be finite and positive, got {delta}")
 
 
-def _classify(
-    group: Group, kernel: np.ndarray, bounds, capacities, delta: float
-) -> list[DeterminednessResult]:
-    """delta-determining subgroups of each channel whose kernel is a column block of `kernel`.
+class Classes(NamedTuple):
+    """delta-classification of channels as columns: row s is channel s, column t subgroup t.
+
+    Subgroups are indexed in enumeration order. `gap_capacity` is
+    |I(W) - log2|G/H||; `gap_quotient` is |I(W[H]) - log2|G/H||, NaN where it
+    was not needed (no channel of the column is within delta on capacity);
+    `witness` marks the qualifying subgroups. Each row of `order` lists the
+    subgroups with its witnesses first, best first by (larger gap, members),
+    so row s's witnesses are order[s, :witness[s].sum()].
+    """
+
+    gap_capacity: np.ndarray
+    gap_quotient: np.ndarray
+    witness: np.ndarray
+    order: np.ndarray
+
+    def results(self, subgroups: Sequence[Subgroup], delta: float) -> list[DeterminednessResult]:
+        """The DeterminednessResult of each row; `subgroups` in enumeration order."""
+        out = []
+        for s, count in enumerate(self.witness.sum(axis=1).tolist()):
+            found = self.order[s, :count].tolist()
+            gaps = zip(found, self.gap_capacity[s, found].tolist(), self.gap_quotient[s, found].tolist())
+            witnesses = tuple(DeterminednessWitness(subgroups[t], *pair) for t, *pair in gaps)
+            out.append(DeterminednessResult(bool(count), float(delta), witnesses))
+        return out
+
+
+def _classify(group: Group, kernel: np.ndarray, bounds, capacities: np.ndarray, delta: float) -> Classes:
+    """delta-classification of each channel whose kernel is a column block of `kernel`.
 
     Channel s has the kernel kernel[:, bounds[s]:bounds[s + 1]] over the
     group and capacity capacities[s]. The kernels are taken as valid (a
@@ -261,30 +286,28 @@ def _classify(
     once for all blocks (kernel_capacities), which gives each channel the
     bits it gets alone.
     """
-    witnesses = [[] for _ in capacities]
-    for sub in enumerate_subgroups(group):
-        target = float(np.log2(group.size // sub.size))
-        gaps = [abs(capacity - target) for capacity in capacities]
-        near = [s for s, gap in enumerate(gaps) if gap < delta]
-        if not near:
-            continue
-        quotient_capacities = kernel_capacities(_coset_average(group, kernel, sub), bounds).tolist()
-        for s in near:
-            gap_quotient = abs(quotient_capacities[s] - target)
-            if gap_quotient < delta:
-                witnesses[s].append(DeterminednessWitness(sub, gaps[s], gap_quotient))
-    out = []
-    for found in witnesses:
-        found.sort(key=lambda wit: (max(wit.gap_capacity, wit.gap_quotient), wit.subgroup.members))
-        out.append(DeterminednessResult(bool(found), float(delta), tuple(found)))
-    return out
+    subgroups = enumerate_subgroups(group)
+    targets = np.array([float(np.log2(group.size // sub.size)) for sub in subgroups])
+    gap_capacity = np.abs(np.asarray(capacities, dtype=float)[:, None] - targets)
+    near = gap_capacity < delta
+    gap_quotient = np.full(gap_capacity.shape, np.nan)
+    for t in np.flatnonzero(near.any(axis=0)).tolist():
+        quotient_capacities = kernel_capacities(_coset_average(group, kernel, subgroups[t]), bounds)
+        gap_quotient[:, t] = np.abs(quotient_capacities - targets[t])
+    witness = near & (gap_quotient < delta)
+    # each subgroup's rank by members, which breaks ties of the larger gap
+    members = np.argsort(sorted(range(len(subgroups)), key=lambda t: subgroups[t].members))
+    larger = np.where(witness, np.maximum(gap_capacity, gap_quotient), np.inf)
+    order = np.lexsort((np.broadcast_to(members, witness.shape), larger))
+    return Classes(gap_capacity, gap_quotient, witness, order)
 
 
 def delta_determining_subgroup(w: Channel, delta: float) -> DeterminednessResult:
     """Find all subgroups whose quotient structure explains the channel at level delta."""
     _check_delta(delta)
-    bounds = (0, w.n_outputs)
-    return _classify(w.require_group(), w.kernel, bounds, [symmetric_capacity(w)], delta)[0]
+    group = w.require_group()
+    classes = _classify(group, w.kernel, (0, w.n_outputs), [symmetric_capacity(w)], delta)
+    return classes.results(enumerate_subgroups(group), delta)[0]
 
 
 def channel_to_json(w: Channel) -> dict:

@@ -88,7 +88,7 @@ def cmd_polarize(args) -> int:
         seed = 0 if args.seed is None else args.seed
         report = sample_paths(channel, args.depth, samples, seed, **kw)
     report.config["source"] = args.channel
-    text = report_json(report) if args.format == "json" else report_csv(report.to_dict())
+    text = report_json(report) if args.format == "json" else report_csv(report)
     if args.output:
         _write_atomic(args.output, text)
     else:

@@ -333,6 +333,7 @@ def _pol_bounds(chunk: Chunk) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sizes = np.diff(np.append(firsts, len(weights)))
     rows, cols, eps = (np.empty((len(chunk), len(firsts))) for _ in range(3))
     for members in chunk.supports.values():
+        members = np.array(members)
         cost = _tv_cost_matrix(chunk.measures[members[0]].posteriors, posteriors)
         if not np.isfinite(cost).all():
             raise ValueError("transport costs must be finite")
@@ -341,7 +342,7 @@ def _pol_bounds(chunk: Chunk) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         ties = np.add.reduceat(nearest, firsts, axis=1, dtype=np.int64)
         cols[members] = np.add.reduceat(cost.min(axis=0) * weights, firsts)
         # [n, i, atom of a target]: the weight atom i sends there
-        w = np.stack([chunk.measures[i].weights for i in members])
+        w = np.concatenate([chunk.measures[i].weights for i in members.tolist()]).reshape(len(members), -1)
         share = np.where(nearest, np.repeat(w[:, :, None] / ties, sizes, axis=2), 0.0)
         eps[members] = np.add.reduceat(np.abs(share.sum(axis=1) - weights), firsts, axis=1)
         rows[members] = (w[:, None, :] @ row_min)[:, 0]
@@ -367,28 +368,38 @@ def _nearest_pol(chunk: Chunk) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ties going to the first subgroup in enumeration order. Results come
     back in the order of chunk.measures, each bitwise the one its measure
     gets alone.
+
+    The search runs once for the chunk, a target rank at a time: each
+    measure's targets in (bound, index) order, an open mask that closes a
+    measure for good at its first skipped target, and a running (value,
+    index) minimum. Only the open, uncertified (measure, target) pairs of a
+    rank are solved, one at a time.
     """
     targets = pol_set(chunk.group)
     lone = np.array([target.atom_count == 1 for _, target in targets])
     rows, bounds, eps = _pol_bounds(chunk)
-    found, solved = [], []
-    columns = zip(chunk.measures, rows.tolist(), bounds.tolist(), (lone | (eps <= _CERTIFY_EPS)).tolist())
-    for m, rows, bounds, certified in columns:
-        best, solves = (np.inf, -1), 0
-        for bound, index in sorted(zip(bounds, range(len(targets)))):
-            if bound > best[0] + MARGINAL_TOL:
-                break
-            if certified[index]:
-                value = rows[index]
-            else:
-                value = wasserstein(m, targets[index][1])
-                solves += 1
-            best = min(best, (value, index))
-        found.append(best)
-        solved.append(solves)
-    distance = np.array([value for value, _ in found], dtype=float)
-    index = np.array([index for _, index in found], dtype=np.int64)
-    return distance, index, np.array(solved, dtype=np.int64)
+    # each measure's targets in (bound, index) order: a stable sort keeps
+    # tied bounds in index order
+    ranked = np.argsort(bounds, axis=1, kind="stable")
+    measure = np.arange(len(rows))[:, None]
+    ranked_bounds, ranked_rows = bounds[measure, ranked], rows[measure, ranked]
+    ranked_solved = ~(lone | (eps <= _CERTIFY_EPS))[measure, ranked]
+    best = np.full(len(rows), np.inf)
+    index = np.full(len(rows), -1, dtype=np.int64)
+    solves = np.zeros(len(rows), dtype=np.int64)
+    live = np.ones(len(rows), dtype=bool)
+    for rank, target in enumerate(ranked.T):
+        live &= ~(ranked_bounds[:, rank] > best + MARGINAL_TOL)
+        if not live.any():
+            break
+        value = ranked_rows[:, rank].copy()
+        for i in (live & ranked_solved[:, rank]).nonzero()[0].tolist():
+            value[i] = wasserstein(chunk.measures[i], targets[target[i]][1])
+            solves[i] += 1
+        better = live & ((value < best) | ((value == best) & (target < index)))
+        np.copyto(best, value, where=better)
+        np.copyto(index, target, where=better)
+    return best, index, solves
 
 
 def distance_to_pol(m: BlackwellMeasure) -> tuple[float, Subgroup]:

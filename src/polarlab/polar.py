@@ -127,6 +127,7 @@ class Chunk:
         self.replayed = 0
         counts = [m.atom_count for m in self.measures]
         self.order = sorted(range(len(counts)), key=counts.__getitem__)
+        self.in_order = self.order == list(range(len(counts)))
         self.by_size = [self.measures[i] for i in self.order]
         self.weights = np.concatenate([m.weights for m in self.by_size])
         self.posteriors = np.concatenate([m.posteriors for m in self.by_size])
@@ -137,6 +138,7 @@ class Chunk:
         # (k, first segment, end segment) of each block
         self.blocks = [(int(k[a]), a, b) for a, b in zip(edges, edges[1:])]
         self._conv = None
+        self._realized = None
         self._supports = None
 
     def __len__(self) -> int:
@@ -147,7 +149,9 @@ class Chunk:
         return rows[self.starts[a] : self.starts[b]].reshape(b - a, k, *rows.shape[1:])
 
     def unsort(self, results):
-        """Per-segment results, a list or an array, back in the order of `measures`."""
+        """Per-segment results, a list or an array, back in the order of `measures`; `results` itself where that is its order."""
+        if self.in_order:
+            return results
         if isinstance(results, np.ndarray):
             out = np.empty_like(results)
             out[self.order] = results
@@ -179,16 +183,19 @@ class Chunk:
         return self.unsort(_capacities(self.group.size, self.weights, self.posteriors, bounds))
 
     def realized_columns(self) -> np.ndarray:
-        """The columns of the realized kernels as rows, laid out like the atoms.
+        """The columns of the realized kernels as rows, laid out like the atoms; read-only, computed once.
 
         Each measure's rows are bitwise its realized_kernel().T.
         """
-        out = []
-        for k, a, b in self.blocks:
-            lo, hi = self.starts[a], self.starts[b]
-            weights, posteriors = self.weights[lo:hi], self.posteriors[lo:hi]
-            out.append(_realized_columns(self.group.size, weights, posteriors, k))
-        return np.concatenate(out)
+        if self._realized is None:
+            out = []
+            for k, a, b in self.blocks:
+                lo, hi = self.starts[a], self.starts[b]
+                weights, posteriors = self.weights[lo:hi], self.posteriors[lo:hi]
+                out.append(_realized_columns(self.group.size, weights, posteriors, k))
+            self._realized = np.concatenate(out)
+            self._realized.setflags(write=False)
+        return self._realized
 
     def pair_weights(self) -> np.ndarray:
         """w_i w_j of every atom pair."""

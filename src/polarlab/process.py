@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .blackwell import DEFAULT_MERGE_TAU, BlackwellMeasure, blackwell_measure
-from .channels import Channel, DeterminednessResult, _check_delta, _classify, symmetric_capacity
+from .channels import Channel, Classes, DeterminednessResult, _check_delta, _classify, symmetric_capacity
 from .groups import Subgroup, enumerate_subgroups
 from .metrics import _nearest_pol
 from .polar import (
@@ -149,15 +149,15 @@ class Evaluations(NamedTuple):
     """What a report says about the measures of a chunk, as columns in the order of its measures.
 
     `subgroup` indexes the group's subgroups in enumeration order (the
-    nearest Pol target), and a classification is None where the chunk was
-    not classified.
+    nearest Pol target), and `classes` holds the delta-classification
+    (channels.Classes), or is None where the chunk was not classified.
     """
 
     capacity: np.ndarray
     distance: np.ndarray
     subgroup: np.ndarray
     solves: np.ndarray
-    determinedness: list[DeterminednessResult | None]
+    classes: Classes | None
 
 
 class Leaves(NamedTuple):
@@ -209,7 +209,7 @@ class PolarizationReport:
         for path, error, atoms, gap, capacity, distance, sub, det in zip(
             leaves.paths, leaves.errors, leaves.atoms.tolist(), leaves.gaps.tolist(),
             columns.capacity.tolist(), columns.distance.tolist(), columns.subgroup.tolist(),
-            columns.determinedness,
+            columns.classes.results(self.subgroups, self.config["delta"]),
         ):
             if error is not None:
                 built.append(PathRecord(path=path, error=error))
@@ -236,24 +236,23 @@ class PolarizationReport:
         ok = np.array([error is None for error in self.leaves.errors], dtype=bool)
         return self.rows[ok[self.rows]]
 
-    def _classes(self) -> list[DeterminednessResult]:
-        classes = self.leaves.evaluations.determinedness
-        return [classes[row] for row in self._evaluated_rows.tolist()]
+    @cached_property
+    def _best(self) -> np.ndarray:
+        """The best witness's subgroup index of each evaluated record, -1 where it is not determined."""
+        classes = self.leaves.evaluations.classes
+        best = np.where(classes.witness.any(axis=1), classes.order[:, 0], -1)
+        return best[self._evaluated_rows]
 
     def fraction_determined(self) -> float:
-        classes = self._classes()
-        if not classes:
+        if not len(self._best):
             return 0.0
-        return sum(1 for det in classes if det.determined) / len(classes)
+        return int((self._best >= 0).sum()) / len(self._best)
 
     def subgroup_histogram(self) -> list[tuple[Subgroup, int]]:
-        """Determined-path counts keyed by the best witness subgroup."""
-        counts: dict[Subgroup, int] = {}
-        for det in self._classes():
-            if det.determined:
-                sub = det.best.subgroup
-                counts[sub] = counts.get(sub, 0) + 1
-        return sorted(counts.items(), key=lambda kv: (kv[0].size, kv[0].members))
+        """Determined-path counts keyed by the best witness subgroup, in order of (size, members)."""
+        # subgroups enumerate in order of (size, members)
+        counts = np.bincount(self._best[self._best >= 0], minlength=len(self.subgroups))
+        return [(sub, count) for sub, count in zip(self.subgroups, counts.tolist()) if count]
 
     def to_dict(self) -> dict:
         return self._fields([r.to_dict() for r in self.records])
@@ -273,8 +272,8 @@ class PolarizationReport:
             "config": self.config,
             "records": records,
             "levels": [
-                {"depth": depth, "median_capacity_gap": float(np.median(gaps))}
-                for depth, gaps in sorted(self.level_gaps.items())
+                {"depth": depth, "median_capacity_gap": median}
+                for depth, median in _medians(self.level_gaps).items()
             ],
             "aggregates": {
                 "evaluated": n_eval,
@@ -319,47 +318,121 @@ def report_json(report: PolarizationReport | dict) -> str:
 
 
 def _floats_text(values: np.ndarray) -> list[str]:
-    """The text of each float of an array, as _json_scalar writes it."""
-    texts = list(map(float.__repr__, values.tolist()))
-    return texts if np.isfinite(values).all() else [_JSON_FLOATS.get(text, text) for text in texts]
+    """The text of each float of an array, as _json_scalar writes it; each distinct float (by its bits) is written once."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    distinct = bits.view(float)
+    texts = list(map(float.__repr__, distinct.tolist()))
+    if not np.isfinite(distinct).all():
+        texts = [_JSON_FLOATS.get(text, text) for text in texts]
+    return list(map(texts.__getitem__, inverse.tolist()))
+
+
+# A record's text between its values (path, capacity, capacity gap,
+# determined, witnesses, distance, nearest subgroup, atoms), each record led
+# by the separator from the one before; a witness's text around its gaps.
+_RECORD = (
+    ',\n    {\n      "path": ', ',\n      "error": null,\n      "capacity": ', ',\n      "capacity_gap": ',
+    ',\n      "determined": ', ',\n      "witnesses": ', ',\n      "distance_to_pol": ',
+    ',\n      "nearest_subgroup": ', ',\n      "atoms": ', '\n    }',
+)
+_FAILED = ',\n    {{\n      "path": {},\n      "error": {}\n    }}'.format
+_GAP_QUOTIENT = ',\n          "gap_quotient": '
+# a witness's end, and the last one's, which closes its record's list
+_WITNESS_ENDS = ("\n        }", "\n        }\n      ]")
+
+
+def _interleave(columns: list) -> list[str]:
+    """The texts of each item in turn, one per column: a str column is every item's, a list holds one per item."""
+    count = next(len(column) for column in columns if not isinstance(column, str))
+    width = len(columns)
+    out = [""] * (width * count)
+    for c, column in enumerate(columns):
+        out[c::width] = [column] * count if isinstance(column, str) else column
+    return out
 
 
 def _records_json(report: PolarizationReport) -> str:
     """The text of report.to_dict()["records"] in report_json, from the report's columns.
 
-    Each leaf is written once, however many records repeat it, and each
-    subgroup's text once for each place it takes in a record.
+    Each float column, the witnesses' gaps among them, is written in one
+    pass (_floats_text), each subgroup's text once for each place it takes
+    in a record, and each leaf's witnesses once, however many records
+    repeat the leaf. The records' texts are laid out column by column and
+    joined once (_interleave).
     """
     leaves, columns = report.leaves, report.leaves.evaluations
+    classes = columns.classes
+    count = len(leaves.paths)
     nearest = [_json_text(sub.to_json(), "\n      ") for sub in report.subgroups]
-    witness_subgroups = {sub: _json_text(sub.to_json(), "\n          ") for sub in report.subgroups}
-    texts = []
-    for path, error, atoms, gap, capacity, distance, sub, det in zip(
-        leaves.paths, leaves.errors, leaves.atoms.tolist(), _floats_text(leaves.gaps),
-        _floats_text(columns.capacity), _floats_text(columns.distance), columns.subgroup.tolist(),
-        columns.determinedness,
-    ):
-        if error is not None:
-            texts.append(f'{{\n      "path": {_json_string(path)},\n      "error": {_json_string(error)}\n    }}')
-            continue
-        witnesses = [
-            f'{{\n          "subgroup": {witness_subgroups[w.subgroup]},'
-            f'\n          "gap_capacity": {_json_scalar(w.gap_capacity)},'
-            f'\n          "gap_quotient": {_json_scalar(w.gap_quotient)}\n        }}'
-            for w in det.witnesses
-        ]
-        texts.append(
-            f'{{\n      "path": {_json_string(path)},\n      "error": null,'
-            f'\n      "capacity": {capacity},'
-            f'\n      "capacity_gap": {gap},'
-            f'\n      "determined": {"true" if det.determined else "false"},'
-            f'\n      "witnesses": '
-            + ("[\n        " + ",\n        ".join(witnesses) + "\n      ]" if witnesses else "[]")
-            + f',\n      "distance_to_pol": {distance},'
-            f'\n      "nearest_subgroup": {nearest[sub]},'
-            f'\n      "atoms": {atoms}\n    }}'
-        )
-    return "[\n    " + ",\n    ".join([texts[row] for row in report.rows.tolist()]) + "\n  ]"
+    # a witness's text up to its gap_capacity, the later witnesses' (by
+    # subgroup), then the first's, which opens its record's list
+    heads = [
+        '{\n          "subgroup": ' + _json_text(sub.to_json(), "\n          ") + ',\n          "gap_capacity": '
+        for sub in report.subgroups
+    ]
+    heads = [",\n        " + head for head in heads] + ["[\n        " + head for head in heads]
+    # every witness, leaf by leaf, each leaf's best first
+    leaf, rank = np.nonzero(np.take_along_axis(classes.witness, classes.order, axis=1))
+    sub = classes.order[leaf, rank]
+    counts = np.bincount(leaf, minlength=count)
+    floats = _floats_text(np.concatenate([
+        columns.capacity, leaves.gaps, columns.distance, classes.gap_capacity[leaf, sub], classes.gap_quotient[leaf, sub],
+    ]))
+    capacity, gap, distance = (floats[i * count : (i + 1) * count] for i in range(3))
+    gap_capacity, gap_quotient = floats[3 * count : 3 * count + len(leaf)], floats[3 * count + len(leaf) :]
+    pieces = _interleave([
+        list(map(heads.__getitem__, (sub + len(report.subgroups) * (rank == 0)).tolist())),
+        gap_capacity,
+        _GAP_QUOTIENT,
+        gap_quotient,
+        list(map(_WITNESS_ENDS.__getitem__, (rank == counts[leaf] - 1).tolist())),
+    ]) if len(leaf) else []
+    witnesses = ["[]"] * count
+    ends = 5 * np.cumsum(counts)
+    determined = np.flatnonzero(counts)
+    for i, a, b in zip(determined.tolist(), (ends - 5 * counts)[determined].tolist(), ends[determined].tolist()):
+        witnesses[i] = "".join(pieces[a:b])
+    fields = [
+        list(map(_json_string, leaves.paths)), capacity, gap,
+        list(map(("false", "true").__getitem__, (counts > 0).tolist())), witnesses,
+        distance, list(map(nearest.__getitem__, columns.subgroup.tolist())),
+        list(map(int.__repr__, leaves.atoms.tolist())),
+    ]
+    rows = report.rows.tolist()
+    if rows != list(range(count)):
+        fields = [list(map(field.__getitem__, rows)) for field in fields]
+    texts = _interleave([piece for pair in zip(_RECORD, fields) for piece in pair] + [_RECORD[-1]])
+    width = 2 * len(fields) + 1
+    failed = np.array([error is not None for error in leaves.errors], dtype=bool)[report.rows]
+    for p in np.flatnonzero(failed).tolist():
+        row = rows[p]
+        failure = _FAILED(_json_string(leaves.paths[row]), _json_string(leaves.errors[row]))
+        texts[width * p : width * (p + 1)] = [failure] + [""] * (width - 1)
+    texts[0] = texts[0][len(",\n    "):]
+    return "[\n    " + "".join(texts) + "\n  ]"
+
+
+def _medians(level_gaps: dict[int, np.ndarray]) -> dict[int, float]:
+    """float(np.median(gaps)) of each depth's gaps, bitwise, in order of depth, from one sort of them all.
+
+    np.median takes the middle gap, or a + b over 2 for the middle two a
+    and b. Where a middle gap is zero, or a gap is NaN, the signs of zeros
+    and NaN decide its bits, and np.median itself runs.
+    """
+    depths = sorted(level_gaps)
+    if not depths:
+        return {}
+    sizes = np.array([len(level_gaps[depth]) for depth in depths])
+    gaps = np.concatenate([level_gaps[depth] for depth in depths])
+    gaps = gaps[np.lexsort((gaps, np.repeat(np.arange(len(depths)), sizes)))]
+    ends = np.cumsum(sizes)
+    lo, hi = ends - sizes + (sizes - 1) // 2, ends - sizes + sizes // 2
+    medians = np.where(lo == hi, gaps[lo], (gaps[lo] + gaps[hi]) / 2)
+    exact = (gaps[lo] != 0.0) & (gaps[hi] != 0.0) & ~np.isnan(gaps[ends - 1])
+    return {
+        depth: median if fast else float(np.median(level_gaps[depth]))
+        for depth, median, fast in zip(depths, medians.tolist(), exact.tolist())
+    }
 
 
 _json_string = json.encoder.encode_basestring_ascii
@@ -425,12 +498,17 @@ def _json_text(value, newline: str) -> str:
     return "[" + inner + ("," + inner).join(texts) + newline + "]"
 
 
-def report_csv(report_dict: dict) -> str:
-    """Flat key,value CSV of the report aggregates."""
+def report_csv(report: PolarizationReport | dict) -> str:
+    """Flat key,value CSV of the report aggregates, a null one (no path evaluated) as an empty value.
+
+    Given a PolarizationReport, from its aggregates (_fields), which build
+    no record.
+    """
+    report_dict = report._fields(None) if isinstance(report, PolarizationReport) else report
     agg = report_dict["aggregates"]
     lines = ["key,value"]
     for key in ("evaluated", "failed", "fraction_determined", "mean_capacity"):
-        lines.append(f"{key},{agg[key]}")
+        lines.append(f"{key},{'' if agg[key] is None else agg[key]}")
     for level in report_dict["levels"]:
         lines.append(f"median_capacity_gap[{level['depth']}],{level['median_capacity_gap']}")
     for item in agg["subgroup_histogram"]:
@@ -489,8 +567,10 @@ def _per_chunk(kernel, chunk: Chunk, paths: list[str]) -> tuple[object, dict[int
 
 
 def _concat(parts: list):
-    """Results of consecutive runs of measures joined: lists, arrays, or named tuples of them, field by field."""
+    """Results of consecutive runs of measures joined: lists, arrays, or named tuples of them (or None), field by field."""
     first = parts[0]
+    if first is None:
+        return None
     if isinstance(first, tuple):
         return type(first)(*(_concat(list(column)) for column in zip(*parts)))
     if isinstance(first, np.ndarray):
@@ -498,18 +578,29 @@ def _concat(parts: list):
     return [item for part in parts for item in part]
 
 
-def _spread(columns: Evaluations | None, done: list[int], count: int) -> Evaluations:
-    """Columns of the nodes `done` of a chunk of `count` nodes, at their nodes' places; blank elsewhere."""
+def _spread(columns: Evaluations | None, done: list[int], count: int, subgroups: int | None) -> Evaluations:
+    """Columns of the nodes `done` of a chunk of `count` nodes, at their nodes' places; blank elsewhere.
+
+    The blank classes have `subgroups` columns, or are None when it is.
+    """
     if len(done) == count:
         return columns
+    classes = None
+    if subgroups is not None:
+        shape = (count, subgroups)
+        classes = Classes(np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=bool), np.zeros(shape, np.int64))
     out = Evaluations(np.zeros(count), np.zeros(count), np.zeros(count, np.int64), np.zeros(count, np.int64),
-                      [None] * count)
-    for full, column in zip(out, columns or ()):
-        if isinstance(full, np.ndarray):
+                      classes)
+
+    def place(full, column):
+        if isinstance(full, tuple):
+            for pair in zip(full, column):
+                place(*pair)
+        elif full is not None:
             full[done] = column
-        else:
-            for i, value in zip(done, column):
-                full[i] = value
+
+    if columns is not None:
+        place(out, columns)
     return out
 
 
@@ -580,6 +671,7 @@ def _walk_chunks(
     the nodes it evaluates.
     """
     prefixes = None if wanted is None else {p[:k] for p in wanted for k in range(len(p) + 1)}
+    subgroups = None if delta is None else len(enumerate_subgroups(root.group))
     # what this walk's shared posterior matrices decide: step plans and
     # pair entropies (polar.Chunk)
     plans = PlanTable()
@@ -622,8 +714,7 @@ def _walk_chunks(
         if level in eval_depths:
             todo = [i for i, node in enumerate(nodes) if isinstance(node, BlackwellMeasure)]
             done, results = run(lambda chunk: _evaluate_chunk(chunk, delta), todo, nodes)
-            if done:
-                results = _spread(results, done, len(nodes))
+            results = _spread(results, done, len(nodes), subgroups)
             for node in nodes:
                 if isinstance(node, PathFault):
                     raise node
@@ -667,20 +758,18 @@ def _evaluate_chunk(chunk: Chunk, delta: float | None) -> Evaluations:
     """
     distance, subgroup, solves = _nearest_pol(chunk)
     capacities = chunk.capacities()
-    classes = [None] * len(chunk)
+    classes = None
     if delta is not None:
         kernel = chunk.realized_columns().T
-        by_size = capacities[chunk.order].tolist()
-        classes = chunk.unsort(_classify(chunk.group, kernel, chunk.starts.tolist(), by_size, delta))
+        by_size = _classify(chunk.group, kernel, chunk.starts.tolist(), capacities[chunk.order], delta)
+        classes = Classes(*map(chunk.unsort, by_size))
     return Evaluations(capacities, distance, subgroup, solves, classes)
 
 
-def _leaves(paths: list[str], nodes: list[Node], gaps: np.ndarray, results: Evaluations | None) -> Leaves:
+def _leaves(paths: list[str], nodes: list[Node], gaps: np.ndarray, results: Evaluations) -> Leaves:
     """The Leaves of a walker chunk of evaluated leaves, a refused leaf's error in its row."""
     errors = [node if isinstance(node, str) else None for node in nodes]
     atoms = np.array([0 if isinstance(node, str) else node.atom_count for node in nodes], dtype=np.int64)
-    if results is None:
-        results = _spread(None, [], len(nodes))
     return Leaves(paths, errors, atoms, gaps, results)
 
 

@@ -180,8 +180,9 @@ def pol_certificate_check() -> CheckResult:
             if len(paths[0]) < depth:
                 continue
             got = _evaluate_chunk(Chunk(nodes), delta)
+            classes = got.classes.results(enumerate_subgroups(w.require_group()), delta)
             for m, distance, nearest, solves, det in zip(
-                nodes, got.distance.tolist(), got.subgroup.tolist(), got.solves.tolist(), got.determinedness
+                nodes, got.distance.tolist(), got.subgroup.tolist(), got.solves.tolist(), classes
             ):
                 dist, index = min((wasserstein(m, t), i) for i, (_, t) in enumerate(targets))
                 channel = delta_determining_subgroup(m.realize(), delta)

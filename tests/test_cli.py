@@ -169,6 +169,16 @@ def test_polarize_csv_aggregates(tmp_path):
     assert "fraction_determined," in text
 
 
+def test_polarize_csv_writes_a_null_aggregate_as_an_empty_value(capsys):
+    # every path fails the budget, so no capacity is averaged: the JSON
+    # report's mean_capacity is null, and the CSV's value is empty
+    argv = ["polarize", "--preset", "bec:0.5", "--depth", "2", "--atom-budget", "1", "--format", "csv"]
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert "evaluated,0\nfailed,4\nfraction_determined,0.0\nmean_capacity,\n" in out
+    assert "None" not in out
+
+
 def test_polarize_sample_mode(tmp_path):
     out = tmp_path / "r.json"
     code = main([
@@ -454,7 +464,8 @@ def test_layer_split_tool_prints_every_layer(tmp_path):
     layers = {line.split()[0] for line in lines[2:-1]}
     assert layers == {
         "gap.via_pairs", "gap.via_transform", "gap.pair_dots", "gap.rest", "step.record", "step.replay",
-        "step.general", "canonicalize", "split", "evaluate", "report.records", "report_json", "write", "other",
+        "step.general", "canonicalize", "split", "evaluate.pol", "evaluate.classify", "evaluate", "report.records",
+        "report_json", "write", "other",
     }
     assert lines[-1].startswith("minor page faults per call: ")
     # the report went to a temporary file, not to the working directory

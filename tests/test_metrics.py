@@ -3,9 +3,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
+from test_polar import _measure_chunks
 
 from polarlab import (
     BlackwellMeasure,
@@ -339,6 +340,89 @@ def test_one_atom_target_needs_no_solve():
         (dist,), (nearest,), (solves,) = metrics._nearest_pol(Chunk([m]))
     assert solve.call_count == solves == 0
     assert pol_set(Z2)[nearest][0].members == (0, 1) and abs(dist - 0.01) <= 1e-14
+
+
+def _reference_nearest_pol(chunk):
+    """The per-measure search that _nearest_pol runs as one sweep: each measure's
+    targets sorted by (bound, index) and visited until a bound exceeds the best
+    value by more than MARGINAL_TOL, keeping a tuple minimum of (value, index).
+    Returns lists (distance, subgroup index, solves)."""
+    targets = pol_set(chunk.group)
+    lone = np.array([target.atom_count == 1 for _, target in targets])
+    rows, bounds, eps = metrics._pol_bounds(chunk)
+    found, solved = [], []
+    columns = zip(chunk.measures, rows.tolist(), bounds.tolist(), (lone | (eps <= metrics._CERTIFY_EPS)).tolist())
+    for m, rows, bounds, certified in columns:
+        best, solves = (np.inf, -1), 0
+        for bound, index in sorted(zip(bounds, range(len(targets)))):
+            if bound > best[0] + MARGINAL_TOL:
+                break
+            if certified[index]:
+                value = rows[index]
+            else:
+                value = wasserstein(m, targets[index][1])
+                solves += 1
+            best = min(best, (value, index))
+        found.append(best)
+        solved.append(solves)
+    return [value for value, _ in found], [index for _, index in found], solved
+
+
+def _assert_sweep_is_the_reference(measures):
+    """_nearest_pol on a chunk of the measures, and on each alone, gives the
+    reference search's distance bits, subgroups and solves, solving no more."""
+    for chunk in (Chunk(measures), *(Chunk([m]) for m in measures)):
+        with mock.patch.object(metrics, "wasserstein", side_effect=wasserstein) as solve:
+            distance, index, solves = metrics._nearest_pol(chunk)
+        want_distance, want_index, want_solves = _reference_nearest_pol(chunk)
+        assert [x.hex() for x in distance.tolist()] == [x.hex() for x in want_distance]
+        assert index.tolist() == want_index
+        assert solves.tolist() == want_solves
+        assert solve.call_count == sum(want_solves)
+
+
+@settings(max_examples=40)
+@given(case=_measure_chunks())
+def test_nearest_pol_sweep_is_the_per_measure_search(case):
+    _assert_sweep_is_the_reference(case[0])
+
+
+def test_nearest_pol_sweep_solves_what_the_per_measure_search_solves():
+    # random:3 on Z4 at depth 2: leaf '++', and only it, has an uncertified
+    # target that the search visits
+    level = [blackwell_measure(parse_preset("random:3", Z4))]
+    for _ in range(2):
+        level = [polar_step(m, sign) for m in level for sign in (MINUS, PLUS)]
+    assert _reference_nearest_pol(Chunk(level))[2] == [0, 0, 0, 1]
+    _assert_sweep_is_the_reference(level)
+
+
+def test_nearest_pol_sweep_on_tied_targets_and_the_one_atom_target():
+    # exact ties of bound and value between targets, a target kept in the
+    # search by the margin alone, the one-atom measure Pol(G) itself, and a
+    # measure whose one-atom target is certified only as the one-atom target
+    z2z2 = make_group([2, 2])
+    measures = []
+    for members, weights in [
+        (((0, 1), (0, 2)), (0.5, 0.5)),
+        (((0, 2), (0, 1)), (0.5, 0.5)),
+        (((0, 1), (0, 2), (0, 3)), (1 / 3, 1 / 3, 1 / 3)),
+        (((0,), (0, 1), (0, 2), (0, 3)), np.array([2, 1, 1, 2]) / 6),
+    ]:
+        subs = [subgroup_from_members(z2z2, m) for m in members]
+        kernel = np.hstack([w * deterministic_hom(z2z2, sub).kernel for w, sub in zip(weights, subs)])
+        measures.append(blackwell_measure(Channel(kernel, None, z2z2)))
+    measures.append(blackwell_measure(useless_channel(z2z2)))
+    measures.append(blackwell_measure(identity_channel(z2z2)))
+    _assert_sweep_is_the_reference(measures)
+    # both mixtures of {0,1} and {0,2} go to {0,1}, the first in enumeration order
+    _, nearest, _ = metrics._nearest_pol(Chunk(measures[:2]))
+    assert [pol_set(z2z2)[t][0].members for t in nearest.tolist()] == [(0, 1), (0, 1)]
+    m = object.__new__(BlackwellMeasure)
+    m.group = Z2
+    m.weights = np.array([0.5 + 1e-13, 0.5])
+    m.posteriors = np.array([[0.49, 0.51], [0.51, 0.49]])
+    _assert_sweep_is_the_reference([m, blackwell_measure(useless_channel(Z2)), blackwell_measure(bsc_channel(0.1))])
 
 
 def _per_target_bounds(m):

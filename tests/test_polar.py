@@ -28,7 +28,7 @@ from polarlab import (
 )
 from polarlab import blackwell, metrics, polar, process
 from polarlab._util import row_entropies_bits
-from polarlab.channels import kernel_capacity
+from polarlab.channels import Classes, kernel_capacity
 from polarlab.presets import (
     bec_channel,
     bsc_channel,
@@ -570,8 +570,18 @@ def test_replayed_children_are_the_general_paths(preset, seed, erasure, depth, t
 
 
 def _rows(columns):
-    """Columns, arrays or lists, as one tuple per measure; floats as their bits."""
+    """Columns, arrays or lists, as one tuple per measure; floats as their bits.
+
+    A classification (channels.Classes) gives each measure its witnesses,
+    best first, as (subgroup index, gap_capacity, gap_quotient).
+    """
     def entries(column):
+        if isinstance(column, Classes):
+            return [
+                tuple((t, column.gap_capacity[s, t].hex(), column.gap_quotient[s, t].hex())
+                      for t in column.order[s, : column.witness[s].sum()].tolist())
+                for s in range(len(column.witness))
+            ]
         if isinstance(column, np.ndarray):
             return [x.hex() if isinstance(x, float) else x for x in column.tolist()]
         return list(column)

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_polar import _measure_chunks, _rows
 
@@ -28,8 +28,8 @@ from polarlab import (
     subgroup_from_members,
     symmetric_capacity,
 )
-from polarlab import polar, process, verify
-from polarlab.channels import kernel_capacity
+from polarlab import channels, polar, process, verify
+from polarlab.channels import kernel_capacities, kernel_capacity
 from polarlab.polar import Chunk
 from polarlab.process import report_csv, report_json
 from polarlab.presets import (
@@ -38,6 +38,7 @@ from polarlab.presets import (
     dh_mix_channel,
     identity_channel,
     random_channel,
+    useless_channel,
     z4_multilevel_channel,
 )
 
@@ -614,7 +615,9 @@ def test_leaf_classification_matches_the_channel_route(delta):
         kernel = m.realized_kernel()
         bounds = (0, m.atom_count)
         kernel_route = process._classify(m.group, kernel, bounds, [kernel_capacity(kernel)], delta)
-        assert kernel_route == [delta_determining_subgroup(m.realize(), delta)]
+        assert kernel_route.results(enumerate_subgroups(m.group), delta) == [
+            delta_determining_subgroup(m.realize(), delta)
+        ]
 
 
 @settings(max_examples=30)
@@ -622,12 +625,12 @@ def test_leaf_classification_matches_the_channel_route(delta):
 def test_chunk_evaluation_matches_each_measure_alone(case, delta):
     measures, _ = case
     together = process._evaluate_chunk(Chunk(measures), delta)
-    assert all(len(column) == len(measures) for column in together)
+    assert all(len(column) == len(measures) for column in (*together[:-1], *together.classes))
     assert _rows(together) == [_rows(process._evaluate_chunk(Chunk([m]), delta))[0] for m in measures]
     subgroups = enumerate_subgroups(measures[0].group)
     for capacity, distance, sub, det, m in zip(
         together.capacity.tolist(), together.distance.tolist(), together.subgroup.tolist(),
-        together.determinedness, measures,
+        together.classes.results(subgroups, delta), measures,
     ):
         assert capacity == capacity_of_measure(m)
         assert (distance, subgroups[sub]) == distance_to_pol(m)
@@ -635,6 +638,53 @@ def test_chunk_evaluation_matches_each_measure_alone(case, delta):
             size = m.group.size // wit.subgroup.size
             assert wit.gap_capacity == abs(capacity - np.log2(size))
 
+
+
+def _reference_classify(group, kernel, bounds, capacities, delta):
+    """The per-subgroup search that _classify runs as columns: each channel's
+    witnesses as objects, sorted by (larger gap, members)."""
+    witnesses = [[] for _ in capacities]
+    for sub in enumerate_subgroups(group):
+        target = float(np.log2(group.size // sub.size))
+        gaps = [abs(capacity - target) for capacity in capacities]
+        near = [s for s, gap in enumerate(gaps) if gap < delta]
+        if not near:
+            continue
+        quotient = kernel_capacities(channels._coset_average(group, kernel, sub), bounds).tolist()
+        for s in near:
+            gap_quotient = abs(quotient[s] - target)
+            if gap_quotient < delta:
+                witnesses[s].append(DeterminednessWitness(sub, gaps[s], gap_quotient))
+    out = []
+    for found in witnesses:
+        found.sort(key=lambda wit: (max(wit.gap_capacity, wit.gap_quotient), wit.subgroup.members))
+        out.append(DeterminednessResult(bool(found), float(delta), tuple(found)))
+    return out
+
+
+def _assert_classes_are_the_reference(measures, delta):
+    chunk = Chunk(measures)
+    args = (chunk.group, chunk.realized_columns().T, chunk.starts.tolist(), chunk.capacities()[chunk.order], delta)
+    classes = process._classify(*args)
+    assert classes.results(enumerate_subgroups(chunk.group), delta) == _reference_classify(*args)
+
+
+@settings(max_examples=30)
+@given(case=_measure_chunks(), delta=st.sampled_from([0.1, 0.5, 2.0, 10.0]))
+def test_classification_columns_are_the_per_subgroup_search(case, delta):
+    _assert_classes_are_the_reference(case[0], delta)
+
+
+def test_classification_orders_tied_witnesses_by_members():
+    # at delta 10 every subgroup is a witness of every channel; the useless
+    # channel's three subgroups of order 2 tie on both gaps
+    z2z2 = make_group([2, 2])
+    measures = [blackwell_measure(w) for w in (useless_channel(z2z2), identity_channel(z2z2))]
+    measures += [blackwell_measure(w) for w in verify.random_corpus() if w.group == z2z2][:3]
+    _assert_classes_are_the_reference(measures, 10.0)
+    useless = process._classify(*(Chunk(measures[:1]).group, measures[0].realized_kernel(), (0, 1), [0.0], 10.0))
+    order = [enumerate_subgroups(z2z2)[t].members for t in useless.order[0].tolist()]
+    assert order == [(0, 1, 2, 3), (0, 1), (0, 2), (0, 3), (0,)]
 
 
 def test_the_walk_builds_no_channel():
@@ -651,6 +701,25 @@ def test_the_walk_builds_no_channel():
         verify.multilevel_quotient_floor(6)
         # the floor builds its input channel and nothing else
         assert init.call_count == built_for_input
+
+
+def test_polarize_builds_no_classification_objects():
+    # a report's classifications stay columns from the walk to its JSON and
+    # CSV text; the library's records build the objects on demand
+    w = z4_multilevel_channel(0.5)
+    with mock.patch.object(DeterminednessResult, "__init__", autospec=True,
+                           side_effect=DeterminednessResult.__init__) as results, \
+            mock.patch.object(DeterminednessWitness, "__init__", autospec=True,
+                              side_effect=DeterminednessWitness.__init__) as witnesses:
+        reports = [enumerate_paths(w, 5), sample_paths(w, 6, 8, seed=1)]
+        texts = [(report_json(report), report_csv(report)) for report in reports]
+        assert results.call_count == witnesses.call_count == 0
+        assert not any("records" in report.__dict__ for report in reports)
+        records = reports[-1].records
+        assert results.call_count == len(set(rec.path for rec in records))
+        assert witnesses.call_count > 0
+    # the texts are those of the report's dict, records and all
+    assert texts == [(report_json(report.to_dict()), report_csv(report.to_dict())) for report in reports]
 
 
 def _fixture_channel(name):
@@ -728,3 +797,28 @@ def test_report_json_writes_a_report_from_its_columns(make):
     report.config["source"] = "preset:x"
     data = report.to_dict()
     assert report_json(report) == report_json(data) == json.dumps(data, indent=2) + "\n"
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, 1.0, 0.1, 1e-300, 5e-324, np.nan, np.inf, -np.inf]
+
+
+@settings(max_examples=60)
+@given(values=st.lists(st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats()), max_size=40))
+@example(values=[0.0, -0.0, 0.1, -0.0, np.nan, 0.1])
+def test_floats_text_is_each_floats_json_text(values):
+    # one text per distinct float by its bits: signed zeros stay apart
+    assert process._floats_text(np.array(values, dtype=float)) == [process._json_scalar(x) for x in values]
+
+
+@settings(max_examples=60)
+@given(gaps=st.dictionaries(
+    st.integers(0, 12),
+    st.lists(st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats(0.0, 2.0)), min_size=1, max_size=9),
+))
+@example(gaps={0: [-0.0], 1: [0.0, -0.0, 1.0], 2: [np.nan, 0.5], 3: [0.25, 0.5, 1.0, 2.0]})
+def test_per_depth_medians_are_np_median_bitwise(gaps):
+    level_gaps = {depth: np.array(values, dtype=float) for depth, values in gaps.items()}
+    medians = process._medians(level_gaps)
+    assert list(medians) == sorted(level_gaps)
+    want = {depth: float(np.median(values)) for depth, values in level_gaps.items()}
+    assert {depth: m.hex() for depth, m in medians.items()} == {depth: m.hex() for depth, m in want.items()}

@@ -49,6 +49,8 @@ LAYERS = [
     ("step.general", "polar", "Chunk._general"),
     ("canonicalize", "blackwell", "_canonical_segments"),
     ("split", "process", "_split"),
+    ("evaluate.pol", "process", "_nearest_pol"),
+    ("evaluate.classify", "process", "_classify"),
     ("evaluate", "process", "_evaluate_chunk"),
     ("report.records", "process", "_records_json"),
     ("report_json", "cli", "report_json"),
