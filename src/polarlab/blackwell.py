@@ -508,7 +508,7 @@ def _exact_merge(posteriors: np.ndarray, origin: np.ndarray) -> bool:
     weight is its members' sum in atom order, no posterior was averaged,
     and the sweep joined nothing. Atoms of other weights on the same rows,
     pruned alike, merge into the same canonical atoms with the same sums
-    (_replayed_measures).
+    (_replayed_weights).
     """
     keep = origin >= 0
     target = origin[keep]
@@ -518,20 +518,17 @@ def _exact_merge(posteriors: np.ndarray, origin: np.ndarray) -> bool:
     return bool((kept == kept[first[target]]).all())
 
 
-def _replayed_measures(
-    group: Group, raw: np.ndarray, target: np.ndarray, posteriors: np.ndarray
-) -> list["BlackwellMeasure"]:
-    """The measures of atom sets that merge as a recorded exact canonicalization did.
+def _replayed_weights(group: Group, raw: np.ndarray, target: np.ndarray, posteriors: np.ndarray) -> np.ndarray:
+    """The canonical weights of atom sets that merge as a recorded exact canonicalization did, as one block.
 
     Row r of `raw` holds one set's atom weights, all positive, on the rows
     that the record canonicalized (_exact_merge): atom a joins canonical
-    atom target[a], and `posteriors` are the canonical posteriors. Each
-    measure is bitwise the one its atoms construct: its weights are the
-    same per-atom sums in atom order, divided by their own total (numpy
-    sums each row of the C-contiguous block in the order it sums the row
-    alone), and it passes the same weight checks. The weights of all the
-    measures are one read-only block, checked once; each measure holds a
-    row of it.
+    atom target[a], and `posteriors` are the canonical posteriors. Row r of
+    the returned read-only block is bitwise the weights of the measure that
+    set's atoms construct: the same per-atom sums in atom order, divided by
+    their own total (numpy sums each row of the C-contiguous block in the
+    order it sums the row alone). The block passes the measure's weight
+    checks, once for all its rows.
     """
     if not np.isfinite(raw).all():
         raise ValueError("atom weights and posteriors must be finite")
@@ -541,7 +538,7 @@ def _replayed_measures(
     weights = sums / sums.sum(axis=1, keepdims=True)
     _check_weights(weights, posteriors, group.size)
     weights.setflags(write=False)
-    return [BlackwellMeasure._canonical(group, row, posteriors) for row in weights]
+    return weights
 
 
 def blackwell_measure(w: Channel, merge_tau: float = DEFAULT_MERGE_TAU) -> BlackwellMeasure:

@@ -8,6 +8,7 @@ enumeration order) support the coset-structured operations below.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -276,6 +277,20 @@ class Classes(NamedTuple):
         return out
 
 
+@lru_cache(maxsize=None)
+def _class_constants(group: Group) -> tuple[np.ndarray, np.ndarray]:
+    """Each subgroup's target log2|G/H| and its rank by members, which breaks ties of the larger gap; read-only.
+
+    Subgroups in enumeration order.
+    """
+    subgroups = enumerate_subgroups(group)
+    targets = np.array([float(np.log2(group.size // sub.size)) for sub in subgroups])
+    members = np.argsort(sorted(range(len(subgroups)), key=lambda t: subgroups[t].members))
+    targets.setflags(write=False)
+    members.setflags(write=False)
+    return targets, members
+
+
 def _classify(group: Group, kernel: np.ndarray, bounds, capacities: np.ndarray, delta: float) -> Classes:
     """delta-classification of each channel whose kernel is a column block of `kernel`.
 
@@ -287,7 +302,7 @@ def _classify(group: Group, kernel: np.ndarray, bounds, capacities: np.ndarray, 
     bits it gets alone.
     """
     subgroups = enumerate_subgroups(group)
-    targets = np.array([float(np.log2(group.size // sub.size)) for sub in subgroups])
+    targets, members = _class_constants(group)
     gap_capacity = np.abs(np.asarray(capacities, dtype=float)[:, None] - targets)
     near = gap_capacity < delta
     gap_quotient = np.full(gap_capacity.shape, np.nan)
@@ -295,8 +310,6 @@ def _classify(group: Group, kernel: np.ndarray, bounds, capacities: np.ndarray, 
         quotient_capacities = kernel_capacities(_coset_average(group, kernel, subgroups[t]), bounds)
         gap_quotient[:, t] = np.abs(quotient_capacities - targets[t])
     witness = near & (gap_quotient < delta)
-    # each subgroup's rank by members, which breaks ties of the larger gap
-    members = np.argsort(sorted(range(len(subgroups)), key=lambda t: subgroups[t].members))
     larger = np.where(witness, np.maximum(gap_capacity, gap_quotient), np.inf)
     order = np.lexsort((np.broadcast_to(members, witness.shape), larger))
     return Classes(gap_capacity, gap_quotient, witness, order)

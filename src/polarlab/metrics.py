@@ -323,29 +323,31 @@ def _pol_bounds(chunk: Chunk) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The terms that read the posteriors alone (the cost matrix against all
     targets' atoms, its row and column minima, the nearest cosets and their
     ties, and `cols`) are computed once per distinct posterior matrix of
-    the chunk. Minima are exact, and the sums over a measure's atoms run on
-    an (n, k, ...) stack of the measures on one matrix, in atom order, so
-    each measure gets the bits it gets alone; the row terms' dots, of each
-    measure's own weights, are one stacked matmul per matrix. Rows come in
-    the order of chunk.measures.
+    the chunk (Chunk.by_key). Minima are exact, and the sums over a node's
+    atoms run on the (n, k, ...) stack of each weight block, in atom order,
+    so each node gets the bits its measure gets alone; the row terms' dots,
+    of each node's own weights, are one stacked matmul per block. Rows come
+    in the chunk's order.
     """
     posteriors, weights, firsts = _pol_stack(chunk.group)
     sizes = np.diff(np.append(firsts, len(weights)))
     rows, cols, eps = (np.empty((len(chunk), len(firsts))) for _ in range(3))
-    for members in chunk.supports.values():
-        members = np.array(members)
-        cost = _tv_cost_matrix(chunk.measures[members[0]].posteriors, posteriors)
+    for members in chunk.by_key.values():
+        cost = _tv_cost_matrix(chunk.supports[members[0]].posteriors, posteriors)
         if not np.isfinite(cost).all():
             raise ValueError("transport costs must be finite")
         row_min = np.minimum.reduceat(cost, firsts, axis=1)
         nearest = cost == np.repeat(row_min, sizes, axis=1)
         ties = np.add.reduceat(nearest, firsts, axis=1, dtype=np.int64)
-        cols[members] = np.add.reduceat(cost.min(axis=0) * weights, firsts)
-        # [n, i, atom of a target]: the weight atom i sends there
-        w = np.concatenate([chunk.measures[i].weights for i in members.tolist()]).reshape(len(members), -1)
-        share = np.where(nearest, np.repeat(w[:, :, None] / ties, sizes, axis=2), 0.0)
-        eps[members] = np.add.reduceat(np.abs(share.sum(axis=1) - weights), firsts, axis=1)
-        rows[members] = (w[:, None, :] @ row_min)[:, 0]
+        col_terms = np.add.reduceat(cost.min(axis=0) * weights, firsts)
+        for j in members:
+            index = chunk.index(j)
+            # [n, i, atom of a target]: the weight atom i sends there
+            w = chunk.supports[j].weights
+            share = np.where(nearest, np.repeat(w[:, :, None] / ties, sizes, axis=2), 0.0)
+            cols[index] = col_terms
+            eps[index] = np.add.reduceat(np.abs(share.sum(axis=1) - weights), firsts, axis=1)
+            rows[index] = (w[:, None, :] @ row_min)[:, 0]
     return rows, np.maximum(rows, cols), eps
 
 
@@ -366,8 +368,8 @@ def _nearest_pol(chunk: Chunk) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Other targets are solved exactly (wasserstein). The value and subgroup
     are those of the enumeration-order minimum over the visited targets,
     ties going to the first subgroup in enumeration order. Results come
-    back in the order of chunk.measures, each bitwise the one its measure
-    gets alone.
+    back in the chunk's order, each bitwise the one its measure gets
+    alone.
 
     The search runs once for the chunk, a target rank at a time: each
     measure's targets in (bound, index) order, an open mask that closes a

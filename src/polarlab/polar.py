@@ -25,7 +25,7 @@ from .blackwell import (
     _capacities,
     _exact_merge,
     _realized_columns,
-    _replayed_measures,
+    _replayed_weights,
     blackwell_measure,
 )
 from .channels import Channel, block_capacities, kernel_capacities
@@ -98,67 +98,189 @@ def plus_transform(w: Channel) -> Channel:
     return Channel(out.reshape(group.size, -1), labels, group)
 
 
-class Chunk:
-    """Measures of one group laid end to end as one segmented atom set.
+class Block(NamedTuple):
+    """Nodes on one posterior matrix, as one weight block.
 
-    Atoms are rows and each measure is a segment; measures of equal atom
-    count k sit side by side, in a block, so a block's atom pairs (i, j)
-    form an (n, k, k) array and no pair is gathered by index. Pairs are
-    ordered by segment, then row-major. Every kernel below runs once per
-    block and gives each measure bitwise the result it gets alone: products
-    are elementwise, sums run per row or in the order a lone measure sums
-    them, and dots run per block as stacked matmuls, which make one BLAS
-    call per measure, as a measure alone makes. Results come back in the
-    order of `measures`, as lists or as float64 arrays.
-
-    What a posterior matrix alone decides is computed once for the
-    measures that share it, and kept in the table `plans` (see _step and
-    _pair_entropies); chunks given one table share what it keeps. A matrix
-    is keyed by its bytes (_matrix_key).
+    `posteriors` is the nodes' canonical, read-only (k, |G|) posterior
+    matrix and `key` its bytes, computed once; row r of the read-only
+    (n, k) array `weights` holds the canonical weights of the node at
+    position rows[r]. Rows ascend. A node whose matrix it shares with no
+    other is a one-row block.
     """
 
-    def __init__(self, measures: Sequence[BlackwellMeasure], plans: dict | None = None):
-        self.measures = list(measures)
-        self.group = self.measures[0].group
+    posteriors: np.ndarray
+    key: bytes
+    weights: np.ndarray
+    rows: np.ndarray
+
+    def take(self, which) -> "Block":
+        """The block of the rows that `which`, a slice or a boolean mask, selects."""
+        weights = self.weights[which]
+        weights.setflags(write=False)
+        return self._replace(weights=weights, rows=self.rows[which])
+
+
+def _joined(blocks: list[Block]) -> Block | None:
+    """One block of the rows of blocks on equal matrices, rows ascending; None when they have no rows."""
+    blocks = [block for block in blocks if len(block.rows)]
+    if len(blocks) < 2:
+        return blocks[0] if blocks else None
+    rows = np.concatenate([block.rows for block in blocks])
+    order = np.argsort(rows)
+    weights = np.concatenate([block.weights for block in blocks])[order]
+    weights.setflags(write=False)
+    return Block(blocks[0].posteriors, blocks[0].key, weights, rows[order])
+
+
+class Chunk:
+    """Nodes of one group, given as weight blocks, laid end to end as one segmented atom set.
+
+    A chunk is built from blocks (`supports`, see Block) whose rows are
+    the nodes' positions; its results come in order of position
+    (`positions`), as lists or as float64 arrays. Chunk(measures) is the
+    library's form: each measure becomes a one-row block, at its index.
+
+    Atoms are rows and each node is a segment. Blocks are laid out in
+    order of atom count k, each block's nodes side by side, so the nodes
+    of one k (a size run, `blocks`) form an (n, k, ...) array and no pair is
+    gathered by index. Pairs are ordered by segment, then row-major. Every
+    kernel below gives each node bitwise the result its measure gets
+    alone: products are elementwise, sums run per row or in the order a
+    lone measure sums them, and dots run per block as stacked matmuls,
+    which make one BLAS call per node, as a measure alone makes.
+
+    What a posterior matrix alone decides is computed once for the blocks
+    whose matrices have one key (`by_key`), and kept in the table `plans`
+    (see step and _pair_entropies); chunks given one table share what it
+    keeps.
+    """
+
+    def __init__(
+        self,
+        measures: Sequence[BlackwellMeasure] | None = None,
+        plans: dict | None = None,
+        *,
+        group: Group | None = None,
+        supports: list[Block] | None = None,
+    ):
+        self._measures = None
+        if supports is None:
+            self._measures = list(measures)
+            group = self._measures[0].group
+            supports = [
+                Block(m.posteriors, m.posteriors.tobytes(), m.weights[None], np.array([i]))
+                for i, m in enumerate(self._measures)
+            ]
+        self.group = group
+        self.supports = supports
         # whether the table is a walk's, which outlives the chunk
         self.walk = plans is not None
         self.plans = {} if plans is None else plans
-        # measure steps replayed from a plan
+        # node steps replayed from a plan
         self.replayed = 0
-        counts = [m.atom_count for m in self.measures]
-        self.order = sorted(range(len(counts)), key=counts.__getitem__)
-        self.in_order = self.order == list(range(len(counts)))
-        self.by_size = [self.measures[i] for i in self.order]
-        self.weights = np.concatenate([m.weights for m in self.by_size])
-        self.posteriors = np.concatenate([m.posteriors for m in self.by_size])
-        k = np.array([counts[i] for i in self.order])
-        self.starts = np.concatenate([[0], k.cumsum()])
-        self.pair_starts = np.concatenate([[0], (k * k).cumsum()])
-        edges = [0, *(np.flatnonzero(np.diff(k)) + 1).tolist(), len(k)]
-        # (k, first segment, end segment) of each block
-        self.blocks = [(int(k[a]), a, b) for a, b in zip(edges, edges[1:])]
+        ks = [len(block.posteriors) for block in supports]
+        # the supports in order of atom count; the segments of each, and
+        # (k, first segment, end segment) of each size run
+        self.layout = sorted(range(len(supports)), key=ks.__getitem__)
+        self.spans: list = [None] * len(supports)
+        self.blocks: list[tuple[int, int, int]] = []
+        sizes = []
+        end = 0
+        for j in self.layout:
+            k, n = ks[j], len(supports[j].rows)
+            self.spans[j] = (end, end + n)
+            if self.blocks and self.blocks[-1][0] == k:
+                self.blocks[-1] = (k, self.blocks[-1][1], end + n)
+            else:
+                self.blocks.append((k, end, end + n))
+            sizes.append(n)
+            end += n
+        laid = [supports[j] for j in self.layout]
+        # the position and the weights of each segment
+        if len(laid) == 1:
+            self.rows = laid[0].rows
+            self.weights = laid[0].weights.reshape(-1)
+        else:
+            self.rows = np.concatenate([block.rows for block in laid])
+            self.weights = np.concatenate([block.weights.reshape(-1) for block in laid])
+        # the atom count of each segment, and where its atoms and pairs start
+        if len(self.blocks) == 1:
+            k = self.blocks[0][0]
+            self.counts = np.full(end, k)
+            self.starts = np.arange(end + 1) * k
+            self.pair_starts = np.arange(end + 1) * (k * k)
+        else:
+            self.counts = k = np.repeat([ks[j] for j in self.layout], sizes)
+            self.starts = np.zeros(end + 1, dtype=np.int64)
+            np.cumsum(k, out=self.starts[1:])
+            self.pair_starts = np.zeros(end + 1, dtype=np.int64)
+            np.cumsum(k * k, out=self.pair_starts[1:])
+        # the chunk's order: the nodes' positions, ascending, and the index
+        # in it of each segment
+        self.in_order = len(laid) == 1 or bool((self.rows[1:] > self.rows[:-1]).all())
+        if self.in_order:
+            self.positions = self.rows
+            self.order = np.arange(len(self.rows))
+        else:
+            by_position = np.argsort(self.rows)
+            self.positions = self.rows[by_position]
+            self.order = np.empty_like(by_position)
+            self.order[by_position] = np.arange(len(by_position))
+        # the indices of the supports on each distinct posterior matrix, by its key
+        self.by_key: dict[bytes, list[int]] = {}
+        for j, block in enumerate(supports):
+            self.by_key.setdefault(block.key, []).append(j)
         self._conv = None
         self._realized = None
-        self._supports = None
+        self._posteriors = None
 
     def __len__(self) -> int:
-        return len(self.measures)
+        return len(self.rows)
+
+    @property
+    def posteriors(self) -> np.ndarray:
+        """Every atom's posterior, laid out like the atoms, row-major: the row entropies' fold order depends on it."""
+        if self._posteriors is None:
+            if len(self.rows) == 1:
+                self._posteriors = self.supports[0].posteriors
+            else:
+                self._posteriors = np.empty((self.starts[-1], self.group.size))
+                for j in self.layout:
+                    (a, b), block = self.spans[j], self.supports[j]
+                    out = self._posteriors[self.starts[a] : self.starts[b]]
+                    out.reshape(b - a, *block.posteriors.shape)[...] = block.posteriors
+        return self._posteriors
+
+    @property
+    def measures(self) -> list[BlackwellMeasure]:
+        """The nodes as measures, in the chunk's order; built on first use where the chunk was given blocks."""
+        if self._measures is None:
+            self._measures = self._measures_of(self.supports)
+        return self._measures
+
+    def _measures_of(self, blocks: list[Block]) -> list[BlackwellMeasure]:
+        """The measures of blocks whose rows are this chunk's positions, in the chunk's order."""
+        out: list = [None] * len(self)
+        for block in blocks:
+            for i, weights in zip(np.searchsorted(self.positions, block.rows).tolist(), block.weights):
+                out[i] = BlackwellMeasure._canonical(self.group, weights, block.posteriors)
+        return out
+
+    def index(self, j: int) -> np.ndarray:
+        """The chunk-order indices of the rows of support j."""
+        a, b = self.spans[j]
+        return self.order[a:b]
 
     def block(self, rows: np.ndarray, k: int, a: int, b: int) -> np.ndarray:
         """The rows of segments a to b, each of k atoms, as an (n, k, ...) array."""
         return rows[self.starts[a] : self.starts[b]].reshape(b - a, k, *rows.shape[1:])
 
-    def unsort(self, results):
-        """Per-segment results, a list or an array, back in the order of `measures`; `results` itself where that is its order."""
+    def unsort(self, results: np.ndarray) -> np.ndarray:
+        """Per-segment results back in the chunk's order; `results` itself where that is its order."""
         if self.in_order:
             return results
-        if isinstance(results, np.ndarray):
-            out = np.empty_like(results)
-            out[self.order] = results
-            return out
-        out = [None] * len(results)
-        for position, index in enumerate(self.order):
-            out[index] = results[position]
+        out = np.empty_like(results)
+        out[self.order] = results
         return out
 
     @property
@@ -168,24 +290,15 @@ class Chunk:
             self._conv = _pair_convolutions(self)
         return self._conv
 
-    @property
-    def supports(self) -> dict[bytes, list[int]]:
-        """The measures of each distinct posterior matrix, by its key (_matrix_key), in order of `measures`."""
-        if self._supports is None:
-            self._supports = {}
-            for i, m in enumerate(self.measures):
-                self._supports.setdefault(_matrix_key(self.plans, m.posteriors), []).append(i)
-        return self._supports
-
     def capacities(self) -> np.ndarray:
-        """capacity_of_measure of every measure."""
+        """capacity_of_measure of every node."""
         bounds = self.starts.tolist()
         return self.unsort(_capacities(self.group.size, self.weights, self.posteriors, bounds))
 
     def realized_columns(self) -> np.ndarray:
         """The columns of the realized kernels as rows, laid out like the atoms; read-only, computed once.
 
-        Each measure's rows are bitwise its realized_kernel().T.
+        Each node's rows are bitwise its measure's realized_kernel().T.
         """
         if self._realized is None:
             out = []
@@ -193,7 +306,7 @@ class Chunk:
                 lo, hi = self.starts[a], self.starts[b]
                 weights, posteriors = self.weights[lo:hi], self.posteriors[lo:hi]
                 out.append(_realized_columns(self.group.size, weights, posteriors, k))
-            self._realized = np.concatenate(out)
+            self._realized = out[0] if len(out) == 1 else np.concatenate(out)
             self._realized.setflags(write=False)
         return self._realized
 
@@ -205,28 +318,31 @@ class Chunk:
             for k, a, b in self.blocks
         ])
 
-    def children(self, weights, posteriors, merge_tau: float) -> list[BlackwellMeasure]:
-        """The measures of raw atoms laid out like the pairs, len(weights) / P atoms per pair."""
-        seg = None  # one measure needs no segment ids
+    def children(self, weights, posteriors, merge_tau: float) -> list[Block]:
+        """The canonical children of raw atoms laid out like the pairs, len(weights) / P atoms per pair.
+
+        Each child is a one-row block at its parent's position.
+        """
+        seg = None  # one node needs no segment ids
         if len(self) > 1:
             per_pair = len(weights) // self.pair_starts[-1]
             seg = np.repeat(np.arange(len(self)), np.diff(self.pair_starts) * per_pair)
-        measures = BlackwellMeasure.segmented(self.group, weights, posteriors, seg, len(self), merge_tau)
-        return self.unsort(measures)
+        out, _ = _canonical_measures(self.group, weights, posteriors, merge_tau, seg, len(self))
+        return [Block(q, q.tobytes(), w[None], self.rows[s : s + 1]) for s, (w, q) in enumerate(out)]
 
     def minus(self, merge_tau: float = DEFAULT_MERGE_TAU) -> list[BlackwellMeasure]:
-        """Minus transform on atoms: weight w_i w_j at posterior p_i (*) p_j."""
-        return self._step(MINUS, merge_tau)
+        """Minus transform on atoms: weight w_i w_j at posterior p_i (*) p_j; the children as measures."""
+        return self._measures_of(self.step(MINUS, merge_tau))
 
     def plus(self, merge_tau: float = DEFAULT_MERGE_TAU) -> list[BlackwellMeasure]:
-        """Plus transform on atoms.
+        """Plus transform on atoms; the children as measures.
 
         For each atom pair (i, j) and each revealed first input u1, the atom
         has weight w_i w_j (p_i (*) p_j)(u1) and posterior
         x -> p_i(u1 + x) p_j(x) / (p_i (*) p_j)(u1); zero-probability u1 are
         skipped.
         """
-        return self._step(PLUS, merge_tau)
+        return self._measures_of(self.step(PLUS, merge_tau))
 
     def raw(self, sign: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(weights, posteriors, factor) of the raw children, laid out like the pairs.
@@ -260,60 +376,64 @@ class Chunk:
         numer /= np.where(conv > 0.0, conv, 1.0)[..., None]
         return (pair_weights[:, None] * conv).ravel(), numer.reshape(-1, size), conv
 
-    def _step(self, sign: str, merge_tau: float) -> list[BlackwellMeasure]:
-        """The children of every measure for one sign.
+    def step(self, sign: str, merge_tau: float) -> list[Block]:
+        """The children of every node for one sign, as blocks whose rows are their parents' positions.
 
-        Merging and sorting read only the raw posteriors, which a measure's
+        Merging and sorting read only the raw posteriors, which a node's
         posterior matrix alone decides; weights are summed over each merged
         atom's members. So when a step merges only bitwise-equal raw
         posteriors and prunes only atoms no weights can keep, a plan
-        recorded from one measure (_record) gives every measure on the same
+        recorded from one node (_record) gives every node on the same
         posterior matrix its children by summing its own raw weights
-        (_replay), bitwise as its own step would. Plans are recorded for a
-        matrix that two measures of the chunk share, and for the first step
-        of each sign that a walk's table sees, the root's, whose matrix the
-        level below may share. They are kept in the table under
-        ((sign, merge_tau), the matrix's bytes), with None where no plan is
-        valid. The other measures, and any whose raw weight underflows to
-        zero, take the general path together.
+        (_replay), bitwise as its own step would: one weight block for all
+        the nodes of a key. Plans are recorded, from the node of least
+        position, for a matrix that two nodes of the chunk share, and for
+        the first step of each sign that a walk's table sees, the root's,
+        whose matrix the level below may share. They are kept in the table
+        under ((sign, merge_tau), the matrix's key), with None where no
+        plan is valid. The other nodes, and any whose raw weight underflows
+        to zero, take the general path together, as one-row blocks.
         """
-        out: list = [None] * len(self)
-        rest = []
+        out: list[Block] = []
+        rest: list[Block] = []
         step = (sign, merge_tau)
         first = self.walk and all(key[0] != step for key in self.plans)
-        for support, members in self.supports.items():
-            key = (step, support)
-            if key not in self.plans and (len(members) > 1 or first):
+        for key, members in self.by_key.items():
+            blocks = [self.supports[j] for j in members]
+            if (step, key) not in self.plans and (first or len(blocks) > 1 or len(blocks[0].rows) > 1):
                 first = False
-                head, *members = members
-                out[head], self.plans[key] = _record(self.measures[head], sign, merge_tau)
-                _keep_matrix(self.plans, self.plans[key])
-            plan = self.plans.get(key)
-            if plan is None or not members:
-                rest += members
+                head = min(range(len(blocks)), key=lambda h: blocks[h].rows[0])
+                child, self.plans[step, key] = _record(self.group, blocks[head].take(slice(0, 1)), sign, merge_tau)
+                out.append(child)
+                blocks[head] = blocks[head].take(slice(1, None))
+            block = _joined(blocks)
+            if block is None:
                 continue
-            for i, child in zip(members, _replay(plan, [self.measures[i] for i in members])):
-                if child is None:
-                    rest.append(i)
-                else:
-                    out[i] = child
-                    self.replayed += 1
+            plan = self.plans.get((step, key))
+            if plan is None:
+                rest.append(block)
+                continue
+            weights, live = _replay(self.group, plan, block.weights)
+            if weights is not None:
+                out.append(Block(plan.posteriors, plan.key, weights, block.rows[live]))
+                self.replayed += len(weights)
+            if not live.all():
+                rest.append(block.take(~live))
         if rest:
-            rest.sort()
-            chunk = self if len(rest) == len(self) else Chunk([self.measures[i] for i in rest])
-            for i, child in zip(rest, chunk._general(sign, merge_tau)):
-                out[i] = child
+            whole = sum(len(block.rows) for block in rest) == len(self)
+            chunk = self if whole else Chunk(group=self.group, supports=rest)
+            out += chunk._general(sign, merge_tau)
         return out
 
-    def _general(self, sign: str, merge_tau: float) -> list[BlackwellMeasure]:
-        """The children of every measure, canonicalized from their raw atoms."""
+    def _general(self, sign: str, merge_tau: float) -> list[Block]:
+        """The children of every node, canonicalized from their raw atoms, as one-row blocks."""
         weights, posteriors, _ = self.raw(sign)
         return self.children(weights, posteriors, merge_tau)
 
     def gaps(self) -> tuple[np.ndarray, np.ndarray]:
-        """I(M) - I(M-) of every measure via both routes, as (via_transform, via_pairs) arrays; see capacity_gap.
+        """I(M) - I(M-) of every node via both routes, as (via_transform, via_pairs) arrays; see capacity_gap.
 
-        The routes are checked against each other measure by measure.
+        The routes are checked against each other node by node.
         """
         columns = self.realized_columns()
         via_transform = kernel_capacities(columns.T, self.starts) - _minus_capacities(self, columns)
@@ -328,131 +448,95 @@ class Chunk:
         return self.unsort(via_transform), self.unsort(via_pairs)
 
     def _pair_gaps(self) -> np.ndarray:
-        """via_pairs, w h_conv w - w h, of every measure in order of by_size.
+        """via_pairs, w h_conv w - w h, of every node in layout order.
 
-        One stacked matmul per block: on the shared (k, k) pair entropies
-        when all its measures sit on one matrix, on their stack otherwise.
+        One stacked matmul per block, on its matrix's (k, k) pair entropies.
         """
-        entropies = self._pair_entropies()
         out = np.empty(len(self))
-        for k, a, b in self.blocks:
-            entries = [entropies[i] for i in self.order[a:b]]
-            h_conv, h = entries[0]
-            if any(entry is not entries[0] for entry in entries):
-                h_conv = np.stack([entry[0] for entry in entries])
-                h = np.stack([entry[1] for entry in entries])
-            w = self.block(self.weights, k, a, b)
+        for (a, b), (h_conv, h), block in zip(self.spans, self._pair_entropies(), self.supports):
+            w = block.weights
             rows = w[:, None, :]
             out[a:b] = (rows @ h_conv @ w[:, :, None] - rows @ h[..., None]).ravel()
         return out
 
     def _pair_entropies(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(H(p_i (*) p_j) as a k x k array, H(p_i)) of every measure, in order of `measures`.
+        """(H(p_i (*) p_j) as a k x k array, H(p_i)) of each block's matrix, in order of `supports`.
 
-        They read the posteriors alone, so they are computed once per
-        distinct posterior matrix, and kept in the table, under ("gap", the
-        matrix's bytes), for a matrix that two measures of the chunk share.
+        They read the posteriors alone, so they are computed once per key,
+        and kept in the table, under ("gap", the key), for a matrix that two
+        nodes of the chunk share.
         """
-        supports = [(("gap", support), members) for support, members in self.supports.items()]
-        todo = [members[0] for key, members in supports if key not in self.plans]
-        fresh = {}
+        groups = self.by_key
+        entries = {key: self.plans.get(("gap", key)) for key in groups}
+        todo = [members[0] for key, members in groups.items() if entries[key] is None]
         if todo:
-            chunk = self if len(todo) == len(self) else Chunk([self.measures[i] for i in todo])
+            chunk = self if len(todo) == len(self) else Chunk(
+                group=self.group, supports=[self.supports[j].take(slice(0, 1)) for j in todo]
+            )
             h_conv = _convolution_entropies(chunk)
             h_atoms = row_entropies_bits(chunk.posteriors)
-            for s, index in enumerate(chunk.order):
-                k = chunk.by_size[s].atom_count
+            # each support of that chunk has one row, so one segment
+            for s, j in enumerate(chunk.layout):
+                k = int(chunk.counts[s])
                 pairs = h_conv[chunk.pair_starts[s] : chunk.pair_starts[s + 1]].reshape(k, k)
-                fresh[todo[index]] = (pairs, h_atoms[chunk.starts[s] : chunk.starts[s + 1]])
-        out: list = [None] * len(self)
-        for key, members in supports:
-            entry = self.plans.get(key) or fresh[members[0]]
-            if len(members) > 1:
-                self.plans[key] = entry
-            for i in members:
-                out[i] = entry
-        return out
-
-
-class PlanTable(dict):
-    """A walk's table of plans (see Chunk), which also keys its plans' children's matrices by identity.
-
-    A plan's children all hold its `posteriors` array, which the table
-    keeps alive as long as the walk, so `matrices` maps that array's id to
-    its bytes (_keep_matrix), and _matrix_key reads the bytes of no such
-    matrix again.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self.matrices: dict[int, bytes] = {}
-
-
-def _matrix_key(plans: dict, posteriors: np.ndarray) -> bytes:
-    """The key of a posterior matrix in a table of plans: its bytes, looked up by id where a PlanTable keeps them."""
-    key = plans.matrices.get(id(posteriors)) if isinstance(plans, PlanTable) else None
-    return posteriors.tobytes() if key is None else key
-
-
-def _keep_matrix(plans: dict, plan: "_Plan | None") -> None:
-    """Key the posterior matrix of a plan's children by its array's id, in a PlanTable that keeps the plan."""
-    if plan is not None and isinstance(plans, PlanTable):
-        plans.matrices[id(plan.posteriors)] = plan.posteriors.tobytes()
+                entries[chunk.supports[j].key] = (pairs, h_atoms[chunk.starts[s] : chunk.starts[s + 1]])
+        for key, members in groups.items():
+            if len(members) > 1 or len(self.supports[members[0]].rows) > 1:
+                self.plans["gap", key] = entries[key]
+        return [entries[block.key] for block in self.supports]
 
 
 class _Plan(NamedTuple):
-    """How the raw children of any measure on one posterior matrix canonicalize.
+    """How the raw children of any node on one posterior matrix canonicalize.
 
     Kept raw child a has weight w_i w_j factor[a] for its atom pair
     pairs[a] = i k + j and joins child atom target[a]; `posteriors` are the
-    children's canonical posteriors. factor is None where every factor is
-    1, as on a minus step. Every other raw child has weight 0 whatever the
-    weights.
+    children's canonical posteriors, and `key` their bytes. factor is None
+    where every factor is 1, as on a minus step. Every other raw child has
+    weight 0 whatever the weights.
     """
 
     pairs: np.ndarray
     factor: np.ndarray | None
     target: np.ndarray
     posteriors: np.ndarray
+    key: bytes
 
 
-def _record(m: BlackwellMeasure, sign: str, merge_tau: float) -> tuple[BlackwellMeasure, _Plan | None]:
-    """m's child by the general path, and the plan its canonicalization leaves, or None.
+def _record(group: Group, block: Block, sign: str, merge_tau: float) -> tuple[Block, _Plan | None]:
+    """The child of a one-row block by the general path, and the plan its canonicalization leaves, or None.
 
-    A plan is valid when m's run pruned exactly the raw children of zero
-    factor, so no weight of m underflowed, and merged only bitwise-equal
+    A plan is valid when the node's run pruned exactly the raw children of
+    zero factor, so no weight underflowed, and merged only bitwise-equal
     posteriors (blackwell._exact_merge).
     """
-    weights, posteriors, factor = Chunk([m]).raw(sign)
-    ((w, q),), origin = _canonical_measures(m.group, weights, posteriors, merge_tau, track_origin=True)
-    child = BlackwellMeasure._canonical(m.group, w, q)
+    weights, posteriors, factor = Chunk(group=group, supports=[block]).raw(sign)
+    ((w, q),), origin = _canonical_measures(group, weights, posteriors, merge_tau, track_origin=True)
     keep = origin >= 0
     if not (np.array_equal(keep, factor.ravel() > 0.0) and _exact_merge(posteriors, origin)):
-        return child, None
+        return Block(q, q.tobytes(), w[None], block.rows), None
     kept = np.flatnonzero(keep)
     pairs = kept // factor.shape[1]
     # the minus step's factors are all 1, and w_i w_j * 1.0 is w_i w_j
-    return child, _Plan(pairs, None if sign == MINUS else factor.ravel()[kept], origin[kept], q)
+    plan = _Plan(pairs, None if sign == MINUS else factor.ravel()[kept], origin[kept], q, q.tobytes())
+    return Block(q, plan.key, w[None], block.rows), plan
 
 
-def _replay(plan: _Plan, measures: list[BlackwellMeasure]) -> list[BlackwellMeasure | None]:
-    """The children of measures on the plan's posterior matrix; None where a kept raw weight is 0.
+def _replay(group: Group, plan: _Plan, weights: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """The children's weight block of the nodes whose weights are the rows of `weights`, on the plan's matrix.
 
-    Raw weights are the products the general path forms. A NaN weight is
-    not positive either, and the general path rejects it.
+    Returns the block of the live rows, those whose kept raw weights are
+    all positive, or None when no row is, and the live mask. Raw weights
+    are the products the general path forms. A NaN weight is not positive
+    either, and the general path rejects it.
     """
-    w = np.stack([m.weights for m in measures])
-    raw = (w[:, :, None] * w[:, None, :]).reshape(len(w), -1)[:, plan.pairs]
+    raw = (weights[:, :, None] * weights[:, None, :]).reshape(len(weights), -1)[:, plan.pairs]
     if plan.factor is not None:
         raw *= plan.factor
     live = (raw > 0.0).all(axis=1)
-    out: list = [None] * len(measures)
-    if live.any():
-        group = measures[0].group
-        children = _replayed_measures(group, raw if live.all() else raw[live], plan.target, plan.posteriors)
-        for i, child in zip(np.flatnonzero(live), children):
-            out[i] = child
-    return out
+    if not live.any():
+        return None, live
+    return _replayed_weights(group, raw if live.all() else raw[live], plan.target, plan.posteriors), live
 
 
 def _convolve_block(r: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -490,8 +574,8 @@ def _planes(chunk: Chunk, rows: np.ndarray) -> Iterator[tuple[slice, np.ndarray]
     planes[u] of a tile holds sum_v rows[i, u + v] rows[j, v] for its
     pairs, laid out as the chunk lays out its pairs and summed as
     _convolve_block sums them; `pairs` are their indices. A tile is a run
-    of first atoms i of one block: whole measures, or rows of one measure
-    when a measure does not fit; a block of one-atom measures is one tile.
+    of first atoms i of one size run: whole measures, or rows of one measure
+    when a measure does not fit; a run of one-atom measures is one tile.
     Its planes live in a buffer that the next tile reuses, so a tile is
     read before the next is asked for.
     """
@@ -538,7 +622,7 @@ def _convolution_entropies(chunk: Chunk) -> np.ndarray:
 
 
 def _minus_capacities(chunk: Chunk, columns: np.ndarray) -> np.ndarray:
-    """kernel_capacity of every measure's channel-side minus kernel, in order of chunk.by_size; via_transform's.
+    """kernel_capacity of every measure's channel-side minus kernel, in layout order; via_transform's.
 
     The minus kernel of the realized kernel whose columns are `columns`
     (laid out like the atoms) has column (i, j) equal to the convolution of
@@ -569,7 +653,7 @@ def _minus_capacities(chunk: Chunk, columns: np.ndarray) -> np.ndarray:
     def lone_minus_kernel(s: int) -> np.ndarray:
         if s < ones:
             return np.ascontiguousarray(lone[:, s : s + 1])
-        k = chunk.by_size[s].atom_count
+        k = int(chunk.counts[s])
         conv = _convolve_block(chunk.block(columns, k, s, s + 1), chunk.group.add_table)
         return np.ascontiguousarray((conv.reshape(-1, size) / size).T)
 
@@ -619,14 +703,13 @@ def capacity_gap(m: BlackwellMeasure) -> CapacityGap:
     return CapacityGap(float(via_transform[0]), float(via_pairs[0]))
 
 
-def step_refusal(m: BlackwellMeasure, sign: str, atom_budget: int) -> str | None:
-    """Why the budget refuses a step of `m`, or None.
+def step_refusal(k: int, size: int, sign: str, atom_budget: int) -> str | None:
+    """Why the budget refuses a step of a node of k atoms on a group of `size` elements, or None.
 
     The budget caps the materialized (pre-merge) atom set: k^2 for a minus
     step and k^2 |G| for a plus step.
     """
-    k = m.atom_count
-    raw = k * k if sign == MINUS else k * k * m.group.size
+    raw = k * k if sign == MINUS else k * k * size
     if raw > atom_budget:
         return (
             f"step '{sign}' would materialize {raw} atoms from {k}, "
@@ -649,7 +732,7 @@ def polar_step(
     sign = normalize_path(sign)
     if len(sign) != 1:
         raise ValueError("polar_step takes a single step")
-    refusal = step_refusal(m, sign, atom_budget)
+    refusal = step_refusal(m.atom_count, m.group.size, sign, atom_budget)
     if refusal is not None:
         raise AtomBudgetError(refusal)
     if sign == MINUS:

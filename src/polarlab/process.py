@@ -3,23 +3,27 @@
 Every mode walks the binary transform tree with one generator,
 `_walk_chunks`, so each child reuses its parent's merged measure and each
 measure is computed once. The walk takes consecutive nodes of one depth
-together, as a chunk: its transforms, merging, capacity gaps and
+together, as a chunk (a Level): its transforms, merging, capacity gaps and
 evaluation run once for all its nodes, on one polar.Chunk, and each node
 gets bitwise the result it gets alone, so the chunking never shows in a
-report. A chunk's gaps and evaluations come back as columns, float64
-arrays with one entry per node, and a report keeps its leaves as columns:
-records are objects only for the library API, and report_json writes them
-from the columns. Nodes that share a posterior matrix are stepped by replaying a
-plan that the first of them, or the root, records, again bitwise as
-alone; each walk keeps its own table of plans, which ends with the walk.
-A chunk's size counts the floats its nodes materialize, up to
-_CHUNK_ATOMS: only a node's raw weights when the table holds plans of
-both signs for its matrix, its raw posteriors otherwise, so a level that
-replays runs in a few chunks. Per-path resource failures (atom budget)
-are recorded on the affected paths; the rest of the tree is still
-evaluated. Any other error raised while a node is computed is an internal
-fault and stops the run as a PathFault that names the node: the first one
-a preorder walk would meet.
+report. A level holds its live nodes as weight blocks, one per distinct
+posterior matrix (polar.Block): the matrix, its bytes, one row of weights
+per node, and the nodes' positions; the children of the node at position
+p sit at 2p ('-') and 2p + 1 ('+'), so leaves keep path order, and no node
+is a measure object. A chunk's gaps and evaluations come back as columns,
+float64 arrays with one entry per node, and a report keeps its leaves as
+columns: records are objects only for the library API, and report_json
+writes them from the columns. Nodes that share a posterior matrix are
+stepped by replaying a plan that the first of them, or the root,
+records, again bitwise as alone; each walk keeps its own table of plans,
+which ends with the walk. A chunk's size counts the floats its nodes
+materialize, up to _CHUNK_ATOMS: only a node's raw weights when the table
+holds plans of both signs for its matrix, its raw posteriors otherwise,
+so a level that replays runs in a few chunks. Per-path resource failures
+(atom budget) are checked once per block and recorded on the affected
+paths; the rest of the tree is still evaluated. Any other error raised
+while a node is computed is an internal fault and stops the run as a
+PathFault that names the node: the first one a preorder walk would meet.
 Evaluation is sequential, and all outputs are deterministic given the
 configuration.
 """
@@ -27,25 +31,27 @@ configuration.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from collections.abc import Container, Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
 from .blackwell import DEFAULT_MERGE_TAU, BlackwellMeasure, blackwell_measure
 from .channels import Channel, Classes, DeterminednessResult, _check_delta, _classify, symmetric_capacity
-from .groups import Subgroup, enumerate_subgroups
+from .groups import Group, Subgroup, enumerate_subgroups
 from .metrics import _nearest_pol
 from .polar import (
     DEFAULT_ATOM_BUDGET,
     MINUS,
     PLUS,
     AtomBudgetError,
+    Block,
     Chunk,
-    PlanTable,
-    _matrix_key,
+    _joined,
     minus_transform,
     normalize_path,
     plus_transform,
@@ -519,13 +525,12 @@ def report_csv(report: PolarizationReport | dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _gap_refusal(m: BlackwellMeasure, atom_budget: int) -> str | None:
-    """Why the budget refuses a node's capacity gap, or None.
+def _gap_refusal(k: int, atom_budget: int) -> str | None:
+    """Why the budget refuses the capacity gap of a node of k atoms, or None.
 
     The gap diagnostic materializes all atom pairs, so a node whose pair set
     exceeds the budget cannot be evaluated, like a blocked minus step.
     """
-    k = m.atom_count
     if k * k > atom_budget:
         return (
             f"capacity-gap evaluation would materialize {k * k} atom pairs, "
@@ -537,37 +542,92 @@ def _gap_refusal(m: BlackwellMeasure, atom_budget: int) -> str | None:
 # Floats that the nodes of a chunk materialize together. A node with k
 # atoms steps to k^2 raw children by its minus step, the atom pairs, and
 # k^2 |G| by its plus step: on the general path each carries |G| posterior
-# floats, while a step that replays a plan (polar.Chunk._step) builds only
+# floats, while a step that replays a plan (polar.Chunk.step) builds only
 # their weights. Children are chunked up to this cap (_split), so a larger
 # node runs alone, and the walk holds O(depth) chunks.
 _CHUNK_ATOMS = 1 << 17
 
-# A node of the transform tree: its merged measure, the budget-refusal
-# message that stopped its path, or the fault that stopped the walk there.
+# A node of the transform tree as the library reads it (Level.nodes): its
+# merged measure, the budget-refusal message that stopped its path, or the
+# fault that stopped the walk there. The walk itself holds the live nodes
+# as rows of weight blocks and only the others one by one.
 Node = BlackwellMeasure | str | PathFault
 
 
-def _per_chunk(kernel, chunk: Chunk, paths: list[str]) -> tuple[object, dict[int, PathFault]]:
-    """(kernel(chunk), {}): one result per measure, a list or columns; if that raises, node by node.
+@dataclass
+class Level:
+    """Consecutive nodes of one depth of the transform tree, in path order.
 
-    Run alone, a node whose kernel raises RuntimeError or ValueError gets a
-    PathFault naming it, returned by its position in the chunk; the other
-    nodes' results are joined (_concat), or None when every node faulted.
+    A node's position is its index in `paths`. The live nodes are the rows
+    of weight blocks (`supports`, polar.Block), one per posterior matrix;
+    `dead` holds, by position, every other node's budget-refusal message,
+    which stands in for its descendants, or the PathFault that stopped the
+    walk there.
+    """
+
+    group: Group
+    paths: list[str]
+    supports: list[Block]
+    dead: dict[int, str | PathFault]
+
+    def atoms(self) -> np.ndarray:
+        """Each node's atom count, 0 where it is dead."""
+        out = np.zeros(len(self.paths), dtype=np.int64)
+        for block in self.supports:
+            out[block.rows] = len(block.posteriors)
+        return out
+
+    def nodes(self) -> list[Node]:
+        """Each node as the library reads it: a measure, or its message or fault."""
+        out: list = [None] * len(self.paths)
+        for block in self.supports:
+            for position, weights in zip(block.rows.tolist(), block.weights):
+                out[position] = BlackwellMeasure._canonical(self.group, weights, block.posteriors)
+        for position, node in self.dead.items():
+            out[position] = node
+        return out
+
+
+def _without(supports: list[Block], positions: Container[int]) -> list[Block]:
+    """The blocks without the rows at `positions`."""
+    if not positions:
+        return supports
+    out = []
+    for block in supports:
+        keep = np.array([row not in positions for row in block.rows.tolist()], dtype=bool)
+        if keep.all():
+            out.append(block)
+        elif keep.any():
+            out.append(block.take(keep))
+    return out
+
+
+def _per_chunk(kernel, chunk: Chunk, paths: list[str], sign: str = "") -> tuple[object, np.ndarray, dict]:
+    """(kernel(chunk), its positions, {}): one result per node, a list or columns; if that raises, node by node.
+
+    Run alone, as a one-row block, a node whose kernel raises RuntimeError
+    or ValueError gets a PathFault naming its path plus `sign`, returned by
+    its position; the other nodes' results are joined (_concat), or None
+    when every node faulted, and their positions returned in order.
     """
     try:
-        return kernel(chunk), {}
+        return kernel(chunk), chunk.positions, {}
     except (RuntimeError, ValueError):
-        parts, faults = [], {}
-        for position, (m, path) in enumerate(zip(chunk.measures, paths)):
+        parts, done, faults = [], [], {}
+        nodes = sorted(
+            (position, r, block) for block in chunk.supports for r, position in enumerate(block.rows.tolist())
+        )
+        for position, r, block in nodes:
             try:
-                parts.append(kernel(Chunk([m])))
+                parts.append(kernel(Chunk(group=chunk.group, supports=[block.take(slice(r, r + 1))])))
+                done.append(position)
             except (RuntimeError, ValueError) as exc:
-                faults[position] = PathFault(path, exc)
-        return (_concat(parts) if parts else None), faults
+                faults[position] = PathFault(paths[position] + sign, exc)
+        return (_concat(parts) if parts else None), np.array(done, dtype=np.int64), faults
 
 
 def _concat(parts: list):
-    """Results of consecutive runs of measures joined: lists, arrays, or named tuples of them (or None), field by field."""
+    """Results of consecutive runs of nodes joined: lists, arrays, or named tuples of them (or None), field by field."""
     first = parts[0]
     if first is None:
         return None
@@ -578,8 +638,8 @@ def _concat(parts: list):
     return [item for part in parts for item in part]
 
 
-def _spread(columns: Evaluations | None, done: list[int], count: int, subgroups: int | None) -> Evaluations:
-    """Columns of the nodes `done` of a chunk of `count` nodes, at their nodes' places; blank elsewhere.
+def _spread(columns: Evaluations | None, done: np.ndarray, count: int, subgroups: int | None) -> Evaluations:
+    """Columns of the nodes at positions `done` of a level of `count` nodes, at their places; blank elsewhere.
 
     The blank classes have `subgroups` columns, or are None when it is.
     """
@@ -604,38 +664,50 @@ def _spread(columns: Evaluations | None, done: list[int], count: int, subgroups:
     return out
 
 
-def _split(children: list[tuple[str, Node]], plans: dict, merge_tau: float) -> list[list[tuple[str, Node]]]:
-    """Consecutive runs of children that materialize at most _CHUNK_ATOMS floats each; a larger child runs alone.
+def _split(level: Level, plans: dict, merge_tau: float) -> list[Level]:
+    """Runs of consecutive nodes that materialize at most _CHUNK_ATOMS floats each; a larger node runs alone.
 
-    Each sign of a child is priced apart. A sign whose plan the walk's
-    `plans` holds for the child's posterior matrix will replay it, and is
-    priced at its raw children's weights: k^2 floats for the minus step
-    and k^2 |G| for the plus step. A sign without one is priced at their
+    A block's rows share one price, rows times the price of one, so a
+    block is cut by rows. Each sign is priced apart. A sign whose plan the
+    walk's `plans` holds for the block's matrix will replay it, and is
+    priced at its raw children's weights: k^2 floats for the minus step and
+    k^2 |G| for the plus step. A sign without one is priced at their
     posteriors, |G| times as many floats, as the general path builds them.
+    A dead node costs nothing.
     """
-    runs, load = [[]], 0
-    # a node's price depends on its posterior matrix alone, and a plan's
-    # children share one matrix array
-    costs: dict[int, int] = {}
-    for child in children:
-        cost = 0
-        node = child[1]
-        if isinstance(node, BlackwellMeasure):
-            cost = costs.get(id(node.posteriors))
-            if cost is None:
-                size = node.group.size
-                matrix = _matrix_key(plans, node.posteriors)
-                raw = node.atom_count ** 2
-                cost = 0
-                for sign, count in ((MINUS, raw), (PLUS, raw * size)):
-                    cost += count if plans.get(((sign, merge_tau), matrix)) is not None else count * size
-                costs[id(node.posteriors)] = cost
-        if runs[-1] and load + cost > _CHUNK_ATOMS:
-            runs.append([])
-            load = 0
-        runs[-1].append(child)
-        load += cost
-    return [run for run in runs if run]
+    size = level.group.size
+    cost = np.zeros(len(level.paths), dtype=np.int64)
+    for block in level.supports:
+        raw = len(block.posteriors) ** 2
+        price = 0
+        for sign, count in ((MINUS, raw), (PLUS, raw * size)):
+            price += count if plans.get(((sign, merge_tau), block.key)) is not None else count * size
+        cost[block.rows] = price
+    # a run from `start` takes each next node while its load stays within
+    # the cap, and always its first node
+    loads = np.cumsum(cost)
+    cuts = [0]
+    while cuts[-1] < len(cost):
+        start = cuts[-1]
+        base = loads[start - 1] if start else 0
+        stop = int(np.searchsorted(loads, base + _CHUNK_ATOMS, side="right"))
+        cuts.append(max(stop, start + 1))
+    if len(cuts) == 2:
+        return [level]
+    # each run's nodes, positions counted from its first
+    runs = [Level(level.group, level.paths[a:b], [], {}) for a, b in zip(cuts, cuts[1:])]
+    for block in level.supports:
+        first, last = (bisect_right(cuts, int(block.rows[r])) - 1 for r in (0, -1))
+        for run in range(first, last + 1):
+            a = cuts[run]
+            part = block
+            if first < last:
+                part = block.take(slice(*np.searchsorted(block.rows, (a, cuts[run + 1])).tolist()))
+            runs[run].supports.append(part._replace(rows=part.rows - a) if a else part)
+    for position, node in level.dead.items():
+        run = bisect_right(cuts, position) - 1
+        runs[run].dead[position - cuts[run]] = node
+    return runs
 
 
 def _walk_chunks(
@@ -647,105 +719,131 @@ def _walk_chunks(
     gap_depths: Container[int] = (),
     eval_depths: Container[int] = (),
     delta: float | None = DEFAULT_DELTA,
-) -> Iterator[tuple[list[str], list[Node], np.ndarray | None, Evaluations | None]]:
+) -> Iterator[tuple[Level, np.ndarray | None, Evaluations | None]]:
     """Walk the transform tree below `root` to `depth`, a chunk of a level at a time.
 
-    Yields the (paths, nodes, gaps, results) of each chunk: every prefix,
+    Yields the (level, gaps, results) of each chunk, a Level: every prefix,
     or, given `wanted`, only the prefixes of the wanted paths. The chunks of
     each depth, and so the leaves, come in path order, '-' first. A chunk
-    is a run of consecutive nodes of one depth: its steps, its gaps and its
-    evaluation each run once for all its measures, on one polar.Chunk. Its
-    children are split into chunks again (_split) and walked depth first.
-    Each measure is stepped once from its parent's. At the depths in
-    `gap_depths` the nodes' guarded capacity gaps are computed before their
-    children are stepped, as a float64 array with one entry per node, and
-    at the depths in `eval_depths` their Evaluations at `delta`
-    (_evaluate_chunk), likewise one row per node; elsewhere gaps and
-    results are None. Only the entries of nodes that are still measures
-    are meaningful. A refused step or gap replaces the node by its message,
-    which stands in for every descendant; nothing below is computed. A
-    step, gap or evaluation that raises RuntimeError or ValueError replaces
-    the node by a PathFault that names it and likewise stands in for its
+    is a run of consecutive nodes of one depth, its live nodes held as
+    weight blocks on shared posterior matrices: its steps, its gaps and its
+    evaluation each run once for all its nodes, on one polar.Chunk of its
+    blocks, and the budget is checked once per block. The children of the
+    node at position p are at 2p ('-') and 2p + 1 ('+'), before the
+    unwanted ones are dropped; they are split into chunks again (_split)
+    and walked depth first. Each node is stepped once from its parent. At
+    the depths in `gap_depths` the nodes' guarded capacity gaps are
+    computed before their children are stepped, as a float64 array with one
+    entry per node, and at the depths in `eval_depths` their Evaluations at
+    `delta` (_evaluate_chunk), likewise one row per node; elsewhere gaps and
+    results are None. Only the entries of live nodes are meaningful. A
+    refused step or gap makes the node dead with its message, which stands
+    in for every descendant; nothing below is computed. A step, gap or
+    evaluation that raises RuntimeError or ValueError makes the node dead
+    with a PathFault that names it, which likewise stands in for its
     descendants. At the depths in `eval_depths` the walk raises the first
     PathFault of the chunk in path order, so a reader meets no fault among
     the nodes it evaluates.
     """
     prefixes = None if wanted is None else {p[:k] for p in wanted for k in range(len(p) + 1)}
-    subgroups = None if delta is None else len(enumerate_subgroups(root.group))
+    group = root.group
+    subgroups = None if delta is None else len(enumerate_subgroups(group))
     # what this walk's shared posterior matrices decide: step plans and
     # pair entropies (polar.Chunk)
-    plans = PlanTable()
-    stack: list[list[tuple[str, Node]]] = [[("", root)]]
+    plans: dict = {}
+    top = Block(root.posteriors, root.posteriors.tobytes(), root.weights[None], np.zeros(1, dtype=np.int64))
+    stack = [Level(group, [""], [top], {})]
     while stack:
-        paths, nodes = map(list, zip(*stack.pop()))
-        level = len(paths[0])
+        level = stack.pop()
+        paths, dead = level.paths, level.dead
         chunks: dict[tuple[int, ...], Chunk] = {}
 
-        def run(kernel, todo: list[int], out: list, sign: str = ""):
-            # the nodes computed and their results; a node whose kernel
-            # raises gets its PathFault in `out`, named after the node
-            # computed: the node's own path for its gap or its evaluation,
-            # its child's for a step
-            if not todo:
-                return [], None
-            key = tuple(todo)
+        def run(kernel, supports: list[Block], sign: str = ""):
+            # the kernel's result on the chunk of these blocks, the positions
+            # it covers, and the PathFaults of the nodes whose kernel raised,
+            # named after the node computed: the node's own path for its gap
+            # or its evaluation, its child's for a step
+            if not supports:
+                return None, np.zeros(0, dtype=np.int64), {}
+            key = tuple(map(id, supports))
             if key not in chunks:
-                chunks[key] = Chunk([nodes[i] for i in todo], plans)
-            result, faults = _per_chunk(kernel, chunks[key], [paths[i] + sign for i in todo])
-            for position, fault in faults.items():
-                out[todo[position]] = fault
-            return [i for position, i in enumerate(todo) if position not in faults], result
+                chunks[key] = Chunk(group=group, supports=supports, plans=plans)
+            return _per_chunk(kernel, chunks[key], paths, sign)
 
         gaps = None
-        if level in gap_depths:
-            todo = []
-            for i, node in enumerate(nodes):
-                if isinstance(node, BlackwellMeasure):
-                    refusal = _gap_refusal(node, atom_budget)
-                    if refusal is None:
-                        todo.append(i)
-                    else:
-                        nodes[i] = refusal
-            gaps = np.zeros(len(nodes))
-            done, via_pairs = run(lambda chunk: chunk.gaps()[1], todo, nodes)
-            if done:
+        if len(paths[0]) in gap_depths:
+            supports = []
+            for block in level.supports:
+                refusal = _gap_refusal(len(block.posteriors), atom_budget)
+                if refusal is None:
+                    supports.append(block)
+                else:
+                    dead.update(dict.fromkeys(block.rows.tolist(), refusal))
+            gaps = np.zeros(len(paths))
+            via_pairs, done, faults = run(lambda chunk: chunk.gaps()[1], supports)
+            if len(done):
                 gaps[done] = via_pairs
+            dead.update(faults)
+            level.supports = _without(supports, faults)
         results = None
-        if level in eval_depths:
-            todo = [i for i, node in enumerate(nodes) if isinstance(node, BlackwellMeasure)]
-            done, results = run(lambda chunk: _evaluate_chunk(chunk, delta), todo, nodes)
-            results = _spread(results, done, len(nodes), subgroups)
-            for node in nodes:
-                if isinstance(node, PathFault):
-                    raise node
-        yield paths, nodes, gaps, results
-        if level == depth:
+        if len(paths[0]) in eval_depths:
+            evaluations, done, faults = run(lambda chunk: _evaluate_chunk(chunk, delta), level.supports)
+            results = _spread(evaluations, done, len(paths), subgroups)
+            dead.update(faults)
+            level.supports = _without(level.supports, faults)
+            faulted = [position for position, node in dead.items() if isinstance(node, PathFault)]
+            if faulted:
+                raise dead[min(faulted)]
+        yield level, gaps, results
+        if len(paths[0]) == depth:
             continue
-        # each sign's child of every node, None where the walk wants none
-        steps = []
-        for sign, kernel in ((MINUS, Chunk.minus), (PLUS, Chunk.plus)):
-            out = list(nodes)
-            if prefixes is not None:
-                out = [node if path + sign in prefixes else None for path, node in zip(paths, out)]
+        # the children at 2p and 2p + 1, and, where the walk drops the ones it
+        # does not want, the place of each among those it keeps (None if none)
+        child_paths = [path + sign for path in paths for sign in (MINUS, PLUS)]
+        place = None
+        if prefixes is not None:
+            want = [path in prefixes for path in child_paths]
+            child_paths = [path for path, wanted in zip(child_paths, want) if wanted]
+            place = [count - 1 if wanted else None for count, wanted in zip(accumulate(want), want)]
+
+        def placed(rows: np.ndarray, s: int) -> np.ndarray:
+            # the places of the sign-s children of the nodes at `rows`, all wanted
+            if place is None:
+                return 2 * rows + s
+            return np.array([place[2 * row + s] for row in rows.tolist()], dtype=np.int64)
+
+        children: list[Block] = []
+        lost: dict[int, str | PathFault] = {}
+        for s, sign in enumerate((MINUS, PLUS)):
             todo = []
-            for i, node in enumerate(out):
-                if isinstance(node, BlackwellMeasure):
-                    refusal = step_refusal(node, sign, atom_budget)
-                    if refusal is None:
-                        todo.append(i)
-                    else:
-                        out[i] = refusal
-            done, stepped = run(lambda chunk: kernel(chunk, merge_tau), todo, out, sign)
-            for i, child in zip(done, stepped or ()):
-                out[i] = child
-            steps.append(out)
-        ordered = [
-            (path + sign, child)
-            for path, minus, plus in zip(paths, *steps)
-            for sign, child in ((MINUS, minus), (PLUS, plus))
-            if child is not None
-        ]
-        stack.extend(reversed(_split(ordered, plans, merge_tau)))
+            for block in level.supports:
+                if place is not None:
+                    keep = [place[2 * row + s] is not None for row in block.rows.tolist()]
+                    if not any(keep):
+                        continue
+                    if not all(keep):
+                        block = block.take(np.array(keep))
+                refusal = step_refusal(len(block.posteriors), group.size, sign, atom_budget)
+                if refusal is None:
+                    todo.append(block)
+                else:
+                    lost.update(dict.fromkeys(placed(block.rows, s).tolist(), refusal))
+            stepped, _, faults = run(lambda chunk: chunk.step(sign, merge_tau), todo, sign)
+            if faults:
+                lost.update(zip(placed(np.array(list(faults)), s).tolist(), faults.values()))
+            children += [block._replace(rows=placed(block.rows, s)) for block in stepped or ()]
+        for position, node in dead.items():
+            for s in (0, 1):
+                child = 2 * position + s if place is None else place[2 * position + s]
+                if child is not None:
+                    lost[child] = node
+        # one block per key: the two signs' children of a replayed level
+        # share their plans' matrix
+        by_key: dict[bytes, list[Block]] = {}
+        for block in children:
+            by_key.setdefault(block.key, []).append(block)
+        child = Level(group, child_paths, [_joined(blocks) for blocks in by_key.values()], lost)
+        stack.extend(reversed(_split(child, plans, merge_tau)))
 
 
 def _evaluate_chunk(chunk: Chunk, delta: float | None) -> Evaluations:
@@ -754,7 +852,7 @@ def _evaluate_chunk(chunk: Chunk, delta: float | None) -> Evaluations:
     One batched kernel: the Pol distances (metrics._nearest_pol), the
     capacities, and the classification of the realized kernels on those
     capacities (channels._classify). Each measure gets bitwise the result
-    it gets alone, in the order of chunk.measures.
+    it gets alone, in the chunk's order.
     """
     distance, subgroup, solves = _nearest_pol(chunk)
     capacities = chunk.capacities()
@@ -766,11 +864,12 @@ def _evaluate_chunk(chunk: Chunk, delta: float | None) -> Evaluations:
     return Evaluations(capacities, distance, subgroup, solves, classes)
 
 
-def _leaves(paths: list[str], nodes: list[Node], gaps: np.ndarray, results: Evaluations) -> Leaves:
+def _leaves(level: Level, gaps: np.ndarray, results: Evaluations) -> Leaves:
     """The Leaves of a walker chunk of evaluated leaves, a refused leaf's error in its row."""
-    errors = [node if isinstance(node, str) else None for node in nodes]
-    atoms = np.array([0 if isinstance(node, str) else node.atom_count for node in nodes], dtype=np.int64)
-    return Leaves(paths, errors, atoms, gaps, results)
+    errors: list = [None] * len(level.paths)
+    for position, node in level.dead.items():
+        errors[position] = node
+    return Leaves(level.paths, errors, level.atoms(), gaps, results)
 
 
 def enumerate_paths(
@@ -796,12 +895,12 @@ def enumerate_paths(
     root = blackwell_measure(w, merge_tau)
     walk = _walk_chunks(root, depth, merge_tau, atom_budget, gap_depths=range(depth + 1),
                         eval_depths=(depth,), delta=delta)
-    for paths, nodes, gaps, results in walk:
-        live = np.array([isinstance(node, BlackwellMeasure) for node in nodes], dtype=bool)
+    for level, gaps, results in walk:
+        live = level.atoms() > 0
         if live.any():
-            levels.setdefault(len(paths[0]), []).append(gaps[live])
-        if len(paths[0]) == depth:
-            parts.append(_leaves(paths, nodes, gaps, results))
+            levels.setdefault(len(level.paths[0]), []).append(gaps[live])
+        if len(level.paths[0]) == depth:
+            parts.append(_leaves(level, gaps, results))
     level_gaps = {level: np.concatenate(gaps) for level, gaps in levels.items()}
     leaves = _concat(parts)
     return PolarizationReport(config, leaves, np.arange(len(leaves.paths)), enumerate_subgroups(root.group),
@@ -840,7 +939,7 @@ def sample_paths(
     root = blackwell_measure(w, merge_tau)
     walk = _walk_chunks(root, depth, merge_tau, atom_budget, paths, gap_depths=(depth,),
                         eval_depths=(depth,), delta=delta)
-    leaves = _concat([_leaves(*chunk) for chunk in walk if len(chunk[0][0]) == depth])
+    leaves = _concat([_leaves(*chunk) for chunk in walk if len(chunk[0].paths[0]) == depth])
     row = {path: i for i, path in enumerate(leaves.paths)}
     rows = np.array([row[path] for path in paths], dtype=np.int64)
     return PolarizationReport(config, leaves, rows, enumerate_subgroups(root.group), {})
@@ -866,9 +965,10 @@ def convergence_trace(
     walk = _walk_chunks(root, depth, merge_tau, atom_budget, [steps], gap_depths=levels,
                         eval_depths=levels, delta=None)
     # each level's chunk is its one prefix
-    for (prefix,), (node,), gaps, results in walk:
-        if isinstance(node, str):
-            raise AtomBudgetError(node)
+    for level, gaps, results in walk:
+        (prefix,) = level.paths
+        if level.dead:
+            raise AtomBudgetError(level.dead[0])
         out.append(TraceRecord(
             depth=len(prefix),
             prefix=prefix,

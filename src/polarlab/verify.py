@@ -24,7 +24,6 @@ from .metrics import distance_to_pol, pol_set, wasserstein
 from .polar import AtomBudgetError, Chunk, capacity_gap, minus_on_measure
 from .presets import bec_channel, dh_mix_channel, random_channel, z4_multilevel_channel
 from .process import (
-    PathFault,
     _evaluate_chunk,
     _walk_chunks,
     enumerate_paths,
@@ -151,15 +150,14 @@ def _acceptance_walks() -> list[tuple[Channel, int]]:
     ]
 
 
-def _measure_chunks(w: Channel, depth: int):
-    """The (paths, measures) of each chunk of the walk below w; a failed node raises."""
-    for paths, nodes, _, _ in _walk_chunks(blackwell_measure(w), depth):
-        for m in nodes:
-            if isinstance(m, str):
-                raise AtomBudgetError(m)
-            if isinstance(m, PathFault):
-                raise m
-        yield paths, nodes
+def _walk_levels(w: Channel, depth: int):
+    """The chunks of the walk below w, as process.Level; a failed node raises."""
+    for level, _, _ in _walk_chunks(blackwell_measure(w), depth):
+        for node in level.dead.values():
+            if isinstance(node, str):
+                raise AtomBudgetError(node)
+            raise node
+        yield level
 
 
 def pol_certificate_check() -> CheckResult:
@@ -176,10 +174,11 @@ def pol_certificate_check() -> CheckResult:
     worst = 0.0
     for w, depth in walks:
         targets = pol_set(w.require_group())
-        for paths, nodes in _measure_chunks(w, depth):
-            if len(paths[0]) < depth:
+        for level in _walk_levels(w, depth):
+            if len(level.paths[0]) < depth:
                 continue
-            got = _evaluate_chunk(Chunk(nodes), delta)
+            nodes = level.nodes()
+            got = _evaluate_chunk(Chunk(group=level.group, supports=level.supports), delta)
             classes = got.classes.results(enumerate_subgroups(w.require_group()), delta)
             for m, distance, nearest, solves, det in zip(
                 nodes, got.distance.tolist(), got.subgroup.tolist(), got.solves.tolist(), classes
@@ -227,8 +226,8 @@ def multilevel_quotient_floor(depth: int = 12) -> float:
     sub = subgroup_from_members(group, [0, 2])
     floor = kernel_capacity(_coset_average(group, w.kernel, sub))
 
-    for paths, nodes in _measure_chunks(w, depth):
-        for path, m in zip(paths, nodes):
+    for level in _walk_levels(w, depth):
+        for path, m in zip(level.paths, level.nodes()):
             if path:
                 floor = min(floor, kernel_capacity(_coset_average(group, m.realized_kernel(), sub)))
     return floor
@@ -297,19 +296,20 @@ def multilevel_suite() -> list[CheckResult]:
 def steps_suite() -> list[CheckResult]:
     """Every step of the walks of _acceptance_walks() against the general path.
 
-    Each chunk of inner nodes is stepped as the walk steps it, with a plan
-    table per walk, so that chunks on a shared posterior matrix replay a
-    plan (polar.Chunk). Each child must be bitwise the one its measure's
-    step alone gives, without a table.
+    Each chunk of inner nodes is stepped as the walk steps it, on its
+    weight blocks, with a plan table per walk, so that chunks on a shared
+    posterior matrix replay a plan (polar.Chunk). Each child must be
+    bitwise the one its measure's step alone gives, without a table.
     """
     walks = _acceptance_walks()
     steps = replayed = mismatches = 0
     for w, depth in walks:
         plans: dict = {}
-        for paths, nodes in _measure_chunks(w, depth):
-            if len(paths[0]) == depth:
+        for level in _walk_levels(w, depth):
+            if len(level.paths[0]) == depth:
                 continue
-            chunk = Chunk(nodes, plans)
+            nodes = level.nodes()
+            chunk = Chunk(group=level.group, supports=level.supports, plans=plans)
             for step in (Chunk.minus, Chunk.plus):
                 for m, child in zip(nodes, step(chunk)):
                     mismatches += not child.identical(step(Chunk([m]))[0])

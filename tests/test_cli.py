@@ -464,7 +464,7 @@ def test_layer_split_tool_prints_every_layer(tmp_path):
     layers = {line.split()[0] for line in lines[2:-1]}
     assert layers == {
         "gap.via_pairs", "gap.via_transform", "gap.pair_dots", "gap.rest", "step.record", "step.replay",
-        "step.general", "canonicalize", "split", "evaluate.pol", "evaluate.classify", "evaluate", "report.records",
+        "step.general", "canonicalize", "chunk", "split", "evaluate.pol", "evaluate.classify", "evaluate", "report.records",
         "report_json", "write", "other",
     }
     assert lines[-1].startswith("minor page faults per call: ")

@@ -416,7 +416,7 @@ def test_one_atom_measures_are_convolved_once_for_their_minus_capacities(monkeyp
     def minus_capacities(chunk, columns):
         before = calls[0]
         out = real_minus(chunk, columns)
-        routes.append((calls[0] - before, [m.atom_count for m in chunk.by_size]))
+        routes.append((calls[0] - before, chunk.counts.tolist()))
         return out
 
     def gaps(chunk):
@@ -539,7 +539,8 @@ def test_replayed_children_are_the_general_paths(preset, seed, erasure, depth, t
         assert b.identical(plus_on_measure(m, tau))
     # a shared matrix's plan replays every measure on it but the recorder
     valid = [support for (_, support), plan in plans.items() if plan is not None]
-    assert chunk.replayed == sum(len(chunk.supports[support]) - 1 for support in valid)
+    sharing = {key: len(members) for key, members in chunk.by_key.items()}
+    assert chunk.replayed == sum(sharing[support] - 1 for support in valid)
     if tau == 0 or group.size & (group.size - 1) == 0:
         # exact merging only, or dyadic coset-uniform posteriors: no
         # cluster is averaged
@@ -560,7 +561,7 @@ def test_replayed_children_are_the_general_paths(preset, seed, erasure, depth, t
         row for single in alone for row in _rows(process._evaluate_chunk(single, process.DEFAULT_DELTA))
     ]
     # a later chunk on a shared matrix replays from the table alone
-    shared = [m for m in measures if len(chunk.supports[m.posteriors.tobytes()]) > 1]
+    shared = [m for m in measures if sharing[m.posteriors.tobytes()] > 1]
     if shared:
         later = polar.Chunk(shared[:1], plans)
         assert later.minus(tau)[0].identical(minus_on_measure(shared[0], tau))
@@ -666,19 +667,20 @@ def _replay_inputs():
 
 def test_replay_checks_every_child_of_the_block(monkeypatch):
     raw, target, posteriors = _replay_inputs()
-    children = blackwell._replayed_measures(Z2, raw, target, posteriors)
-    for row, child in zip(raw, children):
+    block = blackwell._replayed_weights(Z2, raw, target, posteriors)
+    assert block.shape == (3, 3) and not block.flags.writeable
+    for row, weights in zip(raw, block):
         sums = np.bincount(target, row)
-        assert child.weights.tobytes() == (sums / sums.sum()).tobytes()
+        assert weights.tobytes() == (sums / sums.sum()).tobytes()
     # a plan whose posteriors are not the canonical ones: the measures'
     # mean posteriors are not uniform
     skewed = np.array([[0.0, 1.0], [0.5, 0.5], [0.9, 0.1]])
     with pytest.raises(ValueError, match="not balanced"):
-        blackwell._replayed_measures(Z2, raw, target, skewed)
+        blackwell._replayed_weights(Z2, raw, target, skewed)
     nan = raw.copy()
     nan[2, 3] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        blackwell._replayed_measures(Z2, nan, target, posteriors)
+        blackwell._replayed_weights(Z2, nan, target, posteriors)
     # a normalization fault in one row of the block is caught by the one
     # check of the whole block
     check = blackwell._check_weights
@@ -692,28 +694,29 @@ def test_replay_checks_every_child_of_the_block(monkeypatch):
 
     monkeypatch.setattr(blackwell, "_check_weights", faulty)
     with pytest.raises(ValueError, match="do not sum to 1"):
-        blackwell._replayed_measures(Z2, raw, target, posteriors)
+        blackwell._replayed_weights(Z2, raw, target, posteriors)
     assert blocks == [(3, 3)]
 
 
 def _step_counts(monkeypatch, w, depth, tau=polar.DEFAULT_MERGE_TAU):
-    """(whether each recorded measure is the root, measures stepped by the general path, replayed steps) of a walk."""
+    """(whether each recorded node is the root, nodes stepped by the general path, replayed steps) of a walk."""
     root = blackwell_measure(w, tau)
     recorded, counts = [], {"general": 0, "replayed": 0}
     record, general, replay = polar._record, polar.Chunk._general, polar._replay
 
-    def counting_record(m, sign, merge_tau):
-        recorded.append(m.identical(root))
-        return record(m, sign, merge_tau)
+    def counting_record(group, block, sign, merge_tau):
+        (weights,) = block.weights
+        recorded.append(BlackwellMeasure._canonical(group, weights, block.posteriors).identical(root))
+        return record(group, block, sign, merge_tau)
 
     def counting_general(chunk, sign, merge_tau):
         counts["general"] += len(chunk)
         return general(chunk, sign, merge_tau)
 
-    def counting_replay(plan, measures):
-        out = replay(plan, measures)
-        counts["replayed"] += sum(child is not None for child in out)
-        return out
+    def counting_replay(group, plan, weights):
+        out, live = replay(group, plan, weights)
+        counts["replayed"] += int(live.sum())
+        return out, live
 
     monkeypatch.setattr(polar, "_record", counting_record)
     monkeypatch.setattr(polar.Chunk, "_general", counting_general)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_polar import _measure_chunks, _rows
+from test_polar import _gap_list, _measure_chunks, _rows
 
 from polarlab import (
     AtomBudgetError,
@@ -28,7 +28,7 @@ from polarlab import (
     subgroup_from_members,
     symmetric_capacity,
 )
-from polarlab import channels, polar, process, verify
+from polarlab import channels, metrics, polar, process, verify
 from polarlab.channels import kernel_capacities, kernel_capacity
 from polarlab.polar import Chunk
 from polarlab.process import report_csv, report_json
@@ -228,16 +228,16 @@ def test_convergence_trace_refusal_names_the_gap():
 
 
 def _count_stepped_nodes(monkeypatch, counter):
-    # the walker steps a chunk of nodes per call; count the nodes
-    for name in ("minus", "plus"):
-        real = getattr(process.Chunk, name)
+    # the walker steps a chunk of nodes per call, each sign apart; count
+    # the nodes
+    real = process.Chunk.step
 
-        def step(chunk, *args, real=real):
-            for _ in chunk.measures:
-                counter()
-            return real(chunk, *args)
+    def step(chunk, *args):
+        for _ in range(len(chunk)):
+            counter()
+        return real(chunk, *args)
 
-        monkeypatch.setattr(process.Chunk, name, step)
+    monkeypatch.setattr(process.Chunk, "step", step)
 
 
 def test_each_node_is_stepped_once(monkeypatch):
@@ -257,19 +257,21 @@ def test_each_node_is_stepped_once(monkeypatch):
 def test_faults_name_the_node(monkeypatch):
     # a step, a gap or an evaluation that raises names its node's path;
     # budget refusals stay per-path results
-    real_plus = process.Chunk.plus
+    real_step = process.Chunk.step
 
-    def plus(chunk, *args):
-        raise ValueError("posterior entries must be non-negative")
+    def step(chunk, sign, merge_tau):
+        if sign == "+":
+            raise ValueError("posterior entries must be non-negative")
+        return real_step(chunk, sign, merge_tau)
 
-    monkeypatch.setattr(process.Chunk, "plus", plus)
+    monkeypatch.setattr(process.Chunk, "step", step)
     # preorder visits '-' before '+', so '-+' is the first plus step
     with pytest.raises(process.PathFault, match=r"^path '-\+': posterior entries") as info:
         enumerate_paths(bec_channel(0.5), 2)
     assert info.value.path == "-+" and isinstance(info.value.__cause__, ValueError)
     with pytest.raises(process.PathFault, match=r"^path '--\+': "):
         convergence_trace(bec_channel(0.5), "--+")
-    monkeypatch.setattr(process.Chunk, "plus", real_plus)
+    monkeypatch.setattr(process.Chunk, "step", real_step)
 
     def gap(chunk):
         raise RuntimeError("capacity-gap routes disagree")
@@ -290,6 +292,8 @@ def _chunking_cases():
         (bsc_channel(0.11), 6, {"merge_tau": 1e-3}),
         (random_channel(Z4, 4, seed=0), 3, {"atom_budget": 300}),
         (identity_channel(Z4), 3, {"merge_tau": 0.0}),
+        # every node has 7 atoms, so every '+' step is refused (7 * 7 * 4 = 196 > 100)
+        (dh_mix_channel(Z4, seed=3), 5, {"atom_budget": 100}),
     ]
 
 
@@ -303,9 +307,11 @@ def _chunking_reports():
     return out
 
 
-@pytest.mark.parametrize("cap", [1, 200])
+@pytest.mark.parametrize("cap", [1, 200, 1000])
 def test_chunk_size_does_not_change_reports(monkeypatch, cap):
-    # cap 1 steps every node alone; 200 cuts levels into uneven chunks
+    # cap 1 steps every node alone; 200 cuts levels into uneven chunks, and
+    # 1000 cuts the replayed levels of dh-mix:3 on Z4 (245 floats a node)
+    # into chunks of 4 nodes, so a weight block is cut by rows
     want = _chunking_reports()
     monkeypatch.setattr(process, "_CHUNK_ATOMS", cap)
     assert _chunking_reports() == want
@@ -314,14 +320,18 @@ def test_chunk_size_does_not_change_reports(monkeypatch, cap):
 def _chunk_sizes(monkeypatch, w, depth):
     """Nodes per call of each chunk kernel over an exhaustive walk of w."""
     sizes = {"minus": [], "plus": [], "gaps": [], "evaluate": []}
-    for name in ("minus", "plus", "gaps"):
-        real = getattr(Chunk, name)
+    real_step, real_gaps = Chunk.step, Chunk.gaps
 
-        def kernel(chunk, *args, real=real, name=name):
-            sizes[name].append(len(chunk))
-            return real(chunk, *args)
+    def step(chunk, sign, merge_tau):
+        sizes["minus" if sign == "-" else "plus"].append(len(chunk))
+        return real_step(chunk, sign, merge_tau)
 
-        monkeypatch.setattr(Chunk, name, kernel)
+    def gaps(chunk):
+        sizes["gaps"].append(len(chunk))
+        return real_gaps(chunk)
+
+    monkeypatch.setattr(Chunk, "step", step)
+    monkeypatch.setattr(Chunk, "gaps", gaps)
     real_evaluate = process._evaluate_chunk
 
     def evaluate(chunk, delta):
@@ -357,14 +367,19 @@ def test_split_prices_a_matrix_with_plans_of_both_signs_at_replay_cost(monkeypat
     # sign for the matrix; a None plan is no plan
     m = blackwell_measure(dh_mix_channel(make_group([2, 4]), seed=11))
     monkeypatch.setattr(process, "_CHUNK_ATOMS", 2 * m.atom_count ** 2 * (1 + m.group.size))
-    children = [("-", m), ("+", m)]
     support = m.posteriors.tobytes()
+    block = polar.Block(m.posteriors, support, np.stack([m.weights, m.weights]), np.arange(2))
+    children = process.Level(m.group, ["-", "+"], [block], {})
     both = {(("-", 0.0), support): object(), (("+", 0.0), support): object()}
-    assert [len(run) for run in process._split(children, both, 0.0)] == [2]
-    assert [len(run) for run in process._split(children, both, 1e-9)] == [1, 1]
-    assert [len(run) for run in process._split(children, {}, 0.0)] == [1, 1]
+    assert [run.paths for run in process._split(children, both, 0.0)] == [["-", "+"]]
+    assert [run.paths for run in process._split(children, both, 1e-9)] == [["-"], ["+"]]
+    assert [run.paths for run in process._split(children, {}, 0.0)] == [["-"], ["+"]]
+    # the block is cut by rows, each run's positions counted from its first
+    runs = process._split(children, {}, 0.0)
+    assert [run.supports[0].rows.tolist() for run in runs] == [[0], [0]]
+    assert all(run.supports[0].key == support for run in runs)
     both[("+", 0.0), support] = None
-    assert [len(run) for run in process._split(children, both, 0.0)] == [1, 1]
+    assert [len(run.paths) for run in process._split(children, both, 0.0)] == [1, 1]
 
 
 def test_general_steps_stay_under_the_chunk_cap(monkeypatch):
@@ -380,7 +395,7 @@ def test_general_steps_stay_under_the_chunk_cap(monkeypatch):
     def general(chunk, sign, merge_tau):
         size = chunk.group.size
         raw = 1 if sign == "-" else size
-        sizes.append([m.atom_count ** 2 * raw * size for m in chunk.measures])
+        sizes.append([k ** 2 * raw * size for k in chunk.counts.tolist()])
         return real(chunk, sign, merge_tau)
 
     monkeypatch.setattr(Chunk, "_general", general)
@@ -395,9 +410,9 @@ def test_the_walk_evaluates_on_the_chunks_of_its_gaps(monkeypatch):
     built, gapped, evaluated = [], [], []
     real_init, real_gaps, real_evaluate = Chunk.__init__, Chunk.gaps, process._evaluate_chunk
 
-    def init(chunk, *args):
+    def init(chunk, *args, **kwargs):
         built.append(chunk)
-        real_init(chunk, *args)
+        real_init(chunk, *args, **kwargs)
 
     def gaps(chunk):
         gapped.append(chunk)
@@ -431,9 +446,9 @@ def test_gap_tiles_give_the_whole_chunks_gaps(monkeypatch):
     # down to one row, every node gets the gap of the default tiles
     def walk_gaps():
         walk = process._walk_chunks(blackwell_measure(w), 4, gap_depths=range(5))
-        chunks = [(nodes, gaps.tolist()) for _, nodes, gaps, _ in walk]
-        # a node that is still a measure had its gap computed
-        assert all(isinstance(node, BlackwellMeasure) for nodes, _ in chunks for node in nodes)
+        chunks = [(level, gaps.tolist()) for level, gaps, _ in walk]
+        # every node is still live, and had its gap computed
+        assert all(not level.dead and level.atoms().all() for level, _ in chunks)
         return [gap.hex() for _, gaps in chunks for gap in gaps]
 
     w = dh_mix_channel(make_group([2, 4]), seed=11)
@@ -472,10 +487,10 @@ def test_each_walk_starts_with_an_empty_plan_table(monkeypatch):
     tables = []
     real = Chunk.__init__
 
-    def init(chunk, measures, plans=None):
+    def init(chunk, measures=None, plans=None, **kwargs):
         if plans is not None and not any(plans is t for t, _ in tables):
             tables.append((plans, len(plans)))
-        real(chunk, measures, plans)
+        real(chunk, measures, plans, **kwargs)
 
     monkeypatch.setattr(Chunk, "__init__", init)
     w = dh_mix_channel(make_group([2, 4]), seed=11)
@@ -486,24 +501,78 @@ def test_each_walk_starts_with_an_empty_plan_table(monkeypatch):
 
 
 def test_replayed_children_are_keyed_by_their_plans_matrix(monkeypatch):
-    # a walk keys each plan's children's posterior matrix by the array's id,
-    # and every node's key is still its matrix's bytes
+    # a replayed level's nodes are rows of one weight block, which holds a
+    # plan's posterior array and its key, computed once when the plan was
+    # recorded: both signs' plans leave the root's matrix, so each level
+    # has one block, and every key is its matrix's bytes
     tables = []
     real = Chunk.__init__
 
-    def init(chunk, measures, plans=None):
-        tables.append(plans)
-        real(chunk, measures, plans)
+    def init(chunk, *args, **kwargs):
+        tables.append(chunk)
+        real(chunk, *args, **kwargs)
 
     monkeypatch.setattr(Chunk, "__init__", init)
     for w, depth in ((z4_multilevel_channel(0.5), 5), (dh_mix_channel(make_group([2, 4]), 11), 4)):
         tables.clear()
-        nodes = [m for _, level, _, _ in process._walk_chunks(blackwell_measure(w), depth) for m in level]
-        (table,) = {id(t): t for t in tables if t is not None}.values()
-        assert isinstance(table, polar.PlanTable)
-        by_id = [m for m in nodes if id(m.posteriors) in table.matrices]
-        assert len(by_id) > len(nodes) // 2
-        assert all(polar._matrix_key(table, m.posteriors) == m.posteriors.tobytes() for m in nodes)
+        levels = [level for level, _, _ in process._walk_chunks(blackwell_measure(w), depth)]
+        (table,) = {id(chunk.plans): chunk.plans for chunk in tables if chunk.walk}.values()
+        plans = [plan for key, plan in table.items() if key[0] != "gap"]
+        assert plans and None not in plans
+        for level in levels[1:]:
+            assert len(level.supports) == 1
+            for block in level.supports:
+                assert block.key == block.posteriors.tobytes()
+                assert any(block.posteriors is plan.posteriors and block.key is plan.key for plan in plans)
+        assert sum(len(block.rows) for level in levels for block in level.supports) == 2 ** (depth + 1) - 1
+
+
+@pytest.mark.parametrize("w, depth", [
+    (useless_channel(make_group([11])), 3),
+    (z4_multilevel_channel(0.5), 5),
+    (dh_mix_channel(make_group([2, 4]), 11), 3),
+    (bsc_channel(0.11), 4),
+])
+def test_a_levels_blocks_give_the_bits_of_its_measures(w, depth):
+    # every kernel gives the walk's weight blocks, many rows to a matrix on
+    # replaying channels, the bits it gives the one-row blocks of the same
+    # measures; on Z11 one-atom measures sum their entropies in the layout
+    # of their posteriors, which must stay row-major
+    for level, _, _ in process._walk_chunks(blackwell_measure(w), depth):
+        nodes = level.nodes()
+        blocks, alone = Chunk(group=level.group, supports=level.supports), Chunk(nodes)
+        assert _gap_list(blocks.gaps()) == _gap_list(alone.gaps())
+        assert blocks.capacities().tobytes() == alone.capacities().tobytes()
+        delta = process.DEFAULT_DELTA
+        assert _rows(process._evaluate_chunk(blocks, delta)) == _rows(process._evaluate_chunk(alone, delta))
+        for step in (Chunk.minus, Chunk.plus):
+            assert all(a.identical(b) for a, b in zip(step(blocks), step(alone)))
+
+
+def test_the_walk_builds_a_measure_for_no_replayed_node(monkeypatch):
+    # on a replayed level the walk and the report run on weight blocks:
+    # measure objects are built for the root and, at most, the child each
+    # recorded plan was recorded from, never one per node
+    w = z4_multilevel_channel(0.5)
+    metrics.pol_set(w.require_group())
+    recorded = []
+    real_record = polar._record
+
+    def record(*args):
+        recorded.append(args[2])
+        return real_record(*args)
+
+    monkeypatch.setattr(polar, "_record", record)
+    with mock.patch.object(BlackwellMeasure, "__init__", autospec=True,
+                           side_effect=BlackwellMeasure.__init__) as init, \
+            mock.patch.object(BlackwellMeasure, "_canonical", wraps=BlackwellMeasure._canonical) as canonical:
+        report = enumerate_paths(w, 7)
+        text = report_json(report)
+        built = init.call_count + canonical.call_count
+    assert recorded == ["-", "+"]
+    assert 1 <= built <= 1 + len(recorded)
+    assert len(report.leaves.paths) == 2 ** 7 and not report.failed_count
+    assert text == report_json(report.to_dict())
 
 
 def test_report_schema_and_round_trip(tmp_path):
@@ -597,8 +666,8 @@ def test_leaf_classification_matches_the_channel_route(delta):
     # gives the same subgroups and quotient gaps, and capacity gaps that
     # differ by the rounding of its own capacity at most
     for w, depth in ((z4_multilevel_channel(0.5), 7), (dh_mix_channel(make_group([2, 4]), 3), 5)):
-        leaves = [m for paths, nodes, _, _ in process._walk_chunks(blackwell_measure(w), depth)
-                  if len(paths[0]) == depth for m in nodes]
+        leaves = [m for level, _, _ in process._walk_chunks(blackwell_measure(w), depth)
+                  if len(level.paths[0]) == depth for m in level.nodes()]
         records = enumerate_paths(w, depth, delta=delta).records
         assert len(leaves) == len(records) == 2 ** depth
         for rec, m in zip(records, leaves):

@@ -65,8 +65,12 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ],
     *[
         (f"z4-multilevel d{depth}", polarize("--preset", "z4-multilevel:0.5", "--depth", str(depth)))
-        for depth in (9, 10, 12, 14)
+        for depth in (9, 10, 12, 14, 16)
     ],
+    # a sample drops rows from the weight blocks of shared matrices
+    ("z4-multilevel d10 sample", polarize(
+        "--preset", "z4-multilevel:0.5", "--depth", "10", "--mode", "sample", "--samples", "500",
+        "--seed", "4")),
     # levels of 128 replaying nodes, which span several chunks
     ("dh-mix:11 [2,4] d7", polarize("--preset", "dh-mix:11", "--group", "[2,4]", "--depth", "7")),
     ("bec d8", polarize("--preset", "bec:0.5", "--depth", "8")),
@@ -79,6 +83,9 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ],
     ("dh-mix:3 Z4 d6 csv", polarize(
         "--preset", "dh-mix:3", "--group", "Z4", "--depth", "6", "--format", "csv")),
+    # every '+' step refused on a block of shared matrices (exit 2)
+    ("dh-mix:3 Z4 d6 budget 100", polarize(
+        "--preset", "dh-mix:3", "--group", "Z4", "--depth", "6", "--atom-budget", "100")),
     # steps replayed on a group whose order is not a power of two, a group
     # whose large nodes step alone, and erasures on Z4
     ("dh-mix:5 Z6 d6", polarize("--preset", "dh-mix:5", "--group", "Z6", "--depth", "6")),

@@ -48,6 +48,7 @@ LAYERS = [
     ("step.replay", "polar", "_replay"),
     ("step.general", "polar", "Chunk._general"),
     ("canonicalize", "blackwell", "_canonical_segments"),
+    ("chunk", "polar", "Chunk.__init__"),
     ("split", "process", "_split"),
     ("evaluate.pol", "process", "_nearest_pol"),
     ("evaluate.classify", "process", "_classify"),
