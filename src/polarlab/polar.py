@@ -433,7 +433,12 @@ class Chunk:
     def gaps(self) -> tuple[np.ndarray, np.ndarray]:
         """I(M) - I(M-) of every node via both routes, as (via_transform, via_pairs) arrays; see capacity_gap.
 
-        The routes are checked against each other node by node.
+        The routes are checked against each other node by node, to
+        GAP_ROUTE_TOL. They convolve apart: via_pairs through the einsum
+        tiles of _planes, on the pair entropies it shares per matrix,
+        via_transform through each node's own BLAS products
+        (_column_products) of its realized kernel; they share only the
+        entropy fold and block_capacities.
         """
         columns = self.realized_columns()
         via_transform = kernel_capacities(columns.T, self.starts) - _minus_capacities(self, columns)
@@ -562,9 +567,9 @@ def _pair_convolutions(chunk: Chunk) -> np.ndarray:
     return out
 
 
-# Floats of one tile's planes (see _planes): the gap kernels run over tiles
-# of first-atom rows whose |G| planes fit in this many floats, so that each
-# of their elementwise passes stays in cache.
+# Floats of one tile's planes (see _planes): the pair entropies run over
+# tiles of first-atom rows whose |G| planes fit in this many floats, so that
+# each of their elementwise passes stays in cache.
 _TILE_FLOATS = 1 << 16
 
 
@@ -621,41 +626,101 @@ def _convolution_entropies(chunk: Chunk) -> np.ndarray:
     return out
 
 
+# Floats of one tile of the check's products (see _column_products): a
+# first atom of a measure of k atoms costs |G| (k + |G|) floats, its rows of
+# the planes and of the shifted operand.
+_PRODUCT_FLOATS = 1 << 16
+
+
+def _product_rows(k: int, size: int) -> int:
+    """First atoms per tile of the check's products, for a measure of k atoms on a group of `size` elements.
+
+    At least k means whole measures; fewer cuts each measure's first atoms
+    into runs of this many, the last run shorter. A gemm's bits depend on
+    its shape, so the rule reads k and |G| alone, never the chunk.
+    """
+    return max(1, _PRODUCT_FLOATS // (size * (k + size)))
+
+
+def _column_products(r: np.ndarray, table: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """(first pair, planes) of tiles that cover the atom pairs of a block r of n measures of k atoms.
+
+    planes[u] of a tile holds sum_v r[n, i, u + v] r[n, j, v] for its
+    pairs, laid out (n, i, j) from the block's pair `first` on, as the
+    product r[n, i0:i1, u + v] @ r[n].T. Each tile is one stacked matmul,
+    (|G|, n, rows, |G|) @ (n, |G|, k), whose loop makes for every u and
+    measure the BLAS call that its product alone makes. A tile is a run of
+    whole measures, or of _product_rows(k, |G|) first atoms of one measure.
+    Its planes live in a buffer that the next tile reuses, so a tile is
+    read before the next is asked for.
+    """
+    n, k, size = r.shape
+    rows = _product_rows(k, size)
+    if rows >= k:
+        step = rows // k
+        tiles = [(m, min(m + step, n), 0, k) for m in range(0, n, step)]
+    else:
+        tiles = [(m, m + 1, i, min(i + rows, k)) for m in range(n) for i in range(0, k, rows)]
+    m0, m1, i0, i1 = tiles[0]
+    buffer = np.empty(size * (m1 - m0) * (i1 - i0) * k)
+    # [n, v, j] = r[n, j, v]
+    transposed = r.transpose(0, 2, 1)
+    for m0, m1, i0, i1 in tiles:
+        shape = (size, m1 - m0, i1 - i0, k)
+        planes = buffer[: size * shape[1] * shape[2] * k].reshape(shape)
+        # [u, n, i, v] = r[n, i, u + v], a view of take's C-layout copy, so
+        # each item's rows keep unit stride and every item is a BLAS call;
+        # r[..., table] lays its copy out otherwise, and a one-row item
+        # without unit stride falls back to numpy's own loop
+        shifted = np.take(r[m0:m1, i0:i1], table, axis=2).transpose(2, 0, 1, 3)
+        np.matmul(shifted, transposed[m0:m1], out=planes)
+        yield (m0 * k + i0) * k, planes.reshape(size, -1)
+
+
 def _minus_capacities(chunk: Chunk, columns: np.ndarray) -> np.ndarray:
     """kernel_capacity of every measure's channel-side minus kernel, in layout order; via_transform's.
 
     The minus kernel of the realized kernel whose columns are `columns`
     (laid out like the atoms) has column (i, j) equal to the convolution of
-    columns i and j over |G|, the plane u of each tile divided by |G|.
+    columns i and j over |G|: the plane u of each tile of the measure's own
+    products (_column_products) divided by |G|. The route shares no
+    convolution with via_pairs, only the entropy fold and block_capacities.
     Bitwise what kernel_capacities gives on the (|G|, P) kernel of all the
     chunk's pairs: a tile's planes are its rows, so the output marginal
     p_y is their left fold, and the posterior entropies, from the kernel's
-    F-layout transpose, fold left too. A one-atom measure's capacity runs
-    alone (block_capacities) on its column of the one-atom tile, kept
-    before the tile is divided in place.
+    F-layout transpose, fold left too. A measure that runs alone
+    (block_capacities) takes its minus kernel from the same products: a
+    one-atom measure its column of the one-atom tiles, kept before they are
+    divided in place, and any other its own block's products.
     """
     size = chunk.group.size
+    table = chunk.group.add_table
     count = chunk.pair_starts[-1]
     p_y, entropies = np.empty(count), np.empty(count)
-    # one-atom measures sort first, so their tile holds pairs 0 to `ones`
+    # one-atom measures sort first, so their tiles hold pairs 0 to `ones`
     ones = chunk.blocks[0][2] if chunk.blocks[0][0] == 1 else 0
-    lone = None
-    for pairs, planes in _planes(chunk, columns):
-        planes /= size
-        if pairs.start < ones:
-            lone = planes.copy()
-        marginal = np.add.reduce(planes, axis=0, out=p_y[pairs])
-        marginal /= size
-        with np.errstate(divide="ignore", invalid="ignore"):
-            planes /= size * marginal
-        plane_entropies_bits(planes, False, out=entropies[pairs])
+    lone = np.empty((size, ones))
+    for k, a, b in chunk.blocks:
+        base = chunk.pair_starts[a]
+        for first, planes in _column_products(chunk.block(columns, k, a, b), table):
+            pairs = slice(base + first, base + first + planes.shape[1])
+            planes /= size
+            if k == 1:
+                lone[:, pairs] = planes
+            marginal = np.add.reduce(planes, axis=0, out=p_y[pairs])
+            marginal /= size
+            with np.errstate(divide="ignore", invalid="ignore"):
+                planes /= size * marginal
+            plane_entropies_bits(planes, False, out=entropies[pairs])
 
     def lone_minus_kernel(s: int) -> np.ndarray:
         if s < ones:
             return np.ascontiguousarray(lone[:, s : s + 1])
         k = int(chunk.counts[s])
-        conv = _convolve_block(chunk.block(columns, k, s, s + 1), chunk.group.add_table)
-        return np.ascontiguousarray((conv.reshape(-1, size) / size).T)
+        kernel = np.empty((size, k * k))
+        for first, planes in _column_products(chunk.block(columns, k, s, s + 1), table):
+            np.divide(planes, size, out=kernel[:, first : first + planes.shape[1]])
+        return kernel
 
     return block_capacities(size, p_y, entropies, chunk.pair_starts.tolist(), lone_minus_kernel)
 
@@ -691,10 +756,14 @@ def capacity_gap(m: BlackwellMeasure) -> CapacityGap:
     """I(M) - I(M-) via both routes; they must agree to 1e-8.
 
     via_transform reads both capacities off kernels (the realized kernel and
-    its channel-side minus transform) and shares no code with the atom-pair
-    convolutions behind via_pairs but their summation kernel, so a fault in
-    either shows as a disagreement. Both are exact functionals of the
-    measure and otherwise differ only by floating-point noise. The route
+    its channel-side minus transform, whose columns are BLAS products of the
+    kernel's columns) and shares no convolution with the atom-pair einsums
+    behind via_pairs, only the entropy fold and block_capacities, so a fault
+    in either convolution shows as a disagreement. Both are exact
+    functionals of the measure and otherwise differ only by floating-point
+    noise. Each node's bits are its own: the products follow numpy's
+    per-item BLAS rule, as the chunk's dots do, and cut a large measure's
+    first atoms by a rule of its atom count and |G| alone. The route
     through the canonical measure minus_on_measure(m, 0.0) builds and sorts
     k^2 atoms; it moved to verify.lemma_gap_suite, which checks it against
     .value.

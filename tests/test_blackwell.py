@@ -135,6 +135,24 @@ def test_stacked_matmul_is_each_items_own_product(k):
             x, y = rng.random(bounds[-1]), rng.standard_normal(bounds[-1])
             want = [x[a:b] @ y[a:b] for a, b in zip(bounds, bounds[1:])]
             assert segment_dots(x, y, bounds).tobytes() == np.array(want).tobytes()
+    # the capacity-gap check's products (polar._column_products): a block of
+    # n measures' realized columns after other atoms, read as (n, k, |G|);
+    # the shifted operand is a non-contiguous view of a C-layout copy, whose
+    # rows keep unit stride, broadcast against each measure's transposed
+    # columns. Every item of a run of first atoms, one row (a gemv, or a
+    # dot for k = 1) included, is the product of the measure's own copy
+    for dims in ([2], [3], [2, 4]):
+        table = make_group(dims).add_table
+        size = len(table)
+        for n in (1, 2, 5):
+            atoms = rng.random((3 + n * k) * size) * np.exp2(rng.integers(-30, 30, (3 + n * k) * size))
+            r = atoms[3 * size :].reshape(n, k, size)
+            for i0, i1 in {(0, k), (0, 1), (0, min(2, k)), (k - 1, k)}:
+                shifted = np.take(r[:, i0:i1], table, axis=2).transpose(2, 0, 1, 3)
+                assert shifted.strides[-1] == shifted.itemsize
+                got = np.matmul(shifted, r.transpose(0, 2, 1))
+                want = [[np.take(r[m, i0:i1], table[u], axis=1) @ r[m].T for m in range(n)] for u in range(size)]
+                assert got.tobytes() == np.array(want).tobytes(), (dims, n, i0, i1)
 
 
 def test_bsc_measure_atoms():

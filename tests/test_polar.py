@@ -213,6 +213,21 @@ def test_capacity_gap_catches_wrong_channel_side_convolution():
             capacity_gap(m)
 
 
+def test_capacity_gap_catches_a_fault_in_the_pair_planes():
+    # the routes share no convolution: the wrong convolution in the tiles
+    # of via_pairs' pair entropies leaves the channel-side minus kernel as
+    # it was, so the routes disagree
+    w = random_corpus(count=2)[1]
+    m = blackwell_measure(w)
+
+    def planes(chunk, rows):
+        yield slice(0, chunk.pair_starts[-1]), _reflected_convolutions(chunk.group, rows).T.copy()
+
+    with mock.patch.object(polar, "_planes", planes):
+        with pytest.raises(RuntimeError, match="routes disagree"):
+            capacity_gap(m)
+
+
 def test_capacity_gap_nonnegative_random():
     for seed in range(20):
         m = blackwell_measure(random_channel(Z4, 5, seed=seed))
@@ -319,13 +334,25 @@ def _reference_kernel_capacity(kernel):
     return float(np.log2(m) - p_y @ row_entropies_bits(posteriors))
 
 
+def _reference_minus_kernel(m):
+    # plane u is columns[:, u + v] @ columns.T, one product per run of
+    # _product_rows first atoms, whose shifted rows are a C-layout copy: a
+    # gemm's bits depend on its shape
+    columns = np.ascontiguousarray(m.realized_kernel().T)
+    k, size = columns.shape
+    rows = polar._product_rows(k, size)
+    minus = np.empty((size, k, k))
+    for i in range(0, k, rows):
+        for u in range(size):
+            minus[u, i : i + rows] = np.take(columns[i : i + rows], m.group.add_table[u], axis=1) @ columns.T
+    return minus.reshape(size, -1) / size
+
+
 def _reference_gap(m):
     kern = m.realized_kernel()
-    size = m.group.size
-    minus = np.einsum("uvy,vz->uyz", kern[m.group.add_table], kern) / size
-    via_transform = _reference_kernel_capacity(kern) - _reference_kernel_capacity(minus.reshape(size, -1))
+    via_transform = _reference_kernel_capacity(kern) - _reference_kernel_capacity(_reference_minus_kernel(m))
     conv = np.einsum("iuv,jv->iju", m.posteriors[:, m.group.add_table], m.posteriors)
-    h_conv = row_entropies_bits(conv.reshape(-1, size)).reshape(m.atom_count, m.atom_count)
+    h_conv = row_entropies_bits(conv.reshape(-1, m.group.size)).reshape(m.atom_count, m.atom_count)
     h_atoms = row_entropies_bits(m.posteriors)
     return polar.CapacityGap(via_transform, float(m.weights @ h_conv @ m.weights - m.weights @ h_atoms))
 
@@ -403,15 +430,16 @@ def test_one_atom_measure_keeps_its_gap_in_a_chunk():
 
 def test_one_atom_measures_are_convolved_once_for_their_minus_capacities(monkeypatch):
     # a one-atom measure's minus capacity runs alone on its column of the
-    # one-atom tile: on useless Z11 at depth 3, where every node has one
-    # atom, each via_transform route convolves its chunk's one block once,
-    # not once more per measure, and every gap keeps the reference's bits
+    # one-atom tiles: on useless Z11 at depth 3, where every node has one
+    # atom, each via_transform route forms its chunk's one block's products
+    # once, not once more per measure, and every gap keeps the reference's
+    # bits
     calls, routes, gapped = [0], [], []
-    real_convolve, real_minus, real_gaps = polar._convolve_block, polar._minus_capacities, polar.Chunk.gaps
+    real_products, real_minus, real_gaps = polar._column_products, polar._minus_capacities, polar.Chunk.gaps
 
-    def convolve(*args):
+    def products(*args):
         calls[0] += 1
-        return real_convolve(*args)
+        return real_products(*args)
 
     def minus_capacities(chunk, columns):
         before = calls[0]
@@ -424,12 +452,12 @@ def test_one_atom_measures_are_convolved_once_for_their_minus_capacities(monkeyp
         gapped.append((list(chunk.measures), _gap_list(out)))
         return out
 
-    monkeypatch.setattr(polar, "_convolve_block", convolve)
+    monkeypatch.setattr(polar, "_column_products", products)
     monkeypatch.setattr(polar, "_minus_capacities", minus_capacities)
     monkeypatch.setattr(polar.Chunk, "gaps", gaps)
     process.enumerate_paths(useless_channel(make_group([11])), 3)
     assert sum(len(counts) for _, counts in routes) == 15
-    assert all(convolved == 1 and set(counts) == {1} for convolved, counts in routes)
+    assert all(formed == 1 and set(counts) == {1} for formed, counts in routes)
     for measures, got in gapped:
         assert _bits(got) == _bits(_reference_gap(m) for m in measures)
 
@@ -460,10 +488,19 @@ def test_gaps_over_many_tiles_match_the_reference(monkeypatch, dims, outputs):
         blackwell_measure(Channel(light, None, group)),
     ]
     assert measures[0].atom_count ** 2 * group.size > 1.5 * polar._TILE_FLOATS
+    assert polar._product_rows(measures[0].atom_count, group.size) < measures[0].atom_count
     assert measures[-1].weights.min() < 1e-299
     want = _bits(_reference_gap(m) for m in measures)
     for floats in (polar._TILE_FLOATS, 1000, 1):
         monkeypatch.setattr(polar, "_TILE_FLOATS", floats)
+        assert _bits(_gap_list(polar.Chunk(measures).gaps())) == want
+        assert _bits(_gap_list(polar.Chunk(measures[::-1]).gaps())) == want[::-1]
+    # the check's products cut the large measure into runs of two first
+    # atoms, and every measure into runs of one, where each product is a
+    # gemv: the reference follows the rule
+    for floats in (2 * group.size * (measures[0].atom_count + group.size), 1):
+        monkeypatch.setattr(polar, "_PRODUCT_FLOATS", floats)
+        want = _bits(_reference_gap(m) for m in measures)
         assert _bits(_gap_list(polar.Chunk(measures).gaps())) == want
         assert _bits(_gap_list(polar.Chunk(measures[::-1]).gaps())) == want[::-1]
 

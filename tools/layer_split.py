@@ -11,7 +11,8 @@ Imports polarlab from the `src/` next to `tools/`. The polarize command runs W
 untimed warm-up calls, then N timed calls, in this process; without
 `--output` it writes its report to a temporary file. For the timed calls
 each layer's entry point (LAYERS) is wrapped, and a layer's exclusive time
-is its wall time less that of the wrapped layers called inside it; `other`
+is its wall time, a generator's over its resumptions, less that of the
+wrapped layers called inside it; `other`
 is the rest of the call; the wrappers are removed when the timed calls
 end. Prints, per layer, the median exclusive time per call, its share of
 the median call, and the median number of entries per call, then the
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import os
 import resource
 import statistics
@@ -41,6 +43,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # its class.
 LAYERS = [
     ("gap.via_pairs", "polar", "_convolution_entropies"),
+    ("gap.products", "polar", "_column_products"),
     ("gap.via_transform", "polar", "_minus_capacities"),
     ("gap.pair_dots", "polar", "Chunk._pair_gaps"),
     ("gap.rest", "polar", "Chunk.gaps"),
@@ -71,21 +74,45 @@ class Timer:
         self.entries = {name: 0 for name, _, _ in LAYERS}
 
     def wrap(self, name: str, fn):
+        if inspect.isgeneratorfunction(fn):
+            # a generator's time is that of its resumptions; a call is one entry
+            def generator(*args, **kwargs):
+                self.entries[name] += 1
+                inner = fn(*args, **kwargs)
+                while True:
+                    frame = self.enter()
+                    try:
+                        item = next(inner, frame)
+                    finally:
+                        self.leave(name, frame)
+                    if item is frame:
+                        return
+                    yield item
+
+            return generator
+
         def wrapper(*args, **kwargs):
-            # [start, time spent in wrapped layers called inside]
-            frame = [time.perf_counter(), 0.0]
-            self.stack.append(frame)
+            self.entries[name] += 1
+            frame = self.enter()
             try:
                 return fn(*args, **kwargs)
             finally:
-                elapsed = time.perf_counter() - frame[0]
-                self.stack.pop()
-                self.seconds[name] += elapsed - frame[1]
-                self.entries[name] += 1
-                if self.stack:
-                    self.stack[-1][1] += elapsed
+                self.leave(name, frame)
 
         return wrapper
+
+    def enter(self) -> list[float]:
+        # [start, time spent in wrapped layers called inside]
+        frame = [time.perf_counter(), 0.0]
+        self.stack.append(frame)
+        return frame
+
+    def leave(self, name: str, frame: list[float]) -> None:
+        elapsed = time.perf_counter() - frame[0]
+        self.stack.pop()
+        self.seconds[name] += elapsed - frame[1]
+        if self.stack:
+            self.stack[-1][1] += elapsed
 
 
 @contextlib.contextmanager
