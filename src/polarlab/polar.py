@@ -573,6 +573,22 @@ def _pair_convolutions(chunk: Chunk) -> np.ndarray:
 _TILE_FLOATS = 1 << 16
 
 
+def _tiles(n: int, k: int, size: int, firsts: int) -> tuple[list[tuple[int, int, int, int]], np.ndarray]:
+    """Tiles (n0, n1, i0, i1) of n measures of k atoms, and a buffer for the |G| planes of the largest.
+
+    A tile is the first atoms i0:i1 of measures n0:n1: runs of whole
+    measures when `firsts` is at least k, else runs of `firsts` first atoms
+    of one measure, the last run shorter.
+    """
+    if firsts >= k:
+        step = firsts // k
+        tiles = [(m, min(m + step, n), 0, k) for m in range(0, n, step)]
+    else:
+        tiles = [(m, m + 1, i, min(i + firsts, k)) for m in range(n) for i in range(0, k, firsts)]
+    n0, n1, i0, i1 = tiles[0]
+    return tiles, np.empty(size * (n1 - n0) * (i1 - i0) * k)
+
+
 def _planes(chunk: Chunk, rows: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
     """(pairs, planes) of tiles that cover the atom pairs of the chunk.
 
@@ -594,14 +610,7 @@ def _planes(chunk: Chunk, rows: np.ndarray) -> Iterator[tuple[slice, np.ndarray]
         # [v, n, i] = rows[n, i, v] and [u, v, n, i] = rows[n, i, u + v]
         r = np.ascontiguousarray(chunk.block(rows, k, a, b).transpose(2, 0, 1))
         shifted = r[table]
-        firsts = max(1, _TILE_FLOATS // (size * k))
-        if firsts >= k:
-            step = firsts // k
-            tiles = [(n, min(n + step, b - a), 0, k) for n in range(0, b - a, step)]
-        else:
-            tiles = [(n, n + 1, i, min(i + firsts, k)) for n in range(b - a) for i in range(0, k, firsts)]
-        n0, n1, i0, i1 = tiles[0]
-        buffer = np.empty(size * (n1 - n0) * (i1 - i0) * k)
+        tiles, buffer = _tiles(b - a, k, size, max(1, _TILE_FLOATS // (size * k)))
         for n0, n1, i0, i1 in tiles:
             shape = (n1 - n0, i1 - i0, k)
             count = shape[0] * shape[1] * k
@@ -655,14 +664,7 @@ def _column_products(r: np.ndarray, table: np.ndarray) -> Iterator[tuple[int, np
     read before the next is asked for.
     """
     n, k, size = r.shape
-    rows = _product_rows(k, size)
-    if rows >= k:
-        step = rows // k
-        tiles = [(m, min(m + step, n), 0, k) for m in range(0, n, step)]
-    else:
-        tiles = [(m, m + 1, i, min(i + rows, k)) for m in range(n) for i in range(0, k, rows)]
-    m0, m1, i0, i1 = tiles[0]
-    buffer = np.empty(size * (m1 - m0) * (i1 - i0) * k)
+    tiles, buffer = _tiles(n, k, size, _product_rows(k, size))
     # [n, v, j] = r[n, j, v]
     transposed = r.transpose(0, 2, 1)
     for m0, m1, i0, i1 in tiles:

@@ -676,24 +676,22 @@ def _split(level: Level, plans: dict, merge_tau: float) -> list[Level]:
     A dead node costs nothing.
     """
     size = level.group.size
-    # one-row blocks (the general path) are priced in Python ints, which
-    # cost their few nodes less than numpy's calls do
-    one_row = all(len(block.rows) == 1 for block in level.supports)
-    cost = [0] * len(level.paths) if one_row else np.zeros(len(level.paths), dtype=np.int64)
+    cost = np.zeros(len(level.paths), dtype=np.int64)
     for block in level.supports:
         raw = len(block.posteriors) ** 2
         price = 0
         for sign, count in ((MINUS, raw), (PLUS, raw * size)):
             price += count if plans.get(((sign, merge_tau), block.key)) is not None else count * size
-        cost[block.rows[0] if one_row else block.rows] = price
+        cost[block.rows] = price
     # a run from `start` takes each next node while its load stays within
     # the cap, and always its first node
-    loads = list(accumulate(cost)) if one_row else np.cumsum(cost)
+    loads = np.cumsum(cost)
     cuts = [0]
     while cuts[-1] < len(cost):
         start = cuts[-1]
         base = loads[start - 1] if start else 0
-        cuts.append(max(bisect_right(loads, base + _CHUNK_ATOMS), start + 1))
+        stop = int(np.searchsorted(loads, base + _CHUNK_ATOMS, side="right"))
+        cuts.append(max(stop, start + 1))
     if len(cuts) == 2:
         return [level]
     # each run's nodes, positions counted from its first
@@ -809,11 +807,7 @@ def _walk_chunks(
             place = [count - 1 if wanted else None for count, wanted in zip(accumulate(want), want)]
 
         def placed(rows: np.ndarray, s: int) -> np.ndarray:
-            # the places of the sign-s children of the nodes at `rows`, all
-            # wanted; a one-row block's in Python ints
-            if len(rows) == 1:
-                row = 2 * int(rows[0]) + s
-                return np.array([row if place is None else place[row]], dtype=np.int64)
+            # the places of the sign-s children of the nodes at `rows`, all wanted
             if place is None:
                 return 2 * rows + s
             return np.array([place[2 * row + s] for row in rows.tolist()], dtype=np.int64)
@@ -823,10 +817,7 @@ def _walk_chunks(
         for s, sign in enumerate((MINUS, PLUS)):
             todo = []
             for block in level.supports:
-                if place is not None and len(block.rows) == 1:
-                    if place[2 * int(block.rows[0]) + s] is None:
-                        continue
-                elif place is not None:
+                if place is not None:
                     keep = [place[2 * row + s] is not None for row in block.rows.tolist()]
                     if not any(keep):
                         continue
