@@ -376,20 +376,6 @@ class BlackwellMeasure:
         m.group, m.weights, m.posteriors = group, weights, posteriors
         return m
 
-    @classmethod
-    def segmented(
-        cls, group: Group, weights, posteriors, seg: np.ndarray | None, count: int,
-        merge_tau: float = DEFAULT_MERGE_TAU,
-    ) -> list["BlackwellMeasure"]:
-        """The `count` measures whose atoms are laid end to end, segment ids in `seg`.
-
-        `seg` is as in _canonical_segments; None means one measure. Each is
-        bitwise the measure its segment alone would construct; any
-        segment's invalid input raises for the whole call.
-        """
-        out, _ = _canonical_measures(group, weights, posteriors, merge_tau, seg, count)
-        return [cls._canonical(group, w, q) for w, q in out]
-
     @property
     def atom_count(self) -> int:
         return len(self.weights)

@@ -9,7 +9,7 @@ import os
 import sys
 import tempfile
 
-from .blackwell import MERGE_TAU_MIN, blackwell_measure
+from .blackwell import DEFAULT_MERGE_TAU, MERGE_TAU_MIN, blackwell_measure
 from .channels import Channel, channel_from_json, delta_determining_subgroup, symmetric_capacity
 from .metrics import pc_gap_lower_bound, wasserstein
 from .presets import parse_group_spec, parse_preset
@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     pol.add_argument("--samples", type=int, help="sample mode: paths drawn (default 1)")
     pol.add_argument("--seed", type=int, help="sample mode: seed of the draws (default 0)")
     pol.add_argument("--delta", type=float, default=DEFAULT_DELTA)
-    pol.add_argument("--merge-tau", type=float, default=1e-9)
+    pol.add_argument("--merge-tau", type=float, default=DEFAULT_MERGE_TAU)
     pol.add_argument("--atom-budget", type=int, default=DEFAULT_ATOM_BUDGET)
     pol.add_argument("--output", help="report file (stdout when omitted)")
     pol.add_argument("--format", choices=("json", "csv"), default="json")

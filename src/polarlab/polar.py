@@ -285,9 +285,16 @@ class Chunk:
 
     @property
     def conv(self) -> np.ndarray:
-        """(P, |G|) pair convolutions, shared by the minus and plus steps."""
+        """(P, |G|) pair convolutions p_i (*) p_j, shared by the minus and plus steps; computed once.
+
+        The transpose of the (|G|, P) array that the tiles of _planes fill
+        in place, so column-major.
+        """
         if self._conv is None:
-            self._conv = _pair_convolutions(self)
+            whole = np.empty((self.group.size, self.pair_starts[-1]))
+            for _ in _planes(self, whole):
+                pass
+            self._conv = whole.T
         return self._conv
 
     def capacities(self) -> np.ndarray:
@@ -349,7 +356,8 @@ class Chunk:
 
         Pair p = (i, j) has one child c per column of factor, of weight
         w_i w_j factor[p, c]: a minus step gives it one, of factor 1, and a
-        plus step |G|, child u1 of factor (p_i (*) p_j)(u1).
+        plus step |G|, child u1 of factor (p_i (*) p_j)(u1). A minus step's
+        posteriors are `conv` itself, column-major.
         """
         pair_weights = self.pair_weights()
         if sign == MINUS:
@@ -362,15 +370,17 @@ class Chunk:
             # [n, i, j, u1, x] = p_i(u1 + x) p_j(x)
             out = numer[self.pair_starts[a] : self.pair_starts[b]].reshape(b - a, k, k, size, size)
             np.multiply(q[:, :, None, self.group.add_table], q[:, None, :, None, :], out=out)
-        # the pair convolutions sum numer in order of x, as the einsum layout
-        # of a measure alone does; a one-atom measure's layout sums its rows
-        # pairwise instead
-        conv = self.conv
-        lone = [slice(self.pair_starts[a], self.pair_starts[b]) for k, a, b in self.blocks if k == 1]
-        if lone:
-            conv = conv.copy()
-            for rows in lone:
-                conv[rows] = numer[rows].sum(axis=2)
+        # a C-layout copy, which the passes below read in step with numer.
+        # _planes sums each pair's numer in order of x, as a measure of two
+        # or more atoms alone sums its einsum's numerators; a one-atom
+        # measure sums its rows in numpy's C-layout order, which the
+        # one-atom einsum of _planes does not follow. One-atom measures sort
+        # first.
+        conv = self.conv.copy()
+        k, a, b = self.blocks[0]
+        if k == 1:
+            rows = slice(self.pair_starts[a], self.pair_starts[b])
+            conv[rows] = numer[rows].sum(axis=2)
         # a row of zero convolution is zero and divides by 1; a NaN row stays
         # NaN, for the finite check
         numer /= np.where(conv > 0.0, conv, 1.0)[..., None]
@@ -544,42 +554,30 @@ def _replay(group: Group, plan: _Plan, weights: np.ndarray) -> tuple[np.ndarray 
     return _replayed_weights(group, raw if live.all() else raw[live], plan.target, plan.posteriors), live
 
 
-def _convolve_block(r: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """out[n, i, j, u] = sum_v r[n, i, u + v] r[n, j, v] for a block r of n measures of k atoms.
+# Floats of one tile of the tiled kernels (_planes, _column_products): a
+# first atom of a measure of k atoms costs |G| (k + |G|) floats, its rows of
+# the planes and of the products' shifted operand.
+_PRODUCT_FLOATS = 1 << 16
 
-    One einsum. For two or more atoms it sums in order of v, whether it
-    runs on one measure or on a stack of them; a one-atom measure's einsum
-    sums in another order, so each runs alone.
+
+def _product_rows(k: int, size: int) -> int:
+    """First atoms per tile of the tiled kernels, for a measure of k atoms on a group of `size` elements.
+
+    At least k means whole measures; fewer cuts each measure's first atoms
+    into runs of this many, the last run shorter. A gemm's bits depend on
+    its shape, so the rule reads k and |G| alone, never the chunk.
     """
-    if r.shape[1] > 1:
-        # [n, i, u, v] = r[n, i, u + v]
-        return np.einsum("niuv,njv->niju", r[:, :, table], r)
-    return np.stack([np.einsum("iuv,jv->iju", row[:, table], row) for row in r])
+    return max(1, _PRODUCT_FLOATS // (size * (k + size)))
 
 
-def _pair_convolutions(chunk: Chunk) -> np.ndarray:
-    """(P, |G|) posteriors p_i (*) p_j of every measure's ordered atom pairs."""
-    table = chunk.group.add_table
-    out = np.empty((chunk.pair_starts[-1], chunk.group.size))
-    for k, a, b in chunk.blocks:
-        block = out[chunk.pair_starts[a] : chunk.pair_starts[b]]
-        block.reshape(b - a, k, k, -1)[...] = _convolve_block(chunk.block(chunk.posteriors, k, a, b), table)
-    return out
-
-
-# Floats of one tile's planes (see _planes): the pair entropies run over
-# tiles of first-atom rows whose |G| planes fit in this many floats, so that
-# each of their elementwise passes stays in cache.
-_TILE_FLOATS = 1 << 16
-
-
-def _tiles(n: int, k: int, size: int, firsts: int) -> tuple[list[tuple[int, int, int, int]], np.ndarray]:
+def _tiles(n: int, k: int, size: int) -> tuple[list[tuple[int, int, int, int]], np.ndarray]:
     """Tiles (n0, n1, i0, i1) of n measures of k atoms, and a buffer for the |G| planes of the largest.
 
     A tile is the first atoms i0:i1 of measures n0:n1: runs of whole
-    measures when `firsts` is at least k, else runs of `firsts` first atoms
-    of one measure, the last run shorter.
+    measures when _product_rows(k, |G|) is at least k, else runs of that
+    many first atoms of one measure, the last run shorter.
     """
+    firsts = _product_rows(k, size)
     if firsts >= k:
         step = firsts // k
         tiles = [(m, min(m + step, n), 0, k) for m in range(0, n, step)]
@@ -589,66 +587,60 @@ def _tiles(n: int, k: int, size: int, firsts: int) -> tuple[list[tuple[int, int,
     return tiles, np.empty(size * (n1 - n0) * (i1 - i0) * k)
 
 
-def _planes(chunk: Chunk, rows: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
-    """(pairs, planes) of tiles that cover the atom pairs of the chunk.
+def _planes(chunk: Chunk, whole: np.ndarray | None = None) -> Iterator[tuple[slice, np.ndarray]]:
+    """(pairs, planes) of tiles that cover the atom pairs of the chunk: every pair convolution p_i (*) p_j.
 
-    planes[u] of a tile holds sum_v rows[i, u + v] rows[j, v] for its
-    pairs, laid out as the chunk lays out its pairs and summed as
-    _convolve_block sums them; `pairs` are their indices. A tile is a run
-    of first atoms i of one size run: whole measures, or rows of one measure
-    when a measure does not fit; a run of one-atom measures is one tile.
-    Its planes live in a buffer that the next tile reuses, so a tile is
-    read before the next is asked for.
+    planes[u] of a tile holds sum_v p_i(u + v) p_j(v) of the chunk's
+    posteriors p for its pairs, laid out as the chunk lays out its pairs;
+    `pairs` are their indices. The steps (Chunk.conv) and via_pairs'
+    entropies take their convolutions from here. A pair of a measure of
+    two or more atoms sums in order of v. A tile is a run of first atoms i
+    of one size run (_tiles): whole measures, or runs of first atoms of one
+    measure; a run of one-atom measures is one tile, each measure convolved
+    by its own einsum, as it is alone. The planes are whole[:, pairs] where
+    `whole`, a (|G|, P) array, is given; else they live in a buffer that
+    the next tile reuses, so a tile is read before the next is asked for.
     """
     size = chunk.group.size
     table = chunk.group.add_table
     for k, a, b in chunk.blocks:
+        block = chunk.block(chunk.posteriors, k, a, b)
         if k == 1:
-            conv = _convolve_block(chunk.block(rows, k, a, b), table)
-            yield slice(chunk.pair_starts[a], chunk.pair_starts[b]), conv.reshape(b - a, size).T.copy()
+            pairs = slice(chunk.pair_starts[a], chunk.pair_starts[b])
+            planes = np.empty((size, b - a)) if whole is None else whole[:, pairs]
+            # a stacked einsum would sum one-atom measures in another order
+            for n, row in enumerate(block):
+                planes[:, n] = np.einsum("iuv,jv->iju", row[:, table], row).ravel()
+            yield pairs, planes
             continue
-        # [v, n, i] = rows[n, i, v] and [u, v, n, i] = rows[n, i, u + v]
-        r = np.ascontiguousarray(chunk.block(rows, k, a, b).transpose(2, 0, 1))
+        # [v, n, i] = p_i(v) of measure n and [u, v, n, i] = p_i(u + v)
+        r = np.ascontiguousarray(block.transpose(2, 0, 1))
         shifted = r[table]
-        tiles, buffer = _tiles(b - a, k, size, max(1, _TILE_FLOATS // (size * k)))
+        tiles, buffer = _tiles(b - a, k, size)
         for n0, n1, i0, i1 in tiles:
             shape = (n1 - n0, i1 - i0, k)
             count = shape[0] * shape[1] * k
-            planes = buffer[: size * count].reshape(size, *shape)
+            start = chunk.pair_starts[a] + (n0 * k + i0) * k
+            pairs = slice(start, start + count)
+            planes = (buffer[: size * count] if whole is None else whole[:, pairs]).reshape(size, *shape)
             for u in range(size):
                 # the second atoms' axis j is the einsum's innermost loop,
                 # not v, so every pair sums in order of v
                 np.einsum("vni,vnj->nij", shifted[u, :, n0:n1, i0:i1], r[:, n0:n1], out=planes[u])
-            start = chunk.pair_starts[a] + (n0 * k + i0) * k
-            yield slice(start, start + count), planes.reshape(size, count)
+            yield pairs, planes.reshape(size, count)
 
 
 def _convolution_entropies(chunk: Chunk) -> np.ndarray:
     """H(p_i (*) p_j) of every atom pair of the chunk, laid out like the pairs; via_pairs' convolutions.
 
-    Bitwise row_entropies_bits(_pair_convolutions(chunk)), whose rows are
-    C-layout: the planes of a tile are folded in the order of its row sums.
+    Bitwise row_entropies_bits(np.ascontiguousarray(chunk.conv)), whose
+    rows are C-layout: the planes of a tile are folded in the order of its
+    row sums.
     """
     out = np.empty(chunk.pair_starts[-1])
-    for pairs, planes in _planes(chunk, chunk.posteriors):
+    for pairs, planes in _planes(chunk):
         plane_entropies_bits(planes, True, out=out[pairs])
     return out
-
-
-# Floats of one tile of the check's products (see _column_products): a
-# first atom of a measure of k atoms costs |G| (k + |G|) floats, its rows of
-# the planes and of the shifted operand.
-_PRODUCT_FLOATS = 1 << 16
-
-
-def _product_rows(k: int, size: int) -> int:
-    """First atoms per tile of the check's products, for a measure of k atoms on a group of `size` elements.
-
-    At least k means whole measures; fewer cuts each measure's first atoms
-    into runs of this many, the last run shorter. A gemm's bits depend on
-    its shape, so the rule reads k and |G| alone, never the chunk.
-    """
-    return max(1, _PRODUCT_FLOATS // (size * (k + size)))
 
 
 def _column_products(r: np.ndarray, table: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
@@ -664,7 +656,7 @@ def _column_products(r: np.ndarray, table: np.ndarray) -> Iterator[tuple[int, np
     read before the next is asked for.
     """
     n, k, size = r.shape
-    tiles, buffer = _tiles(n, k, size, _product_rows(k, size))
+    tiles, buffer = _tiles(n, k, size)
     # [n, v, j] = r[n, j, v]
     transposed = r.transpose(0, 2, 1)
     for m0, m1, i0, i1 in tiles:

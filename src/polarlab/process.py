@@ -278,8 +278,8 @@ class PolarizationReport:
             "config": self.config,
             "records": records,
             "levels": [
-                {"depth": depth, "median_capacity_gap": median}
-                for depth, median in _medians(self.level_gaps).items()
+                {"depth": depth, "median_capacity_gap": float(np.median(self.level_gaps[depth]))}
+                for depth in sorted(self.level_gaps)
             ],
             "aggregates": {
                 "evaluated": n_eval,
@@ -416,29 +416,6 @@ def _records_json(report: PolarizationReport) -> str:
         texts[width * p : width * (p + 1)] = [failure] + [""] * (width - 1)
     texts[0] = texts[0][len(",\n    "):]
     return "[\n    " + "".join(texts) + "\n  ]"
-
-
-def _medians(level_gaps: dict[int, np.ndarray]) -> dict[int, float]:
-    """float(np.median(gaps)) of each depth's gaps, bitwise, in order of depth, from one sort of them all.
-
-    np.median takes the middle gap, or a + b over 2 for the middle two a
-    and b. Where a middle gap is zero, or a gap is NaN, the signs of zeros
-    and NaN decide its bits, and np.median itself runs.
-    """
-    depths = sorted(level_gaps)
-    if not depths:
-        return {}
-    sizes = np.array([len(level_gaps[depth]) for depth in depths])
-    gaps = np.concatenate([level_gaps[depth] for depth in depths])
-    gaps = gaps[np.lexsort((gaps, np.repeat(np.arange(len(depths)), sizes)))]
-    ends = np.cumsum(sizes)
-    lo, hi = ends - sizes + (sizes - 1) // 2, ends - sizes + sizes // 2
-    medians = np.where(lo == hi, gaps[lo], (gaps[lo] + gaps[hi]) / 2)
-    exact = (gaps[lo] != 0.0) & (gaps[hi] != 0.0) & ~np.isnan(gaps[ends - 1])
-    return {
-        depth: median if fast else float(np.median(level_gaps[depth]))
-        for depth, median, fast in zip(depths, medians.tolist(), exact.tolist())
-    }
 
 
 _json_string = json.encoder.encode_basestring_ascii

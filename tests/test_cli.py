@@ -463,7 +463,7 @@ def test_layer_split_tool_prints_every_layer(tmp_path):
     assert "2 calls after 1 warm-up" in lines[0]
     layers = {line.split()[0] for line in lines[2:-1]}
     assert layers == {
-        "gap.via_pairs", "gap.products", "gap.via_transform", "gap.pair_dots", "gap.rest", "step.record", "step.replay",
+        "planes", "gap.via_pairs", "gap.products", "gap.via_transform", "gap.pair_dots", "gap.rest", "step.record", "step.replay",
         "step.general", "canonicalize", "chunk", "split", "evaluate.pol", "evaluate.classify", "evaluate", "report.records",
         "report_json", "write", "other",
     }

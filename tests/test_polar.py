@@ -220,8 +220,8 @@ def test_capacity_gap_catches_a_fault_in_the_pair_planes():
     w = random_corpus(count=2)[1]
     m = blackwell_measure(w)
 
-    def planes(chunk, rows):
-        yield slice(0, chunk.pair_starts[-1]), _reflected_convolutions(chunk.group, rows).T.copy()
+    def planes(chunk, whole=None):
+        yield slice(0, chunk.pair_starts[-1]), _reflected_convolutions(chunk.group, chunk.posteriors).T.copy()
 
     with mock.patch.object(polar, "_planes", planes):
         with pytest.raises(RuntimeError, match="routes disagree"):
@@ -487,29 +487,77 @@ def test_gaps_over_many_tiles_match_the_reference(monkeypatch, dims, outputs):
         blackwell_measure(useless_channel(group)),
         blackwell_measure(Channel(light, None, group)),
     ]
-    assert measures[0].atom_count ** 2 * group.size > 1.5 * polar._TILE_FLOATS
     assert polar._product_rows(measures[0].atom_count, group.size) < measures[0].atom_count
     assert measures[-1].weights.min() < 1e-299
-    want = _bits(_reference_gap(m) for m in measures)
-    for floats in (polar._TILE_FLOATS, 1000, 1):
-        monkeypatch.setattr(polar, "_TILE_FLOATS", floats)
-        assert _bits(_gap_list(polar.Chunk(measures).gaps())) == want
-        assert _bits(_gap_list(polar.Chunk(measures[::-1]).gaps())) == want[::-1]
-    # the check's products cut the large measure into runs of two first
-    # atoms, and every measure into runs of one, where each product is a
-    # gemv: the reference follows the rule
-    for floats in (2 * group.size * (measures[0].atom_count + group.size), 1):
+    # both tiled kernels cut the large measure by one rule: at the default
+    # into a few runs, then into runs of two first atoms, and every measure
+    # into runs of one, where each product is a gemv: the reference follows
+    # the rule
+    for floats in (polar._PRODUCT_FLOATS, 1000, 2 * group.size * (measures[0].atom_count + group.size), 1):
         monkeypatch.setattr(polar, "_PRODUCT_FLOATS", floats)
         want = _bits(_reference_gap(m) for m in measures)
         assert _bits(_gap_list(polar.Chunk(measures).gaps())) == want
         assert _bits(_gap_list(polar.Chunk(measures[::-1]).gaps())) == want[::-1]
 
 
+@pytest.mark.parametrize("dims, outputs", [([2, 2], 160), ([2, 4], 120), ([3, 4], 100)])
+def test_steps_over_many_tiles_match_the_reference(monkeypatch, dims, outputs):
+    # the steps take their pair convolutions from the tiles of _planes:
+    # whatever the tiles, on groups of order < 8, 8 and > 8, the children of
+    # a measure cut into first-atom runs, of small measures that share
+    # tiles and of a one-atom measure keep the reference's bits
+    group = make_group(dims)
+    measures = [
+        blackwell_measure(random_channel(group, outputs, seed=1)),
+        *(blackwell_measure(random_channel(group, 4, seed=seed)) for seed in (2, 3)),
+        blackwell_measure(useless_channel(group)),
+    ]
+    assert polar._product_rows(measures[0].atom_count, group.size) < measures[0].atom_count
+    tau = polar.DEFAULT_MERGE_TAU
+    minus = [_reference_minus(m, tau) for m in measures]
+    plus = [_reference_plus(m, tau) for m in measures]
+    for floats in (polar._PRODUCT_FLOATS, 1000, 1):
+        monkeypatch.setattr(polar, "_PRODUCT_FLOATS", floats)
+        for step in (1, -1):
+            chunk = polar.Chunk(measures[::step])
+            assert all(got.identical(want) for got, want in zip(chunk.minus(tau), minus[::step]))
+            assert all(got.identical(want) for got, want in zip(chunk.plus(tau), plus[::step]))
+
+
+@pytest.mark.parametrize("dims", _CHUNK_GROUPS)
+def test_pair_planes_are_a_left_fold_over_v(monkeypatch, dims):
+    # the kernel behind both the steps and via_pairs sums every pair of a
+    # measure of two or more atoms left to right in v, whatever the tiles;
+    # an einsum that reordered its sum would change reports, and fails here
+    group = make_group(dims)
+    # two measures of one atom count share their tiles
+    measures = [blackwell_measure(random_channel(group, n, seed=seed)) for seed, n in enumerate((2, 3, 3, 5))]
+    assert min(m.atom_count for m in measures) >= 2
+
+    def left_fold(m):
+        q = m.posteriors
+        shifted = q[:, group.add_table]  # [i, u, v] = p_i(u + v)
+        fold = shifted[:, None, :, 0] * q[None, :, None, 0]
+        for v in range(1, group.size):
+            fold = fold + shifted[:, None, :, v] * q[None, :, None, v]
+        return fold.reshape(-1, group.size)
+
+    for floats in (polar._PRODUCT_FLOATS, 1):
+        monkeypatch.setattr(polar, "_PRODUCT_FLOATS", floats)
+        chunk = polar.Chunk(measures)
+        want = np.concatenate([left_fold(measures[j]) for j in chunk.layout])
+        got = np.full((group.size, chunk.pair_starts[-1]), np.nan)
+        for pairs, planes in polar._planes(chunk):
+            got[:, pairs] = planes
+        assert np.array_equal(got.T, want)
+        assert np.array_equal(chunk.conv, want)
+
+
 def test_one_atom_plus_step_matches_the_reference_on_every_group():
-    # A one-atom measure's pair convolution, summed by the einsum of
-    # Chunk.conv, differs in its last bits from the reference's row sums on
-    # Z6 and Z14, among others, and so do its plus children; the plus step
-    # sums such a measure's rows itself.
+    # A one-atom measure's pair convolution, summed by its own einsum in
+    # _planes, differs in its last bits from the reference's row sums on Z6
+    # and Z14, among others, and so do its plus children; the plus step sums
+    # such a measure's rows itself.
     for size in range(2, 65):
         group = make_group([size])
         lone = blackwell_measure(useless_channel(group))

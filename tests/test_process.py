@@ -455,7 +455,7 @@ def test_gap_tiles_give_the_whole_chunks_gaps(monkeypatch):
     want = walk_gaps()
     assert len(want) == 31
     for floats in (1, 200):
-        monkeypatch.setattr(polar, "_TILE_FLOATS", floats)
+        monkeypatch.setattr(polar, "_PRODUCT_FLOATS", floats)
         assert walk_gaps() == want
 
 
@@ -877,17 +877,3 @@ _SPECIAL_FLOATS = [0.0, -0.0, 1.0, 0.1, 1e-300, 5e-324, np.nan, np.inf, -np.inf]
 def test_floats_text_is_each_floats_json_text(values):
     # one text per distinct float by its bits: signed zeros stay apart
     assert process._floats_text(np.array(values, dtype=float)) == [process._json_scalar(x) for x in values]
-
-
-@settings(max_examples=60)
-@given(gaps=st.dictionaries(
-    st.integers(0, 12),
-    st.lists(st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats(0.0, 2.0)), min_size=1, max_size=9),
-))
-@example(gaps={0: [-0.0], 1: [0.0, -0.0, 1.0], 2: [np.nan, 0.5], 3: [0.25, 0.5, 1.0, 2.0]})
-def test_per_depth_medians_are_np_median_bitwise(gaps):
-    level_gaps = {depth: np.array(values, dtype=float) for depth, values in gaps.items()}
-    medians = process._medians(level_gaps)
-    assert list(medians) == sorted(level_gaps)
-    want = {depth: float(np.median(values)) for depth, values in level_gaps.items()}
-    assert {depth: m.hex() for depth, m in medians.items()} == {depth: m.hex() for depth, m in want.items()}

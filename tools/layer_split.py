@@ -42,6 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # is wrapped where its callers look it up: a module global, or a method on
 # its class.
 LAYERS = [
+    ("planes", "polar", "_planes"),
     ("gap.via_pairs", "polar", "_convolution_entropies"),
     ("gap.products", "polar", "_column_products"),
     ("gap.via_transform", "polar", "_minus_capacities"),
