@@ -6,9 +6,11 @@ measure is computed once. The walk takes consecutive nodes of one depth
 together, as a chunk (a Level): its transforms, merging, capacity gaps and
 evaluation run once for all its nodes, on one polar.Chunk, and each node
 gets bitwise the result it gets alone, so the chunking never shows in a
-report. A level holds its live nodes as weight blocks, one per distinct
-posterior matrix (polar.Block): the matrix, its bytes, one row of weights
-per node, and the nodes' positions; the children of the node at position
+report; the gaps of chunks that are stepped but not evaluated wait, and
+run in batches of several chunks (_walk_chunks). A level holds its live
+nodes as weight blocks, one per distinct posterior matrix (polar.Block):
+the matrix, its bytes, one row of weights per node, and the nodes'
+positions; the children of the node at position
 p sit at 2p ('-') and 2p + 1 ('+'), so leaves keep path order, and no node
 is a measure object. A chunk's gaps and evaluations come back as columns,
 float64 arrays with one entry per node, and a report keeps its leaves as
@@ -521,7 +523,11 @@ def _gap_refusal(k: int, atom_budget: int) -> str | None:
 # k^2 |G| by its plus step: on the general path each carries |G| posterior
 # floats, while a step that replays a plan (polar.Chunk.step) builds only
 # their weights. Children are chunked up to this cap (_split), so a larger
-# node runs alone, and the walk holds O(depth) chunks.
+# node runs alone, and the walk holds O(depth) chunks. The cap also bounds
+# a batch of gaps (_walk_chunks), priced at the k^2 |G| floats of a node's
+# pair planes: a batch is computed once its price passes the cap, so it
+# holds at most the cap plus one chunk's, and the walk holds O(depth)
+# chunks awaiting their gaps.
 _CHUNK_ATOMS = 1 << 17
 
 # A node of the transform tree as the library reads it (Level.nodes): its
@@ -687,6 +693,56 @@ def _split(level: Level, plans: dict, merge_tau: float) -> list[Level]:
     return runs
 
 
+def _batch_gaps(levels: list[Level], chunk_of) -> tuple[list[np.ndarray], list[PathFault]]:
+    """The capacity gaps (via_pairs) of the live nodes of `levels`, on one chunk; each level's as an array, one entry per node.
+
+    The chunk, chunk_of(blocks), holds every level's blocks, the rows of
+    each offset by the nodes of the levels before it. A node whose gap
+    raises RuntimeError or ValueError is made dead with a PathFault that
+    names it (_per_chunk); the faults are returned in position order. A
+    dead node's entry is 0.
+    """
+    offsets = [0, *accumulate(len(level.paths) for level in levels)]
+    supports = [
+        block._replace(rows=block.rows + a) if a else block
+        for level, a in zip(levels, offsets) for block in level.supports
+    ]
+    gaps = np.zeros(offsets[-1])
+    faults: dict[int, PathFault] = {}
+    if supports:
+        paths = [path for level in levels for path in level.paths]
+        via_pairs, done, faults = _per_chunk(lambda chunk: chunk.gaps()[1], chunk_of(supports), paths)
+        if len(done):
+            gaps[done] = via_pairs
+    out = []
+    for level, a, b in zip(levels, offsets, offsets[1:]):
+        mine = {p - a: fault for p, fault in faults.items() if a <= p < b}
+        level.dead.update(mine)
+        level.supports = _without(level.supports, mine)
+        out.append(gaps[a:b])
+    return out, list(faults.values())
+
+
+def _stop_below(faults: list[PathFault], levels: list[tuple[Level, np.ndarray | None]]) -> None:
+    """Make every descendant of a faulted node in `levels` dead with its fault, as if it had never been stepped.
+
+    A node below several faulted nodes takes the fault of the highest. Its
+    gap, where the level has them, becomes 0.
+    """
+    by_path = {fault.path: fault for fault in faults}
+    for level, gaps in levels:
+        hit = {}
+        for position, path in enumerate(level.paths):
+            fault = next((by_path[path[:k]] for k in range(len(path)) if path[:k] in by_path), None)
+            if fault is not None:
+                hit[position] = fault
+        if hit:
+            level.dead.update(hit)
+            level.supports = _without(level.supports, hit)
+            if gaps is not None:
+                gaps[list(hit)] = 0.0
+
+
 def _walk_chunks(
     root: BlackwellMeasure,
     depth: int,
@@ -703,24 +759,34 @@ def _walk_chunks(
     or, given `wanted`, only the prefixes of the wanted paths. The chunks of
     each depth, and so the leaves, come in path order, '-' first. A chunk
     is a run of consecutive nodes of one depth, its live nodes held as
-    weight blocks on shared posterior matrices: its steps, its gaps and its
+    weight blocks on shared posterior matrices: its steps and its
     evaluation each run once for all its nodes, on one polar.Chunk of its
     blocks, and the budget is checked once per block. The children of the
     node at position p are at 2p ('-') and 2p + 1 ('+'), before the
     unwanted ones are dropped; they are split into chunks again (_split)
-    and walked depth first. Each node is stepped once from its parent. At
-    the depths in `gap_depths` the nodes' guarded capacity gaps are
-    computed before their children are stepped, as a float64 array with one
-    entry per node, and at the depths in `eval_depths` their Evaluations at
-    `delta` (_evaluate_chunk), likewise one row per node; elsewhere gaps and
-    results are None. Only the entries of live nodes are meaningful. A
-    refused step or gap makes the node dead with its message, which stands
-    in for every descendant; nothing below is computed. A step, gap or
-    evaluation that raises RuntimeError or ValueError makes the node dead
-    with a PathFault that names it, which likewise stands in for its
-    descendants. At the depths in `eval_depths` the walk raises the first
-    PathFault of the chunk in path order, so a reader meets no fault among
-    the nodes it evaluates.
+    and walked depth first. Each node is stepped once from its parent.
+
+    At the depths in `gap_depths` the nodes' guarded capacity gaps are
+    computed, as a float64 array with one entry per node, and at the depths
+    in `eval_depths` their Evaluations at `delta` (_evaluate_chunk),
+    likewise one row per node; elsewhere gaps and results are None. Only
+    the entries of live nodes are meaningful. A gap the budget refuses is
+    refused before the node's children are stepped. The gaps of a chunk
+    that is stepped but not evaluated are computed in batches: the chunk's
+    children are stepped at once and its yield is held, and the gaps of
+    all held chunks run on one polar.Chunk (_batch_gaps) before a chunk
+    that is evaluated or at `depth` computes its own (on the chunk that
+    its evaluation shares), when the held nodes' pair planes pass
+    _CHUNK_ATOMS floats, and when the walk ends; the held chunks are then
+    yielded in order. A refused step or gap makes the node dead with its
+    message, which stands in for every descendant; nothing below is
+    computed. A step, gap or evaluation that raises RuntimeError or
+    ValueError makes the node dead with a PathFault that names it, which
+    likewise stands in for its descendants: a gap fault found in a batch
+    replaces whatever its descendants, stepped meanwhile, hold (_stop_below),
+    so faults still stop the subtree. At the depths in `eval_depths` the
+    walk raises the first PathFault of the chunk in path order, so a reader
+    meets no fault among the nodes it evaluates.
     """
     prefixes = None if wanted is None else {p[:k] for p in wanted for k in range(len(p) + 1)}
     group = root.group
@@ -730,25 +796,49 @@ def _walk_chunks(
     plans: dict = {}
     top = Block(root.posteriors, root.posteriors.tobytes(), root.weights[None], np.zeros(1, dtype=np.int64))
     stack = [Level(group, [""], [top], {})]
+    # the chunks whose gaps wait for a batch, and the price of their nodes
+    held: list[Level] = []
+    price = 0
+
+    def flush(current: Level | None):
+        # the held chunks' gaps on one chunk, then their yields, in order;
+        # a fault stops its subtree in every chunk stepped since (`current`,
+        # popped and not held, is one)
+        nonlocal price
+        if not held:
+            return
+        batch = held[:]
+        held.clear()
+        price = 0
+        gaps, faults = _batch_gaps(batch, lambda supports: Chunk(group=group, supports=supports, plans=plans))
+        if faults:
+            later = [lvl for lvl in (current, *stack) if lvl is not None]
+            _stop_below(faults, [*zip(batch, gaps), *((lvl, None) for lvl in later)])
+        for level, level_gaps in zip(batch, gaps):
+            yield level, level_gaps, None
+
     while stack:
         level = stack.pop()
+        at = len(level.paths[0])
         paths, dead = level.paths, level.dead
         chunks: dict[tuple[int, ...], Chunk] = {}
+
+        def chunk_of(supports: list[Block]) -> Chunk:
+            key = tuple(map(id, supports))
+            if key not in chunks:
+                chunks[key] = Chunk(group=group, supports=supports, plans=plans)
+            return chunks[key]
 
         def run(kernel, supports: list[Block], sign: str = ""):
             # the kernel's result on the chunk of these blocks, the positions
             # it covers, and the PathFaults of the nodes whose kernel raised,
-            # named after the node computed: the node's own path for its gap
-            # or its evaluation, its child's for a step
+            # named after the node computed: the node's own path for its
+            # evaluation, its child's for a step
             if not supports:
                 return None, np.zeros(0, dtype=np.int64), {}
-            key = tuple(map(id, supports))
-            if key not in chunks:
-                chunks[key] = Chunk(group=group, supports=supports, plans=plans)
-            return _per_chunk(kernel, chunks[key], paths, sign)
+            return _per_chunk(kernel, chunk_of(supports), paths, sign)
 
-        gaps = None
-        if len(paths[0]) in gap_depths:
+        if at in gap_depths:
             supports = []
             for block in level.supports:
                 refusal = _gap_refusal(len(block.posteriors), atom_budget)
@@ -756,14 +846,21 @@ def _walk_chunks(
                     supports.append(block)
                 else:
                     dead.update(dict.fromkeys(block.rows.tolist(), refusal))
-            gaps = np.zeros(len(paths))
-            via_pairs, done, faults = run(lambda chunk: chunk.gaps()[1], supports)
-            if len(done):
-                gaps[done] = via_pairs
-            dead.update(faults)
-            level.supports = _without(supports, faults)
+            level.supports = supports
+        deferred = at in gap_depths and at not in eval_depths and at != depth
+        gaps = None
+        if deferred:
+            held.append(level)
+            # the floats of the nodes' pair planes, k^2 |G| a node
+            price += group.size * sum(len(block.posteriors) ** 2 * len(block.rows) for block in level.supports)
+            if price > _CHUNK_ATOMS:
+                yield from flush(None)
+        else:
+            yield from flush(level)
+            if at in gap_depths:
+                (gaps,), _ = _batch_gaps([level], chunk_of)
         results = None
-        if len(paths[0]) in eval_depths:
+        if at in eval_depths:
             evaluations, done, faults = run(lambda chunk: _evaluate_chunk(chunk, delta), level.supports)
             results = _spread(evaluations, done, len(paths), subgroups)
             dead.update(faults)
@@ -771,8 +868,9 @@ def _walk_chunks(
             faulted = [position for position, node in dead.items() if isinstance(node, PathFault)]
             if faulted:
                 raise dead[min(faulted)]
-        yield level, gaps, results
-        if len(paths[0]) == depth:
+        if not deferred:
+            yield level, gaps, results
+        if at == depth:
             continue
         # the children at 2p and 2p + 1, and, where the walk drops the ones it
         # does not want, the place of each among those it keeps (None if none)
@@ -821,6 +919,7 @@ def _walk_chunks(
             by_key.setdefault(block.key, []).append(block)
         child = Level(group, child_paths, [_joined(blocks) for blocks in by_key.values()], lost)
         stack.extend(reversed(_split(child, plans, merge_tau)))
+    yield from flush(None)
 
 
 def _evaluate_chunk(chunk: Chunk, delta: float | None) -> Evaluations:
@@ -859,8 +958,12 @@ def enumerate_paths(
     """Evaluate every sign path of the given depth (2^depth records).
 
     Records appear in path order with '-' before '+' at every position. The
-    capacity gap of every node is checked before its children are stepped,
-    so a node whose gap exceeds the atom budget fails its whole subtree.
+    capacity gap of every node is checked against the atom budget before
+    its children are stepped, so a node whose gap exceeds the budget fails
+    its whole subtree. The gaps of the levels above the leaves are computed
+    in batches of several levels, after their children are stepped; a gap
+    that faults still stops its subtree, and the walk raises the PathFault
+    that names the node.
     """
     if not 0 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must be in [0, {MAX_DEPTH}], got {depth}")

@@ -443,13 +443,16 @@ def test_the_walk_evaluates_on_the_chunks_of_its_gaps(monkeypatch):
 
 def test_gap_tiles_give_the_whole_chunks_gaps(monkeypatch):
     # a chunk's gaps run over tiles of first-atom rows: whatever their size,
-    # down to one row, every node gets the gap of the default tiles
+    # down to one row, every node gets the gap of the default tiles; and the
+    # gaps of the levels above the leaves run in batches of several levels,
+    # which give every node the gap it gets in a batch of one node (a cap
+    # of 1 runs every node alone)
     def walk_gaps():
         walk = process._walk_chunks(blackwell_measure(w), 4, gap_depths=range(5))
         chunks = [(level, gaps.tolist()) for level, gaps, _ in walk]
         # every node is still live, and had its gap computed
         assert all(not level.dead and level.atoms().all() for level, _ in chunks)
-        return [gap.hex() for _, gaps in chunks for gap in gaps]
+        return [(path, gap.hex()) for level, gaps in chunks for path, gap in zip(level.paths, gaps)]
 
     w = dh_mix_channel(make_group([2, 4]), seed=11)
     want = walk_gaps()
@@ -457,6 +460,71 @@ def test_gap_tiles_give_the_whole_chunks_gaps(monkeypatch):
     for floats in (1, 200):
         monkeypatch.setattr(polar, "_PRODUCT_FLOATS", floats)
         assert walk_gaps() == want
+    monkeypatch.undo()
+    monkeypatch.setattr(process, "_CHUNK_ATOMS", 1)
+    alone = walk_gaps()
+    assert len(alone) == 31 and dict(alone) == dict(want)
+    monkeypatch.undo()
+    # the levels above the leaves take one batch on z4-multilevel, and on
+    # dh-mix the cap flushes the batch once, before the leaves' two chunks
+    for w, depth, batches in ((z4_multilevel_channel(0.5), 7, 2), (dh_mix_channel(make_group([2, 4]), 3), 5, 3)):
+        sizes = _chunk_sizes(monkeypatch, w, depth)
+        assert sum(sizes["gaps"]) == 2 ** (depth + 1) - 1 and len(sizes["gaps"]) == batches
+
+
+def test_a_gap_fault_in_a_batch_stops_its_subtree(monkeypatch):
+    # the gap of node '-+' raises, and no other's: its level's gaps run in a
+    # batch after its descendants were stepped, yet the walk yields what it
+    # yields when each level's gaps run before its children are stepped (a
+    # cap of 1), every descendant holding the node's own PathFault
+    w = z4_multilevel_channel(0.5)
+    root = blackwell_measure(w)
+    default = process._CHUNK_ATOMS
+    nodes = [
+        (path, block.key, weights.tobytes())
+        for level, _, _ in process._walk_chunks(root, 5, gap_depths=range(6))
+        for block in level.supports
+        for position, weights in zip(block.rows.tolist(), block.weights)
+        for path in [level.paths[position]]
+    ]
+    target = next(node[1:] for node in nodes if node[0] == "-+")
+    assert [node[1:] for node in nodes].count(target) == 1
+    real_gaps = Chunk.gaps
+    raised = []
+
+    def gaps(chunk):
+        for block in chunk.supports:
+            if block.key == target[0] and any(weights.tobytes() == target[1] for weights in block.weights):
+                raised.append(len(chunk))
+                raise RuntimeError("capacity-gap routes disagree")
+        return real_gaps(chunk)
+
+    monkeypatch.setattr(Chunk, "gaps", gaps)
+
+    def walk():
+        seen = {}
+        for level, level_gaps, _ in process._walk_chunks(root, 5, gap_depths=range(6)):
+            for position, path in enumerate(level.paths):
+                seen[path] = level.dead.get(position, level_gaps[position].hex())
+        faults = {path: node for path, node in seen.items() if isinstance(node, process.PathFault)}
+        assert set(faults) == {path for path in seen if path.startswith("-+")}
+        fault = faults["-+"]
+        assert all(node is fault for node in faults.values())
+        assert fault.path == "-+" and isinstance(fault.__cause__, RuntimeError)
+        return {path: "fault" if path in faults else node for path, node in seen.items()}
+
+    batched = walk()
+    # the batch of levels 0 to 4 raised, then '-+' alone
+    assert raised == [31, 1]
+    raised.clear()
+    monkeypatch.setattr(process, "_CHUNK_ATOMS", 1)
+    assert walk() == batched
+    assert raised == [1, 1]
+    for cap in (1, default):
+        monkeypatch.setattr(process, "_CHUNK_ATOMS", cap)
+        with pytest.raises(process.PathFault, match=r"^path '-\+': capacity-gap routes disagree$") as info:
+            enumerate_paths(w, 5)
+        assert info.value.path == "-+" and isinstance(info.value.__cause__, RuntimeError)
 
 
 def test_repeated_sample_paths_evaluated_once(monkeypatch):

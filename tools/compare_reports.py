@@ -63,6 +63,8 @@ COMMANDS: list[tuple[str, list[str]]] = [
             "--seed", str(seed), "--merge-tau", "1e-3", "--atom-budget", "1000000"))
         for seed in (1, 2)
     ],
+    # the root evaluated alone, no gap deferred to a batch
+    ("z4-multilevel d0", polarize("--preset", "z4-multilevel:0.5", "--depth", "0")),
     *[
         (f"z4-multilevel d{depth}", polarize("--preset", "z4-multilevel:0.5", "--depth", str(depth)))
         for depth in (9, 10, 12, 14, 16)
