@@ -50,8 +50,9 @@ def _aggregate(weights: np.ndarray, posteriors: np.ndarray, labels: np.ndarray, 
     brings the cluster's total weight into [0.5, 1): subnormal weights would
     otherwise underflow w * q to zero and leave a 0/0 posterior. The scaling
     is exact, so it changes no result that did not underflow. Sums run in
-    atom order, one posterior column at a time; the merged posteriors come
-    back column-major.
+    atom order, one posterior column at a time, over every atom; only the
+    averaged clusters' sums are kept, each over its own members, so no
+    member is gathered. The merged posteriors come back column-major.
     """
     cols = posteriors.T
     first = np.full(k, len(labels), dtype=np.int64)
@@ -61,13 +62,11 @@ def _aggregate(weights: np.ndarray, posteriors: np.ndarray, labels: np.ndarray, 
     averaged[labels[(cols != merged.take(labels, axis=1)).any(axis=0)]] = True
     w_new = np.bincount(labels, weights, minlength=k)
     if averaged.any():
-        members = np.flatnonzero(averaged[labels])
-        member_labels = labels[members]
         _, exponent = np.frexp(w_new)
-        scaled = np.ldexp(weights[members], -exponent[member_labels])
+        scaled = np.ldexp(weights, -exponent[labels])
         total = np.ldexp(w_new[averaged], -exponent[averaged])
-        for row, col in zip(merged, cols.take(members, axis=1)):
-            row[averaged] = np.bincount(member_labels, scaled * col, minlength=k)[averaged] / total
+        for row, col in zip(merged, cols):
+            row[averaged] = np.bincount(labels, scaled * col, minlength=k)[averaged] / total
     return w_new, merged.T
 
 
@@ -79,13 +78,16 @@ def _grid_keys(cols: np.ndarray, tau: float) -> np.ndarray:
 
 
 def _packed_keys(keys: np.ndarray) -> np.ndarray:
-    """uint64 key rows in the same lexicographic order as the int64 key rows.
+    """int64 key rows in the same lexicographic order as the int64 key rows `keys`.
 
     Each row of keys, offset by its minimum, takes as many bits as its
     largest offset needs; constant rows take none. Consecutive rows share
-    one packed row while their bits fit in 64, the earlier row in the higher
-    bits, so the packed columns compare as the columns of keys do. The
-    offsets overwrite keys.
+    one packed row while their bits fit in 63, the earlier row in the higher
+    bits, so the packed columns, read as int64, are non-negative and compare
+    as the columns of keys do (numpy sorts int64 faster than uint64). The
+    grid keys of posterior entries in [-1, 2] at tau >= MERGE_TAU_MIN lie
+    within 2**62 of each other, so each row fits in one word. The offsets
+    overwrite keys.
     """
     offsets = keys.view(np.uint64)
     # modular uint64 arithmetic gives the true offsets, all below 2**64
@@ -94,14 +96,14 @@ def _packed_keys(keys: np.ndarray) -> np.ndarray:
     used = 0
     for row, top in zip(offsets, offsets.max(axis=1).tolist()):
         bits = top.bit_length()
-        if not packed or used + bits > 64:
+        if not packed or used + bits > 63:
             packed.append(row)
             used = bits
         elif bits:
             packed[-1] <<= np.uint64(bits)
             packed[-1] |= row
             used += bits
-    return np.array(packed)
+    return np.array(packed).view(np.int64)
 
 
 def _bucket_labels(
@@ -125,11 +127,16 @@ def _bucket_labels(
         keys = _packed_keys(keys if seg is None else np.vstack([seg, keys]))
     else:
         keys = posteriors.T if seg is None else np.vstack([seg, posteriors.T])
-    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
-    sorted_keys = keys.take(order, axis=1)
-    starts = np.empty(len(order), dtype=bool)
+    starts = np.empty(keys.shape[1], dtype=bool)
     starts[0] = True
-    np.any(sorted_keys[:, 1:] != sorted_keys[:, :-1], axis=0, out=starts[1:])
+    if len(keys) == 1:
+        order = np.argsort(keys[0])
+        sorted_keys = keys[0].take(order)
+        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
+    else:
+        order = np.lexsort(keys[::-1])
+        sorted_keys = keys.take(order, axis=1)
+        np.any(sorted_keys[:, 1:] != sorted_keys[:, :-1], axis=0, out=starts[1:])
     if starts.all():
         return None, order
     labels = np.empty(len(order), dtype=np.int64)
@@ -267,7 +274,13 @@ def _canonical_segments(
         raise ValueError("atom arrays have mismatched shapes")
     keep = weights > 0.0
     if not keep.all():
-        weights, posteriors = weights[keep], posteriors.compress(keep, axis=0)
+        weights = weights[keep]
+        # along the rows of the layout the posteriors are stored in: a
+        # column-major array compressed by rows reads across its columns
+        if posteriors.flags.f_contiguous and not posteriors.flags.c_contiguous:
+            posteriors = posteriors.T.compress(keep, axis=1).T
+        else:
+            posteriors = posteriors.compress(keep, axis=0)
         if seg is not None:
             seg = seg[keep]
     if check_rows and (np.abs(_row_sums(posteriors) - 1.0) > SUM_TOL).any():
@@ -500,8 +513,9 @@ def _exact_merge(posteriors: np.ndarray, origin: np.ndarray) -> bool:
     target = origin[keep]
     first = np.full(target.max() + 1, len(target), dtype=np.int64)
     np.minimum.at(first, target, np.arange(len(target)))
-    kept = posteriors[keep]
-    return bool((kept == kept[first[target]]).all())
+    # by columns, in which the raw posteriors of a step are laid out
+    kept = posteriors.T.compress(keep, axis=1)
+    return bool((kept == kept.take(first[target], axis=1)).all())
 
 
 def _replayed_weights(group: Group, raw: np.ndarray, target: np.ndarray, posteriors: np.ndarray) -> np.ndarray:

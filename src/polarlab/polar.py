@@ -13,6 +13,7 @@ recursions; the channel-side transforms double as their cross-check oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -151,8 +152,8 @@ class Chunk:
 
     What a posterior matrix alone decides is computed once for the blocks
     whose matrices have one key (`by_key`), and kept in the table `plans`
-    (see step and _pair_entropies); chunks given one table share what it
-    keeps.
+    (see _planned and _pair_entropies); chunks given one table share what
+    it keeps.
     """
 
     def __init__(
@@ -325,18 +326,6 @@ class Chunk:
             for k, a, b in self.blocks
         ])
 
-    def children(self, weights, posteriors, merge_tau: float) -> list[Block]:
-        """The canonical children of raw atoms laid out like the pairs, len(weights) / P atoms per pair.
-
-        Each child is a one-row block at its parent's position.
-        """
-        seg = None  # one node needs no segment ids
-        if len(self) > 1:
-            per_pair = len(weights) // self.pair_starts[-1]
-            seg = np.repeat(np.arange(len(self)), np.diff(self.pair_starts) * per_pair)
-        out, _ = _canonical_measures(self.group, weights, posteriors, merge_tau, seg, len(self))
-        return [Block(q, q.tobytes(), w[None], self.rows[s : s + 1]) for s, (w, q) in enumerate(out)]
-
     def minus(self, merge_tau: float = DEFAULT_MERGE_TAU) -> list[BlackwellMeasure]:
         """Minus transform on atoms: weight w_i w_j at posterior p_i (*) p_j; the children as measures."""
         return self._measures_of(self.step(MINUS, merge_tau))
@@ -351,43 +340,102 @@ class Chunk:
         """
         return self._measures_of(self.step(PLUS, merge_tau))
 
-    def raw(self, sign: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def raw(self, sign: str, out: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, ...]:
         """(weights, posteriors, factor) of the raw children, laid out like the pairs.
 
         Pair p = (i, j) has one child c per column of factor, of weight
         w_i w_j factor[p, c]: a minus step gives it one, of factor 1, and a
-        plus step |G|, child u1 of factor (p_i (*) p_j)(u1). A minus step's
-        posteriors are `conv` itself, column-major.
+        plus step |G|, child u1 of factor (p_i (*) p_j)(u1). The weights and
+        the transposed posteriors are written to `out`, a (children,) array
+        and a (|G|, children) array, allocated when not given; so the
+        posteriors are column-major, as canonicalization reads them, and a
+        minus step's are a copy of `conv`.
+
+        A plus step's numerators p_i(u1 + x) p_j(x), their division by the
+        convolution and their weights are elementwise, so their bits do not
+        depend on how they are built. A size run whose atom count passes
+        _by_planes builds them one (u1, x) plane at a time, whose innermost
+        loop runs over the atoms j, reading the columns of the column-major
+        `conv`; a smaller one broadcasts over (u1, x), whose innermost loop
+        is only |G| long, on a C-layout copy of its convolutions. Both write
+        the column-major posteriors in place. The rule grows with k and
+        size runs ascend in k, so the broadcast runs come first.
         """
         pair_weights = self.pair_weights()
+        size = self.group.size
+        count = self.pair_starts[-1]
+        if out is None:
+            children = count if sign == MINUS else count * size
+            out = np.empty(children), np.empty((size, children))
         if sign == MINUS:
             # w_i w_j * 1.0 is w_i w_j
-            return pair_weights, self.conv, np.ones((len(pair_weights), 1))
-        size = self.group.size
-        numer = np.empty((self.pair_starts[-1], size, size))
-        for k, a, b in self.blocks:
-            q = self.block(self.posteriors, k, a, b)
-            # [n, i, j, u1, x] = p_i(u1 + x) p_j(x)
-            out = numer[self.pair_starts[a] : self.pair_starts[b]].reshape(b - a, k, k, size, size)
-            np.multiply(q[:, :, None, self.group.add_table], q[:, None, :, None, :], out=out)
-        # a C-layout copy, which the passes below read in step with numer.
-        # _planes sums each pair's numer in order of x, as a measure of two
-        # or more atoms alone sums its einsum's numerators; a one-atom
-        # measure sums its rows in numpy's C-layout order, which the
-        # one-atom einsum of _planes does not follow. One-atom measures sort
-        # first.
-        conv = self.conv.copy()
-        k, a, b = self.blocks[0]
-        if k == 1:
-            rows = slice(self.pair_starts[a], self.pair_starts[b])
-            conv[rows] = numer[rows].sum(axis=2)
-        # a row of zero convolution is zero and divides by 1; a NaN row stays
-        # NaN, for the finite check
-        numer /= np.where(conv > 0.0, conv, 1.0)[..., None]
-        return (pair_weights[:, None] * conv).ravel(), numer.reshape(-1, size), conv
+            out[0][...] = pair_weights
+            out[1][...] = self.conv.T
+            return out[0], out[1].T, np.ones((count, 1))
+        table = self.group.add_table
+        weights = out[0].reshape(count, size)
+        # [x, p, u1]: the posterior entry x of pair p's child u1
+        cols = out[1].reshape(size, count, size)
+        cut = next((a for k, a, _ in self.blocks if _by_planes(k, size)), len(self))
+        split = self.pair_starts[cut]
+        factor = self.conv
+        if split:
+            for k, a, b in self.blocks:
+                if a == cut:
+                    break
+                q = self.block(self.posteriors, k, a, b)
+                pairs = slice(self.pair_starts[a], self.pair_starts[b])
+                if k > 1:
+                    # [x, n, i, j, u1] = p_i(u1 + x) p_j(x)
+                    shifted = q[:, :, table.T].transpose(2, 0, 1, 3)
+                    products = cols[:, pairs].reshape(size, b - a, k, k, size)
+                    np.multiply(shifted[:, :, :, None, :], q.transpose(2, 0, 1)[:, :, None, :, None], out=products)
+                    continue
+                # _planes sums each pair's numerators in order of x, as a
+                # measure of two or more atoms alone sums its einsum's; a
+                # one-atom measure sums its C-layout rows [n, u1, x] in
+                # numpy's order, which the one-atom einsum of _planes does
+                # not follow. One-atom measures sort first.
+                numer = (q[:, :, None, table] * q[:, None, :, None, :]).reshape(b - a, size, size)
+                factor = factor.copy(order="K")
+                factor[pairs] = numer.sum(axis=2)
+                cols[:, pairs] = numer.transpose(2, 0, 1)
+            conv = np.ascontiguousarray(factor[:split])
+            # a row of zero convolution is zero and divides by 1; a NaN row
+            # stays NaN, for the finite check
+            cols[:, :split] /= np.where(conv > 0.0, conv, 1.0)
+            np.multiply(pair_weights[:split, None], conv, out=weights[:split])
+        if split < count:
+            for k, a, b in self.blocks:
+                if a < cut:
+                    continue
+                # [x, n, i] = p_i(x) of measure n
+                r = np.ascontiguousarray(self.block(self.posteriors, k, a, b).transpose(2, 0, 1))
+                pairs = slice(self.pair_starts[a], self.pair_starts[b])
+                for u in range(size):
+                    for x in range(size):
+                        plane = cols[x, pairs, u].reshape(b - a, k, k)
+                        np.multiply(r[table[u, x], :, :, None], r[x, :, None, :], out=plane)
+            conv = factor[split:]
+            denominators = np.where(conv > 0.0, conv, 1.0)
+            for u in range(size):
+                for x in range(size):
+                    cols[x, split:, u] /= denominators[:, u]
+                np.multiply(pair_weights[split:], conv[:, u], out=weights[split:, u])
+        return out[0], out[1].T, factor
 
     def step(self, sign: str, merge_tau: float) -> list[Block]:
         """The children of every node for one sign, as blocks whose rows are their parents' positions.
+
+        Nodes whose posterior matrix has a plan replay it (_planned); the
+        others are canonicalized from their raw children (_general). The
+        chunk is the one part of a `steps` call, so a lone step and a
+        walk's joint step of both signs share one general path.
+        """
+        return steps([(self, sign)], merge_tau)[0]
+
+    def _planned(self, sign: str, merge_tau: float) -> tuple[list[Block], "Chunk | None"]:
+        """The children of the nodes that a plan serves, and the chunk of the nodes left to the general path, or None.
 
         Merging and sorting read only the raw posteriors, which a node's
         posterior matrix alone decides; weights are summed over each merged
@@ -402,7 +450,7 @@ class Chunk:
         whose matrix the level below may share. They are kept in the table
         under ((sign, merge_tau), the matrix's key), with None where no
         plan is valid. The other nodes, and any whose raw weight underflows
-        to zero, take the general path together, as one-row blocks.
+        to zero, are left to the general path, as one chunk.
         """
         out: list[Block] = []
         rest: list[Block] = []
@@ -429,16 +477,10 @@ class Chunk:
                 self.replayed += len(weights)
             if not live.all():
                 rest.append(block.take(~live))
-        if rest:
-            whole = sum(len(block.rows) for block in rest) == len(self)
-            chunk = self if whole else Chunk(group=self.group, supports=rest)
-            out += chunk._general(sign, merge_tau)
-        return out
-
-    def _general(self, sign: str, merge_tau: float) -> list[Block]:
-        """The children of every node, canonicalized from their raw atoms, as one-row blocks."""
-        weights, posteriors, _ = self.raw(sign)
-        return self.children(weights, posteriors, merge_tau)
+        if not rest:
+            return out, None
+        whole = sum(len(block.rows) for block in rest) == len(self)
+        return out, (self if whole else Chunk(group=self.group, supports=rest))
 
     def gaps(self) -> tuple[np.ndarray, np.ndarray]:
         """I(M) - I(M-) of every node via both routes, as (via_transform, via_pairs) arrays; see capacity_gap.
@@ -554,6 +596,51 @@ def _replay(group: Group, plan: _Plan, weights: np.ndarray) -> tuple[np.ndarray 
     return _replayed_weights(group, raw if live.all() else raw[live], plan.target, plan.posteriors), live
 
 
+def steps(parts: list[tuple[Chunk, str]], merge_tau: float) -> list[list[Block]]:
+    """The children of every node of each part, a (chunk, sign) pair, as blocks whose rows are their parents' positions.
+
+    Each part records and replays its plans apart (Chunk._planned); the
+    nodes that every part leaves to the general path are stepped together,
+    in one call of _general. Each part's children are those its chunk's
+    step gives it alone, bitwise.
+    """
+    planned = [chunk._planned(sign, merge_tau) for chunk, sign in parts]
+    rest = [(chunk, sign) for (_, chunk), (_, sign) in zip(planned, parts) if chunk is not None]
+    general = iter(_general(rest, merge_tau) if rest else ())
+    return [out if chunk is None else out + next(general) for out, chunk in planned]
+
+
+def _general(parts: list[tuple[Chunk, str]], merge_tau: float) -> list[list[Block]]:
+    """The children of every node of each (chunk, sign) part, canonicalized from their raw atoms, as one-row blocks.
+
+    The raw children (Chunk.raw) of all parts are laid end to end, one
+    segment per node, and canonicalized in one call, in which each segment
+    gets the bits it gets alone (blackwell._canonical_segments); each child
+    is a one-row block at its parent's position.
+    """
+    group = parts[0][0].group
+    widths = [1 if sign == MINUS else group.size for _, sign in parts]
+    ends = [0, *accumulate(chunk.pair_starts[-1] * width for (chunk, _), width in zip(parts, widths))]
+    weights, cols = np.empty(ends[-1]), np.empty((group.size, ends[-1]))
+    for (chunk, sign), a, b in zip(parts, ends, ends[1:]):
+        chunk.raw(sign, (weights[a:b], cols[:, a:b]))
+    posteriors = cols.T
+    count = sum(len(chunk) for chunk, _ in parts)
+    seg = None  # one node needs no segment ids
+    if count > 1:
+        sizes = np.concatenate([np.diff(chunk.pair_starts) * width for (chunk, _), width in zip(parts, widths)])
+        seg = np.repeat(np.arange(count), sizes)
+    measures, _ = _canonical_measures(group, weights, posteriors, merge_tau, seg, count)
+    out, start = [], 0
+    for chunk, _ in parts:
+        out.append([
+            Block(q, q.tobytes(), w[None], chunk.rows[s : s + 1])
+            for s, (w, q) in enumerate(measures[start : start + len(chunk)])
+        ])
+        start += len(chunk)
+    return out
+
+
 # Floats of one tile of the tiled kernels (_planes, _column_products): a
 # first atom of a measure of k atoms costs |G| (k + |G|) floats, its rows of
 # the planes and of the products' shifted operand.
@@ -568,6 +655,22 @@ def _product_rows(k: int, size: int) -> int:
     its shape, so the rule reads k and |G| alone, never the chunk.
     """
     return max(1, _PRODUCT_FLOATS // (size * (k + size)))
+
+
+def _by_planes(k: int, size: int) -> bool:
+    """Whether a plus step builds the numerators of measures of k atoms on a group of `size` elements plane by plane.
+
+    A (u1, x) plane is one pass over the k^2 pairs of each measure, which
+    writes every |G|-th float; the broadcast's innermost loop is only |G|
+    long. Planes pay only on groups of order 2, where that loop is
+    shortest, and from about 24 atoms: per raw("+") call (one BLAS thread,
+    2-core host), one measure of 16 atoms took 36 us by planes against 29
+    us broadcast, 24 atoms 44 against 43 us and 32 atoms 50 against 57 us,
+    and three measures of 16, 24 and 32 atoms 46 against 48, 65 against 82
+    and 88 against 120 us. On Z3 planes were not faster at k = 20 to 48,
+    and on Z4 and Z2 x Z4 they were slower.
+    """
+    return size == 2 and k >= 24
 
 
 def _tiles(n: int, k: int, size: int) -> tuple[list[tuple[int, int, int, int]], np.ndarray]:

@@ -58,6 +58,7 @@ from .polar import (
     normalize_path,
     plus_transform,
     step_refusal,
+    steps,
 )
 
 MAX_DEPTH = 16
@@ -523,7 +524,12 @@ def _gap_refusal(k: int, atom_budget: int) -> str | None:
 # k^2 |G| by its plus step: on the general path each carries |G| posterior
 # floats, while a step that replays a plan (polar.Chunk.step) builds only
 # their weights. Children are chunked up to this cap (_split), so a larger
-# node runs alone, and the walk holds O(depth) chunks. The cap also bounds
+# node runs alone, and the walk holds O(depth) chunks. _split prices each
+# node at both signs' raw children, so the one general-path call that
+# holds the raw children of both signs of a chunk (polar.steps) stays
+# within the cap too; a node over the cap alone is stepped one sign at a
+# time (_walk_chunks), as its raw children of both signs would pass it
+# together. The cap also bounds
 # a batch of gaps (_walk_chunks), priced at the k^2 |G| floats of a node's
 # pair planes: a batch is computed once its price passes the cap, so it
 # holds at most the cap plus one chunk's, and the walk holds O(depth)
@@ -647,6 +653,19 @@ def _spread(columns: Evaluations | None, done: np.ndarray, count: int, subgroups
     return out
 
 
+def _costs(level: Level, plans: dict, merge_tau: float) -> np.ndarray:
+    """The floats that each node of the level materializes when stepped for both signs, by _split's prices."""
+    size = level.group.size
+    cost = np.zeros(len(level.paths), dtype=np.int64)
+    for block in level.supports:
+        raw = len(block.posteriors) ** 2
+        price = 0
+        for sign, count in ((MINUS, raw), (PLUS, raw * size)):
+            price += count if plans.get(((sign, merge_tau), block.key)) is not None else count * size
+        cost[block.rows] = price
+    return cost
+
+
 def _split(level: Level, plans: dict, merge_tau: float) -> list[Level]:
     """Runs of consecutive nodes that materialize at most _CHUNK_ATOMS floats each; a larger node runs alone.
 
@@ -658,14 +677,7 @@ def _split(level: Level, plans: dict, merge_tau: float) -> list[Level]:
     posteriors, |G| times as many floats, as the general path builds them.
     A dead node costs nothing.
     """
-    size = level.group.size
-    cost = np.zeros(len(level.paths), dtype=np.int64)
-    for block in level.supports:
-        raw = len(block.posteriors) ** 2
-        price = 0
-        for sign, count in ((MINUS, raw), (PLUS, raw * size)):
-            price += count if plans.get(((sign, merge_tau), block.key)) is not None else count * size
-        cost[block.rows] = price
+    cost = _costs(level, plans, merge_tau)
     # a run from `start` takes each next node while its load stays within
     # the cap, and always its first node
     loads = np.cumsum(cost)
@@ -761,10 +773,15 @@ def _walk_chunks(
     is a run of consecutive nodes of one depth, its live nodes held as
     weight blocks on shared posterior matrices: its steps and its
     evaluation each run once for all its nodes, on one polar.Chunk of its
-    blocks, and the budget is checked once per block. The children of the
-    node at position p are at 2p ('-') and 2p + 1 ('+'), before the
-    unwanted ones are dropped; they are split into chunks again (_split)
-    and walked depth first. Each node is stepped once from its parent.
+    blocks, and the budget is checked once per block. Both signs are
+    stepped in one call of polar.steps, one (chunk, sign) part per sign
+    that some node wants: each part replays or records its plans, and the
+    nodes left to the general path, of both signs, are canonicalized
+    together in one call; a chunk that is one node priced over
+    _CHUNK_ATOMS steps its signs apart instead. The children of the node
+    at position p are at 2p ('-') and 2p + 1 ('+'), before the unwanted
+    ones are dropped; they are split into chunks again (_split) and walked
+    depth first. Each node is stepped once from its parent.
 
     At the depths in `gap_depths` the nodes' guarded capacity gaps are
     computed, as a float64 array with one entry per node, and at the depths
@@ -782,7 +799,9 @@ def _walk_chunks(
     message, which stands in for every descendant; nothing below is
     computed. A step, gap or evaluation that raises RuntimeError or
     ValueError makes the node dead with a PathFault that names it, which
-    likewise stands in for its descendants: a gap fault found in a batch
+    likewise stands in for its descendants: a joint step that raises is
+    redone for each sign apart (_per_chunk), so the fault of a step names
+    the node's child, its path plus the sign; a gap fault found in a batch
     replaces whatever its descendants, stepped meanwhile, hold (_stop_below),
     so faults still stop the subtree. At the depths in `eval_depths` the
     walk raises the first PathFault of the chunk in path order, so a reader
@@ -889,6 +908,8 @@ def _walk_chunks(
 
         children: list[Block] = []
         lost: dict[int, str | PathFault] = {}
+        # (s, sign, blocks to step) of each sign that some live node wants
+        parts = []
         for s, sign in enumerate((MINUS, PLUS)):
             todo = []
             for block in level.supports:
@@ -903,10 +924,27 @@ def _walk_chunks(
                     todo.append(block)
                 else:
                     lost.update(dict.fromkeys(placed(block.rows, s).tolist(), refusal))
-            stepped, _, faults = run(lambda chunk: chunk.step(sign, merge_tau), todo, sign)
+            if todo:
+                parts.append((s, sign, todo))
+        stepped = None
+        # a chunk priced over the cap is one node (_split), whose signs are
+        # stepped apart, so that it holds one sign's raw children at a time
+        if _costs(level, plans, merge_tau).sum() <= _CHUNK_ATOMS:
+            try:
+                stepped = [(blocks, {}) for blocks in steps([(chunk_of(todo), sign) for _, sign, todo in parts], merge_tau)]
+            except (RuntimeError, ValueError):
+                # each sign is stepped again, apart, so a node that faults
+                # is named by its child's path
+                pass
+        if stepped is None:
+            stepped = []
+            for _, sign, todo in parts:
+                blocks, _, faults = run(lambda chunk: steps([(chunk, sign)], merge_tau)[0], todo, sign)
+                stepped.append((blocks, faults))
+        for (s, _, _), (blocks, faults) in zip(parts, stepped):
             if faults:
                 lost.update(zip(placed(np.array(list(faults)), s).tolist(), faults.values()))
-            children += [block._replace(rows=placed(block.rows, s)) for block in stepped or ()]
+            children += [block._replace(rows=placed(block.rows, s)) for block in blocks or ()]
         for position, node in dead.items():
             for s in (0, 1):
                 child = 2 * position + s if place is None else place[2 * position + s]

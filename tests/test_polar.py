@@ -566,6 +566,70 @@ def test_one_atom_plus_step_matches_the_reference_on_every_group():
         assert polar.Chunk([lone, other]).plus()[0].identical(plus_on_measure(lone))
 
 
+def _broadcast_raw_plus(chunk):
+    """Chunk.raw("+") with every size run's numerators, quotients and weights broadcast over (u1, x)."""
+    size = chunk.group.size
+    numer = np.empty((chunk.pair_starts[-1], size, size))
+    for k, a, b in chunk.blocks:
+        q = chunk.block(chunk.posteriors, k, a, b)
+        out = numer[chunk.pair_starts[a] : chunk.pair_starts[b]].reshape(b - a, k, k, size, size)
+        np.multiply(q[:, :, None, chunk.group.add_table], q[:, None, :, None, :], out=out)
+    conv = np.array(chunk.conv, order="C")
+    k, a, b = chunk.blocks[0]
+    if k == 1:
+        rows = slice(chunk.pair_starts[a], chunk.pair_starts[b])
+        conv[rows] = numer[rows].sum(axis=2)
+    numer /= np.where(conv > 0.0, conv, 1.0)[..., None]
+    return (chunk.pair_weights()[:, None] * conv).ravel(), numer.reshape(-1, size), conv
+
+
+@pytest.mark.parametrize("dims", [[2], [3], [4], [2, 4], [6]])
+def test_plus_raw_children_match_the_broadcast_on_both_sides_of_the_rule(monkeypatch, dims):
+    # the plus step builds a size run's numerators plane by plane or by
+    # broadcasting, by its atom count: either way, alone or beside one-atom
+    # measures and runs of the other form, each entry of the weights,
+    # posteriors and factor has the broadcast's bits; the real rule puts
+    # k >= 24 on Z2 alone on the planes, and the forced rules put every run
+    # of two or more atoms on either side
+    group = make_group(dims)
+    lone = blackwell_measure(useless_channel(group))
+    measures = [blackwell_measure(random_channel(group, k, seed=k)) for k in range(1, 41)]
+    assert [m.atom_count for m in measures] == list(range(1, 41))
+    chunks = [[m] for m in measures] + [
+        [lone, measures[k - 1], lone, measures[(3 * k) % 40]] for k in range(2, 41, 3)
+    ] + [[measures[k - 1], measures[40 - k]] for k in range(1, 21)]
+    rule = polar._by_planes
+    for by_planes in (rule, lambda k, size: k > 1, lambda k, size: False):
+        monkeypatch.setattr(polar, "_by_planes", by_planes)
+        for chunk_measures in chunks:
+            chunk = polar.Chunk(chunk_measures)
+            got = chunk.raw("+")
+            want = _broadcast_raw_plus(chunk)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and np.ascontiguousarray(a).tobytes() == b.tobytes()
+    assert rule(24, 2) and not rule(23, 2) and not rule(1000, 3) and not rule(1000, 4)
+
+
+def test_joint_steps_give_each_part_its_own_children():
+    # parts of several chunks and both signs, a node in more than one part,
+    # stepped in one general-path call: every child is bitwise the one its
+    # node's step gives it alone
+    tau = 1e-3
+    level = _level(blackwell_measure(bsc_channel(0.11), tau), 3, tau)
+    assert len({m.posteriors.tobytes() for m in level}) == len(level)
+    parts = [(level[:3], "-"), (level[2:6], "+"), (level[:1], "+"), (level[7:], "-")]
+    got = polar.steps([(polar.Chunk(measures), sign) for measures, sign in parts], tau)
+    assert len(got) == len(parts)
+    for (measures, sign), blocks in zip(parts, got):
+        step = minus_on_measure if sign == "-" else plus_on_measure
+        blocks = sorted(blocks, key=lambda block: int(block.rows[0]))
+        assert [block.rows.tolist() for block in blocks] == [[i] for i in range(len(measures))]
+        for m, block in zip(measures, blocks):
+            ((weights,),) = [block.weights]
+            child = BlackwellMeasure._canonical(m.group, weights, block.posteriors)
+            assert child.identical(step(m, tau)) and block.key == block.posteriors.tobytes()
+
+
 def test_plus_step_rejects_a_nan_convolution():
     # a row of zero convolution is skipped, but a NaN one must not be
     m = object.__new__(BlackwellMeasure)
@@ -787,16 +851,16 @@ def _step_counts(monkeypatch, w, depth, tau=polar.DEFAULT_MERGE_TAU):
     """(whether each recorded node is the root, nodes stepped by the general path, replayed steps) of a walk."""
     root = blackwell_measure(w, tau)
     recorded, counts = [], {"general": 0, "replayed": 0}
-    record, general, replay = polar._record, polar.Chunk._general, polar._replay
+    record, general, replay = polar._record, polar._general, polar._replay
 
     def counting_record(group, block, sign, merge_tau):
         (weights,) = block.weights
         recorded.append(BlackwellMeasure._canonical(group, weights, block.posteriors).identical(root))
         return record(group, block, sign, merge_tau)
 
-    def counting_general(chunk, sign, merge_tau):
-        counts["general"] += len(chunk)
-        return general(chunk, sign, merge_tau)
+    def counting_general(parts, merge_tau):
+        counts["general"] += sum(len(chunk) for chunk, _ in parts)
+        return general(parts, merge_tau)
 
     def counting_replay(group, plan, weights):
         out, live = replay(group, plan, weights)
@@ -804,7 +868,7 @@ def _step_counts(monkeypatch, w, depth, tau=polar.DEFAULT_MERGE_TAU):
         return out, live
 
     monkeypatch.setattr(polar, "_record", counting_record)
-    monkeypatch.setattr(polar.Chunk, "_general", counting_general)
+    monkeypatch.setattr(polar, "_general", counting_general)
     monkeypatch.setattr(polar, "_replay", counting_replay)
     for _ in process._walk_chunks(root, depth, tau):
         pass

@@ -228,16 +228,17 @@ def test_convergence_trace_refusal_names_the_gap():
 
 
 def _count_stepped_nodes(monkeypatch, counter):
-    # the walker steps a chunk of nodes per call, each sign apart; count
-    # the nodes
-    real = process.Chunk.step
+    # the walker steps a chunk of nodes per call, both signs together, as
+    # one (chunk, sign) part each; count each part's nodes
+    real = process.steps
 
-    def step(chunk, *args):
-        for _ in range(len(chunk)):
-            counter()
-        return real(chunk, *args)
+    def steps(parts, merge_tau):
+        for chunk, _ in parts:
+            for _ in range(len(chunk)):
+                counter()
+        return real(parts, merge_tau)
 
-    monkeypatch.setattr(process.Chunk, "step", step)
+    monkeypatch.setattr(process, "steps", steps)
 
 
 def test_each_node_is_stepped_once(monkeypatch):
@@ -257,21 +258,23 @@ def test_each_node_is_stepped_once(monkeypatch):
 def test_faults_name_the_node(monkeypatch):
     # a step, a gap or an evaluation that raises names its node's path;
     # budget refusals stay per-path results
-    real_step = process.Chunk.step
+    # a step call that holds a '+' part raises, so the joint call raises,
+    # then the '+' part alone
+    real_steps = process.steps
 
-    def step(chunk, sign, merge_tau):
-        if sign == "+":
+    def steps(parts, merge_tau):
+        if any(sign == "+" for _, sign in parts):
             raise ValueError("posterior entries must be non-negative")
-        return real_step(chunk, sign, merge_tau)
+        return real_steps(parts, merge_tau)
 
-    monkeypatch.setattr(process.Chunk, "step", step)
+    monkeypatch.setattr(process, "steps", steps)
     # preorder visits '-' before '+', so '-+' is the first plus step
     with pytest.raises(process.PathFault, match=r"^path '-\+': posterior entries") as info:
         enumerate_paths(bec_channel(0.5), 2)
     assert info.value.path == "-+" and isinstance(info.value.__cause__, ValueError)
     with pytest.raises(process.PathFault, match=r"^path '--\+': "):
         convergence_trace(bec_channel(0.5), "--+")
-    monkeypatch.setattr(process.Chunk, "step", real_step)
+    monkeypatch.setattr(process, "steps", real_steps)
 
     def gap(chunk):
         raise RuntimeError("capacity-gap routes disagree")
@@ -320,17 +323,18 @@ def test_chunk_size_does_not_change_reports(monkeypatch, cap):
 def _chunk_sizes(monkeypatch, w, depth):
     """Nodes per call of each chunk kernel over an exhaustive walk of w."""
     sizes = {"minus": [], "plus": [], "gaps": [], "evaluate": []}
-    real_step, real_gaps = Chunk.step, Chunk.gaps
+    real_steps, real_gaps = process.steps, Chunk.gaps
 
-    def step(chunk, sign, merge_tau):
-        sizes["minus" if sign == "-" else "plus"].append(len(chunk))
-        return real_step(chunk, sign, merge_tau)
+    def steps(parts, merge_tau):
+        for chunk, sign in parts:
+            sizes["minus" if sign == "-" else "plus"].append(len(chunk))
+        return real_steps(parts, merge_tau)
 
     def gaps(chunk):
         sizes["gaps"].append(len(chunk))
         return real_gaps(chunk)
 
-    monkeypatch.setattr(Chunk, "step", step)
+    monkeypatch.setattr(process, "steps", steps)
     monkeypatch.setattr(Chunk, "gaps", gaps)
     real_evaluate = process._evaluate_chunk
 
@@ -385,23 +389,42 @@ def test_split_prices_a_matrix_with_plans_of_both_signs_at_replay_cost(monkeypat
 def test_general_steps_stay_under_the_chunk_cap(monkeypatch):
     # each sign of a node without a plan in the walk's table is priced at
     # its raw posteriors, even where a plan that its chunk records will
-    # serve it, so a general-path call materializes more than _CHUNK_ATOMS
-    # floats only for a node that does alone: each call counts the raw
-    # posterior floats of its own sign, k^2 |G| for a minus step and
-    # k^2 |G|^2 for a plus step
-    sizes = []
-    real = Chunk._general
+    # serve it, so a general-path call, which holds the raw children of
+    # both signs of a walker chunk, materializes more than _CHUNK_ATOMS
+    # floats only for one sign of a node that does alone, whose signs are
+    # stepped apart: each part counts the raw posterior floats of its own
+    # sign, k^2 |G| for a minus step and k^2 |G|^2 for a plus step
+    calls = []
+    real = polar._general
 
-    def general(chunk, sign, merge_tau):
-        size = chunk.group.size
-        raw = 1 if sign == "-" else size
-        sizes.append([k ** 2 * raw * size for k in chunk.counts.tolist()])
-        return real(chunk, sign, merge_tau)
+    def general(parts, merge_tau):
+        floats, positions = 0, set()
+        for chunk, sign in parts:
+            size = chunk.group.size
+            raw = 1 if sign == "-" else size
+            floats += sum(k ** 2 * raw * size for k in chunk.counts.tolist())
+            positions.update(chunk.positions.tolist())
+        calls.append((len(positions), len(parts), floats, parts[0][0].counts.tolist()))
+        return real(parts, merge_tau)
 
-    monkeypatch.setattr(Chunk, "_general", general)
-    enumerate_paths(dh_mix_channel(make_group([6]), seed=5), 8)
-    assert len(sizes) > 1
-    assert all(len(floats) == 1 or sum(floats) <= process._CHUNK_ATOMS for floats in sizes)
+    monkeypatch.setattr(polar, "_general", general)
+    # dh-mix on Z6 steps only '-' by the general path; bsc steps both signs
+    # there, the deeper levels in chunks that the cap of 20000 cuts
+    for w, depth, cap in ((dh_mix_channel(make_group([6]), seed=5), 8, None), (bsc_channel(0.11), 6, None),
+                          (bsc_channel(0.11), 6, 20000)):
+        if cap is not None:
+            monkeypatch.setattr(process, "_CHUNK_ATOMS", cap)
+        calls.clear()
+        enumerate_paths(w, depth)
+        assert len(calls) > 1
+        assert all(floats <= process._CHUNK_ATOMS or (nodes, parts) == (1, 1) for nodes, parts, floats, _ in calls)
+    # calls that hold both signs of several nodes, up to the cap
+    assert any(nodes > 1 and parts == 2 and floats > cap // 2 for nodes, parts, floats, _ in calls)
+    # a node of 71 atoms, priced at 6 * 71^2 floats, over the cap, steps
+    # its minus children, 2 * 71^2 floats, and then its plus children,
+    # 4 * 71^2, in calls of their own
+    alone = [(floats, counts) for nodes, parts, floats, counts in calls if nodes == 1 and counts == [71]]
+    assert alone == [(2 * 71 ** 2, [71]), (4 * 71 ** 2, [71])]
 
 
 def test_the_walk_evaluates_on_the_chunks_of_its_gaps(monkeypatch):
@@ -525,6 +548,105 @@ def test_a_gap_fault_in_a_batch_stops_its_subtree(monkeypatch):
         with pytest.raises(process.PathFault, match=r"^path '-\+': capacity-gap routes disagree$") as info:
             enumerate_paths(w, 5)
         assert info.value.path == "-+" and isinstance(info.value.__cause__, RuntimeError)
+
+
+def _bsc_sample_walk():
+    """The walk of the benchmark's bsc-merge-sample command: 4 paths of bsc:0.11 to depth 8 at tau 1e-3."""
+    tau = 1e-3
+    report = sample_paths(bsc_channel(0.11), 8, 4, seed=1, merge_tau=tau, atom_budget=10 ** 6)
+    paths = [record.path for record in report.records]
+    return process._walk_chunks(blackwell_measure(bsc_channel(0.11), tau), 8, tau, 10 ** 6, paths)
+
+
+def test_a_sampled_generic_walk_canonicalizes_once_per_chunk(monkeypatch):
+    # no two bsc nodes share a matrix, so below the root every node steps
+    # by the general path; each walker chunk canonicalizes the children of
+    # both signs, where its nodes want both, in one call
+    walk = _bsc_sample_walk()
+    calls = []
+    real_steps, real_general, real_canonical = process.steps, polar._general, polar._canonical_measures
+
+    def steps(parts, merge_tau):
+        calls.append("".join(sign for _, sign in parts))
+        return real_steps(parts, merge_tau)
+
+    def general(parts, merge_tau):
+        calls.append("general")
+        return real_general(parts, merge_tau)
+
+    def canonical(*args, **kwargs):
+        calls.append("canonical")
+        return real_canonical(*args, **kwargs)
+
+    monkeypatch.setattr(process, "steps", steps)
+    monkeypatch.setattr(polar, "_general", general)
+    monkeypatch.setattr(polar, "_canonical_measures", canonical)
+    for _ in walk:
+        pass
+    # the root records a plan of each sign, which nothing replays
+    assert calls[:3] == ["-+", "canonical", "canonical"]
+    chunks = calls[3::3]
+    assert calls[3:] == [call for signs in chunks for call in (signs, "general", "canonical")]
+    assert chunks == ["-+"] * 6 + ["+", "+", "-"]
+
+
+def test_joint_steps_give_each_child_its_own_step():
+    # every child of a walk, where one general-path call steps a chunk's
+    # nodes for both signs, is bitwise its parent's own minus or plus step
+    tau = 1e-3
+    walks = [
+        process._walk_chunks(blackwell_measure(bsc_channel(0.11), tau), 5, tau),
+        _bsc_sample_walk(),
+    ]
+    for walk in walks:
+        nodes = {}
+        for level, _, _ in walk:
+            assert not level.dead
+            nodes.update(zip(level.paths, level.nodes()))
+        for path, node in nodes.items():
+            if path:
+                step = polar.minus_on_measure if path[-1] == "-" else polar.plus_on_measure
+                assert node.identical(step(nodes[path[:-1]], tau)), path
+
+
+def test_a_faulting_plus_step_stops_only_its_node(monkeypatch):
+    # one node's plus children are made non-finite: the joint step raises,
+    # each sign is stepped again apart, and the node's plus child alone
+    # holds a PathFault named by its path and '+', whose cause is the
+    # canonicalization's finite check; every other child is what the
+    # walk gives without the fault
+    tau = 1e-3
+    root = blackwell_measure(bsc_channel(0.11), tau)
+
+    def walk():
+        nodes = {}
+        for level, _, _ in process._walk_chunks(root, 3, tau):
+            nodes.update(zip(level.paths, level.nodes()))
+        return nodes
+
+    want = walk()
+    target = want["-+"]
+    real_raw = Chunk.raw
+
+    def raw(chunk, sign, out=None):
+        weights, posteriors, factor = real_raw(chunk, sign, out)
+        if sign == "+":
+            for j, block in enumerate(chunk.supports):
+                for r, row in enumerate(block.weights):
+                    if block.key == target.posteriors.tobytes() and row.tobytes() == target.weights.tobytes():
+                        s = chunk.spans[j][0] + r
+                        size = chunk.group.size
+                        posteriors[chunk.pair_starts[s] * size : chunk.pair_starts[s + 1] * size] = np.nan
+        return weights, posteriors, factor
+
+    monkeypatch.setattr(Chunk, "raw", raw)
+    got = walk()
+    assert set(got) == set(want)
+    fault = got.pop("-++")
+    assert isinstance(fault, process.PathFault) and fault.path == "-++"
+    assert isinstance(fault.__cause__, ValueError)
+    assert str(fault.__cause__) == "atom weights and posteriors must be finite"
+    assert all(node.identical(want[path]) for path, node in got.items())
 
 
 def test_repeated_sample_paths_evaluated_once(monkeypatch):

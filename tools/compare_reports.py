@@ -118,6 +118,11 @@ COMMANDS: list[tuple[str, list[str]]] = [
         "--preset", "bsc:0.11", "--depth", "7", "--mode", "sample", "--samples", "16",
         "--seed", "3")),
     ("bsc d6 tau 1e-3", polarize("--preset", "bsc:0.11", "--depth", "6", "--merge-tau", "1e-3")),
+    # levels that step nodes of hundreds of atoms by both signs in one
+    # general-path call
+    ("bsc d10 sample tau 1e-3", polarize(
+        "--preset", "bsc:0.11", "--depth", "10", "--mode", "sample", "--samples", "16",
+        "--seed", "3", "--merge-tau", "1e-3", "--atom-budget", "1000000")),
     ("random:3 Z2xZ2 tau 1e-3", polarize(
         "--preset", "random:3", "--group", "[2,2]", "--depth", "4", "--merge-tau", "1e-3")),
     ("trace z4-multilevel", trace("z4-multilevel:0.5", None, "-+-+-+-+-+", 1e-9)),

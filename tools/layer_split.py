@@ -50,7 +50,7 @@ LAYERS = [
     ("gap.rest", "polar", "Chunk.gaps"),
     ("step.record", "polar", "_record"),
     ("step.replay", "polar", "_replay"),
-    ("step.general", "polar", "Chunk._general"),
+    ("step.general", "polar", "_general"),
     ("canonicalize", "blackwell", "_canonical_segments"),
     ("chunk", "polar", "Chunk.__init__"),
     ("split", "process", "_split"),
