@@ -48,10 +48,17 @@ def fold_planes(planes: np.ndarray, c_layout: bool, out: np.ndarray | None = Non
     for rows shorter than 8; longer C rows are summed into 8 accumulators,
     entry v into accumulator v mod 8, which are then added pairwise and
     followed by the entries left over, and the sum is added to 0.0 (which
-    turns -0.0 into 0.0). A one-row array sums as C layout. The C fold
-    accumulates in planes, which it overwrites.
+    turns -0.0 into 0.0). A one-row array sums as C layout. The F fold of
+    a single column is the left fold that it gets among others, from 0.0;
+    numpy alone would sum it as a contiguous row. The C fold accumulates in
+    planes, which it overwrites.
     """
     size = len(planes)
+    if not c_layout and planes.shape[1:] == (1,):
+        out = np.add(planes[0], 0.0, out=out)
+        for plane in planes[1:]:
+            out += plane
+        return out
     if not c_layout or size < 8:
         return np.add.reduce(planes, axis=0, out=out)
     acc = planes[:8]

@@ -230,6 +230,27 @@ def _sweep_labels(
     return labels, None
 
 
+def _unmerged_in_row_order(labels: np.ndarray, seg: np.ndarray, count: int) -> np.ndarray:
+    """The labels, renumbered so that each segment of which they merge no rows keeps its rows' order.
+
+    A pass numbers each segment's labels after the earlier segments', in
+    the order it sorted the rows. Alone, a segment of which a pass merges
+    nothing is not merged, so its rows stay in their order, and a later
+    merge sums its members in that order. Overwrites labels.
+    """
+    rows = np.bincount(seg, minlength=count)
+    label_seg = np.empty(labels.max() + 1, dtype=seg.dtype)
+    label_seg[labels] = seg
+    clusters = np.bincount(label_seg, minlength=count)
+    kept = clusters == rows
+    if kept.any():
+        # a segment's first label less its first row
+        shift = (clusters.cumsum() - clusters) - (rows.cumsum() - rows)
+        at = np.flatnonzero(kept[seg])
+        labels[at] = at + shift[seg[at]]
+    return labels
+
+
 def _row_sums(rows: np.ndarray) -> np.ndarray:
     """rows.sum(axis=1), bitwise but for the sign of a zero sum.
 
@@ -305,6 +326,10 @@ def _canonical_segments(
         # the helpers take no segment ids when there is one segment
         return () if seg is None else (seg,)
 
+    def in_order(labels: np.ndarray) -> np.ndarray:
+        # at tau = 0 the bucket pass's key order is the output's order
+        return labels if seg is None or tau == 0 else _unmerged_in_row_order(labels, seg, count)
+
     def merge(labels: np.ndarray) -> None:
         nonlocal weights, posteriors, seg
         k = labels.max() + 1
@@ -328,6 +353,7 @@ def _canonical_segments(
         labels, order = _bucket_labels(posteriors, tau, *by_segment())
         bucketed = labels is not None
         if bucketed:
+            labels = in_order(labels)
             # one member's row for each merged atom, all in its grid cell
             member = np.empty(labels.max() + 1, dtype=np.int64)
             member[labels] = np.arange(len(labels))
@@ -337,7 +363,7 @@ def _canonical_segments(
             break
         labels, order = _sweep_labels(posteriors, tau, *by_segment())
         if labels is not None:
-            merge(labels)
+            merge(in_order(labels))
         elif not bucketed or np.array_equal(
             _grid_keys(posteriors.T, tau), _grid_keys(cells, tau)
         ):
@@ -474,15 +500,17 @@ def _canonical_measures(
         raise ValueError("posterior length does not match group size")
     if posteriors.min() < -MASS_TOL:
         raise ValueError("posterior entries must be non-negative")
-    bounds = [0, len(weights)] if seg is None else np.searchsorted(seg, np.arange(count + 1)).tolist()
-    out = []
-    for a, b in zip(bounds, bounds[1:]):
-        w, q = weights[a:b], posteriors[a:b]
-        _check_weights(w, q, group.size)
-        w.setflags(write=False)
-        q.setflags(write=False)
-        out.append((w, q))
-    return out, origin
+    if seg is None:
+        bounds = [0, len(weights)]
+        _check_weights(weights, posteriors, group.size)
+    else:
+        bounds = np.searchsorted(seg, np.arange(count + 1))
+        _check_segments(weights, posteriors, bounds[:-1], group.size)
+        bounds = bounds.tolist()
+    # the segments are views, read-only with their arrays
+    weights.setflags(write=False)
+    posteriors.setflags(write=False)
+    return [(weights[a:b], posteriors[a:b]) for a, b in zip(bounds, bounds[1:])], origin
 
 
 def _check_weights(weights: np.ndarray, posteriors: np.ndarray, size: int) -> None:
@@ -496,6 +524,22 @@ def _check_weights(weights: np.ndarray, posteriors: np.ndarray, size: int) -> No
     mean = weights @ posteriors
     if not np.abs(mean - 1.0 / size).max() <= BALANCE_TOL:
         raise ValueError("measure is not balanced: mean posterior is not uniform")
+
+
+def _check_segments(weights: np.ndarray, posteriors: np.ndarray, starts: np.ndarray, size: int) -> None:
+    """_check_weights on measures laid end to end, each from its start on, by one segmented sum per check.
+
+    The first measure that fails raises, with the message of the first
+    check it fails, as _check_weights on each measure in turn would.
+    """
+    summed = np.abs(np.add.reduceat(weights, starts) - 1.0) <= SUM_TOL
+    means = np.add.reduceat(weights[:, None] * posteriors, starts)
+    good = summed & (np.abs(means - 1.0 / size).max(axis=1) <= BALANCE_TOL)
+    if good.all():
+        return
+    if not summed[np.argmin(good)]:
+        raise ValueError("atom weights do not sum to 1")
+    raise ValueError("measure is not balanced: mean posterior is not uniform")
 
 
 def _exact_merge(posteriors: np.ndarray, origin: np.ndarray) -> bool:

@@ -138,25 +138,18 @@ def _posterior_entropies(kernel: np.ndarray, p_y: np.ndarray) -> np.ndarray:
 
 
 def kernel_capacities(kernel: np.ndarray, bounds) -> np.ndarray:
-    """kernel_capacity of each block kernel[:, a:b] between consecutive bounds (block_capacities)."""
-    p_y = kernel.sum(axis=0) / kernel.shape[0]
-    entropies = _posterior_entropies(kernel, p_y)
-    return block_capacities(
-        kernel.shape[0], p_y, entropies, bounds, lambda s: kernel[:, bounds[s] : bounds[s + 1]]
-    )
+    """kernel_capacity of each block kernel[:, a:b] between consecutive bounds.
 
-
-def block_capacities(m: int, p_y: np.ndarray, entropies: np.ndarray, bounds, block) -> np.ndarray:
-    """kernel_capacity of each column block, between consecutive bounds, of a kernel of m inputs.
-
-    p_y is the kernel's output marginal and entropies its posterior
-    entropies as _posterior_entropies gives them; a block's do not depend
-    on the other columns, so only the final dot is per block, and the dots
-    of blocks of one width run as one stacked matmul (segment_dots). A
-    block of one column, or with a dead output, runs alone on its kernel
-    block(s): alone, its one column's entropy sums in C-layout order, and
-    its dead outputs are dropped.
+    A block's output marginal and posterior entropies do not depend on the
+    other columns, so only the final dot is per block, and the dots of
+    blocks of one width run as one stacked matmul (segment_dots). A block
+    of one column, or with a dead output, runs alone (kernel_capacity):
+    alone, its one column's entropy sums in C-layout order, and its dead
+    outputs are dropped.
     """
+    m = kernel.shape[0]
+    p_y = kernel.sum(axis=0) / m
+    entropies = _posterior_entropies(kernel, p_y)
     alone = set(np.flatnonzero(np.diff(bounds) == 1).tolist())
     live = p_y > 0.0
     if not live.all():
@@ -166,7 +159,7 @@ def block_capacities(m: int, p_y: np.ndarray, entropies: np.ndarray, bounds, blo
         p_y, entropies = np.where(live, p_y, 0.0), np.where(live, entropies, 0.0)
     out = np.log2(m) - segment_dots(p_y, entropies, bounds)
     for s in alone:
-        out[s] = kernel_capacity(block(s))
+        out[s] = kernel_capacity(kernel[:, bounds[s] : bounds[s + 1]])
     return out
 
 

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from ._util import plane_entropies_bits, row_entropies_bits
+from ._util import fold_planes, plane_entropies_bits, row_entropies_bits
 from .blackwell import (
     DEFAULT_MERGE_TAU,
     BlackwellMeasure,
@@ -29,7 +29,7 @@ from .blackwell import (
     _replayed_weights,
     blackwell_measure,
 )
-from .channels import Channel, block_capacities, kernel_capacities
+from .channels import Channel, kernel_capacities
 from .groups import Group
 
 DEFAULT_ATOM_BUDGET = 20000
@@ -486,16 +486,18 @@ class Chunk:
         """I(M) - I(M-) of every node via both routes, as (via_transform, via_pairs) arrays; see capacity_gap.
 
         The routes are checked against each other node by node, to
-        GAP_ROUTE_TOL. They convolve apart: via_pairs through the einsum
-        tiles of _planes, on the pair entropies it shares per matrix,
-        via_transform through each node's own BLAS products
-        (_column_products) of its realized kernel; they share only the
-        entropy fold and block_capacities.
+        GAP_ROUTE_TOL; a NaN on either fails. They convolve apart: via_pairs
+        through the einsum tiles of _planes, on the pair entropies it shares
+        per matrix, via_transform through each node's own BLAS products
+        (_column_products) of its realized kernel, folded tile by tile into
+        its minus capacity (_minus_capacities); they share only the entropy
+        fold.
         """
         columns = self.realized_columns()
         via_transform = kernel_capacities(columns.T, self.starts) - _minus_capacities(self, columns)
         via_pairs = self._pair_gaps()
-        off = np.abs(via_transform - via_pairs) > GAP_ROUTE_TOL
+        # NaN on either route fails the check too
+        off = ~(np.abs(via_transform - via_pairs) <= GAP_ROUTE_TOL)
         if off.any():
             s = int(off.argmax())
             raise RuntimeError(
@@ -746,17 +748,17 @@ def _convolution_entropies(chunk: Chunk) -> np.ndarray:
     return out
 
 
-def _column_products(r: np.ndarray, table: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """(first pair, planes) of tiles that cover the atom pairs of a block r of n measures of k atoms.
+def _column_products(r: np.ndarray, table: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(m0, m1, planes) of tiles that cover the atom pairs of a block r of n measures of k atoms.
 
-    planes[u] of a tile holds sum_v r[n, i, u + v] r[n, j, v] for its
-    pairs, laid out (n, i, j) from the block's pair `first` on, as the
-    product r[n, i0:i1, u + v] @ r[n].T. Each tile is one stacked matmul,
+    planes[u] of a tile holds sum_v r[n, i, u + v] r[n, j, v] for the pairs
+    of its measures m0:m1, laid out (n, i, j), as the product
+    r[n, i0:i1, u + v] @ r[n].T. Each tile is one stacked matmul,
     (|G|, n, rows, |G|) @ (n, |G|, k), whose loop makes for every u and
     measure the BLAS call that its product alone makes. A tile is a run of
-    whole measures, or of _product_rows(k, |G|) first atoms of one measure.
-    Its planes live in a buffer that the next tile reuses, so a tile is
-    read before the next is asked for.
+    whole measures, or of _product_rows(k, |G|) first atoms of one measure,
+    in order. Its planes live in a buffer that the next tile reuses, so a
+    tile is read before the next is asked for.
     """
     n, k, size = r.shape
     tiles, buffer = _tiles(n, k, size)
@@ -771,55 +773,48 @@ def _column_products(r: np.ndarray, table: np.ndarray) -> Iterator[tuple[int, np
         # without unit stride falls back to numpy's own loop
         shifted = np.take(r[m0:m1, i0:i1], table, axis=2).transpose(2, 0, 1, 3)
         np.matmul(shifted, transposed[m0:m1], out=planes)
-        yield (m0 * k + i0) * k, planes.reshape(size, -1)
+        yield m0, m1, planes.reshape(size, -1)
 
 
 def _minus_capacities(chunk: Chunk, columns: np.ndarray) -> np.ndarray:
-    """kernel_capacity of every measure's channel-side minus kernel, in layout order; via_transform's.
+    """Capacity of every measure's channel-side minus kernel, in layout order; via_transform's.
 
     The minus kernel of the realized kernel whose columns are `columns`
     (laid out like the atoms) has column (i, j) equal to the convolution of
     columns i and j over |G|: the plane u of each tile of the measure's own
     products (_column_products) divided by |G|. The route shares no
-    convolution with via_pairs, only the entropy fold and block_capacities.
-    Bitwise what kernel_capacities gives on the (|G|, P) kernel of all the
-    chunk's pairs: a tile's planes are its rows, so the output marginal
-    p_y is their left fold, and the posterior entropies, from the kernel's
-    F-layout transpose, fold left too. A measure that runs alone
-    (block_capacities) takes its minus kernel from the same products: a
-    one-atom measure its column of the one-atom tiles, kept before they are
-    divided in place, and any other its own block's products.
+    convolution with via_pairs, only the entropy fold. Each tile is reduced
+    as it comes, so no array spans a measure's pairs: its output marginal
+    and posterior entropies fold left to right (a tile of one column too,
+    as beside other columns), both count 0 at a dead output (marginal not
+    > 0), and one stacked matmul adds each of its measures' BLAS dot of the
+    two to that measure's sum, in tile order. Tiles are cut by a rule of k
+    and |G| alone, so a measure gets the same bits in a chunk as alone.
     """
     size = chunk.group.size
     table = chunk.group.add_table
-    count = chunk.pair_starts[-1]
-    p_y, entropies = np.empty(count), np.empty(count)
-    # one-atom measures sort first, so their tiles hold pairs 0 to `ones`
-    ones = chunk.blocks[0][2] if chunk.blocks[0][0] == 1 else 0
-    lone = np.empty((size, ones))
+    sums = np.zeros(len(chunk))
+    # the marginal and the entropies of the largest tile so far
+    spare = np.empty(0)
     for k, a, b in chunk.blocks:
-        base = chunk.pair_starts[a]
-        for first, planes in _column_products(chunk.block(columns, k, a, b), table):
-            pairs = slice(base + first, base + first + planes.shape[1])
+        for m0, m1, planes in _column_products(chunk.block(columns, k, a, b), table):
+            count = planes.shape[1]
+            if len(spare) < 2 * count:
+                spare = np.empty(2 * count)
             planes /= size
-            if k == 1:
-                lone[:, pairs] = planes
-            marginal = np.add.reduce(planes, axis=0, out=p_y[pairs])
+            marginal = fold_planes(planes, False, out=spare[:count])
             marginal /= size
             with np.errstate(divide="ignore", invalid="ignore"):
                 planes /= size * marginal
-            plane_entropies_bits(planes, False, out=entropies[pairs])
-
-    def lone_minus_kernel(s: int) -> np.ndarray:
-        if s < ones:
-            return np.ascontiguousarray(lone[:, s : s + 1])
-        k = int(chunk.counts[s])
-        kernel = np.empty((size, k * k))
-        for first, planes in _column_products(chunk.block(columns, k, s, s + 1), table):
-            np.divide(planes, size, out=kernel[:, first : first + planes.shape[1]])
-        return kernel
-
-    return block_capacities(size, p_y, entropies, chunk.pair_starts.tolist(), lone_minus_kernel)
+            entropies = plane_entropies_bits(planes, False, out=spare[count : 2 * count])
+            dead = ~(marginal > 0.0)
+            if dead.any():
+                # a dead output's entropy can be infinite, its marginal NaN
+                marginal[dead] = 0.0
+                entropies[dead] = 0.0
+            n = m1 - m0
+            sums[a + m0 : a + m1] += (marginal.reshape(n, 1, -1) @ entropies.reshape(n, -1, 1)).ravel()
+    return np.log2(size) - sums
 
 
 def minus_on_measure(m: BlackwellMeasure, merge_tau: float = DEFAULT_MERGE_TAU) -> BlackwellMeasure:
@@ -854,16 +849,16 @@ def capacity_gap(m: BlackwellMeasure) -> CapacityGap:
 
     via_transform reads both capacities off kernels (the realized kernel and
     its channel-side minus transform, whose columns are BLAS products of the
-    kernel's columns) and shares no convolution with the atom-pair einsums
-    behind via_pairs, only the entropy fold and block_capacities, so a fault
-    in either convolution shows as a disagreement. Both are exact
-    functionals of the measure and otherwise differ only by floating-point
-    noise. Each node's bits are its own: the products follow numpy's
-    per-item BLAS rule, as the chunk's dots do, and cut a large measure's
-    first atoms by a rule of its atom count and |G| alone. The route
-    through the canonical measure minus_on_measure(m, 0.0) builds and sorts
-    k^2 atoms; it moved to verify.lemma_gap_suite, which checks it against
-    .value.
+    kernel's columns, summed into its capacity tile by tile) and shares no
+    convolution with the atom-pair einsums behind via_pairs, only the
+    entropy fold, so a fault in either convolution shows as a disagreement,
+    and a NaN on either route fails the check. Both are exact functionals
+    of the measure and otherwise differ only by floating-point noise. Each
+    node's bits are its own: the products follow numpy's per-item BLAS
+    rule, as the chunk's dots do, and cut a large measure's first atoms by
+    a rule of its atom count and |G| alone. The route through the
+    canonical measure minus_on_measure(m, 0.0) builds and sorts k^2 atoms;
+    it moved to verify.lemma_gap_suite, which checks it against .value.
     """
     via_transform, via_pairs = Chunk([m]).gaps()
     return CapacityGap(float(via_transform[0]), float(via_pairs[0]))

@@ -94,10 +94,11 @@ def lemma_gap_suite() -> list[CheckResult]:
         except RuntimeError:
             failures += 1
             continue
-        worst = max(worst, abs(gap.via_transform - gap.via_pairs))
+        # np.maximum keeps a NaN, which then fails the suite; max() would drop it
+        worst = float(np.maximum(worst, abs(gap.via_transform - gap.via_pairs)))
         # the measure-side route: canonical minus transform, exact merging only
         canonical = capacity_of_measure(m) - capacity_of_measure(minus_on_measure(m, 0.0))
-        worst_canonical = max(worst_canonical, abs(canonical - gap.value))
+        worst_canonical = float(np.maximum(worst_canonical, abs(canonical - gap.value)))
     return [
         CheckResult(
             "capacity-gap.route-agreement",

@@ -315,6 +315,34 @@ def test_measure_rejects_weights_whose_sums_overflow():
             BlackwellMeasure.from_json(obj)
 
 
+def test_segments_are_checked_together_and_the_first_bad_one_raises():
+    # a joint canonicalization checks every segment's weight sum and mean
+    # posterior in one pass; the first bad segment raises with the message
+    # of the first check it fails, as a check of each segment in turn would
+    good = ([0.5, 0.5], [[0.2, 0.8], [0.8, 0.2]])
+    unbalanced = ([0.5, 0.5], [[0.9, 0.1], [0.8, 0.2]])
+    # merged weights overflow to inf, so the normalized weights are NaN
+    overflowing = ([1e308] * 4, [[0.2, 0.8], [0.8, 0.2]] * 2)
+
+    def joint(*segments):
+        weights = np.concatenate([w for w, _ in segments])
+        posteriors = np.concatenate([q for _, q in segments])
+        seg = np.repeat(np.arange(len(segments)), [len(w) for w, _ in segments])
+        return blackwell._canonical_measures(Z2, weights, posteriors, 1e-9, seg, len(segments))[0]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError, match="not balanced"):
+            joint(good, unbalanced, overflowing)
+        with pytest.raises(ValueError, match="do not sum to 1"):
+            joint(good, overflowing, unbalanced)
+    other = ([0.25, 0.5, 0.25], [[0.1, 0.9], [0.5, 0.5], [0.9, 0.1]])
+    for (w, q), (weights, posteriors) in zip([good, other, good], joint(good, other, good)):
+        alone = BlackwellMeasure(Z2, w, q)
+        assert weights.tobytes() == alone.weights.tobytes() and posteriors.tobytes() == alone.posteriors.tobytes()
+        assert not weights.flags.writeable and not posteriors.flags.writeable
+
+
 def test_spiky_channel_merge_does_not_underflow():
     # Atom weights of this channel's minus descendants reach subnormals; an
     # unscaled weighted average then made a 0/0 posterior and the whole run

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -26,7 +27,7 @@ from polarlab import (
     synthetic,
     translate_dist,
 )
-from polarlab import blackwell, metrics, polar, process
+from polarlab import blackwell, metrics, polar, process, verify
 from polarlab._util import row_entropies_bits
 from polarlab.channels import Classes, kernel_capacity
 from polarlab.presets import (
@@ -228,6 +229,30 @@ def test_capacity_gap_catches_a_fault_in_the_pair_planes():
             capacity_gap(m)
 
 
+@pytest.mark.parametrize("route", ["_minus_capacities", "_convolution_entropies"])
+def test_capacity_gap_catches_a_nan_route(route):
+    # NaN compares false with any tolerance: a NaN on either route, from
+    # the channel-side minus capacities or from the pair entropies, fails
+    # the check instead of passing it
+    m = blackwell_measure(random_channel(Z4, 5, seed=2))
+    capacity_gap(m)
+
+    def nan(chunk, *args):
+        return np.full(len(chunk) if route == "_minus_capacities" else chunk.pair_starts[-1], np.nan)
+
+    with mock.patch.object(polar, route, nan):
+        with pytest.raises(RuntimeError, match="routes disagree"):
+            capacity_gap(m)
+
+
+def test_gap_suite_fails_on_a_nan_route():
+    # verify's route-agreement check keeps a NaN route gap, which fails it
+    gap = polar.CapacityGap(float("nan"), 0.5)
+    with mock.patch.object(verify, "capacity_gap", lambda m: gap):
+        agreement, _ = verify.lemma_gap_suite()
+    assert not agreement.passed and np.isnan(agreement.measured)
+
+
 def test_capacity_gap_nonnegative_random():
     for seed in range(20):
         m = blackwell_measure(random_channel(Z4, 5, seed=seed))
@@ -348,9 +373,30 @@ def _reference_minus_kernel(m):
     return minus.reshape(size, -1) / size
 
 
+def _reference_minus_capacity(m):
+    # the minus kernel's capacity summed tile by tile: per run of
+    # _product_rows first atoms, the dot of the output marginal and the
+    # posterior entropies, both 0 at a dead output, the runs' dots added in
+    # order. A lone column folds as a column of a wider tile does, left to
+    # right, as the one-atom measures of a chunk share a tile
+    kernel = _reference_minus_kernel(m)
+    size, pairs = kernel.shape
+    width = m.atom_count * min(polar._product_rows(m.atom_count, size), m.atom_count)
+    total = 0.0
+    for lo in range(0, pairs, width):
+        tile = kernel[:, lo : lo + width]
+        wide = np.hstack([tile, tile]) if tile.shape[1] == 1 else tile
+        p_y = wide.sum(axis=0) / size
+        with np.errstate(divide="ignore", invalid="ignore"):
+            entropies = row_entropies_bits((wide / (size * p_y)).T)
+        live = p_y > 0.0
+        p_y, entropies = np.where(live, p_y, 0.0), np.where(live, entropies, 0.0)
+        total += p_y[: tile.shape[1]] @ entropies[: tile.shape[1]]
+    return float(np.log2(size) - total)
+
+
 def _reference_gap(m):
-    kern = m.realized_kernel()
-    via_transform = _reference_kernel_capacity(kern) - _reference_kernel_capacity(_reference_minus_kernel(m))
+    via_transform = _reference_kernel_capacity(m.realized_kernel()) - _reference_minus_capacity(m)
     conv = np.einsum("iuv,jv->iju", m.posteriors[:, m.group.add_table], m.posteriors)
     h_conv = row_entropies_bits(conv.reshape(-1, m.group.size)).reshape(m.atom_count, m.atom_count)
     h_atoms = row_entropies_bits(m.posteriors)
@@ -404,6 +450,25 @@ def test_chunk_kernels_match_each_measure_alone(case):
     assert gaps == [_reference_gap(m) for m in measures]
 
 
+def test_a_segment_that_a_pass_leaves_keeps_its_row_order_in_a_joint_canonicalization():
+    # at tau > 0 the first bucket pass of the joint call merges rows of the
+    # other measure's plus children but none of this one-atom measure's,
+    # whose five children lie in distinct cells; alone the pass leaves
+    # them in their raw order, and the sweep that joins them averages them
+    # in that order, so in the chunk they must not come back in key order
+    group = make_group([5])
+    row = [float.fromhex(x) for x in ("0x1.999999999999ap-3", "0x1.9999999999999p-3", "0x1.9999999999999p-3",
+                                      "0x1.999999999999ap-3", "0x1.999999999999ap-3")]
+    one = BlackwellMeasure(group, [1.0], [row], 1e-9)
+    other = blackwell_measure(random_channel(group, 3, seed=1))
+    for tau in (1e-9, 1e-3, 0.0):
+        want = plus_on_measure(one, tau)
+        assert want.identical(_reference_plus(one, tau))
+        assert polar.Chunk([one, other]).plus(tau)[0].identical(want), tau
+        assert polar.Chunk([other, one]).plus(tau)[1].identical(want), tau
+        assert polar.Chunk([one, other]).plus(tau)[1].identical(plus_on_measure(other, tau)), tau
+
+
 def _one_atom(group, seed):
     """A one-atom measure whose posterior is off uniform by far less than BALANCE_TOL."""
     noise = np.random.default_rng(seed).standard_normal(group.size) * 1e-12
@@ -425,11 +490,14 @@ def test_one_atom_measure_keeps_its_gap_in_a_chunk():
             _one_atom(group, 2),
             blackwell_measure(random_channel(group, 2, seed=2)),
         ]
-        assert _bits(_gap_list(polar.Chunk(measures).gaps())) == _bits(_reference_gap(m) for m in measures), dims
+        got = _bits(_gap_list(polar.Chunk(measures).gaps()))
+        assert got == _bits(_reference_gap(m) for m in measures), dims
+        # alone, a one-atom measure's minus kernel is a tile of one column
+        assert got == _bits(capacity_gap(m) for m in measures), dims
 
 
 def test_one_atom_measures_are_convolved_once_for_their_minus_capacities(monkeypatch):
-    # a one-atom measure's minus capacity runs alone on its column of the
+    # a one-atom measure's minus capacity is folded from its column of the
     # one-atom tiles: on useless Z11 at depth 3, where every node has one
     # atom, each via_transform route forms its chunk's one block's products
     # once, not once more per measure, and every gap keeps the reference's
@@ -498,6 +566,27 @@ def test_gaps_over_many_tiles_match_the_reference(monkeypatch, dims, outputs):
         want = _bits(_reference_gap(m) for m in measures)
         assert _bits(_gap_list(polar.Chunk(measures).gaps())) == want
         assert _bits(_gap_list(polar.Chunk(measures[::-1]).gaps())) == want[::-1]
+
+
+def test_minus_capacities_hold_no_array_as_long_as_the_pairs():
+    # the channel-side route folds each tile into its measures' sums as it
+    # comes, so its peak memory is a few tiles' whatever the atom count:
+    # doubling the atoms leaves it flat, below one float array over the
+    # 360 000 pairs of the larger measure
+    peaks = []
+    for outputs in (300, 600):
+        m = blackwell_measure(random_channel(Z2, outputs, seed=1))
+        assert m.atom_count == outputs
+        chunk = polar.Chunk([m])
+        columns = chunk.realized_columns()
+        tracemalloc.start()
+        try:
+            polar._minus_capacities(chunk, columns)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+    assert peaks[1] < 600 * 600 * 8, peaks
 
 
 @pytest.mark.parametrize("dims, outputs", [([2, 2], 160), ([2, 4], 120), ([3, 4], 100)])

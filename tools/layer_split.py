@@ -12,11 +12,12 @@ untimed warm-up calls, then N timed calls, in this process; without
 `--output` it writes its report to a temporary file. For the timed calls
 each layer's entry point (LAYERS) is wrapped, and a layer's exclusive time
 is its wall time, a generator's over its resumptions, less that of the
-wrapped layers called inside it; `other`
-is the rest of the call; the wrappers are removed when the timed calls
-end. Prints, per layer, the median exclusive time per call, its share of
-the median call, and the median number of entries per call, then the
-median minor page faults per call (resource.getrusage).
+wrapped layers called inside it, and its exclusive minor page faults
+(resource.getrusage) likewise; `other` is the rest of the call; the
+wrappers are removed when the timed calls end. Prints, per layer, the
+median exclusive time per call, its share of the median call, the median
+number of entries per call and the median exclusive minor page faults per
+call, then the median minor page faults per call.
 
 Informational only: the wrappers add their own cost to every entry, the
 medians swing with the host, and nothing reads the output. Neither the
@@ -63,8 +64,12 @@ LAYERS = [
 ]
 
 
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 class Timer:
-    """Exclusive wall time and entries per layer, over the wrapped calls open on one stack."""
+    """Exclusive wall time, entries and exclusive minor page faults per layer, over the wrapped calls open on one stack."""
 
     def __init__(self):
         self.stack: list[list[float]] = []
@@ -73,6 +78,7 @@ class Timer:
     def reset(self) -> None:
         self.seconds = {name: 0.0 for name, _, _ in LAYERS}
         self.entries = {name: 0 for name, _, _ in LAYERS}
+        self.faults = {name: 0 for name, _, _ in LAYERS}
 
     def wrap(self, name: str, fn):
         if inspect.isgeneratorfunction(fn):
@@ -103,17 +109,21 @@ class Timer:
         return wrapper
 
     def enter(self) -> list[float]:
-        # [start, time spent in wrapped layers called inside]
-        frame = [time.perf_counter(), 0.0]
+        # [start, time spent in wrapped layers called inside, faults at the
+        # start, faults taken in wrapped layers called inside]
+        frame = [time.perf_counter(), 0.0, minor_faults(), 0]
         self.stack.append(frame)
         return frame
 
     def leave(self, name: str, frame: list[float]) -> None:
         elapsed = time.perf_counter() - frame[0]
+        faults = minor_faults() - frame[2]
         self.stack.pop()
         self.seconds[name] += elapsed - frame[1]
+        self.faults[name] += faults - frame[3]
         if self.stack:
             self.stack[-1][1] += elapsed
+            self.stack[-1][3] += faults
 
 
 @contextlib.contextmanager
@@ -163,29 +173,32 @@ def main(argv=None) -> int:
         calls, faults = [], []
         per_layer = {name: [] for name, _, _ in LAYERS}
         entries = {name: [] for name, _, _ in LAYERS}
+        layer_faults = {name: [] for name, _, _ in LAYERS}
         with patched(timer, {"blackwell": blackwell, "cli": cli, "polar": polar, "process": process}):
             for _ in range(args.calls):
                 timer.reset()
-                minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                minflt = minor_faults()
                 start = time.perf_counter()
                 code = cli.main(command)
                 calls.append(time.perf_counter() - start)
-                faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt)
+                faults.append(minor_faults() - minflt)
                 if code != 0:
                     print("layer_split: the polarize command failed", file=sys.stderr)
                     return 1
                 for name in per_layer:
                     per_layer[name].append(timer.seconds[name])
                     entries[name].append(timer.entries[name])
+                    layer_faults[name].append(timer.faults[name])
     others = [call - sum(layers) for call, layers in zip(calls, zip(*per_layer.values()))]
+    layer_faults["other"] = [call - sum(layers) for call, layers in zip(faults, zip(*layer_faults.values()))]
     call = median_ms(calls)
     print(f"{' '.join(args.command)}: {args.calls} calls after {args.warmup} warm-up, "
           f"median {call:.2f} ms a call")
-    print(f"{'layer':<20}{'ms':>9}{'share':>8}{'entries':>9}")
+    print(f"{'layer':<20}{'ms':>9}{'share':>8}{'entries':>9}{'faults':>9}")
     for name, values in [*per_layer.items(), ("other", others)]:
         ms = median_ms(values)
-        count = f"{statistics.median(entries[name]):g}" if name in entries else ""
-        print(f"{name:<20}{ms:>9.2f}{ms / call:>8.1%}{count:>9}")
+        count = f"{statistics.median(entries[name]):g}" if name in entries else "-"
+        print(f"{name:<20}{ms:>9.2f}{ms / call:>8.1%}{count:>9}{statistics.median(layer_faults[name]):>9g}")
     print(f"minor page faults per call: {statistics.median(faults):g}")
     return 0
 
