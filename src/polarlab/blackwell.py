@@ -251,20 +251,6 @@ def _unmerged_in_row_order(labels: np.ndarray, seg: np.ndarray, count: int) -> n
     return labels
 
 
-def _row_sums(rows: np.ndarray) -> np.ndarray:
-    """rows.sum(axis=1), bitwise but for the sign of a zero sum.
-
-    numpy sums a row of fewer than 8 entries left to right in either
-    layout, as this fold of the columns does without a call per row.
-    """
-    if not 0 < rows.shape[1] < 8:
-        return rows.sum(axis=1)
-    out = rows[:, 0].copy()
-    for col in rows.T[1:]:
-        out += col
-    return out
-
-
 def _canonical_atoms(weights, posteriors, tau: float):
     """Prune, merge, lex-sort and normalize atoms.
 
@@ -304,7 +290,7 @@ def _canonical_segments(
             posteriors = posteriors.compress(keep, axis=0)
         if seg is not None:
             seg = seg[keep]
-    if check_rows and (np.abs(_row_sums(posteriors) - 1.0) > SUM_TOL).any():
+    if check_rows and (np.abs(posteriors.sum(axis=1) - 1.0) > SUM_TOL).any():
         raise ValueError("posterior rows must sum to 1")
     # A copy laid out column by column, as the passes below read the
     # posteriors; adding 0.0 turns -0.0 into 0.0.

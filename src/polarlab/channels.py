@@ -340,6 +340,8 @@ def channel_from_json(obj: dict) -> Channel:
     rows = obj["rows"]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ValueError("field 'rows' must be a list of rows")
+    if not rows:
+        raise ValueError("field 'rows' must hold at least one row")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ValueError("field 'rows' has ragged rows")

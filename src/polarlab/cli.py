@@ -127,9 +127,13 @@ def cmd_distance(args) -> int:
         raise ValueError(f"input alphabets differ: {ga!r} vs {gb!r}")
     ma, mb = blackwell_measure(channel_a), blackwell_measure(channel_b)
     if args.metric == "wasserstein":
+        if args.trials is not None or args.seed is not None:
+            raise ValueError("--trials and --seed apply only with --metric pc-bound")
         value = wasserstein(ma, mb)
     else:
-        value = pc_gap_lower_bound(ma, mb, trials=args.trials, seed=args.seed)
+        trials = 64 if args.trials is None else args.trials
+        seed = 0 if args.seed is None else args.seed
+        value = pc_gap_lower_bound(ma, mb, trials=trials, seed=seed)
     print(repr(value))
     return 0
 
@@ -189,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     dist.add_argument("--group", help="group spec for presets; must be both channels' group")
     dist.add_argument("--outputs", type=int, help="output count for the random preset")
     dist.add_argument("--metric", choices=("wasserstein", "pc-bound"), default="wasserstein")
-    dist.add_argument("--trials", type=int, default=64)
-    dist.add_argument("--seed", type=int, default=0)
+    dist.add_argument("--trials", type=int, help="pc-bound: random sources tried (default 64)")
+    dist.add_argument("--seed", type=int, help="pc-bound: seed of the sources (default 0)")
     dist.set_defaults(func=cmd_distance)
     return parser
 

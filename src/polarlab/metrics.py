@@ -270,6 +270,8 @@ def pc_gap_lower_bound(
         raise ValueError("measures live on different groups")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     size = m1.group.size
     sources = [_atom_source(m1), _atom_source(m2), JointSource(np.eye(size) / size, m1.group)]
     best = 0.0

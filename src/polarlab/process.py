@@ -312,22 +312,24 @@ class PolarizationReport:
 def report_json(report: PolarizationReport | dict) -> str:
     """Canonical JSON text for a report; re-serializing a parse is identical.
 
-    The bytes of json.dumps(report_dict, indent=2) + "\n", written without
-    the pure-Python encoder that json.dumps runs when given an indent. Given
-    a PolarizationReport, the bytes for its to_dict(), with the records
-    written from its columns (_records_json).
+    The bytes of json.dumps(report_dict, indent=2) + "\n". Given a
+    PolarizationReport, the bytes for its to_dict(): the records written
+    from its columns (_records_json), every other field by json.dumps, each
+    newline of its text indented to the field's depth (a JSON string holds
+    no raw newline).
     """
     if not isinstance(report, PolarizationReport):
-        return _json_text(report, "\n") + "\n"
+        return json.dumps(report, indent=2) + "\n"
     texts = [
-        _json_string(key) + ": " + (_records_json(report) if key == "records" else _json_text(value, "\n  "))
+        _json_string(key) + ": "
+        + (_records_json(report) if key == "records" else json.dumps(value, indent=2).replace("\n", "\n  "))
         for key, value in report._fields(None).items()
     ]
     return "{\n  " + ",\n  ".join(texts) + "\n}\n"
 
 
 def _floats_text(values: np.ndarray) -> list[str]:
-    """The text of each float of an array, as _json_scalar writes it; each distinct float (by its bits) is written once."""
+    """The text of each float of an array, as json.dumps writes it; each distinct float (by its bits) is written once."""
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
     distinct = bits.view(float)
     texts = list(map(float.__repr__, distinct.tolist()))
@@ -372,12 +374,13 @@ def _records_json(report: PolarizationReport) -> str:
     leaves, columns = report.leaves, report.leaves.evaluations
     classes = columns.classes
     count = len(leaves.paths)
-    nearest = [_json_text(sub.to_json(), "\n      ") for sub in report.subgroups]
+    subgroups = [json.dumps(sub.to_json(), indent=2) for sub in report.subgroups]
+    nearest = [text.replace("\n", "\n      ") for text in subgroups]
     # a witness's text up to its gap_capacity, the later witnesses' (by
     # subgroup), then the first's, which opens its record's list
     heads = [
-        '{\n          "subgroup": ' + _json_text(sub.to_json(), "\n          ") + ',\n          "gap_capacity": '
-        for sub in report.subgroups
+        '{\n          "subgroup": ' + text.replace("\n", "\n          ") + ',\n          "gap_capacity": '
+        for text in subgroups
     ]
     heads = [",\n        " + head for head in heads] + ["[\n        " + head for head in heads]
     # every witness, leaf by leaf, each leaf's best first
@@ -422,66 +425,8 @@ def _records_json(report: PolarizationReport) -> str:
 
 
 _json_string = json.encoder.encode_basestring_ascii
-# json.dumps's text of a scalar of each exact type, after _JSON_FLOATS
-# renames a float's non-finite text; subclasses are looked up in
-# _json_scalar
+# json.dumps's names of the non-finite floats
 _JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_JSON_SCALARS = {
-    str: _json_string,
-    float: float.__repr__,
-    np.float64: float.__repr__,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): {None: "null"}.__getitem__,
-}
-
-
-def _json_scalar(value) -> str:
-    """The text of a scalar as json.dumps writes it; a subclass's as its base's."""
-    scalar = _JSON_SCALARS.get(type(value))
-    if scalar is None:
-        kind = next((kind for kind in (str, int, float) if isinstance(value, kind)), None)
-        if kind is None:
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        scalar = _JSON_SCALARS[kind]
-    text = scalar(value)
-    return _JSON_FLOATS.get(text, text)
-
-
-def _json_key(key) -> str:
-    """A dict key's text: json.dumps writes str, int, float, bool and None keys as strings."""
-    if isinstance(key, str):
-        return _json_string(key)
-    if key is None or isinstance(key, (int, float)):
-        return _json_string(_json_scalar(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _json_text(value, newline: str) -> str:
-    """value's text as json.dumps(indent=2) writes it, `newline` being a newline and value's indent."""
-    if not isinstance(value, (list, tuple, dict)):
-        return _json_scalar(value)
-    if not value:
-        return "{}" if isinstance(value, dict) else "[]"
-    inner = newline + "  "
-    is_dict = isinstance(value, dict)
-    texts = []
-    for item in value.values() if is_dict else value:
-        # scalars inline: a call of _json_text per scalar would cost more
-        # than its text
-        scalar = _JSON_SCALARS.get(type(item))
-        if scalar is None:
-            texts.append(_json_text(item, inner))
-        else:
-            text = scalar(item)
-            texts.append(_JSON_FLOATS.get(text, text))
-    if is_dict:
-        texts = [
-            (_json_string(key) if type(key) is str else _json_key(key)) + ": " + text
-            for key, text in zip(value, texts)
-        ]
-        return "{" + inner + ("," + inner).join(texts) + newline + "}"
-    return "[" + inner + ("," + inner).join(texts) + newline + "]"
 
 
 def report_csv(report: PolarizationReport | dict) -> str:
@@ -1046,6 +991,8 @@ def sample_paths(
         raise ValueError(f"depth must be in [0, {MAX_DEPTH}], got {depth}")
     if count < 1:
         raise ValueError(f"sample count must be >= 1, got {count}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     _check_delta(delta)
     config = _config_echo(w, depth, "sample", count, seed, delta, merge_tau, atom_budget)
 

@@ -210,6 +210,8 @@ def test_channel_json_errors():
         channel_from_json({"group": [2], "outputs": ["a"]})
     with pytest.raises(ValueError, match="ragged"):
         channel_from_json({"group": [2], "outputs": ["a", "b"], "rows": [[1.0, 0.0], [1.0]]})
+    with pytest.raises(ValueError, match="field 'rows' must hold at least one row"):
+        channel_from_json({"outputs": [], "rows": []})
     with pytest.raises(ValueError, match="group"):
         channel_from_json({"group": 2, "outputs": ["a"], "rows": [[1.0], [1.0]]})
     with pytest.raises(ValueError, match="outputs"):

@@ -355,6 +355,45 @@ def test_sample_flags_need_sample_mode(tmp_path, capsys):
     assert (config["samples"], config["seed"]) == (1, 0)
 
 
+def test_pc_bound_flags_need_pc_bound_metric(capsys):
+    base = ["distance", "--channel-a", "preset:bsc:0.11", "--channel-b", "preset:bec:0.3"]
+    for extra in (["--trials", "0", "--seed", "7"], ["--trials", "64"], ["--seed", "0"],
+                  ["--metric", "wasserstein", "--seed", "3"]):
+        assert main(base + extra) == 1, extra
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "--metric pc-bound" in captured.err, extra
+        assert captured.out == "", extra
+    # pc-bound keeps its defaults: 64 trials, seed 0
+    pc = base + ["--metric", "pc-bound"]
+    assert main(pc) == 0
+    implicit = capsys.readouterr().out
+    assert main(pc + ["--trials", "64", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == implicit
+
+
+def test_a_negative_seed_is_named(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    for args in (
+        ["polarize", "--preset", "bec:0.5", "--depth", "2", "--mode", "sample", "--seed", "-1",
+         "--output", str(report)],
+        ["distance", "--channel-a", "preset:bsc:0.11", "--channel-b", "preset:bec:0.3",
+         "--metric", "pc-bound", "--seed", "-1"],
+    ):
+        assert main(args) == 1, args
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be >= 0, got -1\n", args
+        assert captured.out == "" and not report.exists(), args
+
+
+def test_a_channel_file_without_rows_is_named(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"outputs": [], "rows": []}))
+    assert main(["polarize", "--channel", str(path), "--depth", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: field 'rows' must hold at least one row\n"
+    assert captured.out == ""
+
+
 def test_classify_exit_codes(tmp_path, capsys):
     assert main(["classify", "--preset", "dh:Z4:{0,2}", "--delta", "0.01"]) == 0
     out = capsys.readouterr().out

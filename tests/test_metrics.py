@@ -117,6 +117,12 @@ def test_pc_gap_lower_bound_examples():
     assert pc_gap_lower_bound(blackwell_measure(w), blackwell_measure(split)) == 0.0
 
 
+def test_pc_gap_lower_bound_rejects_a_negative_seed():
+    m = blackwell_measure(bsc_channel(0.1))
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        pc_gap_lower_bound(m, m, seed=-1)
+
+
 def test_pc_gap_lower_bound_monotone_in_trials():
     m1 = blackwell_measure(random_channel(Z4, 4, seed=4))
     m2 = blackwell_measure(random_channel(Z4, 4, seed=5))

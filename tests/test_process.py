@@ -108,6 +108,12 @@ def test_sampled_reports_deterministic():
     assert a != c
 
 
+def test_sample_paths_rejects_a_negative_seed():
+    # numpy's own refusal of a negative seed would name no argument
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        sample_paths(bec_channel(0.5), 2, 1, seed=-1)
+
+
 def test_sampled_record_matches_exhaustive_entry():
     w = bec_channel(0.5)
     exhaustive = {r.path: r for r in enumerate_paths(w, 4).records}
@@ -1040,6 +1046,11 @@ def test_library_records_equal_the_frozen_per_node_records():
             assert [type(x) for x in (rec.capacity, rec.capacity_gap, rec.distance_to_pol)] == [float] * 3
 
 
+def _with_source(report, source):
+    report.config["source"] = source
+    return report
+
+
 @pytest.mark.parametrize("make", [
     lambda: enumerate_paths(z4_multilevel_channel(0.5), 6),
     lambda: enumerate_paths(dh_mix_channel(make_group([2, 4]), 11), 4),
@@ -1047,13 +1058,18 @@ def test_library_records_equal_the_frozen_per_node_records():
     lambda: sample_paths(random_channel(Z4, 5, seed=0), 3, 6, seed=0, atom_budget=300),
     lambda: sample_paths(bec_channel(0.5), 4, 40, seed=1),
     lambda: enumerate_paths(random_channel(Z4, 3, seed=2), 0),
+    # the bsc-merge-sample benchmark command's report
+    lambda: sample_paths(bsc_channel(0.11), 8, 4, seed=1, merge_tau=1e-3, atom_budget=1_000_000),
+    # a field's text is re-indented at its newlines: those of a string
+    # are escaped, so they stay as they are
+    lambda: _with_source(enumerate_paths(z4_multilevel_channel(0.5), 2), 'a\nb "c"\t\u00e9\u03c0\U0001d53c'),
 ])
 def test_report_json_writes_a_report_from_its_columns(make):
     # a report's columns give the bytes of json.dumps of its dict
     import json
 
     report = make()
-    report.config["source"] = "preset:x"
+    report.config.setdefault("source", "preset:x")
     data = report.to_dict()
     assert report_json(report) == report_json(data) == json.dumps(data, indent=2) + "\n"
 
@@ -1066,4 +1082,6 @@ _SPECIAL_FLOATS = [0.0, -0.0, 1.0, 0.1, 1e-300, 5e-324, np.nan, np.inf, -np.inf]
 @example(values=[0.0, -0.0, 0.1, -0.0, np.nan, 0.1])
 def test_floats_text_is_each_floats_json_text(values):
     # one text per distinct float by its bits: signed zeros stay apart
-    assert process._floats_text(np.array(values, dtype=float)) == [process._json_scalar(x) for x in values]
+    import json
+
+    assert process._floats_text(np.array(values, dtype=float)) == [json.dumps(x) for x in values]

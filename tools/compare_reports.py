@@ -129,6 +129,13 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ("trace dh-mix:3 Z4", trace("dh-mix:3", "Z4", "--++-+-", 1e-9)),
     ("trace bsc tau 1e-3", trace("bsc:0.11", None, "+-+--+", 1e-3)),
     ("quotient floor d10", library("print(repr(verify.multilevel_quotient_floor(10)))")),
+    # a report's non-record fields re-indented around a source that holds
+    # a newline, a quote and non-ASCII text
+    ("report_json odd source", library(
+        "from polarlab.process import report_json\n"
+        "report = pl.enumerate_paths(presets.parse_preset('z4-multilevel:0.5'), 3, delta=0.1)\n"
+        "report.config['source'] = 'a\\nb \"c\" \\u00e9\\u03c0'\n"
+        "print(report_json(report), end='')")),
     ("classify dh:Z4:{0,2}", cli("classify", "--preset", "dh:Z4:{0,2}", "--delta", "0.01")),
     ("classify bsc delta 2", cli("classify", "--preset", "bsc:0.1", "--delta", "2")),
     ("classify random:5 Z2xZ4", cli(
