@@ -486,15 +486,17 @@ class Chunk:
         """I(M) - I(M-) of every node via both routes, as (via_transform, via_pairs) arrays; see capacity_gap.
 
         The routes are checked against each other node by node, to
-        GAP_ROUTE_TOL; a NaN on either fails. They convolve apart: via_pairs
-        through the einsum tiles of _planes, on the pair entropies it shares
-        per matrix, via_transform through each node's own BLAS products
-        (_column_products) of its realized kernel, folded tile by tile into
-        its minus capacity (_minus_capacities); they share only the entropy
-        fold.
+        GAP_ROUTE_TOL; a NaN on either fails. They convolve apart, each once
+        per distinct posterior matrix: via_pairs through the einsum tiles of
+        _planes, on the pair entropies it shares per matrix, via_transform
+        through BLAS products (_column_products) of the matrix's posterior
+        columns, folded tile by tile into each of its nodes' minus
+        capacities by the node's own weights (_minus_capacities); they
+        share only the entropy fold. I(M) is read off each node's realized
+        kernel.
         """
         columns = self.realized_columns()
-        via_transform = kernel_capacities(columns.T, self.starts) - _minus_capacities(self, columns)
+        via_transform = kernel_capacities(columns.T, self.starts) - _minus_capacities(self, self.posteriors)
         via_pairs = self._pair_gaps()
         # NaN on either route fails the check too
         off = ~(np.abs(via_transform - via_pairs) <= GAP_ROUTE_TOL)
@@ -748,17 +750,17 @@ def _convolution_entropies(chunk: Chunk) -> np.ndarray:
     return out
 
 
-def _column_products(r: np.ndarray, table: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
-    """(m0, m1, planes) of tiles that cover the atom pairs of a block r of n measures of k atoms.
+def _column_products(r: np.ndarray, table: np.ndarray) -> Iterator[tuple[int, int, int, int, np.ndarray]]:
+    """(m0, m1, i0, i1, planes) of tiles that cover the atom pairs of a stack r of n matrices of k atoms.
 
-    planes[u] of a tile holds sum_v r[n, i, u + v] r[n, j, v] for the pairs
-    of its measures m0:m1, laid out (n, i, j), as the product
-    r[n, i0:i1, u + v] @ r[n].T. Each tile is one stacked matmul,
-    (|G|, n, rows, |G|) @ (n, |G|, k), whose loop makes for every u and
-    measure the BLAS call that its product alone makes. A tile is a run of
-    whole measures, or of _product_rows(k, |G|) first atoms of one measure,
-    in order. Its planes live in a buffer that the next tile reuses, so a
-    tile is read before the next is asked for.
+    planes[u] of a tile holds sum_v r[n, i, u + v] r[n, j, v] for the first
+    atoms i0:i1 of its matrices m0:m1 and every second atom j, laid out
+    (n, i, j), as the product r[n, i0:i1, u + v] @ r[n].T. Each tile is one
+    stacked matmul, (|G|, n, rows, |G|) @ (n, |G|, k), whose loop makes for
+    every u and matrix the BLAS call that its product alone makes. A tile
+    is a run of whole matrices, or of _product_rows(k, |G|) first atoms of
+    one matrix, in order. Its planes live in a buffer that the next tile
+    reuses, so a tile is read before the next is asked for.
     """
     n, k, size = r.shape
     tiles, buffer = _tiles(n, k, size)
@@ -773,47 +775,67 @@ def _column_products(r: np.ndarray, table: np.ndarray) -> Iterator[tuple[int, in
         # without unit stride falls back to numpy's own loop
         shifted = np.take(r[m0:m1, i0:i1], table, axis=2).transpose(2, 0, 1, 3)
         np.matmul(shifted, transposed[m0:m1], out=planes)
-        yield m0, m1, planes.reshape(size, -1)
+        yield m0, m1, i0, i1, planes.reshape(size, -1)
 
 
-def _minus_capacities(chunk: Chunk, columns: np.ndarray) -> np.ndarray:
-    """Capacity of every measure's channel-side minus kernel, in layout order; via_transform's.
+def _minus_capacities(chunk: Chunk, posteriors: np.ndarray) -> np.ndarray:
+    """Capacity of every node's channel-side minus kernel, in layout order; via_transform's.
 
-    The minus kernel of the realized kernel whose columns are `columns`
-    (laid out like the atoms) has column (i, j) equal to the convolution of
-    columns i and j over |G|: the plane u of each tile of the measure's own
-    products (_column_products) divided by |G|. The route shares no
-    convolution with via_pairs, only the entropy fold. Each tile is reduced
-    as it comes, so no array spans a measure's pairs: its output marginal
-    and posterior entropies fold left to right (a tile of one column too,
-    as beside other columns), both count 0 at a dead output (marginal not
-    > 0), and one stacked matmul adds each of its measures' BLAS dot of the
-    two to that measure's sum, in tile order. Tiles are cut by a rule of k
-    and |G| alone, so a measure gets the same bits in a chunk as alone.
+    The minus kernel of a node's realized kernel has column (i, j) equal to
+    |G| w_i w_j (p_i (*) p_j): its output marginal is w_i w_j s_ij, with
+    s_ij the sum of p_i (*) p_j over |G|, and its posterior is
+    (p_i (*) p_j) / s_ij, whose entropy C_ij the weights do not touch. So
+    its capacity is log2|G| - w (s o C) w, and s o C is the posterior
+    matrix's alone. The distinct matrices of each size run (chunk.by_key),
+    read from `posteriors` (laid out like the atoms) at the first node of
+    each, are convolved once, as BLAS products of their posterior columns
+    (_column_products) that share nothing with the einsum tiles of
+    via_pairs. Each tile is reduced as it comes, so no array spans a
+    matrix's pairs: s folds left to right (a tile of one column too, as
+    beside other columns), s o C counts 0 at a dead pair (s not > 0), and
+    one stacked matmul adds w[i0:i1] @ (s o C)[i0:i1] @ w of every node of
+    the tile's matrices to that node's sum, in tile order. Tiles are cut by
+    a rule of k and |G| alone and each node's dots are its own BLAS calls,
+    so a node gets the same bits in a chunk as alone.
     """
     size = chunk.group.size
     table = chunk.group.add_table
     sums = np.zeros(len(chunk))
-    # the marginal and the entropies of the largest tile so far
+    # the index of each segment's matrix, numbered in layout order, so that
+    # those of a size run count up from its first segment's
+    ids: dict[bytes, int] = {}
+    owner = np.repeat(
+        [ids.setdefault(chunk.supports[j].key, len(ids)) for j in chunk.layout],
+        [len(chunk.supports[j].rows) for j in chunk.layout],
+    )
+    # s and s o C of the largest tile so far
     spare = np.empty(0)
     for k, a, b in chunk.blocks:
-        for m0, m1, planes in _column_products(chunk.block(columns, k, a, b), table):
+        # the run's segments matrix by matrix, where each matrix's start,
+        # and each matrix's posteriors, at its first segment
+        order = np.argsort(owner[a:b], kind="stable")
+        matrix = owner[a:b][order] - owner[a]
+        bounds = np.searchsorted(matrix, np.arange(matrix[-1] + 2))
+        r = chunk.block(posteriors, k, a, b)[order[bounds[:-1]]]
+        weights = chunk.block(chunk.weights, k, a, b)[order]
+        nodes = a + order
+        for m0, m1, i0, i1, planes in _column_products(r, table):
             count = planes.shape[1]
             if len(spare) < 2 * count:
                 spare = np.empty(2 * count)
-            planes /= size
             marginal = fold_planes(planes, False, out=spare[:count])
-            marginal /= size
             with np.errstate(divide="ignore", invalid="ignore"):
-                planes /= size * marginal
-            entropies = plane_entropies_bits(planes, False, out=spare[count : 2 * count])
-            dead = ~(marginal > 0.0)
-            if dead.any():
-                # a dead output's entropy can be infinite, its marginal NaN
-                marginal[dead] = 0.0
-                entropies[dead] = 0.0
-            n = m1 - m0
-            sums[a + m0 : a + m1] += (marginal.reshape(n, 1, -1) @ entropies.reshape(n, -1, 1)).ravel()
+                planes /= marginal
+                products = plane_entropies_bits(planes, False, out=spare[count : 2 * count])
+                products *= marginal
+            # a dead pair's entropy can be infinite, its marginal NaN
+            products[~(marginal > 0.0)] = 0.0
+            products = products.reshape(m1 - m0, i1 - i0, k)
+            lo, hi = bounds[m0], bounds[m1]
+            if m1 - m0 not in (1, hi - lo):
+                products = products[matrix[lo:hi] - m0]
+            w = weights[lo:hi]
+            sums[nodes[lo:hi]] += (w[:, None, i0:i1] @ products @ w[:, :, None]).ravel()
     return np.log2(size) - sums
 
 
@@ -832,7 +854,9 @@ class CapacityGap:
     """Capacity loss of the minus transform, computed two independent ways.
 
     via_transform: I(W) - I(W-) on the measure's realized kernel W, with W-
-        from the channel-side minus formula; no measure is built.
+        from the channel-side minus formula, whose column (i, j) is
+        |G| w_i w_j (p_i (*) p_j): its convolutions are its posterior
+        matrix's alone, its weights the measure's; no measure is built.
     via_pairs: pairwise-atom form sum_ij w_i w_j (H(p_i (*) p_j) - H(p_i)).
     """
 
@@ -847,18 +871,22 @@ class CapacityGap:
 def capacity_gap(m: BlackwellMeasure) -> CapacityGap:
     """I(M) - I(M-) via both routes; they must agree to 1e-8.
 
-    via_transform reads both capacities off kernels (the realized kernel and
-    its channel-side minus transform, whose columns are BLAS products of the
-    kernel's columns, summed into its capacity tile by tile) and shares no
+    via_transform reads both capacities off kernels: the realized kernel,
+    and its channel-side minus transform, whose column (i, j) is
+    |G| w_i w_j (p_i (*) p_j). The weights factor out of that kernel's
+    output marginal and cancel in its posteriors, so its convolutions, BLAS
+    products of the posterior columns, are made once per posterior matrix
+    and reduced by the measure's weights tile by tile. They share no
     convolution with the atom-pair einsums behind via_pairs, only the
     entropy fold, so a fault in either convolution shows as a disagreement,
     and a NaN on either route fails the check. Both are exact functionals
     of the measure and otherwise differ only by floating-point noise. Each
-    node's bits are its own: the products follow numpy's per-item BLAS
-    rule, as the chunk's dots do, and cut a large measure's first atoms by
-    a rule of its atom count and |G| alone. The route through the
-    canonical measure minus_on_measure(m, 0.0) builds and sorts k^2 atoms;
-    it moved to verify.lemma_gap_suite, which checks it against .value.
+    node's bits are its own: the products and the reduction follow numpy's
+    per-item BLAS rule, as the chunk's dots do, and cut a large matrix's
+    first atoms by a rule of its atom count and |G| alone. The route
+    through the canonical measure minus_on_measure(m, 0.0) builds and sorts
+    k^2 atoms; it moved to verify.lemma_gap_suite, which checks it against
+    .value.
     """
     via_transform, via_pairs = Chunk([m]).gaps()
     return CapacityGap(float(via_transform[0]), float(via_pairs[0]))

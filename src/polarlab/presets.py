@@ -116,6 +116,14 @@ _PRESET_FIELDS = {
 }
 
 
+def _seed(field: str) -> int:
+    """A preset's SEED field, named where numpy would reject it."""
+    seed = int(field)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def parse_preset(
     spec: str,
     group: Group | None = None,
@@ -148,9 +156,9 @@ def parse_preset(
         if name == "random":
             g = group or make_group([2])
             n = n_outputs if n_outputs is not None else g.size
-            return random_channel(g, n, int(parts[1]))
+            return random_channel(g, n, _seed(parts[1]))
         if name == "dh-mix":
-            return dh_mix_channel(group or make_group([2]), int(parts[1]))
+            return dh_mix_channel(group or make_group([2]), _seed(parts[1]))
         if name == "identity":
             return identity_channel(group or make_group([2]))
         return useless_channel(group or make_group([2]))

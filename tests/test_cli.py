@@ -385,6 +385,15 @@ def test_a_negative_seed_is_named(tmp_path, capsys):
         assert captured.out == "" and not report.exists(), args
 
 
+def test_a_negative_preset_seed_is_named(capsys):
+    for spec in ("random:-1", "dh-mix:-3"):
+        assert main(["classify", "--preset", spec, "--delta", "0.1"]) == 1, spec
+        captured = capsys.readouterr()
+        seed = spec.split(":")[1]
+        assert captured.err == f"error: bad preset {spec!r}: seed must be >= 0, got {seed}\n", spec
+        assert captured.out == "", spec
+
+
 def test_a_channel_file_without_rows_is_named(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"outputs": [], "rows": []}))
@@ -509,6 +518,23 @@ def test_layer_split_tool_prints_every_layer(tmp_path):
     assert lines[-1].startswith("minor page faults per call: ")
     # the report went to a temporary file, not to the working directory
     assert list(tmp_path.iterdir()) == []
+
+
+def test_compare_reports_prints_the_lines_that_differ():
+    # a stdout that is not JSON, such as verify's, shows its differing
+    # lines, at most 10 a side; a JSON one its differing key paths
+    import importlib.util
+
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("compare_reports", root / "tools" / "compare_reports.py")
+    compare_reports = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare_reports)
+    want = b"PASS a: 1\nPASS b: 1.110e-15\nPASS c: 3\n"
+    got = b"PASS a: 1\nPASS b: 8.882e-16\nPASS c: 3\n"
+    assert compare_reports.describe(want, got) == ["    - PASS b: 1.110e-15", "    + PASS b: 8.882e-16"]
+    many = compare_reports.describe(b"".join(b"%d\n" % i for i in range(30)), b"x\n")
+    assert many == [f"    - {i}" for i in range(10)] + ["    + x"]
+    assert compare_reports.describe(b'{"a": [1, 2]}', b'{"a": [1, 2.5]}') == ["    a[*]: max |diff| 0.5"]
 
 
 def test_layer_split_wraps_entry_points_that_the_call_enters(capsys):

@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 from unittest import mock
 
@@ -205,8 +206,10 @@ def test_capacity_gap_catches_wrong_channel_side_convolution():
     w = random_corpus(count=2)[1]
     m = blackwell_measure(w)
 
-    def minus_capacities(chunk, columns):
-        minus = _reflected_convolutions(chunk.group, columns) / chunk.group.size
+    def minus_capacities(chunk, posteriors):
+        # column (i, j) is |G| w_i w_j (p_i (*) p_j), with the wrong convolution
+        size = chunk.group.size
+        minus = _reflected_convolutions(chunk.group, posteriors) * (size * chunk.pair_weights())[:, None]
         return [kernel_capacity(np.ascontiguousarray(minus.T))]
 
     with mock.patch.object(polar, "_minus_capacities", minus_capacities):
@@ -359,39 +362,31 @@ def _reference_kernel_capacity(kernel):
     return float(np.log2(m) - p_y @ row_entropies_bits(posteriors))
 
 
-def _reference_minus_kernel(m):
-    # plane u is columns[:, u + v] @ columns.T, one product per run of
-    # _product_rows first atoms, whose shifted rows are a C-layout copy: a
-    # gemm's bits depend on its shape
-    columns = np.ascontiguousarray(m.realized_kernel().T)
-    k, size = columns.shape
-    rows = polar._product_rows(k, size)
-    minus = np.empty((size, k, k))
-    for i in range(0, k, rows):
-        for u in range(size):
-            minus[u, i : i + rows] = np.take(columns[i : i + rows], m.group.add_table[u], axis=1) @ columns.T
-    return minus.reshape(size, -1) / size
-
-
 def _reference_minus_capacity(m):
-    # the minus kernel's capacity summed tile by tile: per run of
-    # _product_rows first atoms, the dot of the output marginal and the
-    # posterior entropies, both 0 at a dead output, the runs' dots added in
-    # order. A lone column folds as a column of a wider tile does, left to
-    # right, as the one-atom measures of a chunk share a tile
-    kernel = _reference_minus_kernel(m)
-    size, pairs = kernel.shape
-    width = m.atom_count * min(polar._product_rows(m.atom_count, size), m.atom_count)
+    # the minus kernel of the realized kernel has column (i, j) equal to
+    # |G| w_i w_j (p_i (*) p_j): marginal w_i w_j s_ij, s_ij the sum of the
+    # convolution, and posterior (p_i (*) p_j) / s_ij of entropy C_ij. Per
+    # run of _product_rows first atoms, plane u of the convolutions is
+    # posteriors[:, u + v] @ posteriors.T, whose shifted rows are a C-layout
+    # copy (a gemm's bits depend on its shape); s o C, 0 at a dead pair, is
+    # reduced by the weights, and the runs' sums added in order. A lone
+    # column folds as a column of a wider tile does, left to right, as the
+    # one-atom matrices of a chunk share a tile
+    posteriors, w = m.posteriors, m.weights
+    k, size = posteriors.shape
+    rows = polar._product_rows(k, size)
     total = 0.0
-    for lo in range(0, pairs, width):
-        tile = kernel[:, lo : lo + width]
+    for i in range(0, k, rows):
+        conv = np.stack([
+            np.take(posteriors[i : i + rows], m.group.add_table[u], axis=1) @ posteriors.T for u in range(size)
+        ])
+        tile = conv.reshape(size, -1)
         wide = np.hstack([tile, tile]) if tile.shape[1] == 1 else tile
-        p_y = wide.sum(axis=0) / size
+        s = wide.sum(axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            entropies = row_entropies_bits((wide / (size * p_y)).T)
-        live = p_y > 0.0
-        p_y, entropies = np.where(live, p_y, 0.0), np.where(live, entropies, 0.0)
-        total += p_y[: tile.shape[1]] @ entropies[: tile.shape[1]]
+            entropies = row_entropies_bits((wide / s).T)
+        sc = np.where(s > 0.0, s * entropies, 0.0)[: tile.shape[1]].reshape(conv.shape[1:])
+        total += w[i : i + rows] @ sc @ w
     return float(np.log2(size) - total)
 
 
@@ -499,20 +494,20 @@ def test_one_atom_measure_keeps_its_gap_in_a_chunk():
 def test_one_atom_measures_are_convolved_once_for_their_minus_capacities(monkeypatch):
     # a one-atom measure's minus capacity is folded from its column of the
     # one-atom tiles: on useless Z11 at depth 3, where every node has one
-    # atom, each via_transform route forms its chunk's one block's products
-    # once, not once more per measure, and every gap keeps the reference's
-    # bits
-    calls, routes, gapped = [0], [], []
+    # atom on one matrix, each via_transform route forms the products of
+    # its chunk's one distinct matrix once, not once per node, and every
+    # gap keeps the reference's bits
+    calls, routes, gapped = [], [], []
     real_products, real_minus, real_gaps = polar._column_products, polar._minus_capacities, polar.Chunk.gaps
 
-    def products(*args):
-        calls[0] += 1
-        return real_products(*args)
+    def products(r, table):
+        calls.append(len(r))
+        return real_products(r, table)
 
-    def minus_capacities(chunk, columns):
-        before = calls[0]
-        out = real_minus(chunk, columns)
-        routes.append((calls[0] - before, chunk.counts.tolist()))
+    def minus_capacities(chunk, posteriors):
+        before = len(calls)
+        out = real_minus(chunk, posteriors)
+        routes.append((calls[before:], len(chunk.by_key), chunk.counts.tolist()))
         return out
 
     def gaps(chunk):
@@ -524,10 +519,89 @@ def test_one_atom_measures_are_convolved_once_for_their_minus_capacities(monkeyp
     monkeypatch.setattr(polar, "_minus_capacities", minus_capacities)
     monkeypatch.setattr(polar.Chunk, "gaps", gaps)
     process.enumerate_paths(useless_channel(make_group([11])), 3)
-    assert sum(len(counts) for _, counts in routes) == 15
-    assert all(formed == 1 and set(counts) == {1} for formed, counts in routes)
+    assert sum(len(counts) for _, _, counts in routes) == 15
+    assert all(formed == [matrices] == [1] and set(counts) == {1} for formed, matrices, counts in routes)
     for measures, got in gapped:
         assert _bits(got) == _bits(_reference_gap(m) for m in measures)
+
+
+def _shared_blocks():
+    """The measures of depth 3 of dh-mix:11 on Z2 x Z4, all on one 27-atom matrix, then three of their own
+    matrices, two of 27 atoms; and blocks of them: two of the shared matrix, with interleaved positions,
+    between which a chunk lays out a one-node matrix of 27 atoms, and one block per other measure."""
+    group = make_group([2, 4])
+    level = _level(blackwell_measure(dh_mix_channel(group, 11)), 3, polar.DEFAULT_MERGE_TAU)
+    assert len({m.posteriors.tobytes() for m in level}) == 1
+    others = [blackwell_measure(random_channel(group, outputs, seed=seed)) for seed, outputs in ((1, 27), (2, 27), (3, 5))]
+    measures = [*level, *others]
+    assert [m.atom_count for m in measures] == [27] * 10 + [5]
+
+    def block(rows):
+        weights = np.stack([measures[p].weights for p in rows])
+        weights.setflags(write=False)
+        q = measures[rows[0]].posteriors
+        return polar.Block(q, q.tobytes(), weights, np.array(rows))
+
+    return measures, [block([0, 2, 3, 5, 6]), block([8]), block([1, 4, 7]), block([9]), block([10])]
+
+
+def test_nodes_on_a_shared_matrix_keep_their_own_gaps(monkeypatch):
+    # several nodes on one matrix, with distinct weights, in two blocks and
+    # beside one-node matrices of the same and of another atom count: the
+    # shared matrix is convolved once, and each node's gap keeps the bits
+    # of its measure alone, in both block orders, whether a tile holds
+    # whole matrices or runs of three first atoms
+    measures, blocks = _shared_blocks()
+    for floats in (polar._PRODUCT_FLOATS, 1000):
+        monkeypatch.setattr(polar, "_PRODUCT_FLOATS", floats)
+        want = _bits(capacity_gap(m) for m in measures)
+        assert want == _bits(_reference_gap(m) for m in measures)
+        assert len({via_transform for via_transform, _ in want[:8]}) == 8
+        for supports in (blocks, blocks[::-1]):
+            chunk = polar.Chunk(group=measures[0].group, supports=supports)
+            assert _bits(_gap_list(chunk.gaps())) == want
+    assert polar._product_rows(27, 8) == 3
+
+
+def test_the_route_reduces_each_node_by_its_own_weights():
+    # injection: a reduction that reads the weights of the node before it
+    # on the shared matrix changes via_transform alone, so the routes
+    # disagree
+    measures, blocks = _shared_blocks()
+    chunk = polar.Chunk(group=measures[0].group, supports=blocks[:1])
+    chunk.gaps()
+    real_minus = polar._minus_capacities
+
+    def neighbours(chunk, posteriors):
+        shifted = copy.copy(chunk)
+        shifted.weights = np.roll(chunk.weights, int(chunk.counts[0]))
+        return real_minus(shifted, posteriors)
+
+    with mock.patch.object(polar, "_minus_capacities", neighbours):
+        with pytest.raises(RuntimeError, match="routes disagree"):
+            chunk.gaps()
+
+
+def test_a_dhmix_walk_convolves_one_matrix_per_gaps_call(monkeypatch):
+    # on the dhmix-z2z4 walk every gap node of a chunk sits on one 27-atom
+    # matrix, which each gaps call convolves once
+    stacks, calls = [], []
+    real_products, real_gaps = polar._column_products, polar.Chunk.gaps
+
+    def products(r, table):
+        stacks[-1].append(r.shape)
+        return real_products(r, table)
+
+    def gaps(chunk):
+        stacks.append([])
+        calls.append(len(chunk))
+        return real_gaps(chunk)
+
+    monkeypatch.setattr(polar, "_column_products", products)
+    monkeypatch.setattr(polar.Chunk, "gaps", gaps)
+    process.enumerate_paths(dh_mix_channel(make_group([2, 4]), 11), 5)
+    assert stacks == [[(1, 27, 8)]] * len(calls)
+    assert sum(calls) == 63
 
 
 def _gap_list(gaps):

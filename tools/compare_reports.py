@@ -10,12 +10,15 @@ BLAS thread, and the two runs' stdout bytes, exit codes and stderr are
 compared. Prints one line per command and exits 0 when every command
 matches, 1 otherwise. When a command's stdout differs and parses as JSON on
 both sides, the line is followed by the key paths that differ, list indices
-collapsed to [*], each with the largest absolute difference of its numbers.
+collapsed to [*], each with the largest absolute difference of its numbers;
+otherwise by the lines that differ, REV's marked '-' and the working tree's
+'+', at most 10 a side.
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
 import os
 import subprocess
@@ -187,12 +190,23 @@ def json_diff(a, b, path: str = "", out: dict | None = None) -> dict[str, float 
     return out
 
 
+def changed_lines(want: bytes, got: bytes, limit: int = 10) -> list[str]:
+    """The lines of two stdouts that differ, the first's marked '-' and the second's '+', at most `limit` a side."""
+    a, b = (text.decode(errors="replace").splitlines() for text in (want, got))
+    removed, added = [], []
+    for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(None, a, b, autojunk=False).get_opcodes():
+        if tag != "equal":
+            removed += a[i1:i2]
+            added += b[j1:j2]
+    return [f"    - {line}" for line in removed[:limit]] + [f"    + {line}" for line in added[:limit]]
+
+
 def describe(want: bytes, got: bytes) -> list[str]:
-    """One line per differing key path of two JSON stdouts; none if either is not JSON."""
+    """One line per differing key path of two JSON stdouts, or the lines that differ where either is not JSON."""
     try:
         diff = json_diff(json.loads(want), json.loads(got))
     except ValueError:
-        return []
+        return changed_lines(want, got)
     return [f"    {path or '(root)'}: " + ("differs" if size is None else f"max |diff| {size:.3g}")
             for path, size in sorted(diff.items())]
 
