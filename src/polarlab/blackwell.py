@@ -439,8 +439,12 @@ class BlackwellMeasure:
         )
 
     def realized_kernel(self) -> np.ndarray:
-        """Kernel W(y_i|x) = |G| w_i q_i(x), one column per atom, rows renormalized."""
-        return _realized_columns(self.group.size, self.weights, self.posteriors, self.atom_count).T
+        """Kernel W(y_i|x) = |G| w_i q_i(x), one column per atom, rows renormalized.
+
+        Each input's entries are summed in atom order.
+        """
+        columns = self.posteriors * self.weights[:, None] * self.group.size
+        return (columns / columns.sum(axis=0)).T
 
     def realize(self) -> Channel:
         """Canonical channel realization: one output per atom, labeled a0, a1, ..."""
@@ -599,17 +603,6 @@ def _capacities(size: int, weights: np.ndarray, posteriors: np.ndarray, bounds) 
     of measures of one atom count run as one stacked matmul (segment_dots).
     """
     return np.log2(size) - segment_dots(weights, row_entropies_bits(posteriors), bounds)
-
-
-def _realized_columns(size: int, weights: np.ndarray, posteriors: np.ndarray, k: int) -> np.ndarray:
-    """Realized kernels of measures of k atoms each laid end to end, transposed.
-
-    Row i is the column |G| w_i q_i of its measure's kernel, divided by the
-    kernel's row sums. Each measure's rows are summed per input in atom
-    order, as a measure alone sums them.
-    """
-    columns = (posteriors * weights[:, None] * size).reshape(-1, k, size)
-    return (columns / columns.sum(axis=1, keepdims=True)).reshape(-1, size)
 
 
 def merge_outputs(w: Channel, merge_tau: float = DEFAULT_MERGE_TAU) -> Channel:

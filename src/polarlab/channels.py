@@ -284,15 +284,16 @@ def _class_constants(group: Group) -> tuple[np.ndarray, np.ndarray]:
     return targets, members
 
 
-def _classify(group: Group, kernel: np.ndarray, bounds, capacities: np.ndarray, delta: float) -> Classes:
-    """delta-classification of each channel whose kernel is a column block of `kernel`.
+def _classify(group: Group, capacities, quotient_capacities, delta: float) -> Classes:
+    """delta-classification of channels on the group, given their capacities and quotient capacities.
 
-    Channel s has the kernel kernel[:, bounds[s]:bounds[s + 1]] over the
-    group and capacity capacities[s]. The kernels are taken as valid (a
-    Channel's, or a measure's realized one) and delta as checked
-    (_check_delta). Each subgroup's coset averages and their capacities run
-    once for all blocks (kernel_capacities), which gives each channel the
-    bits it gets alone.
+    Channel s has capacity capacities[s], and quotient_capacities(H)
+    returns I(W[H]) of every channel, in the same order, for the subgroup
+    H; it is asked only for the subgroups that some channel is within
+    delta of on capacity, in enumeration order. A Channel's come from its
+    coset averages (delta_determining_subgroup), a walk's from the nodes'
+    posterior matrices (polar.Chunk.quotient_capacities). delta is taken
+    as checked (_check_delta).
     """
     subgroups = enumerate_subgroups(group)
     targets, members = _class_constants(group)
@@ -300,8 +301,7 @@ def _classify(group: Group, kernel: np.ndarray, bounds, capacities: np.ndarray, 
     near = gap_capacity < delta
     gap_quotient = np.full(gap_capacity.shape, np.nan)
     for t in np.flatnonzero(near.any(axis=0)).tolist():
-        quotient_capacities = kernel_capacities(_coset_average(group, kernel, subgroups[t]), bounds)
-        gap_quotient[:, t] = np.abs(quotient_capacities - targets[t])
+        gap_quotient[:, t] = np.abs(quotient_capacities(subgroups[t]) - targets[t])
     witness = near & (gap_quotient < delta)
     larger = np.where(witness, np.maximum(gap_capacity, gap_quotient), np.inf)
     order = np.lexsort((np.broadcast_to(members, witness.shape), larger))
@@ -312,7 +312,12 @@ def delta_determining_subgroup(w: Channel, delta: float) -> DeterminednessResult
     """Find all subgroups whose quotient structure explains the channel at level delta."""
     _check_delta(delta)
     group = w.require_group()
-    classes = _classify(group, w.kernel, (0, w.n_outputs), [symmetric_capacity(w)], delta)
+    bounds = (0, w.n_outputs)
+
+    def quotient_capacities(sub: Subgroup) -> np.ndarray:
+        return kernel_capacities(_coset_average(group, w.kernel, sub), bounds)
+
+    classes = _classify(group, [symmetric_capacity(w)], quotient_capacities, delta)
     return classes.results(enumerate_subgroups(group), delta)[0]
 
 

@@ -13,24 +13,23 @@ recursions; the channel-side transforms double as their cross-check oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from ._util import fold_planes, plane_entropies_bits, row_entropies_bits
+from ._util import fold_planes, plane_entropies_bits, row_entropies_bits, segment_dots
 from .blackwell import (
     DEFAULT_MERGE_TAU,
     BlackwellMeasure,
     _canonical_measures,
-    _capacities,
     _exact_merge,
-    _realized_columns,
     _replayed_weights,
     blackwell_measure,
 )
-from .channels import Channel, kernel_capacities
-from .groups import Group
+from .channels import Channel
+from .groups import Group, Subgroup, enumerate_subgroups, quotient
 
 DEFAULT_ATOM_BUDGET = 20000
 GAP_ROUTE_TOL = 1e-8
@@ -152,8 +151,8 @@ class Chunk:
 
     What a posterior matrix alone decides is computed once for the blocks
     whose matrices have one key (`by_key`), and kept in the table `plans`
-    (see _planned and _pair_entropies); chunks given one table share what
-    it keeps.
+    (see _planned, _pair_entropies and _weighted); chunks given one table
+    share what it keeps.
     """
 
     def __init__(
@@ -232,7 +231,6 @@ class Chunk:
         for j, block in enumerate(supports):
             self.by_key.setdefault(block.key, []).append(j)
         self._conv = None
-        self._realized = None
         self._posteriors = None
 
     def __len__(self) -> int:
@@ -299,24 +297,56 @@ class Chunk:
         return self._conv
 
     def capacities(self) -> np.ndarray:
-        """capacity_of_measure of every node."""
-        bounds = self.starts.tolist()
-        return self.unsort(_capacities(self.group.size, self.weights, self.posteriors, bounds))
+        """capacity_of_measure of every node: log2|G| - w . H(p), H(p) the row entropies of its matrix."""
+        return self.unsort(np.log2(self.group.size) - self._weighted("entropies", row_entropies_bits))
 
-    def realized_columns(self) -> np.ndarray:
-        """The columns of the realized kernels as rows, laid out like the atoms; read-only, computed once.
+    def quotient_capacities(self, sub: Subgroup) -> np.ndarray:
+        """I(M[H]) of every node for the subgroup H, the capacity of its realized kernel's coset average.
 
-        Each node's rows are bitwise its measure's realized_kernel().T.
+        Column i of the coset average is |G:H| w_i Q_i, Q_i(c) the sum of
+        p_i over the coset c: its output marginal is w_i s_i, s_i the sum
+        of Q_i, and its posterior is Q_i / s_i, of entropy C_i. So
+        I(M[H]) = log2|G:H| - w . (s o C), and s o C is the posterior
+        matrix's alone (_coset_entropies). For H = {0} it is I(M).
         """
-        if self._realized is None:
-            out = []
-            for k, a, b in self.blocks:
-                lo, hi = self.starts[a], self.starts[b]
-                weights, posteriors = self.weights[lo:hi], self.posteriors[lo:hi]
-                out.append(_realized_columns(self.group.size, weights, posteriors, k))
-            self._realized = out[0] if len(out) == 1 else np.concatenate(out)
-            self._realized.setflags(write=False)
-        return self._realized
+        return self.unsort(self._quotient_capacities(sub))
+
+    def _quotient_capacities(self, sub: Subgroup) -> np.ndarray:
+        """quotient_capacities in layout order."""
+        members = quotient(self.group, sub).members
+        entropies = partial(_coset_entropies, members)
+        return np.log2(len(members)) - self._weighted(("cosets", sub.members), entropies)
+
+    def _weighted(self, name, rowwise) -> np.ndarray:
+        """w . rowwise(p) of every node, in layout order: its weights dotted with a vector its matrix alone decides.
+
+        rowwise maps a C-layout (rows, |G|) array of posteriors to one
+        value per row, each row's bits its own, so it runs once on the
+        matrices that no table entry holds, stacked, and a chunk whose nodes
+        each have their own matrix maps its atoms in place. The values are
+        kept in the table under (name, the matrix's key) for a matrix that
+        two nodes of the chunk share, as _pair_entropies keeps its entries.
+        The dots run one stacked matmul per size run (segment_dots), so
+        each node's dot is the BLAS call its measure makes alone.
+        """
+        entries = {key: self.plans.get((name, key)) for key in self.by_key}
+        todo = [key for key, entry in entries.items() if entry is None]
+        if len(todo) == len(self):
+            # every node on its own matrix, none kept: the atoms in place
+            return segment_dots(self.weights, rowwise(self.posteriors), self.starts)
+        if todo:
+            matrices = [self.supports[self.by_key[key][0]].posteriors for key in todo]
+            values = rowwise(matrices[0] if len(matrices) == 1 else np.concatenate(matrices))
+            cuts = np.cumsum([len(matrix) for matrix in matrices[:-1]])
+            entries.update(zip(todo, np.split(values, cuts)))
+        for key, members in self.by_key.items():
+            if len(members) > 1 or len(self.supports[members[0]].rows) > 1:
+                self.plans[name, key] = entries[key]
+        values = np.empty(self.starts[-1])
+        for j in self.layout:
+            (a, b), block = self.spans[j], self.supports[j]
+            values[self.starts[a] : self.starts[b]].reshape(b - a, -1)[...] = entries[block.key]
+        return segment_dots(self.weights, values, self.starts)
 
     def pair_weights(self) -> np.ndarray:
         """w_i w_j of every atom pair."""
@@ -492,11 +522,13 @@ class Chunk:
         through BLAS products (_column_products) of the matrix's posterior
         columns, folded tile by tile into each of its nodes' minus
         capacities by the node's own weights (_minus_capacities); they
-        share only the entropy fold. I(M) is read off each node's realized
-        kernel.
+        share only the entropy fold. via_transform's I(M) is the realized
+        kernel's capacity, log2|G| - w . (s o C) with s o C of the matrix's
+        rows (_quotient_capacities at H = {0}), where via_pairs reads the
+        row entropies H(p) unnormalized, in the other fold order.
         """
-        columns = self.realized_columns()
-        via_transform = kernel_capacities(columns.T, self.starts) - _minus_capacities(self, self.posteriors)
+        trivial = enumerate_subgroups(self.group)[0]
+        via_transform = self._quotient_capacities(trivial) - _minus_capacities(self, self.posteriors)
         via_pairs = self._pair_gaps()
         # NaN on either route fails the check too
         off = ~(np.abs(via_transform - via_pairs) <= GAP_ROUTE_TOL)
@@ -791,9 +823,9 @@ def _minus_capacities(chunk: Chunk, posteriors: np.ndarray) -> np.ndarray:
     each, are convolved once, as BLAS products of their posterior columns
     (_column_products) that share nothing with the einsum tiles of
     via_pairs. Each tile is reduced as it comes, so no array spans a
-    matrix's pairs: s folds left to right (a tile of one column too, as
-    beside other columns), s o C counts 0 at a dead pair (s not > 0), and
-    one stacked matmul adds w[i0:i1] @ (s o C)[i0:i1] @ w of every node of
+    matrix's pairs: s o C of its columns (_marginal_entropies), where s
+    folds left to right and a dead pair (s not > 0) counts 0, and one
+    stacked matmul adds w[i0:i1] @ (s o C)[i0:i1] @ w of every node of
     the tile's matrices to that node's sum, in tile order. Tiles are cut by
     a rule of k and |G| alone and each node's dots are its own BLAS calls,
     so a node gets the same bits in a chunk as alone.
@@ -823,20 +855,47 @@ def _minus_capacities(chunk: Chunk, posteriors: np.ndarray) -> np.ndarray:
             count = planes.shape[1]
             if len(spare) < 2 * count:
                 spare = np.empty(2 * count)
-            marginal = fold_planes(planes, False, out=spare[:count])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                planes /= marginal
-                products = plane_entropies_bits(planes, False, out=spare[count : 2 * count])
-                products *= marginal
-            # a dead pair's entropy can be infinite, its marginal NaN
-            products[~(marginal > 0.0)] = 0.0
-            products = products.reshape(m1 - m0, i1 - i0, k)
+            products = _marginal_entropies(planes, spare).reshape(m1 - m0, i1 - i0, k)
             lo, hi = bounds[m0], bounds[m1]
             if m1 - m0 not in (1, hi - lo):
                 products = products[matrix[lo:hi] - m0]
             w = weights[lo:hi]
             sums[nodes[lo:hi]] += (w[:, None, i0:i1] @ products @ w[:, :, None]).ravel()
     return np.log2(size) - sums
+
+
+def _marginal_entropies(planes: np.ndarray, spare: np.ndarray | None = None) -> np.ndarray:
+    """s o C of every column of planes: its sum s, folded left to right, times the entropy C of the column over s.
+
+    A dead column (s not > 0) counts 0. The fold of a lone column is the
+    one it gets beside other columns (fold_planes), so a column's bits
+    are its own. The planes are overwritten; s and the result are written
+    to `spare`, of at least twice the columns, where it is given.
+    """
+    count = planes.shape[1]
+    if spare is None:
+        spare = np.empty(2 * count)
+    marginal = fold_planes(planes, False, out=spare[:count])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        planes /= marginal
+        products = plane_entropies_bits(planes, False, out=spare[count : 2 * count])
+        products *= marginal
+    # a dead column's entropy can be infinite, its marginal NaN
+    products[~(marginal > 0.0)] = 0.0
+    return products
+
+
+def _coset_entropies(members: np.ndarray, posteriors: np.ndarray) -> np.ndarray:
+    """s o C (_marginal_entropies) of each row's coset sums Q(c), for the cosets that are the rows of `members`.
+
+    Each coset's entries are added to zero in element order, one member of
+    every coset at a time, as channels._coset_average adds kernel rows.
+    """
+    columns = posteriors.T
+    sums = np.zeros((len(members), len(posteriors)))
+    for column in members.T:
+        sums += columns[column]
+    return _marginal_entropies(sums)
 
 
 def minus_on_measure(m: BlackwellMeasure, merge_tau: float = DEFAULT_MERGE_TAU) -> BlackwellMeasure:
@@ -855,8 +914,9 @@ class CapacityGap:
 
     via_transform: I(W) - I(W-) on the measure's realized kernel W, with W-
         from the channel-side minus formula, whose column (i, j) is
-        |G| w_i w_j (p_i (*) p_j): its convolutions are its posterior
-        matrix's alone, its weights the measure's; no measure is built.
+        |G| w_i w_j (p_i (*) p_j). Both capacities are entropies of its
+        posterior matrix alone, reduced by the measure's weights; no
+        kernel and no measure is built.
     via_pairs: pairwise-atom form sum_ij w_i w_j (H(p_i (*) p_j) - H(p_i)).
     """
 
@@ -872,11 +932,16 @@ def capacity_gap(m: BlackwellMeasure) -> CapacityGap:
     """I(M) - I(M-) via both routes; they must agree to 1e-8.
 
     via_transform reads both capacities off kernels: the realized kernel,
-    and its channel-side minus transform, whose column (i, j) is
-    |G| w_i w_j (p_i (*) p_j). The weights factor out of that kernel's
-    output marginal and cancel in its posteriors, so its convolutions, BLAS
-    products of the posterior columns, are made once per posterior matrix
-    and reduced by the measure's weights tile by tile. They share no
+    whose column i is |G| w_i p_i, and its channel-side minus transform,
+    whose column (i, j) is |G| w_i w_j (p_i (*) p_j). The weights factor
+    out of each kernel's output marginal and cancel in its posteriors, so
+    each capacity is log2|G| less the weights' reduction of s o C, the
+    posterior matrix's column sums times the entropies of the normalized
+    columns: for the realized kernel the rows p_i, for the minus kernel
+    their convolutions, BLAS products of the posterior columns, made once
+    per posterior matrix and reduced by the measure's weights tile by
+    tile. The realized kernel's s o C reads the rows that via_pairs' H(p_i)
+    reads, normalized and folded in the other order. The routes share no
     convolution with the atom-pair einsums behind via_pairs, only the
     entropy fold, so a fault in either convolution shows as a disagreement,
     and a NaN on either route fails the check. Both are exact functionals

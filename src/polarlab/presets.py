@@ -8,7 +8,7 @@ import re
 import numpy as np
 
 from .channels import Channel, deterministic_hom
-from .groups import Group, enumerate_subgroups, make_group, subgroup_from_members
+from .groups import Group, enumerate_subgroups, make_group, quotient, subgroup_from_members
 
 _GROUP_SPEC_RE = re.compile(r"^z\d+(xz\d+)*$", re.IGNORECASE)
 
@@ -101,13 +101,14 @@ def dh_mix_channel(group: Group, seed: int) -> Channel:
     subs = enumerate_subgroups(group)
     rng = np.random.default_rng([seed, group.size, len(subs)])
     lam = rng.dirichlet(np.ones(len(subs)))
-    blocks = []
+    # subgroup t's block of columns is deterministic_hom's kernel times lam[t]
+    quotients = [quotient(group, sub) for sub in subs]
+    kernel = np.zeros((group.size, sum(q.count for q in quotients)))
     outputs: list[str] = []
-    for weight, sub in zip(lam, subs):
-        dh = deterministic_hom(group, sub)
-        blocks.append(weight * dh.kernel)
-        outputs.extend(f"{sub.label()}@{o}" for o in dh.outputs)
-    return Channel(np.hstack(blocks), outputs, group)
+    for weight, sub, q in zip(lam, subs, quotients):
+        kernel[np.arange(group.size), len(outputs) + q.coset_of] = weight
+        outputs.extend(f"{sub.label()}@{q.coset_label(j)}" for j in range(q.count))
+    return Channel(kernel, outputs, group)
 
 
 # the fields of each preset's spec, its name included

@@ -909,17 +909,17 @@ def _evaluate_chunk(chunk: Chunk, delta: float | None) -> Evaluations:
     """Evaluate every measure of a chunk, classifying at delta unless it is None.
 
     One batched kernel: the Pol distances (metrics._nearest_pol), the
-    capacities, and the classification of the realized kernels on those
-    capacities (channels._classify). Each measure gets bitwise the result
-    it gets alone, in the chunk's order.
+    capacities, and the classification on those capacities and the
+    quotient capacities (channels._classify), both the nodes' weights
+    dotted with vectors that each posterior matrix decides once
+    (polar.Chunk). Each measure gets bitwise the result it gets alone, in
+    the chunk's order.
     """
     distance, subgroup, solves = _nearest_pol(chunk)
     capacities = chunk.capacities()
     classes = None
     if delta is not None:
-        kernel = chunk.realized_columns().T
-        by_size = _classify(chunk.group, kernel, chunk.starts.tolist(), capacities[chunk.order], delta)
-        classes = Classes(*map(chunk.unsort, by_size))
+        classes = _classify(chunk.group, capacities, chunk.quotient_capacities, delta)
     return Evaluations(capacities, distance, subgroup, solves, classes)
 
 

@@ -13,13 +13,14 @@ from polarlab import (
     degradation_residual,
     delta_determining_subgroup,
     deterministic_hom,
+    enumerate_subgroups,
     is_degraded,
     make_group,
     subgroup_from_members,
     symmetric_capacity,
 )
 from polarlab.channels import kernel_capacities, kernel_capacity
-from polarlab.presets import bsc_channel, identity_channel, useless_channel
+from polarlab.presets import bsc_channel, dh_mix_channel, identity_channel, useless_channel
 
 Z2 = make_group([2])
 Z4 = make_group([4])
@@ -85,6 +86,23 @@ def test_deterministic_hom_kernels():
     assert np.array_equal(ident.kernel, np.eye(4))
     full = deterministic_hom(Z4, subgroup_from_members(Z4, range(4)))
     assert full.n_outputs == 1
+
+
+@pytest.mark.parametrize("dims", [[2], [4], [2, 4], [6]])
+def test_dh_mix_is_the_weighted_stack_of_deterministic_hom_channels(dims):
+    # the preset is built from the quotient tables; its kernel bytes and
+    # labels are those of each subgroup's deterministic_hom channel, scaled
+    # by its Dirichlet weight, side by side in enumeration order
+    group = make_group(dims)
+    subs = enumerate_subgroups(group)
+    for seed in range(3):
+        lam = np.random.default_rng([seed, group.size, len(subs)]).dirichlet(np.ones(len(subs)))
+        homs = [deterministic_hom(group, sub) for sub in subs]
+        kernel = np.hstack([weight * dh.kernel for weight, dh in zip(lam, homs)])
+        labels = tuple(f"{sub.label()}@{o}" for sub, dh in zip(subs, homs) for o in dh.outputs)
+        w = dh_mix_channel(group, seed)
+        assert w.kernel.tobytes() == kernel.tobytes()
+        assert w.outputs == labels and w.group == group
 
 
 def test_conditional_channel():

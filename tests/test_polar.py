@@ -13,6 +13,7 @@ from polarlab import (
     Channel,
     blackwell_measure,
     capacity_gap,
+    capacity_of_measure,
     convolve_dist,
     deterministic_hom,
     difference_span,
@@ -31,6 +32,7 @@ from polarlab import (
 from polarlab import blackwell, metrics, polar, process, verify
 from polarlab._util import row_entropies_bits
 from polarlab.channels import Classes, kernel_capacity
+from polarlab.groups import quotient
 from polarlab.presets import (
     bec_channel,
     bsc_channel,
@@ -352,16 +354,6 @@ def _reference_plus(m, tau):
     return BlackwellMeasure(m.group, weights.ravel(), posteriors.reshape(-1, m.group.size), tau)
 
 
-def _reference_kernel_capacity(kernel):
-    m = kernel.shape[0]
-    p_y = kernel.sum(axis=0) / m
-    live = p_y > 0.0
-    if not live.all():
-        kernel, p_y = kernel[:, live], p_y[live]
-    posteriors = (kernel / (m * p_y)).T
-    return float(np.log2(m) - p_y @ row_entropies_bits(posteriors))
-
-
 def _reference_minus_capacity(m):
     # the minus kernel of the realized kernel has column (i, j) equal to
     # |G| w_i w_j (p_i (*) p_j): marginal w_i w_j s_ij, s_ij the sum of the
@@ -390,8 +382,33 @@ def _reference_minus_capacity(m):
     return float(np.log2(size) - total)
 
 
+def _left_fold(rows):
+    """rows[0] + rows[1] + ..., added to zero left to right."""
+    out = np.zeros(rows.shape[1:])
+    for row in rows:
+        out += row
+    return out
+
+
+def _reference_quotient_capacity(m, sub):
+    # column i of the realized kernel's coset average is |G:H| w_i Q_i, Q_i
+    # holding the coset sums of q_i, added to zero in element order: its
+    # marginal is w_i s_i, s_i the sum of Q_i, and its posterior Q_i / s_i,
+    # of entropy C_i; each sum folds left to right, and s o C counts 0
+    # where s is not > 0. For H = {0} it is I(M)
+    members = quotient(m.group, sub).members
+    sums = _left_fold(m.posteriors.T[members.T])
+    s = _left_fold(sums)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = sums / s
+        terms = np.where(p > 0.0, p * np.log2(p), 0.0)
+    sc = np.where(s > 0.0, s * -_left_fold(terms), 0.0)
+    return float(np.log2(len(members)) - m.weights @ sc)
+
+
 def _reference_gap(m):
-    via_transform = _reference_kernel_capacity(m.realized_kernel()) - _reference_minus_capacity(m)
+    trivial = enumerate_subgroups(m.group)[0]
+    via_transform = _reference_quotient_capacity(m, trivial) - _reference_minus_capacity(m)
     conv = np.einsum("iuv,jv->iju", m.posteriors[:, m.group.add_table], m.posteriors)
     h_conv = row_entropies_bits(conv.reshape(-1, m.group.size)).reshape(m.atom_count, m.atom_count)
     h_atoms = row_entropies_bits(m.posteriors)
@@ -582,6 +599,110 @@ def test_the_route_reduces_each_node_by_its_own_weights():
             chunk.gaps()
 
 
+def _two_matrices():
+    """Measures of depth 3 on Z4, eight of z4-multilevel:0.5 on one 6-atom matrix and eight of dh-mix:3 on
+    one 7-atom matrix, then two of their own matrices, of 6 and of 3 atoms; and blocks of them: each shared
+    matrix in one block, their positions interleaved, and one block per other measure."""
+    levels = [_level(blackwell_measure(w), 3, polar.DEFAULT_MERGE_TAU) for w in (z4_multilevel_channel(0.5), dh_mix_channel(Z4, 3))]
+    assert [len({m.posteriors.tobytes() for m in level}) for level in levels] == [1, 1]
+    measures = [m for pair in zip(*levels) for m in pair]
+    measures += [blackwell_measure(random_channel(Z4, outputs, seed=1)) for outputs in (6, 3)]
+    assert [m.atom_count for m in measures] == [6, 7] * 8 + [6, 3]
+
+    def block(rows):
+        weights = np.stack([measures[p].weights for p in rows])
+        weights.setflags(write=False)
+        q = measures[rows[0]].posteriors
+        return polar.Block(q, q.tobytes(), weights, np.array(rows))
+
+    return measures, [block(list(range(0, 16, 2))), block([16]), block(list(range(1, 16, 2))), block([17])]
+
+
+def _capacity_bits(values):
+    return [float(value).hex() for value in values]
+
+
+@pytest.mark.parametrize("case", [_shared_blocks, _two_matrices])
+def test_per_matrix_reductions_match_each_node_alone(case):
+    # each node's capacity and quotient capacities are its weights dotted
+    # with vectors its posterior matrix decides once: bitwise its measure's
+    # capacity alone and the per-matrix reference, in both block orders
+    measures, blocks = case()
+    group = measures[0].group
+    for supports in (blocks, blocks[::-1]):
+        chunk = polar.Chunk(group=group, supports=supports)
+        assert _capacity_bits(chunk.capacities()) == _capacity_bits(capacity_of_measure(m) for m in measures)
+        for sub in enumerate_subgroups(group):
+            want = _capacity_bits(_reference_quotient_capacity(m, sub) for m in measures)
+            assert _capacity_bits(chunk.quotient_capacities(sub)) == want, sub
+            assert _capacity_bits(polar.Chunk([m]).quotient_capacities(sub)[0] for m in measures) == want, sub
+
+
+def test_a_reused_table_entry_gives_the_fresh_bits(monkeypatch):
+    # a chunk keeps the vectors of a matrix that two of its nodes share in
+    # the table; a later chunk given the table reads them and computes
+    # none, and gets the bits that a chunk without the table computes
+    measures, blocks = _two_matrices()
+    group = measures[0].group
+    plans = {}
+    first = polar.Chunk(group=group, supports=blocks[:2], plans=plans)
+    first.capacities(), first.gaps()
+    subgroups = enumerate_subgroups(group)
+    for sub in subgroups:
+        first.quotient_capacities(sub)
+    assert {name for name, key in plans if key == blocks[0].key} == {
+        "gap", "entropies", *(("cosets", sub.members) for sub in subgroups)
+    }
+    # the one-node matrix of the first chunk keeps nothing
+    assert not any(key == blocks[1].key for _, key in plans)
+    calls = []
+    for name in ("row_entropies_bits", "_coset_entropies"):
+        real = getattr(polar, name)
+        monkeypatch.setattr(polar, name, lambda *args, real=real: calls.append(args) or real(*args))
+    # two nodes of the matrix that the table holds, beside a node of the other
+    supports = [blocks[0].take(slice(3, 5)), blocks[2].take(slice(0, 1))]
+
+    def results(chunk):
+        quotients = [_capacity_bits(chunk.quotient_capacities(sub)) for sub in subgroups]
+        return _capacity_bits(chunk.capacities()), quotients, _bits(_gap_list(chunk.gaps()))
+
+    got = results(polar.Chunk(group=group, supports=supports, plans=plans))
+    # the chunk given the table mapped only the other matrix's 7 rows
+    assert {len(args[-1]) for args in calls} == {7}
+    assert got == results(polar.Chunk(group=group, supports=supports))
+
+
+def test_nodes_on_their_own_matrices_keep_nothing_in_the_table():
+    # a generic walk's table does not grow: a chunk whose nodes each have
+    # their own matrix keeps no per-matrix vector
+    plans = {}
+    measures = [blackwell_measure(random_channel(Z4, outputs, seed=seed)) for seed, outputs in ((1, 6), (2, 6), (3, 3))]
+    chunk = polar.Chunk(measures, plans)
+    chunk.capacities(), chunk.gaps()
+    for sub in enumerate_subgroups(Z4):
+        chunk.quotient_capacities(sub)
+    assert plans == {}
+
+
+def test_the_capacity_reduces_each_node_by_its_own_weights(monkeypatch):
+    # injection: an I(M) reduction that reads the weights of the node
+    # before it on the shared matrix changes via_transform alone, so the
+    # routes disagree
+    measures, blocks = _shared_blocks()
+    chunk = polar.Chunk(group=measures[0].group, supports=blocks[:1])
+    chunk.gaps()
+    real_weighted = polar.Chunk._weighted
+
+    def neighbours(chunk, name, rowwise):
+        shifted = copy.copy(chunk)
+        shifted.weights = np.roll(chunk.weights, int(chunk.counts[0]))
+        return real_weighted(shifted, name, rowwise)
+
+    monkeypatch.setattr(polar.Chunk, "_weighted", neighbours)
+    with pytest.raises(RuntimeError, match="routes disagree"):
+        chunk.gaps()
+
+
 def test_a_dhmix_walk_convolves_one_matrix_per_gaps_call(monkeypatch):
     # on the dhmix-z2z4 walk every gap node of a chunk sits on one 27-atom
     # matrix, which each gaps call convolves once
@@ -652,10 +773,10 @@ def test_minus_capacities_hold_no_array_as_long_as_the_pairs():
         m = blackwell_measure(random_channel(Z2, outputs, seed=1))
         assert m.atom_count == outputs
         chunk = polar.Chunk([m])
-        columns = chunk.realized_columns()
+        posteriors = chunk.posteriors
         tracemalloc.start()
         try:
-            polar._minus_capacities(chunk, columns)
+            polar._minus_capacities(chunk, posteriors)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

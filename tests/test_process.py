@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_polar import _gap_list, _measure_chunks, _rows
+from test_polar import _gap_list, _measure_chunks, _reference_quotient_capacity, _rows
 
 from polarlab import (
     AtomBudgetError,
@@ -28,8 +28,7 @@ from polarlab import (
     subgroup_from_members,
     symmetric_capacity,
 )
-from polarlab import channels, metrics, polar, process, verify
-from polarlab.channels import kernel_capacities, kernel_capacity
+from polarlab import metrics, polar, process, verify
 from polarlab.polar import Chunk
 from polarlab.process import report_csv, report_json
 from polarlab.presets import (
@@ -855,34 +854,37 @@ def test_depth_validation():
         enumerate_paths(w, 4, delta=0.0)
 
 
+def _assert_the_channel_route_agrees(result, m, delta):
+    # the labeled, validated channel that realize() builds gives the same
+    # subgroups in the same order, capacity gaps that differ by the
+    # rounding of its own capacity at most, and quotient gaps that differ by
+    # the rounding of its renormalized rows at most; the node's quotient
+    # gaps are the per-matrix reference's bits
+    channel = delta_determining_subgroup(m.realize(), delta)
+    assert result.determined == channel.determined
+    assert [x.subgroup for x in result.witnesses] == [x.subgroup for x in channel.witnesses]
+    for x, y in zip(result.witnesses, channel.witnesses):
+        assert abs(x.gap_capacity - y.gap_capacity) <= 1e-15
+        assert abs(x.gap_quotient - y.gap_quotient) <= 1e-15
+        target = np.log2(m.group.size // x.subgroup.size)
+        assert x.gap_quotient == abs(_reference_quotient_capacity(m, x.subgroup) - target)
+
+
 @pytest.mark.parametrize("delta", [0.1, 0.5, 2.0])
 def test_leaf_classification_matches_the_channel_route(delta):
-    # the walk classifies each leaf on its measure's realized kernel and the
-    # record's capacity; the labeled, validated channel that realize() builds
-    # gives the same subgroups and quotient gaps, and capacity gaps that
-    # differ by the rounding of its own capacity at most
+    # the walk classifies each leaf on the record's capacity and on its
+    # posterior matrix's quotient capacities, reduced by its weights
     for w, depth in ((z4_multilevel_channel(0.5), 7), (dh_mix_channel(make_group([2, 4]), 3), 5)):
         leaves = [m for level, _, _ in process._walk_chunks(blackwell_measure(w), depth)
                   if len(level.paths[0]) == depth for m in level.nodes()]
         records = enumerate_paths(w, depth, delta=delta).records
         assert len(leaves) == len(records) == 2 ** depth
         for rec, m in zip(records, leaves):
-            channel = delta_determining_subgroup(m.realize(), delta)
-            assert rec.determinedness.determined == channel.determined
-            ours, theirs = rec.determinedness.witnesses, channel.witnesses
-            assert [(x.subgroup, x.gap_quotient) for x in ours] == [
-                (x.subgroup, x.gap_quotient) for x in theirs
-            ]
-            for x, y in zip(ours, theirs):
-                assert abs(x.gap_capacity - y.gap_capacity) <= 1e-15
+            _assert_the_channel_route_agrees(rec.determinedness, m, delta)
     for w in verify.random_corpus():
         m = blackwell_measure(w)
-        kernel = m.realized_kernel()
-        bounds = (0, m.atom_count)
-        kernel_route = process._classify(m.group, kernel, bounds, [kernel_capacity(kernel)], delta)
-        assert kernel_route.results(enumerate_subgroups(m.group), delta) == [
-            delta_determining_subgroup(m.realize(), delta)
-        ]
+        classes = process._evaluate_chunk(Chunk([m]), delta).classes
+        _assert_the_channel_route_agrees(classes.results(enumerate_subgroups(m.group), delta)[0], m, delta)
 
 
 @settings(max_examples=30)
@@ -905,7 +907,7 @@ def test_chunk_evaluation_matches_each_measure_alone(case, delta):
 
 
 
-def _reference_classify(group, kernel, bounds, capacities, delta):
+def _reference_classify(group, capacities, quotient_capacities, delta):
     """The per-subgroup search that _classify runs as columns: each channel's
     witnesses as objects, sorted by (larger gap, members)."""
     witnesses = [[] for _ in capacities]
@@ -915,7 +917,7 @@ def _reference_classify(group, kernel, bounds, capacities, delta):
         near = [s for s, gap in enumerate(gaps) if gap < delta]
         if not near:
             continue
-        quotient = kernel_capacities(channels._coset_average(group, kernel, sub), bounds).tolist()
+        quotient = quotient_capacities(sub)
         for s in near:
             gap_quotient = abs(quotient[s] - target)
             if gap_quotient < delta:
@@ -928,10 +930,17 @@ def _reference_classify(group, kernel, bounds, capacities, delta):
 
 
 def _assert_classes_are_the_reference(measures, delta):
+    # on the chunk's capacities and quotient capacities, and on each
+    # measure's own capacity and per-matrix reference quotient capacities
     chunk = Chunk(measures)
-    args = (chunk.group, chunk.realized_columns().T, chunk.starts.tolist(), chunk.capacities()[chunk.order], delta)
-    classes = process._classify(*args)
-    assert classes.results(enumerate_subgroups(chunk.group), delta) == _reference_classify(*args)
+    classes = process._classify(chunk.group, chunk.capacities(), chunk.quotient_capacities, delta)
+    capacities = [capacity_of_measure(m) for m in measures]
+
+    def quotient_capacities(sub):
+        return [_reference_quotient_capacity(m, sub) for m in measures]
+
+    want = _reference_classify(chunk.group, capacities, quotient_capacities, delta)
+    assert classes.results(enumerate_subgroups(chunk.group), delta) == want
 
 
 @settings(max_examples=30)
@@ -947,7 +956,7 @@ def test_classification_orders_tied_witnesses_by_members():
     measures = [blackwell_measure(w) for w in (useless_channel(z2z2), identity_channel(z2z2))]
     measures += [blackwell_measure(w) for w in verify.random_corpus() if w.group == z2z2][:3]
     _assert_classes_are_the_reference(measures, 10.0)
-    useless = process._classify(*(Chunk(measures[:1]).group, measures[0].realized_kernel(), (0, 1), [0.0], 10.0))
+    useless = process._classify(z2z2, [0.0], Chunk(measures[:1]).quotient_capacities, 10.0)
     order = [enumerate_subgroups(z2z2)[t].members for t in useless.order[0].tolist()]
     assert order == [(0, 1, 2, 3), (0, 1), (0, 2), (0, 3), (0,)]
 
