@@ -151,8 +151,13 @@ class Chunk:
 
     What a posterior matrix alone decides is computed once for the blocks
     whose matrices have one key (`by_key`), and kept in the table `plans`
-    (see _planned, _pair_entropies and _weighted); chunks given one table
-    share what it keeps.
+    under (name, the matrix's key): the step plans (_planned); the pair
+    convolutions of a matrix that a plan was recorded on ("conv", _record),
+    which the other sign's record and the matrix's pair entropies read;
+    and, for a matrix that two nodes of a chunk share, the pair entropies
+    of via_pairs ("gap", _pair_entropies), the s o C of its pairs that
+    via_transform reduces ("minus", _minus_capacities) and the vectors of
+    the capacities (_weighted). Chunks given one table share what it keeps.
     """
 
     def __init__(
@@ -230,7 +235,9 @@ class Chunk:
         self.by_key: dict[bytes, list[int]] = {}
         for j, block in enumerate(supports):
             self.by_key.setdefault(block.key, []).append(j)
-        self._conv = None
+        # a one-node chunk takes its matrix's pair convolutions from the
+        # table, where a record kept them (_record)
+        self._conv = self.plans.get(("conv", supports[0].key)) if end == 1 else None
         self._posteriors = None
 
     def __len__(self) -> int:
@@ -287,7 +294,8 @@ class Chunk:
         """(P, |G|) pair convolutions p_i (*) p_j, shared by the minus and plus steps; computed once.
 
         The transpose of the (|G|, P) array that the tiles of _planes fill
-        in place, so column-major.
+        in place, so column-major. A one-node chunk whose matrix's
+        convolutions the table keeps reads them instead.
         """
         if self._conv is None:
             whole = np.empty((self.group.size, self.pair_starts[-1]))
@@ -479,8 +487,9 @@ class Chunk:
         the first step of each sign that a walk's table sees, the root's,
         whose matrix the level below may share. They are kept in the table
         under ((sign, merge_tau), the matrix's key), with None where no
-        plan is valid. The other nodes, and any whose raw weight underflows
-        to zero, are left to the general path, as one chunk.
+        plan is valid, beside the pair convolutions that the matrix's first
+        record made (_record). The other nodes, and any whose raw weight
+        underflows to zero, are left to the general path, as one chunk.
         """
         out: list[Block] = []
         rest: list[Block] = []
@@ -491,7 +500,8 @@ class Chunk:
             if (step, key) not in self.plans and (first or len(blocks) > 1 or len(blocks[0].rows) > 1):
                 first = False
                 head = min(range(len(blocks)), key=lambda h: blocks[h].rows[0])
-                child, self.plans[step, key] = _record(self.group, blocks[head].take(slice(0, 1)), sign, merge_tau)
+                head_block = blocks[head].take(slice(0, 1))
+                child, self.plans[step, key] = _record(self.group, head_block, sign, merge_tau, self.plans)
                 out.append(child)
                 blocks[head] = blocks[head].take(slice(1, None))
             block = _joined(blocks)
@@ -522,7 +532,11 @@ class Chunk:
         through BLAS products (_column_products) of the matrix's posterior
         columns, folded tile by tile into each of its nodes' minus
         capacities by the node's own weights (_minus_capacities); they
-        share only the entropy fold. via_transform's I(M) is the realized
+        share only the entropy fold. What the table keeps is not convolved
+        again: a matrix's pair entropies ("gap"), or the pair convolutions
+        its record made ("conv"), which the entropies fold; and the s o C
+        of its pairs ("minus"), which each node reduces in the same runs of
+        first atoms as the tiles. via_transform's I(M) is the realized
         kernel's capacity, log2|G| - w . (s o C) with s o C of the matrix's
         rows (_quotient_capacities at H = {0}), where via_pairs reads the
         row entropies H(p) unnormalized, in the other fold order.
@@ -557,14 +571,18 @@ class Chunk:
 
         They read the posteriors alone, so they are computed once per key,
         and kept in the table, under ("gap", the key), for a matrix that two
-        nodes of the chunk share.
+        nodes of the chunk share. A matrix whose pair convolutions the table
+        keeps (_record) takes its entropies from them, on a one-node chunk of
+        its own; the others are convolved together, in the tiles of _planes.
         """
         groups = self.by_key
         entries = {key: self.plans.get(("gap", key)) for key in groups}
         todo = [members[0] for key, members in groups.items() if entries[key] is None]
-        if todo:
-            chunk = self if len(todo) == len(self) else Chunk(
-                group=self.group, supports=[self.supports[j].take(slice(0, 1)) for j in todo]
+        kept = [j for j in todo if ("conv", self.supports[j].key) in self.plans]
+        rest = [j for j in todo if j not in kept]
+        for part in [[j] for j in kept] + ([rest] if rest else []):
+            chunk = self if len(part) == len(self) else Chunk(
+                group=self.group, supports=[self.supports[j].take(slice(0, 1)) for j in part], plans=self.plans
             )
             h_conv = _convolution_entropies(chunk)
             h_atoms = row_entropies_bits(chunk.posteriors)
@@ -596,14 +614,20 @@ class _Plan(NamedTuple):
     key: bytes
 
 
-def _record(group: Group, block: Block, sign: str, merge_tau: float) -> tuple[Block, _Plan | None]:
+def _record(group: Group, block: Block, sign: str, merge_tau: float, plans: dict) -> tuple[Block, _Plan | None]:
     """The child of a one-row block by the general path, and the plan its canonicalization leaves, or None.
 
     A plan is valid when the node's run pruned exactly the raw children of
     zero factor, so no weight underflowed, and merged only bitwise-equal
-    posteriors (blackwell._exact_merge).
+    posteriors (blackwell._exact_merge). The raw children are built from
+    the pair convolutions of the block's matrix that the table `plans`
+    keeps, and the first record of a matrix keeps them there, so the other
+    sign's record and the matrix's pair entropies (_pair_entropies) read
+    one pass of _planes.
     """
-    weights, posteriors, factor = Chunk(group=group, supports=[block]).raw(sign)
+    chunk = Chunk(group=group, supports=[block], plans=plans)
+    weights, posteriors, factor = chunk.raw(sign)
+    plans.setdefault(("conv", block.key), chunk.conv)
     ((w, q),), origin = _canonical_measures(group, weights, posteriors, merge_tau, track_origin=True)
     keep = origin >= 0
     if not (np.array_equal(keep, factor.ravel() > 0.0) and _exact_merge(posteriors, origin)):
@@ -709,6 +733,13 @@ def _by_planes(k: int, size: int) -> bool:
     return size == 2 and k >= 24
 
 
+def _first_runs(k: int, size: int) -> list[tuple[int, int]]:
+    """The runs (i0, i1) of first atoms into which the tiles cut a measure of k atoms: one run of all k
+    where _product_rows(k, |G|) is at least k, else runs of that many, the last shorter."""
+    firsts = _product_rows(k, size)
+    return [(0, k)] if firsts >= k else [(i, min(i + firsts, k)) for i in range(0, k, firsts)]
+
+
 def _tiles(n: int, k: int, size: int) -> tuple[list[tuple[int, int, int, int]], np.ndarray]:
     """Tiles (n0, n1, i0, i1) of n measures of k atoms, and a buffer for the |G| planes of the largest.
 
@@ -721,7 +752,7 @@ def _tiles(n: int, k: int, size: int) -> tuple[list[tuple[int, int, int, int]], 
         step = firsts // k
         tiles = [(m, min(m + step, n), 0, k) for m in range(0, n, step)]
     else:
-        tiles = [(m, m + 1, i, min(i + firsts, k)) for m in range(n) for i in range(0, k, firsts)]
+        tiles = [(m, m + 1, i0, i1) for m in range(n) for i0, i1 in _first_runs(k, size)]
     n0, n1, i0, i1 = tiles[0]
     return tiles, np.empty(size * (n1 - n0) * (i1 - i0) * k)
 
@@ -774,8 +805,13 @@ def _convolution_entropies(chunk: Chunk) -> np.ndarray:
 
     Bitwise row_entropies_bits(np.ascontiguousarray(chunk.conv)), whose
     rows are C-layout: the planes of a tile are folded in the order of its
-    row sums.
+    row sums. A one-node chunk whose matrix's convolutions the table keeps
+    (_record) folds a copy of them as one tile; the others run the tiles
+    of _planes.
     """
+    kept = chunk.plans.get(("conv", chunk.supports[0].key)) if len(chunk) == 1 else None
+    if kept is not None:
+        return plane_entropies_bits(kept.T.copy(), True)
     out = np.empty(chunk.pair_starts[-1])
     for pairs, planes in _planes(chunk):
         plane_entropies_bits(planes, True, out=out[pairs])
@@ -826,9 +862,14 @@ def _minus_capacities(chunk: Chunk, posteriors: np.ndarray) -> np.ndarray:
     matrix's pairs: s o C of its columns (_marginal_entropies), where s
     folds left to right and a dead pair (s not > 0) counts 0, and one
     stacked matmul adds w[i0:i1] @ (s o C)[i0:i1] @ w of every node of
-    the tile's matrices to that node's sum, in tile order. Tiles are cut by
-    a rule of k and |G| alone and each node's dots are its own BLAS calls,
-    so a node gets the same bits in a chunk as alone.
+    the tile's matrices to that node's sum, in tile order. A matrix that
+    two nodes of the chunk share keeps its s o C, a (k, k) array, in the
+    table under ("minus", its key), as _pair_entropies keeps its entries;
+    a matrix whose s o C the table holds is not convolved, and each of its
+    nodes adds the same matmuls over the kept rows, run by run of first
+    atoms (_first_runs). Tiles are cut by a rule of k and |G| alone and
+    each node's dots are its own BLAS calls, so a node gets the same bits
+    in a chunk as alone.
     """
     size = chunk.group.size
     table = chunk.group.add_table
@@ -840,27 +881,47 @@ def _minus_capacities(chunk: Chunk, posteriors: np.ndarray) -> np.ndarray:
         [ids.setdefault(chunk.supports[j].key, len(ids)) for j in chunk.layout],
         [len(chunk.supports[j].rows) for j in chunk.layout],
     )
+    keys = list(ids)
     # s and s o C of the largest tile so far
     spare = np.empty(0)
     for k, a, b in chunk.blocks:
-        # the run's segments matrix by matrix, where each matrix's start,
-        # and each matrix's posteriors, at its first segment
-        order = np.argsort(owner[a:b], kind="stable")
-        matrix = owner[a:b][order] - owner[a]
-        bounds = np.searchsorted(matrix, np.arange(matrix[-1] + 2))
-        r = chunk.block(posteriors, k, a, b)[order[bounds[:-1]]]
+        first, count = owner[a], owner[a:b].max() - owner[a] + 1
+        held = [chunk.plans.get(("minus", key)) for key in keys[first : first + count]]
+        # the run's matrices with those the table holds last, their
+        # segments matrix by matrix, where each matrix's start, and the
+        # posteriors of each matrix to convolve, at its first segment
+        rank = np.argsort([entry is not None for entry in held], kind="stable")
+        fresh = sum(entry is None for entry in held)
+        place = np.empty(count, dtype=np.int64)
+        place[rank] = np.arange(count)
+        order = np.argsort(place[owner[a:b] - first], kind="stable")
+        matrix = place[owner[a:b] - first][order]
+        bounds = np.searchsorted(matrix, np.arange(count + 1))
         weights = chunk.block(chunk.weights, k, a, b)[order]
         nodes = a + order
-        for m0, m1, i0, i1, planes in _column_products(r, table):
-            count = planes.shape[1]
-            if len(spare) < 2 * count:
-                spare = np.empty(2 * count)
+        # s o C of each matrix to convolve that two nodes share, to keep
+        kept = {m: np.empty((k, k)) for m in range(fresh) if bounds[m + 1] - bounds[m] > 1}
+        r = chunk.block(posteriors, k, a, b)[order[bounds[:fresh]]]
+        for m0, m1, i0, i1, planes in _column_products(r, table) if fresh else ():
+            if len(spare) < 2 * planes.shape[1]:
+                spare = np.empty(2 * planes.shape[1])
             products = _marginal_entropies(planes, spare).reshape(m1 - m0, i1 - i0, k)
+            for m in range(m0, m1):
+                if m in kept:
+                    kept[m][i0:i1] = products[m - m0]
             lo, hi = bounds[m0], bounds[m1]
             if m1 - m0 not in (1, hi - lo):
                 products = products[matrix[lo:hi] - m0]
             w = weights[lo:hi]
             sums[nodes[lo:hi]] += (w[:, None, i0:i1] @ products @ w[:, :, None]).ravel()
+        for m, entry in kept.items():
+            chunk.plans["minus", keys[first + rank[m]]] = entry
+        for m in range(fresh, count):
+            entry = held[rank[m]]
+            lo, hi = bounds[m], bounds[m + 1]
+            w = weights[lo:hi]
+            for i0, i1 in _first_runs(k, size):
+                sums[nodes[lo:hi]] += (w[:, None, i0:i1] @ entry[None, i0:i1] @ w[:, :, None]).ravel()
     return np.log2(size) - sums
 
 

@@ -17,15 +17,17 @@ float64 arrays with one entry per node, and a report keeps its leaves as
 columns: records are objects only for the library API, and report_json
 writes them from the columns. Nodes that share a posterior matrix are
 stepped by replaying a plan that the first of them, or the root,
-records, again bitwise as alone; each walk keeps its own table of plans,
-which ends with the walk. A chunk's size counts the floats its nodes
-materialize, up to _CHUNK_ATOMS: only a node's raw weights when the table
-holds plans of both signs for its matrix, its raw posteriors otherwise,
-so a level that replays runs in a few chunks. Per-path resource failures
-(atom budget) are checked once per block and recorded on the affected
-paths; the rest of the tree is still evaluated. Any other error raised
-while a node is computed is an internal fault and stops the run as a
-PathFault that names the node: the first one a preorder walk would meet.
+records, again bitwise as alone; each walk keeps its own table of plans
+and of what its shared matrices decide, which ends with the walk. A
+chunk's size counts the floats its nodes materialize, up to _CHUNK_ATOMS:
+only a node's raw weights when the table holds plans of both signs for
+its matrix, its raw posteriors otherwise, so a level that replays runs
+in a few chunks; a leaf, which is evaluated and not stepped, counts what
+its evaluation holds. Per-path resource failures (atom budget) are
+checked once per block and recorded on the affected paths; the rest of
+the tree is still evaluated. Any other error raised while a node is
+computed is an internal fault and stops the run as a PathFault that
+names the node: the first one a preorder walk would meet.
 Evaluation is sequential, and all outputs are deterministic given the
 configuration.
 """
@@ -45,7 +47,7 @@ import numpy as np
 from .blackwell import DEFAULT_MERGE_TAU, BlackwellMeasure, blackwell_measure
 from .channels import Channel, Classes, DeterminednessResult, _check_delta, _classify, symmetric_capacity
 from .groups import Group, Subgroup, enumerate_subgroups
-from .metrics import _nearest_pol
+from .metrics import _nearest_pol, _pol_stack
 from .polar import (
     DEFAULT_ATOM_BUDGET,
     MINUS,
@@ -470,15 +472,20 @@ def _gap_refusal(k: int, atom_budget: int) -> str | None:
 # floats, while a step that replays a plan (polar.Chunk.step) builds only
 # their weights. Children are chunked up to this cap (_split), so a larger
 # node runs alone, and the walk holds O(depth) chunks. _split prices each
-# node at both signs' raw children, so the one general-path call that
-# holds the raw children of both signs of a chunk (polar.steps) stays
-# within the cap too; a node over the cap alone is stepped one sign at a
-# time (_walk_chunks), as its raw children of both signs would pass it
-# together. The cap also bounds
-# a batch of gaps (_walk_chunks), priced at the k^2 |G| floats of a node's
-# pair planes: a batch is computed once its price passes the cap, so it
-# holds at most the cap plus one chunk's, and the walk holds O(depth)
-# chunks awaiting their gaps.
+# node of a level that is stepped at both signs' raw children, so the one
+# general-path call that holds the raw children of both signs of a chunk
+# (polar.steps) stays within the cap too; a node over the cap alone is
+# stepped one sign at a time (_walk_chunks), as its raw children of both
+# signs would pass it together. The leaves, at the walk's last depth, are
+# never stepped: _split prices them at what evaluating them holds, the
+# k T floats of a node's shares of the nearest-coset plans
+# (metrics._pol_bounds), T the atoms of all Pol targets, and the k^2 |G|
+# floats of the pair planes of each matrix whose pair entropies the
+# walk's table does not hold yet. The cap also bounds a batch of gaps
+# (_walk_chunks), priced at the k^2 |G| floats of a node's pair planes: a
+# batch is computed once its price passes the cap, so it holds at most
+# the cap plus one chunk's, and the walk holds O(depth) chunks awaiting
+# their gaps.
 _CHUNK_ATOMS = 1 << 17
 
 # A node of the transform tree as the library reads it (Level.nodes): its
@@ -598,31 +605,42 @@ def _spread(columns: Evaluations | None, done: np.ndarray, count: int, subgroups
     return out
 
 
-def _costs(level: Level, plans: dict, merge_tau: float) -> np.ndarray:
-    """The floats that each node of the level materializes when stepped for both signs, by _split's prices."""
+def _costs(level: Level, plans: dict, merge_tau: float, leaves: bool = False) -> np.ndarray:
+    """The floats that each node of the level materializes, by _split's prices: when stepped for both signs, or
+    when evaluated where the level holds `leaves`."""
     size = level.group.size
     cost = np.zeros(len(level.paths), dtype=np.int64)
+    targets = len(_pol_stack(level.group)[1]) if leaves else 0
     for block in level.supports:
-        raw = len(block.posteriors) ** 2
+        k = len(block.posteriors)
+        if leaves:
+            cost[block.rows] = k * targets
+            if ("gap", block.key) not in plans:
+                cost[block.rows[0]] += k * k * size
+            continue
         price = 0
-        for sign, count in ((MINUS, raw), (PLUS, raw * size)):
+        for sign, count in ((MINUS, k * k), (PLUS, k * k * size)):
             price += count if plans.get(((sign, merge_tau), block.key)) is not None else count * size
         cost[block.rows] = price
     return cost
 
 
-def _split(level: Level, plans: dict, merge_tau: float) -> list[Level]:
+def _split(level: Level, plans: dict, merge_tau: float, leaves: bool = False) -> list[Level]:
     """Runs of consecutive nodes that materialize at most _CHUNK_ATOMS floats each; a larger node runs alone.
 
-    A block's rows share one price, rows times the price of one, so a
-    block is cut by rows. Each sign is priced apart. A sign whose plan the
-    walk's `plans` holds for the block's matrix will replay it, and is
-    priced at its raw children's weights: k^2 floats for the minus step and
-    k^2 |G| for the plus step. A sign without one is priced at their
-    posteriors, |G| times as many floats, as the general path builds them.
-    A dead node costs nothing.
+    A node is priced by its block, so a block is cut by rows. A level
+    that is stepped prices each sign apart. A sign whose plan the walk's
+    `plans` holds for the block's matrix will replay it, and is priced at
+    its raw children's weights: k^2 floats for the minus step and k^2 |G|
+    for the plus step. A sign without one is priced at their posteriors,
+    |G| times as many floats, as the general path builds them. A level of
+    `leaves` is not stepped but evaluated: each node is priced at its k T
+    shares of the nearest-coset plans, T the atoms of all Pol targets, and
+    the first node of a block whose matrix has no pair entropies in
+    `plans` also at the k^2 |G| floats of its pair planes. A dead node
+    costs nothing.
     """
-    cost = _costs(level, plans, merge_tau)
+    cost = _costs(level, plans, merge_tau, leaves)
     # a run from `start` takes each next node while its load stays within
     # the cap, and always its first node
     loads = np.cumsum(cost)
@@ -643,7 +661,9 @@ def _split(level: Level, plans: dict, merge_tau: float) -> list[Level]:
             part = block
             if first < last:
                 part = block.take(slice(*np.searchsorted(block.rows, (a, cuts[run + 1])).tolist()))
-            runs[run].supports.append(part._replace(rows=part.rows - a) if a else part)
+            # a run between the block's first and last rows may hold none
+            if len(part.rows):
+                runs[run].supports.append(part._replace(rows=part.rows - a) if a else part)
     for position, node in level.dead.items():
         run = bisect_right(cuts, position) - 1
         runs[run].dead[position - cuts[run]] = node
@@ -755,8 +775,9 @@ def _walk_chunks(
     prefixes = None if wanted is None else {p[:k] for p in wanted for k in range(len(p) + 1)}
     group = root.group
     subgroups = None if delta is None else len(enumerate_subgroups(group))
-    # what this walk's shared posterior matrices decide: step plans and
-    # pair entropies (polar.Chunk)
+    # what this walk's shared posterior matrices decide: step plans, pair
+    # convolutions, the gap routes' per-matrix values and the capacities'
+    # vectors (polar.Chunk)
     plans: dict = {}
     top = Block(root.posteriors, root.posteriors.tobytes(), root.weights[None], np.zeros(1, dtype=np.int64))
     stack = [Level(group, [""], [top], {})]
@@ -901,7 +922,7 @@ def _walk_chunks(
         for block in children:
             by_key.setdefault(block.key, []).append(block)
         child = Level(group, child_paths, [_joined(blocks) for blocks in by_key.values()], lost)
-        stack.extend(reversed(_split(child, plans, merge_tau)))
+        stack.extend(reversed(_split(child, plans, merge_tau, at + 1 == depth)))
     yield from flush(None)
 
 

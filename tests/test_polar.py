@@ -222,16 +222,23 @@ def test_capacity_gap_catches_wrong_channel_side_convolution():
 def test_capacity_gap_catches_a_fault_in_the_pair_planes():
     # the routes share no convolution: the wrong convolution in the tiles
     # of via_pairs' pair entropies leaves the channel-side minus kernel as
-    # it was, so the routes disagree
+    # it was, so the routes disagree. In a walk the root's records keep
+    # their wrong convolutions in the table, and its gap reads them
     w = random_corpus(count=2)[1]
     m = blackwell_measure(w)
 
     def planes(chunk, whole=None):
-        yield slice(0, chunk.pair_starts[-1]), _reflected_convolutions(chunk.group, chunk.posteriors).T.copy()
+        wrong = _reflected_convolutions(chunk.group, chunk.posteriors).T.copy()
+        if whole is not None:
+            whole[...] = wrong
+        yield slice(0, chunk.pair_starts[-1]), wrong
 
     with mock.patch.object(polar, "_planes", planes):
         with pytest.raises(RuntimeError, match="routes disagree"):
             capacity_gap(m)
+        with pytest.raises(process.PathFault, match=r"^path '': capacity-gap routes disagree") as info:
+            process.enumerate_paths(w, 1)
+    assert isinstance(info.value.__cause__, RuntimeError)
 
 
 @pytest.mark.parametrize("route", ["_minus_capacities", "_convolution_entropies"])
@@ -511,9 +518,10 @@ def test_one_atom_measure_keeps_its_gap_in_a_chunk():
 def test_one_atom_measures_are_convolved_once_for_their_minus_capacities(monkeypatch):
     # a one-atom measure's minus capacity is folded from its column of the
     # one-atom tiles: on useless Z11 at depth 3, where every node has one
-    # atom on one matrix, each via_transform route forms the products of
-    # its chunk's one distinct matrix once, not once per node, and every
-    # gap keeps the reference's bits
+    # atom on one matrix, the first via_transform route forms the products
+    # of its chunk's one distinct matrix once, not once per node, and keeps
+    # its s o C in the walk's table; the later routes read it and form no
+    # products. Every gap keeps the reference's bits
     calls, routes, gapped = [], [], []
     real_products, real_minus, real_gaps = polar._column_products, polar._minus_capacities, polar.Chunk.gaps
 
@@ -537,7 +545,10 @@ def test_one_atom_measures_are_convolved_once_for_their_minus_capacities(monkeyp
     monkeypatch.setattr(polar.Chunk, "gaps", gaps)
     process.enumerate_paths(useless_channel(make_group([11])), 3)
     assert sum(len(counts) for _, _, counts in routes) == 15
-    assert all(formed == [matrices] == [1] and set(counts) == {1} for formed, matrices, counts in routes)
+    assert all(matrices == 1 and set(counts) == {1} for _, matrices, counts in routes)
+    # the levels above the leaves in one batch, then the leaves
+    assert [len(counts) for _, _, counts in routes] == [7, 8]
+    assert [formed for formed, _, _ in routes] == [[1], []]
     for measures, got in gapped:
         assert _bits(got) == _bits(_reference_gap(m) for m in measures)
 
@@ -580,13 +591,38 @@ def test_nodes_on_a_shared_matrix_keep_their_own_gaps(monkeypatch):
     assert polar._product_rows(27, 8) == 3
 
 
-def test_the_route_reduces_each_node_by_its_own_weights():
+def test_a_later_chunk_reads_the_kept_entries_over_any_tiles(monkeypatch):
+    # a first chunk keeps the shared matrix's pair entropies and s o C,
+    # or a record its pair convolutions; a later chunk reads them for the
+    # shared matrix's nodes beside one-node matrices of the same atom count,
+    # which it convolves, and each node keeps the bits of its measure
+    # alone, in both block orders, whether a tile holds whole matrices or
+    # runs of three first atoms
+    measures, blocks = _shared_blocks()
+    group = measures[0].group
+    for floats in (polar._PRODUCT_FLOATS, 1000):
+        monkeypatch.setattr(polar, "_PRODUCT_FLOATS", floats)
+        want = _bits(capacity_gap(m) for m in measures)
+        gapped, stepped = {}, {}
+        polar.Chunk(group=group, supports=blocks[:1], plans=gapped).gaps()
+        assert {name for name, _ in gapped} == {"gap", "minus", ("cosets", (0,))}
+        polar.Chunk(group=group, supports=blocks[:1], plans=stepped).minus()
+        assert ("conv", blocks[0].key) in stepped
+        for plans in (gapped, stepped):
+            for supports in (blocks, blocks[::-1]):
+                chunk = polar.Chunk(group=group, supports=supports, plans=dict(plans))
+                assert _bits(_gap_list(chunk.gaps())) == want
+
+
+def test_the_route_reduces_each_node_by_its_own_weights(monkeypatch):
     # injection: a reduction that reads the weights of the node before it
     # on the shared matrix changes via_transform alone, so the routes
-    # disagree
+    # disagree: on a chunk that convolves the matrix, and on one that reads
+    # the s o C that the first gaps call kept in the table
     measures, blocks = _shared_blocks()
     chunk = polar.Chunk(group=measures[0].group, supports=blocks[:1])
     chunk.gaps()
+    assert ("minus", blocks[0].key) in chunk.plans
     real_minus = polar._minus_capacities
 
     def neighbours(chunk, posteriors):
@@ -594,9 +630,16 @@ def test_the_route_reduces_each_node_by_its_own_weights():
         shifted.weights = np.roll(chunk.weights, int(chunk.counts[0]))
         return real_minus(shifted, posteriors)
 
+    products = []
+    real_products = polar._column_products
+    monkeypatch.setattr(polar, "_column_products", lambda *args: products.append(args) or real_products(*args))
     with mock.patch.object(polar, "_minus_capacities", neighbours):
         with pytest.raises(RuntimeError, match="routes disagree"):
+            polar.Chunk(group=measures[0].group, supports=blocks[:1]).gaps()
+        assert len(products) == 1
+        with pytest.raises(RuntimeError, match="routes disagree"):
             chunk.gaps()
+        assert len(products) == 1
 
 
 def _two_matrices():
@@ -640,8 +683,9 @@ def test_per_matrix_reductions_match_each_node_alone(case):
 
 def test_a_reused_table_entry_gives_the_fresh_bits(monkeypatch):
     # a chunk keeps the vectors of a matrix that two of its nodes share in
-    # the table; a later chunk given the table reads them and computes
-    # none, and gets the bits that a chunk without the table computes
+    # the table, and a record the pair convolutions of the matrix it
+    # steps; a later chunk given the table reads them and computes none,
+    # and gets the bits that a chunk without the table computes
     measures, blocks = _two_matrices()
     group = measures[0].group
     plans = {}
@@ -651,15 +695,24 @@ def test_a_reused_table_entry_gives_the_fresh_bits(monkeypatch):
     for sub in subgroups:
         first.quotient_capacities(sub)
     assert {name for name, key in plans if key == blocks[0].key} == {
-        "gap", "entropies", *(("cosets", sub.members) for sub in subgroups)
+        "gap", "minus", "entropies", *(("cosets", sub.members) for sub in subgroups)
     }
     # the one-node matrix of the first chunk keeps nothing
     assert not any(key == blocks[1].key for _, key in plans)
-    calls = []
+    # the other shared matrix is stepped, not gapped: its record keeps the
+    # bits of a fresh chunk's pair convolutions
+    polar.Chunk(group=group, supports=blocks[2:3], plans=plans).minus()
+    assert {name for name, key in plans if key == blocks[2].key} == {(polar.MINUS, polar.DEFAULT_MERGE_TAU), "conv"}
+    assert plans["conv", blocks[2].key].tobytes() == polar.Chunk([measures[1]]).conv.tobytes()
+    calls, products, tiles = [], [], []
     for name in ("row_entropies_bits", "_coset_entropies"):
         real = getattr(polar, name)
         monkeypatch.setattr(polar, name, lambda *args, real=real: calls.append(args) or real(*args))
-    # two nodes of the matrix that the table holds, beside a node of the other
+    real_products, real_planes = polar._column_products, polar._planes
+    monkeypatch.setattr(polar, "_column_products", lambda r, table: products.append(r.shape) or real_products(r, table))
+    monkeypatch.setattr(polar, "_planes", lambda chunk, whole=None: tiles.append(whole) or real_planes(chunk, whole))
+    # two nodes of the matrix whose vectors the table holds, beside a node
+    # of the matrix whose pair convolutions it holds
     supports = [blocks[0].take(slice(3, 5)), blocks[2].take(slice(0, 1))]
 
     def results(chunk):
@@ -667,14 +720,20 @@ def test_a_reused_table_entry_gives_the_fresh_bits(monkeypatch):
         return _capacity_bits(chunk.capacities()), quotients, _bits(_gap_list(chunk.gaps()))
 
     got = results(polar.Chunk(group=group, supports=supports, plans=plans))
-    # the chunk given the table mapped only the other matrix's 7 rows
+    # the chunk given the table mapped only the other matrix's 7 rows,
+    # formed the products of that matrix alone, and took its pair
+    # entropies from the kept convolutions, in no tile
     assert {len(args[-1]) for args in calls} == {7}
+    assert products == [(1, 7, 4)] and tiles == []
     assert got == results(polar.Chunk(group=group, supports=supports))
+    assert len(products) == 3 and tiles == [None]
 
 
-def test_nodes_on_their_own_matrices_keep_nothing_in_the_table():
+def test_nodes_on_their_own_matrices_keep_nothing_in_the_table(monkeypatch):
     # a generic walk's table does not grow: a chunk whose nodes each have
-    # their own matrix keeps no per-matrix vector
+    # their own matrix keeps no per-matrix vector, and a bsc walk keeps
+    # only what the root's records leave, its two plans and its pair
+    # convolutions
     plans = {}
     measures = [blackwell_measure(random_channel(Z4, outputs, seed=seed)) for seed, outputs in ((1, 6), (2, 6), (3, 3))]
     chunk = polar.Chunk(measures, plans)
@@ -682,6 +741,20 @@ def test_nodes_on_their_own_matrices_keep_nothing_in_the_table():
     for sub in enumerate_subgroups(Z4):
         chunk.quotient_capacities(sub)
     assert plans == {}
+    tables = []
+    real = polar.Chunk.__init__
+
+    def init(chunk, measures=None, plans=None, **kwargs):
+        if plans is not None and not any(plans is table for table in tables):
+            tables.append(plans)
+        real(chunk, measures, plans, **kwargs)
+
+    monkeypatch.setattr(polar.Chunk, "__init__", init)
+    process.enumerate_paths(bsc_channel(0.11), 5)
+    root = blackwell_measure(bsc_channel(0.11)).posteriors.tobytes()
+    tau = polar.DEFAULT_MERGE_TAU
+    ((table,),) = [tables]
+    assert set(table) == {((polar.MINUS, tau), root), ((polar.PLUS, tau), root), ("conv", root)}
 
 
 def test_the_capacity_reduces_each_node_by_its_own_weights(monkeypatch):
@@ -691,6 +764,8 @@ def test_the_capacity_reduces_each_node_by_its_own_weights(monkeypatch):
     measures, blocks = _shared_blocks()
     chunk = polar.Chunk(group=measures[0].group, supports=blocks[:1])
     chunk.gaps()
+    # the second call reads every per-matrix entry from the table
+    assert {name for name, _ in chunk.plans} == {"gap", "minus", ("cosets", (0,))}
     real_weighted = polar.Chunk._weighted
 
     def neighbours(chunk, name, rowwise):
@@ -703,11 +778,15 @@ def test_the_capacity_reduces_each_node_by_its_own_weights(monkeypatch):
         chunk.gaps()
 
 
-def test_a_dhmix_walk_convolves_one_matrix_per_gaps_call(monkeypatch):
-    # on the dhmix-z2z4 walk every gap node of a chunk sits on one 27-atom
-    # matrix, which each gaps call convolves once
-    stacks, calls = [], []
-    real_products, real_gaps = polar._column_products, polar.Chunk.gaps
+def test_a_dhmix_walk_convolves_its_matrix_once_per_walk(monkeypatch):
+    # on the dhmix-z2z4 walk every node sits on one 27-atom matrix: its
+    # pair convolutions are made once, by the root's first record, and the
+    # other record and the pair entropies read them; its products are
+    # formed once, by the first gaps call, and the later one reads the
+    # kept s o C. The 32 leaves, priced by their evaluation, are one chunk
+    stacks, calls, planes, evaluated = [], [], [], []
+    real_products, real_gaps, real_planes = polar._column_products, polar.Chunk.gaps, polar._planes
+    real_evaluate = process._evaluate_chunk
 
     def products(r, table):
         stacks[-1].append(r.shape)
@@ -718,11 +797,25 @@ def test_a_dhmix_walk_convolves_one_matrix_per_gaps_call(monkeypatch):
         calls.append(len(chunk))
         return real_gaps(chunk)
 
+    def tiles(chunk, whole=None):
+        planes.append("whole" if whole is not None else "tiles")
+        return real_planes(chunk, whole)
+
+    def evaluate(chunk, delta):
+        evaluated.append(len(chunk))
+        return real_evaluate(chunk, delta)
+
     monkeypatch.setattr(polar, "_column_products", products)
     monkeypatch.setattr(polar.Chunk, "gaps", gaps)
-    process.enumerate_paths(dh_mix_channel(make_group([2, 4]), 11), 5)
-    assert stacks == [[(1, 27, 8)]] * len(calls)
-    assert sum(calls) == 63
+    monkeypatch.setattr(polar, "_planes", tiles)
+    monkeypatch.setattr(process, "_evaluate_chunk", evaluate)
+    for seed in (3, 11):
+        stacks.clear(), calls.clear(), planes.clear(), evaluated.clear()
+        process.enumerate_paths(dh_mix_channel(make_group([2, 4]), seed), 5)
+        assert stacks == [[(1, 27, 8)], []]
+        assert calls == [31, 32] and sum(calls) == 63
+        assert planes == ["whole"]
+        assert evaluated == [32]
 
 
 def _gap_list(gaps):
@@ -970,14 +1063,15 @@ def test_replayed_children_are_the_general_paths(preset, seed, erasure, depth, t
     for m, a, b in zip(measures, minus, plus):
         assert a.identical(minus_on_measure(m, tau))
         assert b.identical(plus_on_measure(m, tau))
+    steps = _step_plans(plans, measures, tau)
     # a shared matrix's plan replays every measure on it but the recorder
-    valid = [support for (_, support), plan in plans.items() if plan is not None]
+    valid = [support for (_, support), plan in steps.items() if plan is not None]
     sharing = {key: len(members) for key, members in chunk.by_key.items()}
     assert chunk.replayed == sum(sharing[support] - 1 for support in valid)
     if tau == 0 or group.size & (group.size - 1) == 0:
         # exact merging only, or dyadic coset-uniform posteriors: no
         # cluster is averaged
-        assert None not in plans.values()
+        assert None not in steps.values()
     assert _gap_list(chunk.gaps()) == [capacity_gap(m) for m in measures]
     # the leaf kernels take what a posterior matrix decides once for all
     # its measures, and still give each measure its bits alone
@@ -1026,15 +1120,27 @@ def _rows(columns):
 _Q = [[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]]
 
 
+def _step_plans(plans, measures, tau):
+    """The step plans of a table that only steps of these measures filled; beside them it holds only the pair
+    convolutions of each recorded matrix, with the bits of a fresh chunk's."""
+    steps = {key: plan for key, plan in plans.items() if key[0] in ((polar.MINUS, tau), (polar.PLUS, tau))}
+    recorded = {support for _, support in steps}
+    kept = {support: conv.tobytes() for (name, support), conv in plans.items() if name == "conv"}
+    assert len(plans) == len(steps) + len(kept)
+    fresh = {m.posteriors.tobytes(): polar.Chunk([m]).conv.tobytes() for m in measures}
+    assert kept == {support: fresh[support] for support in recorded}
+    return steps
+
+
 def _replays(measures, tau=polar.DEFAULT_MERGE_TAU):
-    """Steps of one chunk of measures with a fresh table, checked against the general path."""
+    """Steps of one chunk of measures with a fresh table, checked against the general path; and its step plans."""
     plans = {}
     chunk = polar.Chunk(measures, plans)
     for got, m in zip(chunk.minus(tau), measures):
         assert got.identical(minus_on_measure(m, tau))
     for got, m in zip(chunk.plus(tau), measures):
         assert got.identical(plus_on_measure(m, tau))
-    return chunk.replayed, plans
+    return chunk.replayed, _step_plans(plans, measures, tau)
 
 
 def test_underflowing_pair_weight_takes_the_general_path():
@@ -1137,10 +1243,10 @@ def _step_counts(monkeypatch, w, depth, tau=polar.DEFAULT_MERGE_TAU):
     recorded, counts = [], {"general": 0, "replayed": 0}
     record, general, replay = polar._record, polar._general, polar._replay
 
-    def counting_record(group, block, sign, merge_tau):
+    def counting_record(group, block, sign, merge_tau, plans):
         (weights,) = block.weights
         recorded.append(BlackwellMeasure._canonical(group, weights, block.posteriors).identical(root))
-        return record(group, block, sign, merge_tau)
+        return record(group, block, sign, merge_tau, plans)
 
     def counting_general(parts, merge_tau):
         counts["general"] += sum(len(chunk) for chunk, _ in parts)

@@ -302,6 +302,10 @@ def _chunking_cases():
         (identity_channel(Z4), 3, {"merge_tau": 0.0}),
         # every node has 7 atoms, so every '+' step is refused (7 * 7 * 4 = 196 > 100)
         (dh_mix_channel(Z4, seed=3), 5, {"atom_budget": 100}),
+        # the benchmark's dhmix-z2z4 walk: one matrix, whose convolutions
+        # and s o C the walk's table keeps, and 32 leaves in one chunk at
+        # the default cap
+        (dh_mix_channel(make_group([2, 4]), seed=3), 5, {}),
     ]
 
 
@@ -389,6 +393,89 @@ def test_split_prices_a_matrix_with_plans_of_both_signs_at_replay_cost(monkeypat
     assert all(run.supports[0].key == support for run in runs)
     both[("+", 0.0), support] = None
     assert [len(run.paths) for run in process._split(children, both, 0.0)] == [1, 1]
+
+
+def test_split_prices_leaves_by_their_evaluation(monkeypatch):
+    # leaves are evaluated, not stepped: a leaf of k atoms is priced at its
+    # k T shares of the nearest-coset plans (T = 27 Pol atoms on Z2 x Z4),
+    # and the first leaf of a matrix whose pair entropies the table does
+    # not hold also at its k^2 |G| pair planes; a leaf over the cap runs
+    # alone
+    m = blackwell_measure(dh_mix_channel(make_group([2, 4]), seed=11))
+    k, size = m.atom_count, m.group.size
+    targets = len(metrics._pol_stack(m.group)[1])
+    assert (k, targets) == (27, 27)
+    support = m.posteriors.tobytes()
+    block = polar.Block(m.posteriors, support, np.stack([m.weights] * 6), np.arange(6))
+    leaves = process.Level(m.group, [f"{i}" for i in range(6)], [block], {})
+    both = {(("-", 0.0), support): object(), (("+", 0.0), support): object()}
+    held = {**both, ("gap", support): object()}
+
+    def sizes(plans, cap, as_leaves=True):
+        monkeypatch.setattr(process, "_CHUNK_ATOMS", cap)
+        return [len(run.paths) for run in process._split(leaves, plans, 0.0, as_leaves)]
+
+    assert sizes(held, 2 * k * targets) == [2, 2, 2]
+    assert sizes(held, 2 * k * targets - 1) == [1] * 6
+    # each leaf over the cap is a chunk of its own
+    assert sizes(held, k * targets - 1) == [1] * 6
+    assert sizes(both, 2 * k * targets + k * k * size) == [2, 4]
+    assert sizes(both, 2 * k * targets) == [1, 2, 2, 1]
+    # a stepped level keeps the price of its raw children
+    assert sizes(held, 2 * (k * k + k * k * size), False) == [2, 2, 2]
+    assert sizes(held, 2 * k * targets, False) == [1] * 6
+
+
+def test_split_gives_no_run_an_empty_part(monkeypatch):
+    # a block's rows can skip a run between its first and last: no run
+    # holds an empty part of it, so no gaps call raises and redoes its
+    # nodes one by one, and every node's gap is computed once
+    group = make_group([2])
+    q = np.array([[0.25, 0.75], [0.75, 0.25]])
+    blocks = [
+        polar.Block(q, q.tobytes(), np.full((2, 2), 0.5), np.array([0, 5])),
+        polar.Block(q[::-1].copy(), q[::-1].tobytes(), np.full((4, 2), 0.5), np.arange(1, 5)),
+    ]
+    level = process.Level(group, [f"{i}" for i in range(6)], blocks, {})
+    monkeypatch.setattr(process, "_CHUNK_ATOMS", 2 * process._costs(level, {}, 0.0)[0])
+    runs = process._split(level, {}, 0.0)
+    assert [[block.rows.tolist() for block in run.supports] for run in runs] == [[[0], [1]], [[0, 1]], [[1], [0]]]
+    monkeypatch.undo()
+    skips, failed, gapped = [], [], []
+    real_split, real_gaps = process._split, Chunk.gaps
+
+    def split(level, *args):
+        runs = real_split(level, *args)
+        ends = np.cumsum([len(run.paths) for run in runs])
+        for block in level.supports:
+            spanned = np.searchsorted(ends, block.rows, side="right")
+            skips.append(len(set(spanned.tolist())) <= spanned[-1] - spanned[0])
+        assert all(len(block.rows) for run in runs for block in run.supports)
+        return runs
+
+    def gaps(chunk):
+        try:
+            out = real_gaps(chunk)
+        except Exception as exc:
+            failed.append(exc)
+            raise
+        gapped.append(len(chunk))
+        return out
+
+    monkeypatch.setattr(process, "_split", split)
+    monkeypatch.setattr(Chunk, "gaps", gaps)
+    # dh-mix:3 on Z2 x Z4 skipped a run at its leaves when they were
+    # priced as stepped levels; dh-mix:11 on Z6 at a cap of 20000 skips
+    # one at depth 4
+    for w, depth, cap in ((dh_mix_channel(make_group([2, 4]), seed=3), 10, None),
+                          (dh_mix_channel(make_group([6]), seed=11), 6, 20000)):
+        if cap is not None:
+            monkeypatch.setattr(process, "_CHUNK_ATOMS", cap)
+        skips.clear(), failed.clear(), gapped.clear()
+        report = enumerate_paths(w, depth)
+        assert not report.failed_count
+        assert failed == [] and sum(gapped) == 2 ** (depth + 1) - 1
+    assert any(skips)
 
 
 def test_general_steps_stay_under_the_chunk_cap(monkeypatch):
@@ -494,10 +581,12 @@ def test_gap_tiles_give_the_whole_chunks_gaps(monkeypatch):
     assert len(alone) == 31 and dict(alone) == dict(want)
     monkeypatch.undo()
     # the levels above the leaves take one batch on z4-multilevel, and on
-    # dh-mix the cap flushes the batch once, before the leaves' two chunks
-    for w, depth, batches in ((z4_multilevel_channel(0.5), 7, 2), (dh_mix_channel(make_group([2, 4]), 3), 5, 3)):
+    # dh-mix the cap flushes the batch once, before the leaves, which are
+    # priced by their evaluation and take one chunk
+    for w, depth, batches in ((z4_multilevel_channel(0.5), 7, [127, 128]), (dh_mix_channel(make_group([2, 4]), 3), 5, [31, 32])):
         sizes = _chunk_sizes(monkeypatch, w, depth)
-        assert sum(sizes["gaps"]) == 2 ** (depth + 1) - 1 and len(sizes["gaps"]) == batches
+        assert sum(sizes["gaps"]) == 2 ** (depth + 1) - 1 and len(sizes["gaps"]) == 2
+        assert sizes["gaps"] == batches and sizes["evaluate"] == batches[-1:]
 
 
 def test_a_gap_fault_in_a_batch_stops_its_subtree(monkeypatch):
@@ -712,8 +801,13 @@ def test_replayed_children_are_keyed_by_their_plans_matrix(monkeypatch):
         tables.clear()
         levels = [level for level, _, _ in process._walk_chunks(blackwell_measure(w), depth)]
         (table,) = {id(chunk.plans): chunk.plans for chunk in tables if chunk.walk}.values()
-        plans = [plan for key, plan in table.items() if key[0] != "gap"]
+        plans = [plan for key, plan in table.items() if key[0] != "conv"]
         assert plans and None not in plans
+        # a walk that computes no gap keeps, beside its plans, only the
+        # pair convolutions of the root's matrix, which both records read
+        root = blackwell_measure(w).posteriors
+        assert [key for key in table if key[0] == "conv"] == [("conv", root.tobytes())]
+        assert table["conv", root.tobytes()].tobytes() == Chunk([blackwell_measure(w)]).conv.tobytes()
         for level in levels[1:]:
             assert len(level.supports) == 1
             for block in level.supports:

@@ -78,6 +78,9 @@ COMMANDS: list[tuple[str, list[str]]] = [
         "--seed", "4")),
     # levels of 128 replaying nodes, which span several chunks
     ("dh-mix:11 [2,4] d7", polarize("--preset", "dh-mix:11", "--group", "[2,4]", "--depth", "7")),
+    # leaf levels that span several chunks, and a block whose rows skip a
+    # run of its level
+    ("dh-mix:3 [2,4] d10", polarize("--preset", "dh-mix:3", "--group", "[2,4]", "--depth", "10")),
     ("bec d8", polarize("--preset", "bec:0.5", "--depth", "8")),
     ("bec d10 sample", polarize(
         "--preset", "bec:0.5", "--depth", "10", "--mode", "sample", "--samples", "1000",
