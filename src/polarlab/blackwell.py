@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import row_entropies_bits, segment_dots
+from ._util import row_entropies_bits
 from .channels import Channel
 from .groups import Group, make_group
 
@@ -592,17 +592,7 @@ def canonicalize(m: BlackwellMeasure, merge_tau: float = DEFAULT_MERGE_TAU) -> B
 
 def capacity_of_measure(m: BlackwellMeasure) -> float:
     """Symmetric capacity in bits: log2|G| minus the mean posterior entropy."""
-    return float(_capacities(m.group.size, m.weights, m.posteriors, (0, m.atom_count))[0])
-
-
-def _capacities(size: int, weights: np.ndarray, posteriors: np.ndarray, bounds) -> np.ndarray:
-    """capacity_of_measure of each measure whose atoms lie between consecutive bounds.
-
-    The row entropies do not depend on the other rows, so each measure gets
-    the bits it gets alone; only the final dot is per measure, and the dots
-    of measures of one atom count run as one stacked matmul (segment_dots).
-    """
-    return np.log2(size) - segment_dots(weights, row_entropies_bits(posteriors), bounds)
+    return float(np.log2(m.group.size) - m.weights @ row_entropies_bits(m.posteriors))
 
 
 def merge_outputs(w: Channel, merge_tau: float = DEFAULT_MERGE_TAU) -> Channel:

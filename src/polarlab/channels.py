@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._util import row_entropies_bits, segment_dots
+from ._util import row_entropies_bits
 from .groups import Group, Subgroup, enumerate_subgroups, make_group, quotient
 
 ROW_SUM_TOL = 1e-12
@@ -123,44 +123,18 @@ def compose(v: Channel, w: Channel) -> Channel:
 
 
 def kernel_capacity(kernel: np.ndarray) -> float:
-    """Mutual information in bits between a uniform input and the output of a kernel."""
+    """Mutual information in bits between a uniform input and the output of a kernel.
+
+    Dead outputs, whose marginal is not positive (it may underflow to 0),
+    are dropped.
+    """
     p_y = kernel.sum(axis=0) / kernel.shape[0]
     live = p_y > 0.0
     if not live.all():
         kernel, p_y = kernel[:, live], p_y[live]
-    return float(np.log2(kernel.shape[0]) - p_y @ _posterior_entropies(kernel, p_y))
-
-
-def _posterior_entropies(kernel: np.ndarray, p_y: np.ndarray) -> np.ndarray:
-    """Entropy in bits of the input posterior of every output of the kernel."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return row_entropies_bits((kernel / (kernel.shape[0] * p_y)).T)
-
-
-def kernel_capacities(kernel: np.ndarray, bounds) -> np.ndarray:
-    """kernel_capacity of each block kernel[:, a:b] between consecutive bounds.
-
-    A block's output marginal and posterior entropies do not depend on the
-    other columns, so only the final dot is per block, and the dots of
-    blocks of one width run as one stacked matmul (segment_dots). A block
-    of one column, or with a dead output, runs alone (kernel_capacity):
-    alone, its one column's entropy sums in C-layout order, and its dead
-    outputs are dropped.
-    """
-    m = kernel.shape[0]
-    p_y = kernel.sum(axis=0) / m
-    entropies = _posterior_entropies(kernel, p_y)
-    alone = set(np.flatnonzero(np.diff(bounds) == 1).tolist())
-    live = p_y > 0.0
-    if not live.all():
-        alone.update((np.searchsorted(bounds, np.flatnonzero(~live), side="right") - 1).tolist())
-        # a dead output's entropy can be infinite, its marginal NaN: zeros
-        # keep them out of the dots of the blocks that run alone
-        p_y, entropies = np.where(live, p_y, 0.0), np.where(live, entropies, 0.0)
-    out = np.log2(m) - segment_dots(p_y, entropies, bounds)
-    for s in alone:
-        out[s] = kernel_capacity(kernel[:, bounds[s] : bounds[s + 1]])
-    return out
+        entropies = row_entropies_bits((kernel / (kernel.shape[0] * p_y)).T)
+    return float(np.log2(kernel.shape[0]) - p_y @ entropies)
 
 
 def symmetric_capacity(w: Channel) -> float:
@@ -312,10 +286,9 @@ def delta_determining_subgroup(w: Channel, delta: float) -> DeterminednessResult
     """Find all subgroups whose quotient structure explains the channel at level delta."""
     _check_delta(delta)
     group = w.require_group()
-    bounds = (0, w.n_outputs)
 
     def quotient_capacities(sub: Subgroup) -> np.ndarray:
-        return kernel_capacities(_coset_average(group, w.kernel, sub), bounds)
+        return np.array([kernel_capacity(_coset_average(group, w.kernel, sub))])
 
     classes = _classify(group, [symmetric_capacity(w)], quotient_capacities, delta)
     return classes.results(enumerate_subgroups(group), delta)[0]

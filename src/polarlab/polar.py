@@ -245,7 +245,7 @@ class Chunk:
 
     @property
     def posteriors(self) -> np.ndarray:
-        """Every atom's posterior, laid out like the atoms, row-major: the row entropies' fold order depends on it."""
+        """Every atom's posterior, laid out like the atoms, row-major."""
         if self._posteriors is None:
             if len(self.rows) == 1:
                 self._posteriors = self.supports[0].posteriors
@@ -423,21 +423,10 @@ class Chunk:
                     break
                 q = self.block(self.posteriors, k, a, b)
                 pairs = slice(self.pair_starts[a], self.pair_starts[b])
-                if k > 1:
-                    # [x, n, i, j, u1] = p_i(u1 + x) p_j(x)
-                    shifted = q[:, :, table.T].transpose(2, 0, 1, 3)
-                    products = cols[:, pairs].reshape(size, b - a, k, k, size)
-                    np.multiply(shifted[:, :, :, None, :], q.transpose(2, 0, 1)[:, :, None, :, None], out=products)
-                    continue
-                # _planes sums each pair's numerators in order of x, as a
-                # measure of two or more atoms alone sums its einsum's; a
-                # one-atom measure sums its C-layout rows [n, u1, x] in
-                # numpy's order, which the one-atom einsum of _planes does
-                # not follow. One-atom measures sort first.
-                numer = (q[:, :, None, table] * q[:, None, :, None, :]).reshape(b - a, size, size)
-                factor = factor.copy(order="K")
-                factor[pairs] = numer.sum(axis=2)
-                cols[:, pairs] = numer.transpose(2, 0, 1)
+                # [x, n, i, j, u1] = p_i(u1 + x) p_j(x)
+                shifted = q[:, :, table.T].transpose(2, 0, 1, 3)
+                products = cols[:, pairs].reshape(size, b - a, k, k, size)
+                np.multiply(shifted[:, :, :, None, :], q.transpose(2, 0, 1)[:, :, None, :, None], out=products)
             conv = np.ascontiguousarray(factor[:split])
             # a row of zero convolution is zero and divides by 1; a NaN row
             # stays NaN, for the finite check
@@ -539,7 +528,7 @@ class Chunk:
         first atoms as the tiles. via_transform's I(M) is the realized
         kernel's capacity, log2|G| - w . (s o C) with s o C of the matrix's
         rows (_quotient_capacities at H = {0}), where via_pairs reads the
-        row entropies H(p) unnormalized, in the other fold order.
+        row entropies H(p) unnormalized.
         """
         trivial = enumerate_subgroups(self.group)[0]
         via_transform = self._quotient_capacities(trivial) - _minus_capacities(self, self.posteriors)
@@ -763,11 +752,11 @@ def _planes(chunk: Chunk, whole: np.ndarray | None = None) -> Iterator[tuple[sli
     planes[u] of a tile holds sum_v p_i(u + v) p_j(v) of the chunk's
     posteriors p for its pairs, laid out as the chunk lays out its pairs;
     `pairs` are their indices. The steps (Chunk.conv) and via_pairs'
-    entropies take their convolutions from here. A pair of a measure of
-    two or more atoms sums in order of v. A tile is a run of first atoms i
-    of one size run (_tiles): whole measures, or runs of first atoms of one
-    measure; a run of one-atom measures is one tile, each measure convolved
-    by its own einsum, as it is alone. The planes are whole[:, pairs] where
+    entropies take their convolutions from here. Every pair sums in order
+    of v. A tile is a run of first atoms i of one size run (_tiles): whole
+    measures, or runs of first atoms of one measure; a run of one-atom
+    measures is one tile, whose products p(u + v) p(v) are folded over v
+    in one pass (fold_planes). The planes are whole[:, pairs] where
     `whole`, a (|G|, P) array, is given; else they live in a buffer that
     the next tile reuses, so a tile is read before the next is asked for.
     """
@@ -777,10 +766,11 @@ def _planes(chunk: Chunk, whole: np.ndarray | None = None) -> Iterator[tuple[sli
         block = chunk.block(chunk.posteriors, k, a, b)
         if k == 1:
             pairs = slice(chunk.pair_starts[a], chunk.pair_starts[b])
-            planes = np.empty((size, b - a)) if whole is None else whole[:, pairs]
-            # a stacked einsum would sum one-atom measures in another order
-            for n, row in enumerate(block):
-                planes[:, n] = np.einsum("iuv,jv->iju", row[:, table], row).ravel()
+            # [v, n] = p(v) of measure n, and [v, u, n] = p(u + v) p(v)
+            r = block[:, 0].T
+            planes = fold_planes((r[table.T] * r[:, None]).reshape(size, -1)).reshape(size, b - a)
+            if whole is not None:
+                whole[:, pairs] = planes
             yield pairs, planes
             continue
         # [v, n, i] = p_i(v) of measure n and [u, v, n, i] = p_i(u + v)
@@ -803,18 +793,16 @@ def _planes(chunk: Chunk, whole: np.ndarray | None = None) -> Iterator[tuple[sli
 def _convolution_entropies(chunk: Chunk) -> np.ndarray:
     """H(p_i (*) p_j) of every atom pair of the chunk, laid out like the pairs; via_pairs' convolutions.
 
-    Bitwise row_entropies_bits(np.ascontiguousarray(chunk.conv)), whose
-    rows are C-layout: the planes of a tile are folded in the order of its
-    row sums. A one-node chunk whose matrix's convolutions the table keeps
-    (_record) folds a copy of them as one tile; the others run the tiles
-    of _planes.
+    Bitwise row_entropies_bits(chunk.conv). A one-node chunk whose
+    matrix's convolutions the table keeps (_record) folds them as one
+    tile; the others run the tiles of _planes.
     """
     kept = chunk.plans.get(("conv", chunk.supports[0].key)) if len(chunk) == 1 else None
     if kept is not None:
-        return plane_entropies_bits(kept.T.copy(), True)
+        return plane_entropies_bits(kept.T.copy())
     out = np.empty(chunk.pair_starts[-1])
     for pairs, planes in _planes(chunk):
-        plane_entropies_bits(planes, True, out=out[pairs])
+        plane_entropies_bits(planes, out=out[pairs])
     return out
 
 
@@ -936,10 +924,10 @@ def _marginal_entropies(planes: np.ndarray, spare: np.ndarray | None = None) -> 
     count = planes.shape[1]
     if spare is None:
         spare = np.empty(2 * count)
-    marginal = fold_planes(planes, False, out=spare[:count])
+    marginal = fold_planes(planes, out=spare[:count])
     with np.errstate(divide="ignore", invalid="ignore"):
         planes /= marginal
-        products = plane_entropies_bits(planes, False, out=spare[count : 2 * count])
+        products = plane_entropies_bits(planes, out=spare[count : 2 * count])
         products *= marginal
     # a dead column's entropy can be infinite, its marginal NaN
     products[~(marginal > 0.0)] = 0.0
@@ -1002,10 +990,10 @@ def capacity_gap(m: BlackwellMeasure) -> CapacityGap:
     their convolutions, BLAS products of the posterior columns, made once
     per posterior matrix and reduced by the measure's weights tile by
     tile. The realized kernel's s o C reads the rows that via_pairs' H(p_i)
-    reads, normalized and folded in the other order. The routes share no
-    convolution with the atom-pair einsums behind via_pairs, only the
-    entropy fold, so a fault in either convolution shows as a disagreement,
-    and a NaN on either route fails the check. Both are exact functionals
+    reads, normalized. The routes share no convolution with the atom-pair
+    einsums behind via_pairs, only the entropy fold, so a fault in either
+    convolution shows as a disagreement, and a NaN on either route fails
+    the check. Both are exact functionals
     of the measure and otherwise differ only by floating-point noise. Each
     node's bits are its own: the products and the reduction follow numpy's
     per-item BLAS rule, as the chunk's dots do, and cut a large matrix's

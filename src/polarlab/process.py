@@ -161,14 +161,14 @@ class Evaluations(NamedTuple):
 
     `subgroup` indexes the group's subgroups in enumeration order (the
     nearest Pol target), and `classes` holds the delta-classification
-    (channels.Classes), or is None where the chunk was not classified.
+    (channels.Classes).
     """
 
     capacity: np.ndarray
     distance: np.ndarray
     subgroup: np.ndarray
     solves: np.ndarray
-    classes: Classes | None
+    classes: Classes
 
 
 class Leaves(NamedTuple):
@@ -579,17 +579,15 @@ def _concat(parts: list):
     return [item for part in parts for item in part]
 
 
-def _spread(columns: Evaluations | None, done: np.ndarray, count: int, subgroups: int | None) -> Evaluations:
+def _spread(columns: Evaluations | None, done: np.ndarray, count: int, subgroups: int) -> Evaluations:
     """Columns of the nodes at positions `done` of a level of `count` nodes, at their places; blank elsewhere.
 
-    The blank classes have `subgroups` columns, or are None when it is.
+    The blank classes have `subgroups` columns.
     """
     if len(done) == count:
         return columns
-    classes = None
-    if subgroups is not None:
-        shape = (count, subgroups)
-        classes = Classes(np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=bool), np.zeros(shape, np.int64))
+    shape = (count, subgroups)
+    classes = Classes(np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=bool), np.zeros(shape, np.int64))
     out = Evaluations(np.zeros(count), np.zeros(count), np.zeros(count, np.int64), np.zeros(count, np.int64),
                       classes)
 
@@ -597,7 +595,7 @@ def _spread(columns: Evaluations | None, done: np.ndarray, count: int, subgroups
         if isinstance(full, tuple):
             for pair in zip(full, column):
                 place(*pair)
-        elif full is not None:
+        else:
             full[done] = column
 
     if columns is not None:
@@ -728,7 +726,7 @@ def _walk_chunks(
     wanted: Iterable[str] | None = None,
     gap_depths: Container[int] = (),
     eval_depths: Container[int] = (),
-    delta: float | None = DEFAULT_DELTA,
+    delta: float = DEFAULT_DELTA,
 ) -> Iterator[tuple[Level, np.ndarray | None, Evaluations | None]]:
     """Walk the transform tree below `root` to `depth`, a chunk of a level at a time.
 
@@ -774,7 +772,7 @@ def _walk_chunks(
     """
     prefixes = None if wanted is None else {p[:k] for p in wanted for k in range(len(p) + 1)}
     group = root.group
-    subgroups = None if delta is None else len(enumerate_subgroups(group))
+    subgroups = len(enumerate_subgroups(group))
     # what this walk's shared posterior matrices decide: step plans, pair
     # convolutions, the gap routes' per-matrix values and the capacities'
     # vectors (polar.Chunk)
@@ -926,8 +924,8 @@ def _walk_chunks(
     yield from flush(None)
 
 
-def _evaluate_chunk(chunk: Chunk, delta: float | None) -> Evaluations:
-    """Evaluate every measure of a chunk, classifying at delta unless it is None.
+def _evaluate_chunk(chunk: Chunk, delta: float) -> Evaluations:
+    """Evaluate every measure of a chunk, classifying at delta.
 
     One batched kernel: the Pol distances (metrics._nearest_pol), the
     capacities, and the classification on those capacities and the
@@ -938,9 +936,7 @@ def _evaluate_chunk(chunk: Chunk, delta: float | None) -> Evaluations:
     """
     distance, subgroup, solves = _nearest_pol(chunk)
     capacities = chunk.capacities()
-    classes = None
-    if delta is not None:
-        classes = _classify(chunk.group, capacities, chunk.quotient_capacities, delta)
+    classes = _classify(chunk.group, capacities, chunk.quotient_capacities, delta)
     return Evaluations(capacities, distance, subgroup, solves, classes)
 
 
@@ -1048,8 +1044,8 @@ def convergence_trace(
     subgroups = enumerate_subgroups(root.group)
     out = []
     levels = range(depth + 1)
-    walk = _walk_chunks(root, depth, merge_tau, atom_budget, [steps], gap_depths=levels,
-                        eval_depths=levels, delta=None)
+    # each level is classified at DEFAULT_DELTA, which no record reads
+    walk = _walk_chunks(root, depth, merge_tau, atom_budget, [steps], gap_depths=levels, eval_depths=levels)
     # each level's chunk is its one prefix
     for level, gaps, results in walk:
         (prefix,) = level.paths

@@ -43,12 +43,27 @@ def test_entropy_values():
         entropy(np.array([0.9, 0.3]))
 
 
+def _left_fold(rows):
+    """0.0 + rows[0] + rows[1] + ..., each column added left to right in Python floats."""
+    rows = np.asarray(rows)
+    out = [0.0] * rows.shape[1]
+    for row in rows.tolist():
+        out = [a + b for a, b in zip(out, row)]
+    return np.array(out, dtype=float)
+
+
 def _reference_row_entropies(rows):
-    # the gather/scatter form row_entropies_bits replaced
+    # the gather/scatter form row_entropies_bits replaced, each row folded
+    # left to right
     contrib = np.zeros_like(rows)
     nz = rows > 0.0
     contrib[nz] = rows[nz] * np.log2(rows[nz])
-    return -contrib.sum(axis=1)
+    return -_left_fold(contrib.T)
+
+
+_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, -1e-13, 0.5, 1.0, float("nan")]), st.floats(0.0, 1.0)
+)
 
 
 @given(
@@ -57,36 +72,45 @@ def _reference_row_entropies(rows):
     layout=st.sampled_from(["C", "F"]),
 )
 def test_row_entropies_match_reference(shape, data, layout):
-    entry = st.one_of(
-        st.sampled_from([0.0, -0.0, 5e-324, 1e-310, -1e-13, 0.5, 1.0, float("nan")]), st.floats(0.0, 1.0)
-    )
-    flat = data.draw(st.lists(entry, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    flat = data.draw(st.lists(_ENTRY, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
     rows = np.array(flat).reshape(shape)
-    # the row sums' summation order depends on the memory layout of rows
     rows = rows if layout == "C" else np.asfortranarray(rows)
     got = row_entropies_bits(rows)
     assert got.tobytes() == _reference_row_entropies(rows).tobytes()
     # the same entropies from the columns of planes, whose rows the planes
-    # overwrite; a one-row array sums as C layout
-    c_layout = layout == "C" or len(rows) == 1
-    assert plane_entropies_bits(rows.T.copy(), c_layout).tobytes() == got.tobytes()
+    # overwrite
+    assert plane_entropies_bits(rows.T.copy()).tobytes() == got.tobytes()
+
+
+@given(shape=st.tuples(st.integers(1, 20), st.integers(1, 12)), data=st.data())
+def test_row_entropies_do_not_depend_on_the_layout(shape, data):
+    # each row folds left to right, so C, F and strided views of one array
+    # give one set of bits
+    flat = data.draw(st.lists(_ENTRY, min_size=4 * shape[0] * shape[1], max_size=4 * shape[0] * shape[1]))
+    wide = np.array(flat).reshape(2 * shape[0], 2 * shape[1])
+    rows = np.ascontiguousarray(wide[::2, ::2])
+    want = row_entropies_bits(rows).tobytes()
+    for view in (np.asfortranarray(rows), wide[::2, ::2], wide.T[::2, ::2].T, wide[-2::-2, ::2][::-1]):
+        assert np.array_equal(view, rows, equal_nan=True)
+        assert row_entropies_bits(view).tobytes() == want
 
 
 def test_row_entropies_of_strided_and_empty_rows():
     rows = np.full((3, 8), 0.25)
-    with pytest.raises(ValueError, match="contiguous"):
-        row_entropies_bits(rows[:, ::2])
-    with pytest.raises(ValueError, match="contiguous"):
-        row_entropies_bits(rows[::2, ::2].T)
+    # strided rows are read as their contiguous copy
+    assert row_entropies_bits(rows[:, ::2]).tolist() == [2.0] * 3
+    assert row_entropies_bits(rows[::2, ::2].T).tolist() == [1.0] * 4
     assert row_entropies_bits(rows[:, :0]).tobytes() == _reference_row_entropies(rows[:, :0]).tobytes()
     assert row_entropies_bits(rows[:0]).shape == (0,)
 
 
 @pytest.mark.parametrize("layout", ["C", "F"])
-def test_plane_fold_is_numpys_row_sum_order(layout):
-    # pins the order in which numpy sums each row: the gap kernels fold
-    # planes in that order to give reports their bits, so a numpy that
-    # sums in another order fails here before it changes a report
+def test_plane_fold_is_a_left_fold(layout):
+    # pins the one order polarlab sums entropies and marginals in: each
+    # column of planes added left to right from 0.0. It rests on numpy's
+    # add.reduce over axis 0 of a C-contiguous array adding the planes in
+    # order where they hold two or more entries, so a numpy that sums in
+    # another order fails here before it changes a report
     rng = np.random.default_rng(7)
     for length in range(1, 65):
         values = rng.standard_normal((40, length)) * np.exp2(rng.integers(-60, 60, (40, length)))
@@ -94,12 +118,13 @@ def test_plane_fold_is_numpys_row_sum_order(layout):
         values[1, ::2] = -0.0
         values[2, 1::3] = 0.0
         values[3, -1] = np.nan
-        for rows in (values, values[:1], values[5:6]):
-            rows = np.ascontiguousarray(rows) if layout == "C" else np.asfortranarray(rows)
-            c_layout = layout == "C" or len(rows) == 1
-            want = rows.sum(axis=1)
-            got = fold_planes(rows.T.copy(), c_layout)
-            assert got.tobytes() == want.tobytes(), (length, len(rows))
+        for rows in (values, values[:1], values[5:6], values[:2]):
+            planes = np.ascontiguousarray(rows.T) if layout == "C" else np.asfortranarray(rows.T)
+            want = _left_fold(planes)
+            assert fold_planes(planes.copy(order="K")).tobytes() == want.tobytes(), (length, len(rows))
+            out = np.full(len(rows), np.nan)
+            assert fold_planes(planes, out=out) is out
+            assert out.tobytes() == want.tobytes(), (length, len(rows))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 6, 16, 17, 36, 144])
@@ -576,7 +601,7 @@ def _reference_canonical_atoms(weights, posteriors, tau):
 def _assert_same_atoms(got, want):
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-    # readers sum the rows, and the summation order follows the layout
+    # readers reshape the rows and key them by their bytes, row-major
     assert got[1].flags.c_contiguous
 
 

@@ -19,7 +19,7 @@ from polarlab import (
     subgroup_from_members,
     symmetric_capacity,
 )
-from polarlab.channels import kernel_capacities, kernel_capacity
+from polarlab.channels import kernel_capacity
 from polarlab.presets import bsc_channel, dh_mix_channel, identity_channel, useless_channel
 
 Z2 = make_group([2])
@@ -192,27 +192,6 @@ def test_delta_determining_reports_all_witnesses_at_large_delta():
     assert gaps == sorted(gaps)
 
 
-@pytest.mark.parametrize("m", [3, 11, 17])
-def test_kernel_capacities_give_each_block_its_bits_alone(m):
-    # blocks of one column, of a dead output and of several live outputs
-    # side by side: each must get bitwise the capacity it gets alone
-    rng = np.random.default_rng(m)
-    dead = rng.dirichlet(np.ones(3), size=m)
-    dead[:, 1] = 0.0
-    dead /= dead.sum(axis=1, keepdims=True)
-    blocks = [
-        rng.dirichlet(np.ones(4), size=m),
-        np.ones((m, 1)),
-        dead,
-        rng.dirichlet(np.full(2, 0.3), size=m),
-        np.ones((m, 1)),
-        rng.dirichlet(np.ones(5), size=m),
-    ]
-    bounds = np.concatenate([[0], np.cumsum([b.shape[1] for b in blocks])]).tolist()
-    got = kernel_capacities(np.hstack(blocks), bounds)
-    assert [c.hex() for c in got] == [kernel_capacity(b).hex() for b in blocks]
-
-
 def test_channel_json_round_trip():
     w = bsc_channel(0.1)
     obj = channel_to_json(w)
@@ -240,12 +219,11 @@ def test_channel_json_errors():
 
 def test_block_capacities_keep_a_dead_outputs_block_out_of_the_dots():
     # an output whose one entry is the least subnormal has a marginal that
-    # underflows to 0 and an infinite posterior entropy; its block runs
-    # alone, and the stacked dots of the other blocks neither see it nor warn
-    kernel = np.array([[0.5, 0.5, 5e-324, 1.0, 0.3, 0.7], [0.5, 0.5, 0.0, 1.0, 0.6, 0.4]])
-    bounds = [0, 2, 4, 6]
+    # underflows to 0 and an infinite posterior entropy; the capacity drops
+    # it without a warning, and so reads the other outputs alone
+    kernel = np.array([[0.5, 5e-324, 0.2, 0.3], [0.5, 0.0, 0.3, 0.2]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = kernel_capacities(kernel, bounds)
-    want = [kernel_capacity(kernel[:, a:b]) for a, b in zip(bounds, bounds[1:])]
-    assert got.tolist() == want
+        got = kernel_capacity(kernel)
+    assert got.hex() == kernel_capacity(kernel[:, [0, 2, 3]]).hex()
+    assert np.isfinite(got) and 0.0 < got < 1.0

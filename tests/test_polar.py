@@ -341,21 +341,31 @@ def test_equivalence_respected_by_transforms():
 
 
 # The per-measure transforms and capacity gap that polar.Chunk replaced,
-# kept verbatim apart from canonicalization, which has its own reference:
-# a chunk must reproduce their bits.
+# kept verbatim apart from canonicalization, which has its own reference,
+# and from the pair convolutions, which add each pair's numerators left to
+# right (_pair_convolutions): a chunk must reproduce their bits.
+
+
+def _numerators(m):
+    """[i, j, u1, x] = p_i(u1 + x) p_j(x) of every atom pair."""
+    q = m.posteriors
+    return np.einsum("iux,jx->ijux", q[:, m.group.add_table], q)
+
+
+def _pair_convolutions(numer):
+    """[i, j, u1] = (p_i (*) p_j)(u1): the numerators added over x, left to right."""
+    return _left_fold(np.moveaxis(numer, 3, 0))
 
 
 def _reference_minus(m, tau):
-    conv = np.einsum("iuv,jv->iju", m.posteriors[:, m.group.add_table], m.posteriors)
+    conv = _pair_convolutions(_numerators(m))
     weights = np.outer(m.weights, m.weights).ravel()
     return BlackwellMeasure(m.group, weights, conv.reshape(-1, m.group.size), tau)
 
 
 def _reference_plus(m, tau):
-    q = m.posteriors
-    shifted = q[:, m.group.add_table]  # [i, u1, x] = p_i(u1 + x)
-    numer = np.einsum("iux,jx->ijux", shifted, q)
-    conv = numer.sum(axis=3)
+    numer = _numerators(m)
+    conv = _pair_convolutions(numer)
     weights = (m.weights[:, None, None] * m.weights[None, :, None]) * conv
     posteriors = np.divide(numer, conv[..., None], out=np.zeros_like(numer), where=conv[..., None] > 0.0)
     return BlackwellMeasure(m.group, weights.ravel(), posteriors.reshape(-1, m.group.size), tau)
@@ -416,16 +426,15 @@ def _reference_quotient_capacity(m, sub):
 def _reference_gap(m):
     trivial = enumerate_subgroups(m.group)[0]
     via_transform = _reference_quotient_capacity(m, trivial) - _reference_minus_capacity(m)
-    conv = np.einsum("iuv,jv->iju", m.posteriors[:, m.group.add_table], m.posteriors)
+    conv = _pair_convolutions(_numerators(m))
     h_conv = row_entropies_bits(conv.reshape(-1, m.group.size)).reshape(m.atom_count, m.atom_count)
     h_atoms = row_entropies_bits(m.posteriors)
     return polar.CapacityGap(via_transform, float(m.weights @ h_conv @ m.weights - m.weights @ h_atoms))
 
 
-# Groups of every size class the summation kernels treat differently: rows
-# shorter than 8 entries, exactly 8, longer, and the size cap of 64. On Z11
-# and Z17 the row entropies of a one-atom measure's kernels sum to other
-# bits in a chunk's layout than alone.
+# Groups of every size class that numpy's own row sums treat differently,
+# where the left folds of the kernels must keep their bits: rows shorter
+# than 8 entries, exactly 8, longer, and the size cap of 64.
 _CHUNK_GROUPS = ([2], [3], [4], [2, 2], [5], [6], [2, 4], [8], [3, 3], [11], [2, 2, 2, 2], [17], [4, 4, 4])
 
 
@@ -496,10 +505,10 @@ def _one_atom(group, seed):
 
 
 def test_one_atom_measure_keeps_its_gap_in_a_chunk():
-    # on Z11, beside other measures, a one-atom measure's kernel column
-    # would sum its row entropies in another order than alone; and a block
-    # of several one-atom measures would sum their pair convolutions in
-    # another order than each alone, on every group but Z2
+    # beside other measures, a one-atom measure's row entropies and pair
+    # convolutions are folded as one column of several, and alone as a
+    # lone column; both folds add left to right, on groups of order below
+    # 8 and above
     for dims in ([11], [3], [12], [4, 4, 4]):
         group = make_group(dims)
         measures = [
@@ -830,8 +839,7 @@ def _bits(gaps):
 
 @pytest.mark.parametrize("dims, outputs", [([2, 2], 160), ([2, 4], 120), ([3, 4], 100)])
 def test_gaps_over_many_tiles_match_the_reference(monkeypatch, dims, outputs):
-    # groups of order < 8, 8 and > 8, whose pair entropies fold their
-    # planes in different orders. Beside a measure of several tiles: small
+    # groups of order < 8, 8 and > 8. Beside a measure of several tiles: small
     # measures that share tiles, a one-atom measure, and a measure with a
     # dead output in its minus kernel, where the products of its light
     # atom's columns underflow
@@ -931,16 +939,16 @@ def test_pair_planes_are_a_left_fold_over_v(monkeypatch, dims):
 
 
 def test_one_atom_plus_step_matches_the_reference_on_every_group():
-    # A one-atom measure's pair convolution, summed by its own einsum in
-    # _planes, differs in its last bits from the reference's row sums on Z6
-    # and Z14, among others, and so do its plus children; the plus step sums
-    # such a measure's rows itself.
+    # a one-atom measure's pair convolution, folded over v in the tile of
+    # its size run, is its plus step's factor, as for any measure: its
+    # plus children keep the reference's bits, alone and beside another
+    # measure
     for size in range(2, 65):
         group = make_group([size])
-        lone = blackwell_measure(useless_channel(group))
         other = blackwell_measure(random_channel(group, 2, seed=1))
-        assert plus_on_measure(lone).identical(_reference_plus(lone, polar.DEFAULT_MERGE_TAU))
-        assert polar.Chunk([lone, other]).plus()[0].identical(plus_on_measure(lone))
+        for lone in (blackwell_measure(useless_channel(group)), _one_atom(group, size)):
+            assert plus_on_measure(lone).identical(_reference_plus(lone, polar.DEFAULT_MERGE_TAU))
+            assert polar.Chunk([lone, other]).plus()[0].identical(plus_on_measure(lone))
 
 
 def _broadcast_raw_plus(chunk):
@@ -952,10 +960,6 @@ def _broadcast_raw_plus(chunk):
         out = numer[chunk.pair_starts[a] : chunk.pair_starts[b]].reshape(b - a, k, k, size, size)
         np.multiply(q[:, :, None, chunk.group.add_table], q[:, None, :, None, :], out=out)
     conv = np.array(chunk.conv, order="C")
-    k, a, b = chunk.blocks[0]
-    if k == 1:
-        rows = slice(chunk.pair_starts[a], chunk.pair_starts[b])
-        conv[rows] = numer[rows].sum(axis=2)
     numer /= np.where(conv > 0.0, conv, 1.0)[..., None]
     return (chunk.pair_weights()[:, None] * conv).ravel(), numer.reshape(-1, size), conv
 

@@ -101,19 +101,22 @@ COMMANDS: list[tuple[str, list[str]]] = [
     # general-path chunks priced at their raw posteriors, up to the cap
     ("dh-mix:5 Z6 d8", polarize("--preset", "dh-mix:5", "--group", "Z6", "--depth", "8")),
     ("bec:0.3 Z4 d8", polarize("--preset", "bec:0.3", "--group", "Z4", "--depth", "8")),
-    # gaps on groups of order above 8, whose pair entropies sum 8
-    # accumulators, and a generic 64-atom leaf on a group of order 8 beside
-    # a leaf whose gap the budget refuses (exit 2)
+    # gaps on groups of order above 8, and a generic 64-atom leaf on a
+    # group of order 8 beside a leaf whose gap the budget refuses (exit 2)
     *[
         (f"dh-mix:3 {group} d4", polarize("--preset", "dh-mix:3", "--group", group, "--depth", "4"))
         for group in ("Z12", "Z16")
     ],
-    # one-atom measures on groups other than Z2, which the gap kernels
-    # convolve apart from their tiles (the second exits 2)
+    # one-atom measures on groups other than Z2, whose pair convolutions
+    # one fold over v makes per size run (the second exits 2)
     ("useless Z11 d3", polarize("--preset", "useless", "--group", "Z11", "--depth", "3")),
     ("random:1 Z3 d5 tau 1e-3", polarize(
         "--preset", "random:1", "--group", "Z3", "--depth", "5", "--merge-tau", "1e-3")),
     ("random:5 [2,4] d1", polarize("--preset", "random:5", "--group", "[2,4]", "--depth", "1")),
+    # a generic channel on a group of order above 8 whose leaves, of 5 and
+    # 105 atoms, are evaluated (exit 2)
+    ("random:7 Z12 outputs 2 d2", polarize(
+        "--preset", "random:7", "--group", "Z12", "--outputs", "2", "--depth", "2")),
     ("random:0 Z4 budget 300", polarize(
         "--preset", "random:0", "--group", "Z4", "--depth", "3", "--atom-budget", "300")),
     ("random:0 Z4 budget 300 sample", polarize(
